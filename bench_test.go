@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"microtools/internal/analytic"
 	"microtools/internal/asm"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
@@ -206,10 +205,11 @@ func buildLoadKernel(b *testing.B, u int) *isa.Program {
 	return p
 }
 
-// BenchmarkAblationAnalyticVsEventDriven compares the fast analytic
-// steady-state model against the event-driven core on an L1-resident
-// kernel: it reports both estimates and the analytic model's speedup.
-func BenchmarkAblationAnalyticVsEventDriven(b *testing.B) {
+// BenchmarkAblationBoundVsEventDriven compares the static dataflow lower
+// bound against the event-driven core on an L1-resident kernel: it reports
+// both per-iteration figures and their ratio (how much of the simulated
+// cost the sim-free bound accounts for).
+func BenchmarkAblationBoundVsEventDriven(b *testing.B) {
 	arch := isa.Nehalem()
 	prog := buildLoadKernel(b, 8)
 	mem := fixedLatencyMem{lat: 4}
@@ -229,13 +229,13 @@ func BenchmarkAblationAnalyticVsEventDriven(b *testing.B) {
 		}
 		eventCyc = float64(core.Result().Cycles) / float64(iters)
 	}
-	est, err := analytic.EstimateLoop(prog, arch, analytic.L1(arch))
+	bounds, err := dataflow.KernelBounds(prog, arch)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(eventCyc, "event-cyc/iter")
-	b.ReportMetric(est.CyclesPerIter, "analytic-cyc/iter")
-	b.ReportMetric(est.CyclesPerIter/eventCyc, "ratio")
+	b.ReportMetric(bounds.CyclesLowerBound, "bound-cyc/iter")
+	b.ReportMetric(bounds.CyclesLowerBound/eventCyc, "ratio")
 }
 
 type fixedLatencyMem struct{ lat int64 }
@@ -466,8 +466,8 @@ func BenchmarkVerifyVariants(b *testing.B) {
 // BenchmarkAnalyze measures the static dataflow analysis (internal/dataflow)
 // over the paper's 510-variant §5.1 family: parse + reaching definitions +
 // dependence DAG + bound computation per variant. The per-variant metric is
-// what the campaign pays to attach a static bound to every measurement and
-// what ScreenTopKStatic pays per candidate.
+// the cold cost of attaching a static bound to a variant (the campaign and
+// ScreenTopK use the memoized dataflow.KernelBounds slice of it).
 func BenchmarkAnalyze(b *testing.B) {
 	progs, err := GenerateString(context.Background(), fig6Spec(), GenerateOptions{})
 	if err != nil {
@@ -498,8 +498,8 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(kernels)), "ns/variant")
 }
 
-// BenchmarkScreenStatic measures the dataflow-bound screen over the same
-// 510-variant family (keep 32) and reports the speedup a campaign gains by
+// BenchmarkScreenStatic measures the static screen (core.ScreenTopK at an
+// L1-resident size) over the same 510-variant family (keep 32) and reports the speedup a campaign gains by
 // measuring only the survivors: (cost of simulating all variants) versus
 // (screen + simulate the kept fraction), with the per-variant simulation
 // cost taken from one real launch.
@@ -512,7 +512,7 @@ func BenchmarkScreenStatic(b *testing.B) {
 	var screenTime time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		kept, err := core.ScreenTopKStatic(context.Background(), progs, "nehalem-dual/8", 4, keep)
+		kept, err := core.ScreenTopK(context.Background(), progs, "nehalem-dual/8", 4<<10, 4, keep)
 		if err != nil {
 			b.Fatal(err)
 		}

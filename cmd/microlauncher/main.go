@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"microtools/internal/campaign"
 	"microtools/internal/cliutil"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
@@ -270,43 +271,40 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown -omp-schedule %q (want static|dynamic)", *ompSched))
 	}
-	if p := camp.AdaptivePlan(); p != nil {
-		setters = append(setters, launcher.WithAdaptive(*p))
-	}
 	opts := launcher.NewOptions(setters...)
 
-	var ms []*launcher.Measurement
-	if len(kernels) == 1 {
-		m, err := launcher.Launch(ctx, kernels[0], opts)
-		if err != nil {
-			fail(err)
+	// Every selected function runs through the campaign engine, fanned out
+	// over -workers (-adaptive arms the plan there). Each kernel gets its
+	// own simulated machine, so the measurements are bit-identical to
+	// launching the functions one at a time.
+	progs := make([]codegen.Program, len(kernels))
+	for i, k := range kernels {
+		progs[i] = codegen.Program{Name: k.Name, Parsed: k}
+	}
+	copts := camp.Options(
+		campaign.WithLaunch(opts),
+		campaign.WithName(*kernelPath),
+		campaign.WithMetrics(tele.Metrics()),
+		campaign.WithTracker(tele.Tracker()),
+	)
+	if *verbose {
+		copts.Progress = cliutil.Progress(os.Stderr, "microlauncher")
+	}
+	res, err := campaign.RunPrograms(ctx, progs, copts)
+	ms := res.Measurements()
+	for _, m := range ms {
+		// The launcher's report carries the measurement alone; the static
+		// bound is what -analyze prints.
+		m.StaticBound = 0
+	}
+	if err != nil {
+		if len(res.Results) == 1 && res.Results[0].Err != nil {
+			err = res.Results[0].Err // a single kernel fails with its own error
 		}
-		ms = []*launcher.Measurement{m}
-	} else {
-		// Several functions: fan the launches out over -workers. Each
-		// kernel gets its own simulated machine, so the measurements are
-		// bit-identical to launching the functions one at a time.
-		progs := make([]codegen.Program, len(kernels))
-		for i, k := range kernels {
-			progs[i] = codegen.Program{Name: k.Name, Parsed: k}
+		if len(ms) > 0 {
+			launcher.WriteReport(os.Stdout, reportFormat, ms)
 		}
-		all, err := core.LaunchAllProgress(ctx, progs, opts, camp.Workers, func(done, total int) {
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "microlauncher: %d/%d functions measured\n", done, total)
-			}
-		})
-		if err != nil {
-			for _, m := range all {
-				if m != nil {
-					ms = append(ms, m)
-				}
-			}
-			if len(ms) > 0 {
-				launcher.WriteReport(os.Stdout, reportFormat, ms)
-			}
-			fail(err)
-		}
-		ms = all
+		fail(err)
 	}
 	if err := launcher.WriteReport(os.Stdout, reportFormat, ms); err != nil {
 		fail(err)

@@ -31,10 +31,12 @@
 //	      expvar or declaring a package-level sync/atomic variable creates a
 //	      second, unexported metrics surface that /metrics cannot see — all
 //	      process-wide instrumentation goes through telemetry.Registry.
-//	L009  RunParallel stays deleted: the pre-campaign fan-out shim was
-//	      removed from the facade, so no declarations, call sites or
-//	      lingering comment references may reappear — docs and examples
-//	      point at RunCampaign (campaign.Run) with Options.Workers.
+//	L009  deleted APIs stay deleted: the fan-outs and the second static
+//	      cost model the campaign engine and internal/dataflow replaced
+//	      (RunParallel, LaunchAll, LaunchAllProgress, LaunchErrors,
+//	      ScreenTopKStatic, the analytic package) may not reappear as
+//	      declarations, references, imports or lingering comment mentions —
+//	      docs and examples point at their replacements.
 //	L010  no panic in library packages: libraries return errors and leave
 //	      the exit decision to the caller. The two conventional exceptions
 //	      are Must*/must* helpers (whose name announces the panic) and
@@ -233,7 +235,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 	checkErrorWrapping(ctx)
 	checkContext(ctx)
 	checkMetricState(ctx)
-	checkRunParallel(ctx)
+	checkDeletedAPIs(ctx)
 	checkPanics(ctx)
 	checkRetainedFormat(ctx)
 	checkWireContract(ctx)
@@ -726,46 +728,81 @@ func atomicTypeName(c *fileContext, e ast.Expr) (string, bool) {
 	return name, name != ""
 }
 
-// checkRunParallel implements L009. RunParallel was the deprecated
-// pre-campaign fan-out shim; it has been deleted from the facade, and the
-// rule keeps it deleted: no plain-function declarations, no call sites
-// (bare or through any selector), and no lingering comment references —
-// docs and examples point readers at the campaign engine instead. The
-// linter's own sources are exempt: the rule must be allowed to name what
-// it bans.
-func checkRunParallel(c *fileContext) {
+// deletedAPIs is L009's table: each removed identifier with the
+// replacement its finding points readers at.
+var deletedAPIs = []struct{ name, use string }{
+	{"RunParallel", "RunCampaign (campaign.Run) with Options.Workers"},
+	{"LaunchAll", "campaign.RunPrograms"},
+	{"LaunchAllProgress", "campaign.RunPrograms with Options.Progress"},
+	{"LaunchErrors", "campaign.Error"},
+	{"ScreenTopKStatic", "core.ScreenTopK"},
+}
+
+// deletedImports lists L009's removed packages with their replacements.
+var deletedImports = []struct{ path, use string }{
+	{"microtools/internal/analytic", "internal/dataflow (core.ScreenTopK for ranking)"},
+}
+
+// checkDeletedAPIs implements L009: every deletedAPIs entry stays deleted —
+// no plain function or type declaration, no reference (a bare call or any
+// selector, call or type position), no comment mentioning it — and no
+// deletedImports package is imported or mentioned. The linter's own
+// sources are exempt: the rule must be allowed to name what it bans.
+func checkDeletedAPIs(c *fileContext) {
 	if strings.Contains(filepath.ToSlash(c.path), "cmd/microlint/") {
 		return
 	}
-	for _, decl := range c.file.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "RunParallel" {
-			c.report(fn.Name.Pos(), "L009",
-				"RunParallel was deleted in favor of the campaign engine: do not reintroduce the shim")
+	deleted := func(name string) (string, bool) {
+		for _, api := range deletedAPIs {
+			if api.name == name {
+				return api.use, true
+			}
+		}
+		return "", false
+	}
+	for _, imp := range c.file.Imports {
+		for _, d := range deletedImports {
+			if strings.Trim(imp.Path.Value, `"`) == d.path {
+				c.report(imp.Pos(), "L009", "%s was deleted: use %s", d.path, d.use)
+			}
 		}
 	}
 	ast.Inspect(c.file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		called := ""
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			called = fun.Name
+		var id *ast.Ident
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv == nil {
+				id = n.Name
+			}
+		case *ast.TypeSpec:
+			id = n.Name
 		case *ast.SelectorExpr:
-			called = fun.Sel.Name
+			id = n.Sel
+		case *ast.CallExpr:
+			id, _ = n.Fun.(*ast.Ident)
 		}
-		if called == "RunParallel" {
-			c.report(call.Pos(), "L009",
-				"RunParallel is the deleted pre-campaign shim: call RunCampaign (campaign.Run) with Options.Workers")
+		if id != nil {
+			if use, ok := deleted(id.Name); ok {
+				c.report(id.Pos(), "L009", "%s was deleted: use %s", id.Name, use)
+			}
 		}
 		return true
 	})
+	isIdent := func(r rune) bool { return r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) }
 	for _, cg := range c.file.Comments {
+	comments:
 		for _, cm := range cg.List {
-			if strings.Contains(cm.Text, "RunParallel") {
-				c.report(cm.Pos(), "L009",
-					"comment still references the deleted RunParallel shim: point readers at RunCampaign instead")
+			for _, word := range strings.FieldsFunc(cm.Text, isIdent) {
+				if use, ok := deleted(word); ok {
+					c.report(cm.Pos(), "L009", "comment still references the deleted %s: point readers at %s", word, use)
+					continue comments
+				}
+			}
+			for _, d := range deletedImports {
+				if strings.Contains(cm.Text, d.path) {
+					c.report(cm.Pos(), "L009", "comment still references the deleted %s: point readers at %s", d.path, d.use)
+					continue comments
+				}
 			}
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
+
+	"microtools/internal/analytic"
 )
 
 // hits and total trip L008 twice: expvar registers a shadow metrics surface
@@ -102,6 +104,18 @@ func CtxFirst(ctx context.Context, name string) error {
 // legacyFanOut trips L009: RunParallel is the deprecated pre-campaign shim.
 func legacyFanOut(rt runnerStub) {
 	rt.RunParallel()
+}
+
+// legacyLaunch trips L009 once per deleted fan-out or screening API (plus
+// the import of the deleted static cost model above): a call, a progress
+// call, a type reference and a screen call.
+func legacyLaunch(rt runnerStub) error {
+	rt.LaunchAll()
+	rt.LaunchAllProgress()
+	var agg *core.LaunchErrors
+	rt.ScreenTopKStatic()
+	_ = analytic.L1
+	return agg
 }
 
 type runnerStub struct{}

@@ -7,7 +7,7 @@
 //	microtools -list
 //	microtools -experiment fig11 [-quick] [-csv out.csv] [-v]
 //	microtools -all [-quick] [-outdir results/]
-//	microtools -study spec.xml [-workers N] [-cache measurements.jsonl] [-fail-fast]
+//	microtools -study spec.xml [-screen K] [-workers N] [-cache measurements.jsonl] [-fail-fast]
 //	          [-retries N] [-retry-backoff D] [-deadline D] [-quarantine N]
 //	microtools vet [-json] [-suppress V004,V008] spec.xml...
 //	microtools chaos [-fault-seed N] [-fault-rate R] [-fault-burst N]
@@ -28,7 +28,9 @@
 // an interrupted or repeated study resumes without re-measuring. The
 // resilience budgets bound each variant (-deadline), re-attempt transient
 // failures with deterministic backoff (-retries, -retry-backoff) and
-// withdraw repeat offenders (-quarantine).
+// withdraw repeat offenders (-quarantine). -screen K first ranks the whole
+// family statically (core.ScreenTopK) and runs only the top K through the
+// same campaign.
 //
 // The vet subcommand runs MicroCreator's static verifier over every variant
 // a spec expands to — without launching anything — and reports the findings
@@ -65,7 +67,6 @@ import (
 	"microtools/internal/analysis"
 	"microtools/internal/campaign"
 	"microtools/internal/cliutil"
-	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/dataflow"
 	"microtools/internal/experiments"
@@ -642,8 +643,7 @@ func main() {
 		study   = flag.String("study", "", "XML kernel description: generate all variants, launch each, report the best (§7 workflow)")
 		machine = flag.String("machine", "nehalem-dual/8", "machine for -study")
 		size    = flag.Int64("size", 1<<14, "array bytes for -study")
-		screen  = flag.Int("screen", 0, "pre-rank variants with the analytic model and measure only the top K (0 = measure all)")
-		screenS = flag.Int("screen-static", 0, "pre-rank variants with the dataflow lower bound and measure only the top K (0 = measure all)")
+		screen  = flag.Int("screen", 0, "pre-rank variants statically (dataflow bound, and memory throughput at the -size residency level) and measure only the top K (0 = measure all)")
 		quick   = flag.Bool("quick", false, "reduced sweeps (shapes preserved)")
 		csvOut  = flag.String("csv", "", "write the result table as CSV to this file")
 		outDir  = flag.String("outdir", "results", "output directory for -all")
@@ -740,110 +740,63 @@ func main() {
 			setters = append(setters, launcher.WithReps(2, 1))
 		}
 		opts := launcher.NewOptions(setters...)
-		var ms []*launcher.Measurement
-		partial := false
-		if *screen > 0 && *screenS > 0 {
-			fail(fmt.Errorf("-screen and -screen-static are mutually exclusive"))
+		extra := []campaign.Option{
+			campaign.WithLaunch(opts),
+			campaign.WithTracer(tracer),
+			campaign.WithName(*study),
+			campaign.WithMetrics(tele.Metrics()),
+			campaign.WithTracker(tele.Tracker()),
 		}
-		if *screen > 0 || *screenS > 0 {
-			// Screening needs the whole variant family in hand before
-			// ranking, so this path materializes the programs instead of
-			// streaming them through the campaign engine.
-			f, err := os.Open(*study)
+		cache, err := camp.OpenCache()
+		if err != nil {
+			fail(err)
+		}
+		if cache != nil {
+			defer cache.Close()
+			extra = append(extra, campaign.WithCache(cache))
+		}
+		if *vFlag {
+			extra = append(extra, campaign.WithProgress(cliutil.Progress(os.Stderr, "microtools")))
+		}
+		copts := camp.Options(extra...)
+		var res *campaign.Result
+		if *screen > 0 {
+			// Screening ranks the whole variant family, so it is
+			// materialized first; the survivors then run through the
+			// same campaign engine as an unscreened study.
+			progs, err := core.GenerateFile(ctx, *study, core.GenerateOptions{Tracer: tracer})
 			if err != nil {
 				fail(err)
 			}
-			defer f.Close()
-			progs, err := core.Generate(ctx, f, core.GenerateOptions{Tracer: tracer})
+			kept, err := core.ScreenTopK(ctx, progs, *machine, *size, int(opts.ElementBytes), *screen)
 			if err != nil {
 				fail(err)
 			}
-			var kept []codegen.Program
-			mode := "analytic"
-			if *screenS > 0 {
-				mode = "static"
-				kept, err = core.ScreenTopKStatic(ctx, progs, *machine, int(opts.ElementBytes), *screenS)
-			} else {
-				kept, err = core.ScreenTopK(ctx, progs, *machine, *size, int(opts.ElementBytes), *screen)
-			}
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("%s screening: %d of %d variants kept for measurement\n", mode, len(kept), len(progs))
-			started := time.Now()
-			progress := func(done, total int) {
-				elapsed := time.Since(started)
-				var eta time.Duration
-				if done > 0 {
-					eta = time.Duration(float64(elapsed) / float64(done) * float64(total-done)).Round(time.Second)
-				}
-				fmt.Fprintf(os.Stderr, "microtools: launched %d/%d variants (%.0f%%), elapsed %s, eta %s\n",
-					done, total, 100*float64(done)/float64(total), elapsed.Round(time.Second), eta)
-			}
-			if !*vFlag {
-				progress = nil
-			}
-			ms, err = core.LaunchAllProgress(ctx, kept, opts, camp.Workers, progress)
-			if err != nil {
-				fail(err)
-			}
+			fmt.Printf("static screening: %d of %d variants kept for measurement\n", len(kept), len(progs))
+			res, err = campaign.RunPrograms(ctx, kept, copts)
 		} else {
-			extra := []campaign.Option{
-				campaign.WithLaunch(opts),
-				campaign.WithTracer(tracer),
-				campaign.WithName(*study),
-				campaign.WithMetrics(tele.Metrics()),
-				campaign.WithTracker(tele.Tracker()),
-			}
-			cache, err := camp.OpenCache()
-			if err != nil {
-				fail(err)
-			}
-			if cache != nil {
-				defer cache.Close()
-				extra = append(extra, campaign.WithCache(cache))
-			}
-			if *vFlag {
-				// Progress with an ETA extrapolated from the elapsed
-				// measurement time; while the generator is still emitting the
-				// total (and so the ETA) is a lower bound.
-				started := time.Now()
-				extra = append(extra, campaign.WithProgress(func(p campaign.Progress) {
-					elapsed := time.Since(started)
-					var eta time.Duration
-					if p.Done > 0 {
-						eta = time.Duration(float64(elapsed) / float64(p.Done) * float64(p.Emitted-p.Done)).Round(time.Second)
-					}
-					total := fmt.Sprintf("%d", p.Emitted)
-					if p.Generating {
-						total += "+"
-					}
-					fmt.Fprintf(os.Stderr, "microtools: %d/%s variants (%d cached, %d failed), elapsed %s, eta %s\n",
-						p.Done, total, p.CacheHits, p.Failed, elapsed.Round(time.Second), eta)
-				}))
-			}
-			copts := camp.Options(extra...)
-			res, err := campaign.RunFile(ctx, *study, core.GenerateOptions{Tracer: tracer}, copts)
-			if err != nil {
-				// Partial results (a canceled or partly failed campaign) are
-				// still reported below the error; the exit status stays
-				// non-zero so scripts notice the incomplete sweep.
-				fmt.Fprintf(os.Stderr, "microtools: %v\n", err)
-				if res == nil || len(res.Measurements()) == 0 {
-					os.Exit(1)
-				}
-				partial = true
-			}
-			if *vFlag && res != nil {
-				fmt.Fprintf(os.Stderr, "microtools: campaign: %d variants, %d launches, %d cache hits, %d failures, %d retries, %d quarantined, %d key errors\n",
-					res.Emitted, res.Launches, res.CacheHits, res.Failures, res.Retries, res.Quarantined, res.KeyErrors)
-				if camp.Adaptive {
-					fmt.Fprintf(os.Stderr, "microtools: adaptive: %d reps executed, %d saved, %d topped up, %d variants missed the RCIW target\n",
-						res.RepsExecuted, res.RepsSaved, res.RepsTopUp, res.TargetMisses)
-				}
-			}
-			ms = res.Measurements()
+			res, err = campaign.RunFile(ctx, *study, core.GenerateOptions{Tracer: tracer}, copts)
 		}
+		partial := false
+		if err != nil {
+			// Partial results (a canceled or partly failed campaign) are
+			// still reported below the error; the exit status stays
+			// non-zero so scripts notice the incomplete sweep.
+			fmt.Fprintf(os.Stderr, "microtools: %v\n", err)
+			if len(res.Measurements()) == 0 {
+				os.Exit(1)
+			}
+			partial = true
+		}
+		if *vFlag {
+			fmt.Fprintf(os.Stderr, "microtools: campaign: %d variants, %d launches, %d cache hits, %d failures, %d retries, %d quarantined, %d key errors\n",
+				res.Emitted, res.Launches, res.CacheHits, res.Failures, res.Retries, res.Quarantined, res.KeyErrors)
+			if camp.Adaptive {
+				fmt.Fprintf(os.Stderr, "microtools: adaptive: %d reps executed, %d saved, %d topped up, %d variants missed the RCIW target\n",
+					res.RepsExecuted, res.RepsSaved, res.RepsTopUp, res.TargetMisses)
+			}
+		}
+		ms := res.Measurements()
 		ranking := analysis.RankPerElement(ms)
 		fmt.Print(ranking.Report())
 		if *csvOut != "" {

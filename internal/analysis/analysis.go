@@ -137,7 +137,7 @@ func (r Ranking) Report() string {
 // association. The repository uses it to quantify how well the static
 // dataflow bound (Measurement.StaticBound) predicts the measured ranking
 // of a variant family — the number EXPERIMENTS.md reports for the
-// screening fidelity of ScreenTopKStatic. Ties on either side contribute
+// screening fidelity of core.ScreenTopK. Ties on either side contribute
 // nothing (counted as neither concordant nor discordant). Returns 0 for
 // fewer than two pairs or mismatched lengths.
 func KendallTau(a, b []float64) float64 {

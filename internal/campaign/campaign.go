@@ -56,9 +56,6 @@ import (
 	"microtools/internal/telemetry"
 )
 
-// VariantError re-exports the per-variant failure record shared with core.
-type VariantError = core.VariantError
-
 // Error aggregates every variant failure of a campaign.
 type Error struct {
 	// Failed lists the failed variants in generation order.
@@ -318,6 +315,34 @@ func (r *Result) Err() error {
 // ErrNoVariants when the description emitted nothing; nil on full
 // success.
 func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Options) (*Result, error) {
+	return run(ctx, func(ctx context.Context, emit func(codegen.Program) error) error {
+		_, err := core.GenerateStream(ctx, xml, gen, emit)
+		return err
+	}, opts)
+}
+
+// RunPrograms is Run over an already materialized program list — a
+// screened variant family, or the functions of one assembly file. The
+// programs enter the same engine in slice order (Index is the position in
+// progs), with the same cache, resilience, adaptive top-up, bound checks
+// and live tracking. The returned Result is always non-nil; the error is
+// as for Run, with ErrNoVariants for an empty list.
+func RunPrograms(ctx context.Context, progs []codegen.Program, opts Options) (*Result, error) {
+	return run(ctx, func(ctx context.Context, emit func(codegen.Program) error) error {
+		for i := range progs {
+			if err := emit(progs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, opts)
+}
+
+// run is the engine behind Run and RunPrograms. source hands every variant
+// to emit in generation order and returns the producer's error; emit
+// blocks while the launch queue is full and fails once the campaign is
+// canceled.
+func run(ctx context.Context, source func(ctx context.Context, emit func(codegen.Program) error) error, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -434,9 +459,9 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		})
 	}
 
-	// Producer: stream programs out of the pass pipeline into the bounded
-	// queue. A full queue applies backpressure to generation; campaign
-	// cancellation (user or fail-fast) aborts the pipeline via cctx.
+	// Producer: stream programs out of the source into the bounded queue.
+	// A full queue applies backpressure to generation; campaign
+	// cancellation (user or fail-fast) aborts the source via cctx.
 	var genErr error
 	var producerWG sync.WaitGroup
 	producerWG.Add(1)
@@ -444,7 +469,7 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		defer producerWG.Done()
 		defer close(jobs)
 		index := 0
-		_, err := core.GenerateStream(cctx, xml, gen, func(p codegen.Program) error {
+		err := source(cctx, func(p codegen.Program) error {
 			j := job{index: index, prog: p}
 			index++
 			mu.Lock()
@@ -589,6 +614,88 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		mu.Unlock()
 	}
 
+	// mainKey derives main-pass cache keys from the campaign's Keyer.
+	mainKey := func(kernel *isa.Program) (string, error) {
+		if keyer == nil {
+			return "", keyerErr
+		}
+		return keyer.Key(kernel)
+	}
+
+	// measureOne is the per-variant lookup → launchWithRetries → put path
+	// shared by the main pass and the adaptive top-up pass: consult the
+	// cache under keyOf's key, otherwise launch under the variant deadline
+	// and store the canonical encoding. bound is the variant's static bound
+	// in the report unit, stamped on the measurement (cache entries that
+	// predate the field are backfilled on a copy). A cancellation error
+	// propagates for the caller to discard; any other error is final.
+	measureOne := func(sp obs.Span, name string, kernel *isa.Program, lopts launcher.Options, keyOf func(*isa.Program) (string, error), bound float64) (m *launcher.Measurement, hit bool, attempts int, isQuarantined bool, err error) {
+		var key string
+		if opts.Cache != nil {
+			if k, kerr := keyOf(kernel); kerr == nil {
+				key = k
+				if cm, ok := opts.Cache.Get(key); ok {
+					sp.Child("cache.hit").End()
+					opts.Counters.Inc("campaign.cache.hits")
+					if bound > 0 && cm.StaticBound != bound {
+						// Copy before annotating: the cache's canonical
+						// measurement is shared across workers.
+						mc := *cm
+						mc.StaticBound = bound
+						cm = &mc
+					}
+					return cm, true, 0, false, nil
+				}
+				sp.Child("cache.miss").End()
+				opts.Counters.Inc("campaign.cache.misses")
+			} else {
+				// A variant without a key is measured but bypasses the
+				// cache entirely; count it so warm-rerun regressions are
+				// visible instead of silently re-launching.
+				opts.Counters.Inc("campaign.cache.key_errors")
+				mu.Lock()
+				keyErrors++
+				mu.Unlock()
+				sp.Str("cache_key_error", kerr.Error())
+			}
+		}
+
+		// Warm the kernel's µop decode cache before the first attempt.
+		// Best-effort: a decode error is not cached, so a broken kernel
+		// still fails inside the launch with its usual error path.
+		if decodeArch != nil {
+			_, _ = kernel.Decoded(decodeArch)
+		}
+
+		// The variant's deadline covers every attempt, retries and backoff
+		// included; an expired deadline is a variant fault (recorded), not
+		// a campaign cancellation (skipped).
+		vctx := cctx
+		if opts.VariantDeadline > 0 {
+			var vcancel context.CancelFunc
+			vctx, vcancel = context.WithTimeout(cctx, opts.VariantDeadline)
+			defer vcancel()
+		}
+		m, attempts, isQuarantined, err = launchWithRetries(vctx, sp, name, kernel, lopts)
+		if err != nil {
+			return nil, false, attempts, isQuarantined, err
+		}
+		m.StaticBound = bound
+		if key != "" {
+			canon, perr := opts.Cache.Put(key, m)
+			if perr != nil {
+				// A failed cache write degrades to a future miss; the sweep
+				// itself keeps its measurement and keeps going.
+				opts.Counters.Inc("campaign.cache.put_errors")
+				sp.Str("cache_put_error", perr.Error())
+			}
+			if canon != nil {
+				m = canon // adopt the store's canonical encoding (bit-identical warm hits)
+			}
+		}
+		return m, false, attempts, false, nil
+	}
+
 	measure := func(j job) {
 		vt := variantHist.Start()
 		defer vt.Stop()
@@ -609,65 +716,7 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		// entries predating the field backfill identically).
 		coreBound := staticBoundCore(kernel, boundArch, opts.Launch)
 		unitBound := boundInUnit(coreBound, launchDesc, opts.Launch)
-		var key string
-		if opts.Cache != nil {
-			var k string
-			err := keyerErr
-			if keyer != nil {
-				k, err = keyer.Key(kernel)
-			}
-			if err == nil {
-				key = k
-				if m, ok := opts.Cache.Get(key); ok {
-					sp.Child("cache.hit").End()
-					opts.Counters.Inc("campaign.cache.hits")
-					if unitBound > 0 && m.StaticBound != unitBound {
-						// Copy before annotating: the cache's canonical
-						// measurement is shared across workers.
-						mc := *m
-						mc.StaticBound = unitBound
-						m = &mc
-					}
-					record(VariantResult{
-						Index: j.index, Name: j.prog.Name,
-						Measurement: m, CacheHit: true, Stability: stabilityFor(m, opts.Counters),
-						StaticBound: unitBound,
-					})
-					noteTopup(j.index, j.prog.Name, kernel, m)
-					return
-				}
-				sp.Child("cache.miss").End()
-				opts.Counters.Inc("campaign.cache.misses")
-			} else {
-				// A variant without a key is measured but bypasses the
-				// cache entirely; count it so warm-rerun regressions are
-				// visible instead of silently re-launching.
-				opts.Counters.Inc("campaign.cache.key_errors")
-				mu.Lock()
-				keyErrors++
-				mu.Unlock()
-				sp.Str("cache_key_error", err.Error())
-			}
-		}
-
-		// Warm the kernel's µop decode cache before the first attempt.
-		// Best-effort: a decode error is not cached, so a broken kernel
-		// still fails inside the launch with its usual error path.
-		if decodeArch != nil {
-			_, _ = kernel.Decoded(decodeArch)
-		}
-
-		// The variant's deadline covers every attempt, retries and backoff
-		// included; an expired deadline is a variant fault (recorded), not
-		// a campaign cancellation (skipped).
-		vctx := cctx
-		if opts.VariantDeadline > 0 {
-			var vcancel context.CancelFunc
-			vctx, vcancel = context.WithTimeout(cctx, opts.VariantDeadline)
-			defer vcancel()
-		}
-
-		m, attempts, isQuarantined, err := launchWithRetries(vctx, sp, j.prog.Name, kernel, opts.Launch)
+		m, hit, attempts, isQuarantined, err := measureOne(sp, j.prog.Name, kernel, opts.Launch, mainKey, unitBound)
 		if err != nil {
 			// The campaign itself was canceled (user or fail-fast): the
 			// variant was not measured and records no fault of its own.
@@ -681,20 +730,8 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 			})
 			return
 		}
-		m.StaticBound = unitBound
-		if opts.Cache != nil && key != "" {
-			canon, perr := opts.Cache.Put(key, m)
-			if perr != nil {
-				// A failed cache write degrades to a future miss; the sweep
-				// itself keeps its measurement and keeps going.
-				opts.Counters.Inc("campaign.cache.put_errors")
-				sp.Str("cache_put_error", perr.Error())
-			}
-			if canon != nil {
-				m = canon // adopt the store's canonical encoding (bit-identical warm hits)
-			}
-		}
-		if opts.CheckBounds {
+		// Cache hits are not re-checked: they passed when first measured.
+		if opts.CheckBounds && !hit {
 			if v := checkBound(m, coreBound, launchDesc, opts.Launch); v != nil {
 				opts.Counters.Inc("analysis.bound.violations")
 				sp.Str("bound_violation", v.Error())
@@ -707,27 +744,16 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		}
 		record(VariantResult{
 			Index: j.index, Name: j.prog.Name,
-			Measurement: m, Attempts: attempts, Stability: stabilityFor(m, opts.Counters),
+			Measurement: m, CacheHit: hit, Attempts: attempts, Stability: stabilityFor(m, opts.Counters),
 			StaticBound: unitBound,
 		})
 		noteTopup(j.index, j.prog.Name, kernel, m)
 	}
 
-	var poolWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			for j := range jobs {
-				queueDepth.Set(int64(len(jobs)))
-				if cctx.Err() != nil {
-					continue // drain without measuring after cancellation
-				}
-				measure(j)
-			}
-		}()
-	}
-	poolWG.Wait()
+	drain(cctx, workers, jobs, func(j job) {
+		queueDepth.Set(int64(len(jobs)))
+		measure(j)
+	})
 	producerWG.Wait()
 	queueDepth.Set(0)
 
@@ -760,112 +786,53 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		if len(cands) > 0 {
 			extra = repsSaved / len(cands)
 		}
-		if extra > 0 && cctx.Err() == nil {
-			topUp := func(c topupCand) {
-				sp := root.Child("topup").Str("kernel", c.name).Int("index", int64(c.index))
-				defer sp.End()
-				slot, ok := func() (int, bool) {
-					mu.Lock()
-					defer mu.Unlock()
-					i, ok := pos[c.index]
-					return i, ok
-				}()
-				if !ok {
-					return
-				}
-				tplan := *plan
-				tplan.MinReps = c.reps + 1
-				tplan.MaxReps = c.reps + extra
-				topts := opts.Launch
-				topts.Adaptive = &tplan
-				var key string
-				var m *launcher.Measurement
-				if opts.Cache != nil {
-					if k, kerr := Key(c.kernel, topts); kerr == nil {
-						key = k
-						if cm, ok := opts.Cache.Get(key); ok {
-							sp.Child("cache.hit").End()
-							opts.Counters.Inc("campaign.cache.hits")
-							m = cm
-						} else {
-							sp.Child("cache.miss").End()
-							opts.Counters.Inc("campaign.cache.misses")
-						}
-					} else {
-						opts.Counters.Inc("campaign.cache.key_errors")
-						mu.Lock()
-						keyErrors++
-						mu.Unlock()
-						sp.Str("cache_key_error", kerr.Error())
-					}
-				}
-				attempts := 0
-				if m == nil {
-					vctx := cctx
-					if opts.VariantDeadline > 0 {
-						var vcancel context.CancelFunc
-						vctx, vcancel = context.WithTimeout(cctx, opts.VariantDeadline)
-						defer vcancel()
-					}
-					var err error
-					m, attempts, _, err = launchWithRetries(vctx, sp, c.name, c.kernel, topts)
-					if err != nil {
-						// The extra confidence is forfeited, not the
-						// variant: its main-pass measurement stands.
-						opts.Counters.Inc("campaign.topup.failures")
-						sp.Str("error", err.Error())
-						return
-					}
-					mu.Lock()
-					m.StaticBound = results[slot].StaticBound
-					mu.Unlock()
-					if key != "" {
-						canon, perr := opts.Cache.Put(key, m)
-						if perr != nil {
-							opts.Counters.Inc("campaign.cache.put_errors")
-							sp.Str("cache_put_error", perr.Error())
-						}
-						if canon != nil {
-							m = canon
-						}
-					}
-				}
-				gained := 0
-				if m.Adaptive != nil && m.Adaptive.Reps > c.reps {
-					gained = m.Adaptive.Reps - c.reps
-				}
-				opts.Counters.Add("campaign.reps.topup", int64(gained))
-				sp.Int("reps_gained", int64(gained))
-				mu.Lock()
-				results[slot].Measurement = m
-				results[slot].Stability = stabilityFor(m, opts.Counters)
-				results[slot].Attempts += attempts
-				repsTopup += gained
-				mu.Unlock()
+		topUp := func(c topupCand) {
+			sp := root.Child("topup").Str("kernel", c.name).Int("index", int64(c.index))
+			defer sp.End()
+			mu.Lock()
+			slot, ok := pos[c.index]
+			var bound float64
+			if ok {
+				bound = results[slot].StaticBound
 			}
+			mu.Unlock()
+			if !ok {
+				return
+			}
+			tplan := *plan
+			tplan.MinReps = c.reps + 1
+			tplan.MaxReps = c.reps + extra
+			topts := opts.Launch
+			topts.Adaptive = &tplan
+			topKey := func(kernel *isa.Program) (string, error) { return Key(kernel, topts) }
+			m, _, attempts, _, err := measureOne(sp, c.name, c.kernel, topts, topKey, bound)
+			if err != nil {
+				// The extra confidence is forfeited, not the variant: its
+				// main-pass measurement stands.
+				opts.Counters.Inc("campaign.topup.failures")
+				sp.Str("error", err.Error())
+				return
+			}
+			gained := 0
+			if m.Adaptive != nil && m.Adaptive.Reps > c.reps {
+				gained = m.Adaptive.Reps - c.reps
+			}
+			opts.Counters.Add("campaign.reps.topup", int64(gained))
+			sp.Int("reps_gained", int64(gained))
+			mu.Lock()
+			results[slot].Measurement = m
+			results[slot].Stability = stabilityFor(m, opts.Counters)
+			results[slot].Attempts += attempts
+			repsTopup += gained
+			mu.Unlock()
+		}
+		if extra > 0 && cctx.Err() == nil {
 			tjobs := make(chan topupCand, len(cands))
 			for _, c := range cands {
 				tjobs <- c
 			}
 			close(tjobs)
-			tw := workers
-			if tw > len(cands) {
-				tw = len(cands)
-			}
-			var topWG sync.WaitGroup
-			for w := 0; w < tw; w++ {
-				topWG.Add(1)
-				go func() {
-					defer topWG.Done()
-					for c := range tjobs {
-						if cctx.Err() != nil {
-							continue
-						}
-						topUp(c)
-					}
-				}()
-			}
-			topWG.Wait()
+			drain(cctx, min(workers, len(cands)), tjobs, topUp)
 		}
 	}
 
@@ -939,6 +906,25 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 		return finish(ErrNoVariants)
 	}
 	return finish(nil)
+}
+
+// drain runs fn over every item received from in on n workers and returns
+// once in is closed and drained. After ctx is canceled the remaining items
+// are received but not processed.
+func drain[T any](ctx context.Context, n int, in <-chan T, fn func(T)) {
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range in {
+				if ctx.Err() == nil {
+					fn(v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // stabilityFor returns a measurement's stored stability statistics,

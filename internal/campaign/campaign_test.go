@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
@@ -53,9 +54,36 @@ func quickLaunch() launcher.Options {
 	return opts
 }
 
+// source is one way variants enter the engine.
+type source struct {
+	name string
+	run  func(ctx context.Context, opts Options) (*Result, error)
+}
+
+// sources lists both entry points over sweepSpec's family: streamed out of
+// the generator (Run) and as a materialized program list (RunPrograms).
+// Tests that range over them pin the two to the same behaviour.
+var sources = []source{
+	{"spec", func(ctx context.Context, opts Options) (*Result, error) {
+		return Run(ctx, strings.NewReader(sweepSpec), core.GenerateOptions{}, opts)
+	}},
+	{"programs", func(ctx context.Context, opts Options) (*Result, error) {
+		progs, err := core.GenerateString(ctx, sweepSpec, core.GenerateOptions{})
+		if err != nil {
+			return &Result{}, err
+		}
+		return RunPrograms(ctx, progs, opts)
+	}},
+}
+
 func runSweep(t *testing.T, opts Options) *Result {
 	t.Helper()
-	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, opts)
+	return runSource(t, sources[0], opts)
+}
+
+func runSource(t *testing.T, src source, opts Options) *Result {
+	t.Helper()
+	res, err := src.run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -72,39 +100,57 @@ func csvOf(t *testing.T, res *Result) string {
 }
 
 func TestRunMeasuresEveryVariant(t *testing.T) {
-	res := runSweep(t, Options{Launch: quickLaunch()})
-	if res.Emitted != 4 {
-		t.Fatalf("emitted %d variants, want 4", res.Emitted)
-	}
-	if len(res.Results) != 4 || res.Launches != 4 || res.Failures != 0 {
-		t.Fatalf("results=%d launches=%d failures=%d, want 4/4/0",
-			len(res.Results), res.Launches, res.Failures)
-	}
-	for i, r := range res.Results {
-		if r.Index != i {
-			t.Errorf("result %d has index %d: not in generation order", i, r.Index)
-		}
-		if r.Measurement == nil || r.CacheHit {
-			t.Errorf("variant %s: measurement=%v cacheHit=%v", r.Name, r.Measurement, r.CacheHit)
-		}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			res := runSource(t, src, Options{Launch: quickLaunch()})
+			if res.Emitted != 4 {
+				t.Fatalf("emitted %d variants, want 4", res.Emitted)
+			}
+			if len(res.Results) != 4 || res.Launches != 4 || res.Failures != 0 {
+				t.Fatalf("results=%d launches=%d failures=%d, want 4/4/0",
+					len(res.Results), res.Launches, res.Failures)
+			}
+			for i, r := range res.Results {
+				if r.Index != i {
+					t.Errorf("result %d has index %d: not in generation order", i, r.Index)
+				}
+				if r.Measurement == nil || r.CacheHit {
+					t.Errorf("variant %s: measurement=%v cacheHit=%v", r.Name, r.Measurement, r.CacheHit)
+				}
+				if m := r.Measurement; m != nil && (m.Value <= 0 || m.Iterations == 0) {
+					t.Errorf("variant %s: measurement = %+v", r.Name, m)
+				}
+			}
+		})
 	}
 }
 
 func TestSerialParallelAndWarmRunsBitIdentical(t *testing.T) {
-	cache := NewMemoryCache()
-	serial := runSweep(t, Options{Launch: quickLaunch(), Workers: 1, Cache: cache})
-	parallel := runSweep(t, Options{Launch: quickLaunch(), Workers: 8})
-	warm := runSweep(t, Options{Launch: quickLaunch(), Workers: 8, Cache: cache})
+	var specCSV string
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			cache := NewMemoryCache()
+			serial := runSource(t, src, Options{Launch: quickLaunch(), Workers: 1, Cache: cache})
+			parallel := runSource(t, src, Options{Launch: quickLaunch(), Workers: 8})
+			warm := runSource(t, src, Options{Launch: quickLaunch(), Workers: 8, Cache: cache})
 
-	serialCSV := csvOf(t, serial)
-	if parallelCSV := csvOf(t, parallel); parallelCSV != serialCSV {
-		t.Errorf("parallel run differs from serial:\n%s\nvs\n%s", parallelCSV, serialCSV)
-	}
-	if warmCSV := csvOf(t, warm); warmCSV != serialCSV {
-		t.Errorf("cache-warm run differs from serial:\n%s\nvs\n%s", warmCSV, serialCSV)
-	}
-	if warm.Launches != 0 || warm.CacheHits != 4 {
-		t.Errorf("warm run: %d launches, %d hits, want 0/4", warm.Launches, warm.CacheHits)
+			serialCSV := csvOf(t, serial)
+			if parallelCSV := csvOf(t, parallel); parallelCSV != serialCSV {
+				t.Errorf("parallel run differs from serial:\n%s\nvs\n%s", parallelCSV, serialCSV)
+			}
+			if warmCSV := csvOf(t, warm); warmCSV != serialCSV {
+				t.Errorf("cache-warm run differs from serial:\n%s\nvs\n%s", warmCSV, serialCSV)
+			}
+			if warm.Launches != 0 || warm.CacheHits != 4 {
+				t.Errorf("warm run: %d launches, %d hits, want 0/4", warm.Launches, warm.CacheHits)
+			}
+			// Both entry points measure the same family identically.
+			if specCSV == "" {
+				specCSV = serialCSV
+			} else if serialCSV != specCSV {
+				t.Errorf("%s source differs from the spec source:\n%s\nvs\n%s", src.name, serialCSV, specCSV)
+			}
+		})
 	}
 }
 
@@ -150,6 +196,44 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 	}
 }
 
+// TestScreenedStudyWarmRerunPerformsZeroLaunches: a screened study —
+// generate, core.ScreenTopK, RunPrograms — keeps the campaign's cache, so
+// rerunning it on the same cache file replays every survivor bit-identically
+// without a launch.
+func TestScreenedStudyWarmRerunPerformsZeroLaunches(t *testing.T) {
+	progs, err := core.GenerateFile(context.Background(), "../../specs/loadstore_movaps.xml", core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := quickLaunch()
+	kept, err := core.ScreenTopK(context.Background(), progs, launch.MachineName, launch.ArrayBytes, int(launch.ElementBytes), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "measurements.jsonl")
+	study := func() *Result {
+		t.Helper()
+		cache, err := OpenCache(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cache.Close()
+		res, err := RunPrograms(context.Background(), kept, Options{Launch: launch, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold, warm := study(), study()
+	if cold.Launches != len(kept) || warm.Launches != 0 || warm.CacheHits != len(kept) {
+		t.Errorf("cold %d launches, warm %d launches / %d hits; want %d, 0 / %d",
+			cold.Launches, warm.Launches, warm.CacheHits, len(kept), len(kept))
+	}
+	if warmCSV, coldCSV := csvOf(t, warm), csvOf(t, cold); warmCSV != coldCSV {
+		t.Errorf("warm screened study differs from cold:\n%s\nvs\n%s", warmCSV, coldCSV)
+	}
+}
+
 func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "measurements.jsonl")
@@ -191,94 +275,137 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 }
 
 func TestCancellationReturnsPartialResultsPromptly(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	res, err := Run(ctx, strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:  quickLaunch(),
-		Workers: 1,
-		launch: func(lctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
-			// Cancel as the first variant finishes measuring: the campaign
-			// must stop within one variant and keep the finished result.
-			m, merr := launcher.Launch(lctx, prog, opts)
-			if merr == nil && m != nil {
-				cancel()
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			res, err := src.run(ctx, Options{
+				Launch:  quickLaunch(),
+				Workers: 1,
+				launch: func(lctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
+					// Cancel as the first variant finishes measuring: the
+					// campaign must stop within one variant and keep the
+					// finished result.
+					m, merr := launcher.Launch(lctx, prog, opts)
+					if merr == nil && m != nil {
+						cancel()
+					}
+					return m, merr
+				},
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			return m, merr
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("canceled campaign must still return its partial results")
-	}
-	if len(res.Results) == 0 || len(res.Results) >= 4 {
-		t.Errorf("canceled campaign completed %d of 4 variants, want partial", len(res.Results))
-	}
-	for _, r := range res.Results {
-		if r.Err != nil {
-			t.Errorf("variant %s recorded spurious error %v after cancellation", r.Name, r.Err)
-		}
+			if res == nil {
+				t.Fatal("canceled campaign must still return its partial results")
+			}
+			if len(res.Results) == 0 || len(res.Results) >= 4 {
+				t.Errorf("canceled campaign completed %d of 4 variants, want partial", len(res.Results))
+			}
+			for _, r := range res.Results {
+				if r.Err != nil {
+					t.Errorf("variant %s recorded spurious error %v after cancellation", r.Name, r.Err)
+				}
+			}
+		})
 	}
 }
 
 func TestFaultIsolationAggregatesFailures(t *testing.T) {
 	bang := errors.New("injected launch fault")
-	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:  quickLaunch(),
-		Workers: 2,
-		launch: func(ctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
-			if strings.Contains(prog.Name, "_u2_") {
-				return nil, bang
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			res, err := src.run(context.Background(), Options{
+				Launch:  quickLaunch(),
+				Workers: 2,
+				launch: func(ctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
+					if strings.Contains(prog.Name, "_u2_") {
+						return nil, bang
+					}
+					return launcher.Launch(ctx, prog, opts)
+				},
+			})
+			if err == nil {
+				t.Fatal("campaign with a failing variant must return an error")
 			}
-			return launcher.Launch(ctx, prog, opts)
-		},
-	})
-	if err == nil {
-		t.Fatal("campaign with a failing variant must return an error")
+			var agg *Error
+			if !errors.As(err, &agg) {
+				t.Fatalf("err %T is not *campaign.Error: %v", err, err)
+			}
+			if len(agg.Failed) != 1 || agg.Total != 4 {
+				t.Fatalf("aggregate lists %d/%d failures, want 1/4: %v", len(agg.Failed), agg.Total, err)
+			}
+			if !errors.Is(err, bang) {
+				t.Error("aggregate error does not unwrap to the injected fault")
+			}
+			if !strings.Contains(err.Error(), agg.Failed[0].Name) {
+				t.Errorf("aggregate error %q does not name the failed variant", err)
+			}
+			if got := len(res.Measurements()); got != 3 {
+				t.Errorf("fault isolation: %d measurements, want the 3 healthy variants", got)
+			}
+		})
 	}
+}
+
+// TestRunProgramsIsolatesBrokenProgram: a program that cannot be lowered
+// fails alone — the healthy programs around it are still measured, and the
+// aggregate pinpoints it by name and list position.
+func TestRunProgramsIsolatesBrokenProgram(t *testing.T) {
+	progs, err := core.GenerateString(context.Background(), sweepSpec, core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No kernel and no parsed form: Lowered fails.
+	progs = append([]codegen.Program{progs[0], {Name: "broken_variant"}}, progs[1:]...)
+	res, err := RunPrograms(context.Background(), progs, Options{Launch: quickLaunch(), Workers: 2})
 	var agg *Error
 	if !errors.As(err, &agg) {
-		t.Fatalf("err %T is not *campaign.Error: %v", err, err)
+		t.Fatalf("error %T is not *campaign.Error: %v", err, err)
 	}
-	if len(agg.Failed) != 1 || agg.Total != 4 {
-		t.Fatalf("aggregate lists %d/%d failures, want 1/4: %v", len(agg.Failed), agg.Total, err)
+	if len(agg.Failed) != 1 || agg.Failed[0].Name != "broken_variant" || agg.Failed[0].Index != 1 {
+		t.Fatalf("aggregate %v does not pinpoint the broken variant", err)
 	}
-	if !errors.Is(err, bang) {
-		t.Error("aggregate error does not unwrap to the injected fault")
+	var ve *VariantError
+	if !errors.As(err, &ve) {
+		t.Error("aggregate does not unwrap to a *VariantError")
 	}
-	if !strings.Contains(err.Error(), agg.Failed[0].Name) {
-		t.Errorf("aggregate error %q does not name the failed variant", err)
+	if len(res.Results) != len(progs) || len(res.Measurements()) != len(progs)-1 {
+		t.Errorf("%d results, %d measurements, want %d/%d", len(res.Results), len(res.Measurements()), len(progs), len(progs)-1)
 	}
-	if got := len(res.Measurements()); got != 3 {
-		t.Errorf("fault isolation: %d measurements, want the 3 healthy variants", got)
+	if _, err := RunPrograms(context.Background(), nil, Options{Launch: quickLaunch()}); !errors.Is(err, ErrNoVariants) {
+		t.Errorf("empty program list: err = %v, want ErrNoVariants", err)
 	}
 }
 
 func TestFailFastStopsEarly(t *testing.T) {
 	bang := errors.New("injected launch fault")
-	var mu sync.Mutex
-	launched := 0
-	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:   quickLaunch(),
-		Workers:  1,
-		FailFast: true,
-		launch: func(ctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			var mu sync.Mutex
+			launched := 0
+			res, err := src.run(context.Background(), Options{
+				Launch:   quickLaunch(),
+				Workers:  1,
+				FailFast: true,
+				launch: func(ctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
+					mu.Lock()
+					launched++
+					mu.Unlock()
+					return nil, bang
+				},
+			})
+			if err == nil {
+				t.Fatal("fail-fast campaign must surface the fault")
+			}
+			if res.Failures != 1 {
+				t.Errorf("fail-fast recorded %d failures, want 1", res.Failures)
+			}
 			mu.Lock()
-			launched++
-			mu.Unlock()
-			return nil, bang
-		},
-	})
-	if err == nil {
-		t.Fatal("fail-fast campaign must surface the fault")
-	}
-	if res.Failures != 1 {
-		t.Errorf("fail-fast recorded %d failures, want 1", res.Failures)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if launched >= 4 {
-		t.Errorf("fail-fast still launched all %d variants", launched)
+			defer mu.Unlock()
+			if launched >= 4 {
+				t.Errorf("fail-fast still launched all %d variants", launched)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,23 @@ import (
 	"fmt"
 )
 
+// VariantError records one variant's failure inside a campaign.
+type VariantError struct {
+	// Index is the variant's position in generation order.
+	Index int
+	// Name is the variant's kernel name.
+	Name string
+	// Err is the underlying launch error.
+	Err error
+}
+
+func (e *VariantError) Error() string {
+	return fmt.Sprintf("variant %s (#%d): %v", e.Name, e.Index, e.Err)
+}
+
+// Unwrap exposes the underlying error to errors.Is/As.
+func (e *VariantError) Unwrap() error { return e.Err }
+
 // ErrNoVariants reports a campaign whose description parsed and generated
 // cleanly but emitted zero variants — usually an empty or over-filtered
 // sweep. Detect it with errors.Is(err, campaign.ErrNoVariants).

@@ -14,6 +14,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -216,6 +217,28 @@ func (c *Campaign) Options(extra ...campaign.Option) campaign.Options {
 		setters = append(setters, campaign.WithAdaptive(*p))
 	}
 	return campaign.NewOptions(append(setters, extra...)...)
+}
+
+// Progress returns a campaign progress callback that logs one line per
+// completed variant on w, prefixed with the command name: done/total
+// (marked "+" while the generator is still emitting), cache hits,
+// failures, elapsed time and an ETA extrapolated from the elapsed
+// measurement time — a lower bound while the total is still growing.
+func Progress(w io.Writer, prefix string) func(campaign.Progress) {
+	started := telemetry.Now()
+	return func(p campaign.Progress) {
+		elapsed := telemetry.Now().Sub(started)
+		var eta time.Duration
+		if p.Done > 0 {
+			eta = time.Duration(float64(elapsed) / float64(p.Done) * float64(p.Emitted-p.Done)).Round(time.Second)
+		}
+		total := fmt.Sprintf("%d", p.Emitted)
+		if p.Generating {
+			total += "+"
+		}
+		fmt.Fprintf(w, "%s: %d/%s variants (%d cached, %d failed), elapsed %s, eta %s\n",
+			prefix, p.Done, total, p.CacheHits, p.Failed, elapsed.Round(time.Second), eta)
+	}
 }
 
 // Telemetry wires the live-telemetry flags shared by every command:

@@ -12,14 +12,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"microtools/internal/analytic"
 	"microtools/internal/asm"
 	"microtools/internal/codegen"
 	"microtools/internal/dataflow"
@@ -278,172 +274,6 @@ func Launch(ctx context.Context, prog *isa.Program, opts launcher.Options) (*lau
 	return launcher.Launch(ctx, prog, opts)
 }
 
-// VariantError records one variant's launch failure inside a campaign.
-type VariantError struct {
-	// Index is the variant's position in generation order.
-	Index int
-	// Name is the variant's kernel name.
-	Name string
-	// Err is the underlying launch error.
-	Err error
-}
-
-func (e *VariantError) Error() string {
-	return fmt.Sprintf("variant %s (#%d): %v", e.Name, e.Index, e.Err)
-}
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *VariantError) Unwrap() error { return e.Err }
-
-// LaunchErrors aggregates every per-variant failure of a campaign: a
-// single failing variant no longer discards the completed measurements —
-// callers receive the partial result set plus one error naming every
-// failed variant.
-type LaunchErrors struct {
-	// Failed lists the failed variants in generation order.
-	Failed []*VariantError
-	// Total is the campaign's variant count.
-	Total int
-}
-
-func (e *LaunchErrors) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "core: %d of %d variants failed:", len(e.Failed), e.Total)
-	for _, f := range e.Failed {
-		fmt.Fprintf(&b, "\n  %s: %v", f.Name, f.Err)
-	}
-	return b.String()
-}
-
-// Unwrap exposes the per-variant errors to errors.Is/As.
-func (e *LaunchErrors) Unwrap() []error {
-	out := make([]error, len(e.Failed))
-	for i, f := range e.Failed {
-		out[i] = f
-	}
-	return out
-}
-
-// LaunchAll measures every generated program over a worker pool, returning
-// measurements in program order. Every variant runs on its own simulated
-// machine, so the measurements are independent and bit-identical to a
-// serial run; only wall-clock time changes. workers <= 0 uses GOMAXPROCS.
-//
-// The generate-then-launch chaining that used to live here moved up to
-// the campaign engine: internal/campaign.Run is the single end-to-end
-// entry point, and the microtools facade's Run wraps it.
-func LaunchAll(ctx context.Context, progs []codegen.Program, launch launcher.Options, workers int) ([]*launcher.Measurement, error) {
-	return LaunchAllProgress(ctx, progs, launch, workers, nil)
-}
-
-// LaunchAllProgress is LaunchAll with a campaign-progress callback:
-// onDone(done, total) fires after each variant finishes (from whichever
-// worker goroutine finished it; done counts completions, not program
-// order). nil disables the callback.
-//
-// Faults are isolated per variant: a failing variant leaves a nil slot in
-// the returned slice while every other variant still gets measured, and
-// the error aggregates all failures as a *LaunchErrors. Canceling the
-// context stops the pool within one variant and returns the partial
-// measurements alongside ctx.Err().
-func LaunchAllProgress(ctx context.Context, progs []codegen.Program, launch launcher.Options, workers int, onDone func(done, total int)) ([]*launcher.Measurement, error) {
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("core: no programs to launch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(progs) {
-		workers = len(progs)
-	}
-	total := len(progs)
-	var done int64
-	report := func() {
-		if onDone != nil {
-			onDone(int(atomic.AddInt64(&done, 1)), total)
-		}
-	}
-	canceled := func() bool {
-		if ctx == nil {
-			return false
-		}
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-	out := make([]*launcher.Measurement, len(progs))
-	errs := make([]error, len(progs))
-	if workers <= 1 {
-		for i := range progs {
-			if canceled() {
-				break
-			}
-			out[i], errs[i] = launchOne(ctx, &progs[i], launch)
-			report()
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if canceled() {
-						continue
-					}
-					out[i], errs[i] = launchOne(ctx, &progs[i], launch)
-					report()
-				}
-			}()
-		}
-	feed:
-		for i := range progs {
-			select {
-			case next <- i:
-			case <-ctxDone(ctx):
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return out, ctx.Err()
-	}
-	agg := &LaunchErrors{Total: total}
-	for i, err := range errs {
-		if err != nil {
-			agg.Failed = append(agg.Failed, &VariantError{Index: i, Name: progs[i].Name, Err: err})
-		}
-	}
-	if len(agg.Failed) > 0 {
-		return out, agg
-	}
-	return out, nil
-}
-
-// ctxDone returns ctx's done channel, or a never-closing one for a nil ctx.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
-}
-
-func launchOne(ctx context.Context, p *codegen.Program, opts launcher.Options) (*launcher.Measurement, error) {
-	// The emit pass lowers pipeline programs; Lowered only falls back to
-	// lowering the kernel for hand-built programs.
-	kernel, err := p.Lowered()
-	if err != nil {
-		return nil, err
-	}
-	return launcher.Launch(ctx, kernel, opts)
-}
-
 // GeneratedProgram aliases the generator output type for CLI consumers.
 type GeneratedProgram = codegen.Program
 
@@ -517,13 +347,60 @@ func residencyLevel(m *machine.Machine, arrayBytes int64) string {
 	return "RAM"
 }
 
-// ScreenTopK pre-ranks generated variants with the analytic steady-state
-// model (internal/analytic) and returns the k statically most promising
-// ones, by estimated cycles per element. MicroCreator can generate
-// thousands of variants; screening keeps full event-driven measurement
-// budgets for the contenders. accessWidth is the kernel's element width in
-// bytes (used for bandwidth bounds). The context cancels the screening
-// loop between variants.
+// levelThroughput returns the sustainable loads and stores per core cycle
+// of a working set resident at level ("L1", "L2", "L3" or "RAM", see
+// residencyLevel), for accessWidth-byte accesses in the streaming patterns
+// MicroCreator generates (prefetch-covered, line-granular bandwidth). Below
+// L1 the rates come from the level's service bandwidth; in RAM a single
+// core is further bounded by its outstanding fills over the round trip, and
+// stores pay the read-for-ownership twice.
+func levelThroughput(m *machine.Machine, level string, accessWidth int) (loads, stores float64) {
+	h := m.Hierarchy
+	ratio := h.CoreClockRatio
+	line := float64(h.L1.LineSize)
+	perLine := line / float64(accessWidth)
+	loads, stores = 1, 1
+	if m.Arch.TwoLoadPorts {
+		loads = 2
+	}
+	var rate float64
+	switch level {
+	case "L1":
+		return loads, stores
+	case "L2":
+		rate = perLine / math.Max(float64(h.L2.ThroughputCycles), 1)
+	case "L3":
+		tp := float64(h.L3.ThroughputCycles) * ratio
+		if tp <= 0 {
+			tp = 1
+		}
+		rate = perLine / tp
+	default: // RAM
+		lat := math.Ceil(float64(h.Mem.Latency) * ratio)
+		svc := line / h.Mem.ChannelBytesPerCycle * ratio
+		rate = perLine / svc * float64(h.Mem.Channels)
+		if o := h.PrefetchOutstanding; o > 0 {
+			rate = math.Min(rate, float64(o)/(lat+svc)*perLine)
+		}
+		return math.Min(loads, rate), math.Min(stores, rate/2)
+	}
+	return math.Min(loads, rate), math.Min(stores, rate)
+}
+
+// ScreenTopK pre-ranks generated variants statically and returns the k most
+// promising ones, by estimated cycles per element. MicroCreator can generate
+// thousands of variants; screening keeps full measurement budgets for the
+// contenders. A variant's estimate is the larger of the dataflow lower bound
+// (dataflow.KernelBounds: dependences, latencies, port pressure, frontend —
+// memoized, so a later CheckBounds on the same kernel reuses it) and the
+// loop's load/store traffic at the sustainable rate of the hierarchy level
+// arrayBytes resides in: in cache the core separates the variants, in RAM
+// the memory system does. The memory term is a throughput estimate, not a
+// lower bound, so it only ranks and never feeds CyclesLowerBound.
+//
+// accessWidth is the kernel's element width in bytes (<= 0 means 4).
+// Variants the analysis cannot bound rank last, in generation order. The
+// context cancels the screening loop between variants.
 func ScreenTopK(ctx context.Context, progs []codegen.Program, machineName string, arrayBytes int64, accessWidth, k int) ([]codegen.Program, error) {
 	if k <= 0 || k >= len(progs) {
 		return progs, nil
@@ -532,68 +409,10 @@ func ScreenTopK(ctx context.Context, progs []codegen.Program, machineName string
 	if err != nil {
 		return nil, err
 	}
-	mp, err := analytic.ForLevel(m, residencyLevel(m, arrayBytes), accessWidth)
-	if err != nil {
-		return nil, err
+	if accessWidth <= 0 {
+		accessWidth = 4
 	}
-	type scored struct {
-		idx   int
-		score float64
-	}
-	scores := make([]scored, 0, len(progs))
-	for i := range progs {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		p, err := progs[i].Lowered()
-		if err != nil {
-			return nil, fmt.Errorf("core: screening %s: %w", progs[i].Name, err)
-		}
-		est, err := analytic.EstimateLoop(p, m.Arch, mp)
-		if err != nil {
-			return nil, fmt.Errorf("core: screening %s: %w", progs[i].Name, err)
-		}
-		// Normalize per element: elements per iteration from the loop's
-		// memory traffic.
-		loopElems := 0.0
-		for j := est.LoopStart; j <= est.LoopEnd; j++ {
-			in := &p.Insts[j]
-			if w := in.Op.MemWidth(); in.IsLoad() || in.IsStore() {
-				loopElems += float64(w) / float64(accessWidth)
-			}
-		}
-		if loopElems == 0 {
-			loopElems = 1
-		}
-		scores = append(scores, scored{idx: i, score: est.CyclesPerIter / loopElems})
-	}
-	sort.SliceStable(scores, func(a, b int) bool { return scores[a].score < scores[b].score })
-	out := make([]codegen.Program, 0, k)
-	for _, s := range scores[:k] {
-		out = append(out, progs[s.idx])
-	}
-	return out, nil
-}
-
-// ScreenTopKStatic pre-ranks generated variants with the dataflow lower
-// bound (internal/dataflow) instead of the analytic steady-state model, and
-// returns the k statically most promising ones by CyclesLowerBound per
-// element. Unlike ScreenTopK it ignores the memory hierarchy entirely — the
-// bound only sees dependences, latencies and port pressure — which makes it
-// the right screen for cache-resident studies where the core, not the
-// memory system, separates the variants. Variants the analysis cannot bound
-// (no loop, no recognisable counter) rank last rather than failing the
-// screen.
-func ScreenTopKStatic(ctx context.Context, progs []codegen.Program, machineName string, accessWidth, k int) ([]codegen.Program, error) {
-	if k <= 0 || k >= len(progs) {
-		return progs, nil
-	}
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		return nil, err
-	}
+	loadRate, storeRate := levelThroughput(m, residencyLevel(m, arrayBytes), accessWidth)
 	type scored struct {
 		idx   int
 		score float64
@@ -610,18 +429,8 @@ func ScreenTopKStatic(ctx context.Context, progs []codegen.Program, machineName 
 			return nil, fmt.Errorf("core: screening %s: %w", progs[i].Name, err)
 		}
 		score := math.Inf(1)
-		if rep, err := dataflow.Analyze(p, m.Arch); err == nil {
-			loopElems := 0.0
-			for j := rep.LoopStart; j <= rep.LoopEnd; j++ {
-				in := &p.Insts[j]
-				if w := in.Op.MemWidth(); in.IsLoad() || in.IsStore() {
-					loopElems += float64(w) / float64(accessWidth)
-				}
-			}
-			if loopElems == 0 {
-				loopElems = 1
-			}
-			score = rep.CyclesLowerBound / loopElems
+		if cycles, elems, err := screenCycles(p, m.Arch, loadRate, storeRate, accessWidth); err == nil {
+			score = cycles / elems
 		}
 		scores = append(scores, scored{idx: i, score: score})
 	}
@@ -631,4 +440,35 @@ func ScreenTopKStatic(ctx context.Context, progs []codegen.Program, machineName 
 		out = append(out, progs[s.idx])
 	}
 	return out, nil
+}
+
+// screenCycles is ScreenTopK's estimate for one kernel: cycles per loop
+// iteration — the dataflow lower bound or the loop's loads and stores at
+// the given sustainable rates per cycle, whichever is larger — and the
+// elements one iteration touches (its memory traffic in accessWidth-byte
+// units, at least 1).
+func screenCycles(p *isa.Program, arch *isa.Arch, loadRate, storeRate float64, accessWidth int) (cycles, elems float64, err error) {
+	b, err := dataflow.KernelBounds(p, arch)
+	if err != nil {
+		return 0, 0, err
+	}
+	loads, stores := 0, 0
+	for j := b.LoopStart; j <= b.LoopEnd; j++ {
+		in := &p.Insts[j]
+		if !in.IsLoad() && !in.IsStore() {
+			continue
+		}
+		if in.IsLoad() {
+			loads++
+		}
+		if in.IsStore() {
+			stores++
+		}
+		elems += float64(in.Op.MemWidth()) / float64(accessWidth)
+	}
+	if elems == 0 {
+		elems = 1
+	}
+	memory := math.Max(float64(loads)/loadRate, float64(stores)/storeRate)
+	return math.Max(b.CyclesLowerBound, memory), elems, nil
 }

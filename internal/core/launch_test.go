@@ -1,0 +1,130 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"microtools/internal/campaign"
+	"microtools/internal/codegen"
+	"microtools/internal/core"
+	"microtools/internal/launcher"
+)
+
+// launchSpec is a two-variant movss family (unroll 1 and 2).
+const launchSpec = `
+<kernel name="core_k">
+  <instruction>
+    <operation>movss</operation>
+    <memory><register><name>r1</name></register><offset>0</offset></memory>
+    <register><phyName>%xmm</phyName><min>0</min><max>4</max></register>
+  </instruction>
+  <unrolling><min>1</min><max>2</max></unrolling>
+  <induction><register><name>r1</name></register><increment>4</increment><offset>4</offset></induction>
+  <induction>
+    <register><name>r0</name></register>
+    <increment>-1</increment>
+    <linked><register><name>r1</name></register></linked>
+    <last_induction/>
+  </induction>
+  <induction><register><phyName>%eax</phyName></register><increment>1</increment><not_affected_unroll/></induction>
+  <branch_information><label>.L0</label><test>jge</test></branch_information>
+</kernel>`
+
+func launchOptions() launcher.Options {
+	opts := launcher.DefaultOptions()
+	opts.MachineName = "nehalem-dual/8"
+	opts.ArrayBytes = 4 << 10
+	opts.InnerReps = 1
+	opts.OuterReps = 2
+	return opts
+}
+
+func generateLaunchSpec(t *testing.T) []codegen.Program {
+	t.Helper()
+	progs, err := core.Generate(context.Background(), strings.NewReader(launchSpec), core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return progs
+}
+
+// TestGenerateLaunchAllEndToEnd: every variant core.Generate emits is
+// measured when the list is handed to the campaign engine.
+func TestGenerateLaunchAllEndToEnd(t *testing.T) {
+	progs := generateLaunchSpec(t)
+	res, err := campaign.RunPrograms(context.Background(), progs, campaign.Options{Launch: launchOptions(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := res.Measurements()
+	if len(ms) != 2 {
+		t.Fatalf("measured %d variants, want 2", len(ms))
+	}
+	for _, m := range ms {
+		if m.Value <= 0 || m.Iterations == 0 {
+			t.Errorf("%s: measurement = %+v", m.Kernel, m)
+		}
+	}
+}
+
+// TestLaunchAllParallelMatchesSerial: the worker-pool fan-out over a
+// generated program list is bit-identical to the serial run (each variant
+// owns its machine).
+func TestLaunchAllParallelMatchesSerial(t *testing.T) {
+	progs := generateLaunchSpec(t)
+	run := func(workers int) []*launcher.Measurement {
+		res, err := campaign.RunPrograms(context.Background(), progs, campaign.Options{Launch: launchOptions(), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Measurements()
+	}
+	serial, parallel := run(1), run(4)
+	if len(serial) != len(parallel) {
+		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if serial[i].Kernel != parallel[i].Kernel || serial[i].Value != parallel[i].Value {
+			t.Errorf("variant %d differs: %s=%v vs %s=%v",
+				i, serial[i].Kernel, serial[i].Value, parallel[i].Kernel, parallel[i].Value)
+		}
+	}
+}
+
+// TestLaunchAllCancellation: canceling mid-campaign stops the pool within
+// one variant and returns the partial measurements with ctx.Err().
+func TestLaunchAllCancellation(t *testing.T) {
+	progs := generateLaunchSpec(t)
+	// Quadruple the family so there is something left to cancel.
+	var many []codegen.Program
+	for i := 0; i < 4; i++ {
+		many = append(many, progs...)
+	}
+	opts := launchOptions()
+	opts.ArrayBytes = 1 << 12
+	opts.OuterReps = 1
+	opts.MaxInstructions = 5_000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := campaign.RunPrograms(ctx, many, campaign.Options{
+		Launch:  opts,
+		Workers: 1,
+		Progress: func(p campaign.Progress) {
+			if p.Done == 2 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil {
+		t.Fatal("canceled campaign must still return its partial results")
+	}
+	got := len(res.Measurements())
+	if got < 2 || got >= len(many) {
+		t.Errorf("canceled campaign measured %d of %d variants, want a prompt partial stop", got, len(many))
+	}
+}

@@ -19,8 +19,10 @@ type Bounds struct {
 	ThroughputBound  float64
 	FrontendBound    float64
 	CyclesLowerBound float64
-	// CounterStep mirrors Report.CounterStep.
-	CounterStep int64
+	// LoopStart / LoopEnd and CounterStep mirror the Report fields of the
+	// same names.
+	LoopStart, LoopEnd int
+	CounterStep        int64
 	// Uops / UnfusedUops mirror the Report µop counters.
 	Uops        int
 	UnfusedUops int
@@ -57,7 +59,7 @@ func KernelBounds(p *isa.Program, arch *isa.Arch) (Bounds, error) {
 func computeBounds(p *isa.Program, dp *isa.DecodedProgram, arch *isa.Arch) Bounds {
 	a := &analysis{prog: p, dp: dp, arch: arch}
 	a.scan()
-	var b Bounds
+	b := Bounds{LoopStart: a.start, LoopEnd: a.end}
 	for i := a.start; i <= a.end; i++ {
 		for _, u := range dp.Uops[i] {
 			b.Uops++

@@ -21,7 +21,8 @@
 // than its latest-ready source plus the compute µop's latency. The maximum
 // of the three is Report.CyclesLowerBound, which internal/campaign asserts
 // against measured cycles per iteration (the oracle invariant) and
-// core.ScreenTopKStatic uses to rank variants before spending any launches.
+// core.ScreenTopK ranks variants by (together with a memory-throughput term
+// at the working set's residency level) before spending any launches.
 package dataflow
 
 import (

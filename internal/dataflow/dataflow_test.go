@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"microtools/internal/asm"
+	"microtools/internal/cpu"
 	"microtools/internal/dataflow"
 	"microtools/internal/isa"
 	"microtools/internal/matmul"
@@ -397,6 +398,10 @@ func TestBoundsAgreeWithAnalyze(t *testing.T) {
 				t.Errorf("%s/%s: counters %+v diverge from Analyze (%d/%d/%d)", name, arch.Name, b,
 					rep.CounterStep, rep.Uops, rep.UnfusedUops)
 			}
+			if b.LoopStart != rep.LoopStart || b.LoopEnd != rep.LoopEnd {
+				t.Errorf("%s/%s: loop %d..%d diverges from Analyze (%d..%d)", name, arch.Name,
+					b.LoopStart, b.LoopEnd, rep.LoopStart, rep.LoopEnd)
+			}
 			// Memoized: a second query returns the identical value.
 			again, err := dataflow.KernelBounds(p, arch)
 			if err != nil || again != b {
@@ -425,5 +430,111 @@ func TestBoundsAgreeWithAnalyze(t *testing.T) {
 				t.Errorf("%s/%s: self moves diverge: %v vs %v", name, arch.Name, lrep.SelfMoves, rep.SelfMoves)
 			}
 		}
+	}
+}
+
+// fixedMem is a flat memory for driving the event-driven core directly:
+// every load completes lat cycles after issue, every store one cycle after.
+type fixedMem struct{ lat int64 }
+
+func (m fixedMem) Load(_ int, _ uint64, _ int, issue int64) int64  { return issue + m.lat }
+func (m fixedMem) Store(_ int, _ uint64, _ int, issue int64) int64 { return issue + 1 }
+
+// loadLoop is a u-way unrolled movaps streaming-load loop.
+func loadLoop(u int) string {
+	var b strings.Builder
+	b.WriteString(".L0:\n")
+	for c := 0; c < u; c++ {
+		fmt.Fprintf(&b, "movaps %d(%%rsi), %%xmm%d\n", 16*c, c%8)
+	}
+	fmt.Fprintf(&b, "add $%d, %%rsi\nsub $%d, %%rdi\njge .L0\nret\n", 16*u, 4*u)
+	return b.String()
+}
+
+// addChain is an n-deep dependent FP-add chain per iteration.
+func addChain(n int) string {
+	return ".L0:\n" + strings.Repeat("addsd %xmm1, %xmm1\n", n) + "sub $1, %rdi\njge .L0\nret\n"
+}
+
+// simulatedCycles runs src on the event-driven core over iters loop
+// iterations (elemsPerIter counter units each) and returns cycles/iteration.
+func simulatedCycles(t *testing.T, arch *isa.Arch, src string, iters int64, elemsPerIter int) float64 {
+	t.Helper()
+	p := parse(t, src)
+	var rf isa.RegFile
+	rf.Set(isa.RDI, uint64(iters*int64(elemsPerIter))-1)
+	rf.Set(isa.RSI, 0x100000)
+	core := cpu.NewCore(0, arch, fixedMem{lat: 4})
+	if err := core.Reset(p, &rf, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Step(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	return float64(core.Result().Cycles) / float64(iters)
+}
+
+// TestBoundMatchesEventDriven cross-validates the static bound against the
+// event-driven core on L1-resident kernels: never above the simulation, and
+// within 35% of it across kernel shapes.
+func TestBoundMatchesEventDriven(t *testing.T) {
+	arch := isa.Nehalem()
+	cases := []struct {
+		name         string
+		src          string
+		elemsPerIter int
+	}{
+		{"load-u1", loadLoop(1), 4},
+		{"load-u4", loadLoop(4), 16},
+		{"load-u8", loadLoop(8), 32},
+		{"chain-4", addChain(4), 1},
+		{"chain-8", addChain(8), 1},
+	}
+	for _, c := range cases {
+		measured := simulatedCycles(t, arch, c.src, 2000, c.elemsPerIter)
+		b, err := dataflow.KernelBounds(parse(t, c.src), arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := b.CyclesLowerBound / measured; ratio < 0.65 || ratio > 1.001 {
+			t.Errorf("%s: bound %.2f vs event-driven %.2f (ratio %.2f)",
+				c.name, b.CyclesLowerBound, measured, ratio)
+		}
+	}
+}
+
+// TestBottleneckClassification: a dependent FP chain binds on its
+// recurrence, a streaming-load loop on its load port.
+func TestBottleneckClassification(t *testing.T) {
+	arch := isa.Nehalem()
+	chain, err := dataflow.KernelBounds(parse(t, addChain(8)), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain.LatencyBound != float64(8*arch.FPAddLat) || chain.CyclesLowerBound != chain.LatencyBound {
+		t.Errorf("chain kernel bounds %+v, want a binding recurrence of %d", chain, 8*arch.FPAddLat)
+	}
+	loads, err := dataflow.KernelBounds(parse(t, loadLoop(8)), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads.CyclesLowerBound != loads.ThroughputBound || loads.CyclesLowerBound < 7.5 || loads.CyclesLowerBound > 9.5 {
+		t.Errorf("8-load kernel bounds %+v, want ~8 cycles/iter from port pressure", loads)
+	}
+}
+
+// TestSandyBridgeDoubleLoadBound: Sandy Bridge's second load port halves
+// the streaming-load bound Nehalem's single port imposes.
+func TestSandyBridgeDoubleLoadBound(t *testing.T) {
+	nhm, err := dataflow.KernelBounds(parse(t, loadLoop(8)), isa.Nehalem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snb, err := dataflow.KernelBounds(parse(t, loadLoop(8)), isa.SandyBridge())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snb.CyclesLowerBound >= nhm.CyclesLowerBound {
+		t.Errorf("SNB bound %.2f not below NHM %.2f", snb.CyclesLowerBound, nhm.CyclesLowerBound)
 	}
 }

@@ -142,11 +142,7 @@ type (
 	CampaignSetupError = campaign.SetupError
 	// VariantError records one variant's launch failure (index, kernel
 	// name, cause) inside a campaign.
-	VariantError = core.VariantError
-	// LaunchErrors is the aggregate error of the lower-level LaunchAll
-	// fan-out in internal/core, re-exported because facade callers may
-	// receive it from experiment helpers.
-	LaunchErrors = core.LaunchErrors
+	VariantError = campaign.VariantError
 	// FaultError is one classified fault: either injected by a
 	// FaultInjector or a real error wrapped via TransientFault /
 	// PermanentFault. errors.As(err, &fe) recovers the injection point,
