@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-json bench-guard fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke
+.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-json bench-guard fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke
 
 # ci is the repository's verify command (see ROADMAP.md): formatting, vet,
 # the project-invariant linter, build, the full test suite under the race
@@ -8,10 +8,11 @@ GO ?= go
 # cannot rot between perf-focused PRs, the allocation guard on the campaign
 # sweep, a static analysis of every shipped spec, a live scrape of the
 # telemetry endpoints through the real CLI, an end-to-end exercise of
-# the measurement service (submit, shared cache, metrics, drain), and a
+# the measurement service (submit, shared cache, metrics, drain), a
 # fixed-vs-adaptive study comparison guarding the planner's savings and
-# ranking-preservation contract.
-ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke
+# ranking-preservation contract, and a fault-injected run that must match
+# the fault-free one bit for bit.
+ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -98,6 +99,17 @@ serve-smoke:
 # the RCIW target, and a byte-identical ranking (scripts/adaptive_smoke.sh).
 adaptive-smoke:
 	GO='$(GO)' sh scripts/adaptive_smoke.sh
+
+# chaos-smoke runs `microtools chaos` through the real CLI: a fault-free
+# and a fault-injected run of one spec, whose surviving measurements must
+# be bit-identical once the retry budget has healed every transient fault.
+# It fails on a non-zero exit or a missing bit-identity line.
+chaos-smoke:
+	@out="$$($(GO) run ./cmd/microtools chaos -retries 4 specs/arith_hiding.xml)" || { \
+		echo "$$out"; echo "chaos-smoke: microtools chaos exited non-zero"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'bit-identical to the fault-free run' || { \
+		echo "chaos-smoke: no bit-identity line in the output"; exit 1; }
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
 # regression in the parsers' error paths without stalling CI.

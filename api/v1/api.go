@@ -161,11 +161,16 @@ type Progress struct {
 	Emitted int `json:"emitted"`
 	// Generating reports whether the generator is still producing.
 	Generating bool `json:"generating"`
-	// CacheHits, Failed, Launches, Retries break down Done.
+	// CacheHits and Failed break down Done.
 	CacheHits int `json:"cache_hits"`
 	Failed    int `json:"failed"`
-	Launches  int `json:"launches"`
-	Retries   int `json:"retries"`
+	// Launches and Retries are the engine's own counts of real launcher
+	// runs and transient-fault re-attempts so far (a retried variant
+	// launches more than once, so they do not partition Done). On the
+	// job's last progress frame and its terminal status they equal
+	// JobResult.Serving's launches and retries.
+	Launches int `json:"launches"`
+	Retries  int `json:"retries"`
 }
 
 // Event types carried in VariantEvent.Type (also the SSE event name).

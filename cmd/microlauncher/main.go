@@ -283,12 +283,11 @@ func main() {
 	}
 	copts := camp.Options(
 		campaign.WithLaunch(opts),
-		campaign.WithName(*kernelPath),
 		campaign.WithMetrics(tele.Metrics()),
-		campaign.WithTracker(tele.Tracker()),
+		campaign.WithObservers(tele.Tracker().Begin(*kernelPath)),
 	)
 	if *verbose {
-		copts.Progress = cliutil.Progress(os.Stderr, "microlauncher")
+		copts.Observers = append(copts.Observers, cliutil.Progress(os.Stderr, "microlauncher"))
 	}
 	res, err := campaign.RunPrograms(ctx, progs, copts)
 	ms := res.Measurements()

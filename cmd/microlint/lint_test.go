@@ -18,16 +18,16 @@ func lintPath(t *testing.T, path string) []Diagnostic {
 func TestBadFixtureTripsEveryRule(t *testing.T) {
 	ds := lintPath(t, filepath.Join("testdata", "src", "bad", "bad.go"))
 	want := map[string]int{
-		"L001": 2, // time.Now + time.Since
-		"L002": 1, // rand.Intn through the global source (seeded form allowed)
-		"L003": 1, // fmt.Println (the suppressed one must not count)
-		"L004": 1, // droppedSpan only; ended and escaped spans are fine
-		"L005": 2, // capitalized + trailing punctuation
-		"L006": 3, // Background + TODO + misplaced exported ctx param
-		"L007": 1, // %v-flattened cause (the %w forms are clean)
-		"L008": 2, // expvar import + package-level atomic (struct field allowed)
-		"L009": 7, // RunParallel call + its comment, then one per deleted API: LaunchAll, LaunchAllProgress, LaunchErrors, ScreenTopKStatic, the analytic import
-		"L010": 1, // bare library panic (Must*/must*/init forms are clean)
+		"L001": 2,  // time.Now + time.Since
+		"L002": 1,  // rand.Intn through the global source (seeded form allowed)
+		"L003": 1,  // fmt.Println (the suppressed one must not count)
+		"L004": 1,  // droppedSpan only; ended and escaped spans are fine
+		"L005": 2,  // capitalized + trailing punctuation
+		"L006": 3,  // Background + TODO + misplaced exported ctx param
+		"L007": 1,  // %v-flattened cause (the %w forms are clean)
+		"L008": 2,  // expvar import + package-level atomic (struct field allowed)
+		"L009": 12, // RunParallel call + its comment, then one per deleted API: LaunchAll, LaunchAllProgress, LaunchErrors, ScreenTopKStatic, the analytic import, CounterSet, NewCounterSet, CounterSink, WithProgress, WithTracker
+		"L010": 1,  // bare library panic (Must*/must*/init forms are clean)
 	}
 	got := map[string]int{}
 	for _, d := range ds {
@@ -38,8 +38,8 @@ func TestBadFixtureTripsEveryRule(t *testing.T) {
 			t.Errorf("rule %s: %d findings, want %d\nall: %v", rule, got[rule], n, ds)
 		}
 	}
-	if len(ds) != 2+1+1+1+2+3+1+2+7+1 {
-		t.Errorf("total findings %d, want 21: %v", len(ds), ds)
+	if len(ds) != 2+1+1+1+2+3+1+2+12+1 {
+		t.Errorf("total findings %d, want 26: %v", len(ds), ds)
 	}
 }
 

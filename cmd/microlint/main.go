@@ -733,9 +733,14 @@ func atomicTypeName(c *fileContext, e ast.Expr) (string, bool) {
 var deletedAPIs = []struct{ name, use string }{
 	{"RunParallel", "RunCampaign (campaign.Run) with Options.Workers"},
 	{"LaunchAll", "campaign.RunPrograms"},
-	{"LaunchAllProgress", "campaign.RunPrograms with Options.Progress"},
+	{"LaunchAllProgress", "campaign.RunPrograms with an Options.Observers entry"},
 	{"LaunchErrors", "campaign.Error"},
 	{"ScreenTopKStatic", "core.ScreenTopK"},
+	{"CounterSet", "the named counters of a telemetry.Registry (campaign.Options.Metrics)"},
+	{"NewCounterSet", "telemetry.NewRegistry"},
+	{"CounterSink", "telemetry.Registry.Counter"},
+	{"WithProgress", "campaign.WithObservers"},
+	{"WithTracker", "campaign.WithObservers(tracker.Begin(name))"},
 }
 
 // deletedImports lists L009's removed packages with their replacements.

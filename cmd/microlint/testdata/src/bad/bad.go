@@ -118,6 +118,17 @@ func legacyLaunch(rt runnerStub) error {
 	return agg
 }
 
+// legacyObservability trips L009 once per deleted observability hook: the
+// counter set's type and constructor, its sink interface, and the
+// progress and tracker campaign setters.
+func legacyObservability(rt runnerStub) {
+	var set *obs.CounterSet
+	set = obs.NewCounterSet()
+	var sink obs.CounterSink = set
+	rt.WithProgress(sink)
+	rt.WithTracker(nil)
+}
+
 type runnerStub struct{}
 
 func (runnerStub) RunParallel() {}

@@ -73,7 +73,6 @@ import (
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	machinepkg "microtools/internal/machine"
-	"microtools/internal/obs"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
 	"microtools/internal/verify"
@@ -282,9 +281,8 @@ func runChaos(ctx context.Context, args []string) {
 	run := func(name string, extra ...campaign.Option) (*campaign.Result, error) {
 		copts := camp.Options(append([]campaign.Option{
 			campaign.WithLaunch(opts),
-			campaign.WithName(name),
 			campaign.WithMetrics(tele.Metrics()),
-			campaign.WithTracker(tele.Tracker()),
+			campaign.WithObservers(tele.Tracker().Begin(name)),
 		}, extra...)...)
 		return campaign.RunFile(ctx, spec, core.GenerateOptions{}, copts)
 	}
@@ -293,10 +291,8 @@ func runChaos(ctx context.Context, args []string) {
 	if err != nil {
 		fail(fmt.Errorf("fault-free run: %w", err))
 	}
-	injector := chaos.Injector()
-	counters := obs.NewCounterSet()
-	injector.SetCounters(counters)
-	chaotic, cerr := run(spec+" (chaotic)", campaign.WithFaults(injector), campaign.WithCounters(counters))
+	injector := chaos.Injector().SetCounter(tele.Registry().Counter("faults.injected"))
+	chaotic, cerr := run(spec+" (chaotic)", campaign.WithFaults(injector))
 	if cerr != nil && !chaos.Permanent {
 		fail(fmt.Errorf("chaotic run: %w", cerr))
 	}
@@ -309,9 +305,6 @@ func runChaos(ctx context.Context, args []string) {
 	if *vFlag {
 		for _, s := range injector.Injected() {
 			fmt.Fprintf(os.Stderr, "  fault %s[%s] ×%d\n", s.Point, s.Key, s.Count)
-		}
-		for _, name := range []string{"campaign.retry", "faults.injected", "variant.quarantined"} {
-			fmt.Fprintf(os.Stderr, "  counter %s = %d\n", name, counters.Get(name))
 		}
 	}
 
@@ -743,9 +736,8 @@ func main() {
 		extra := []campaign.Option{
 			campaign.WithLaunch(opts),
 			campaign.WithTracer(tracer),
-			campaign.WithName(*study),
 			campaign.WithMetrics(tele.Metrics()),
-			campaign.WithTracker(tele.Tracker()),
+			campaign.WithObservers(tele.Tracker().Begin(*study)),
 		}
 		cache, err := camp.OpenCache()
 		if err != nil {
@@ -756,7 +748,7 @@ func main() {
 			extra = append(extra, campaign.WithCache(cache))
 		}
 		if *vFlag {
-			extra = append(extra, campaign.WithProgress(cliutil.Progress(os.Stderr, "microtools")))
+			extra = append(extra, campaign.WithObservers(cliutil.Progress(os.Stderr, "microtools")))
 		}
 		copts := camp.Options(extra...)
 		var res *campaign.Result

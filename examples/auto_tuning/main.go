@@ -87,7 +87,6 @@ func main() {
 		microtools.GenerateOptions{},
 		microtools.NewCampaignOptions(
 			microtools.WithCampaignLaunch(opts),
-			microtools.WithCampaignName("auto-tuning"),
 		))
 	if err != nil {
 		log.Fatal(err)

@@ -14,8 +14,8 @@ import (
 	"microtools/internal/core"
 	"microtools/internal/faults"
 	"microtools/internal/launcher"
-	"microtools/internal/obs"
 	"microtools/internal/stats"
+	"microtools/internal/telemetry"
 )
 
 // adaptiveLaunch is quickLaunch with a real outer budget for the planner
@@ -45,11 +45,11 @@ func noisyLaunch(seed int64) launcher.Options {
 }
 
 func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
-	counters := obs.NewCounterSet()
+	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
 		Launch:   adaptiveLaunch(),
 		Adaptive: &launcher.Plan{},
-		Counters: counters,
+		Metrics:  telemetry.NewMetrics(counters),
 	})
 	if res.Emitted != 4 || res.Failures != 0 {
 		t.Fatalf("emitted=%d failures=%d", res.Emitted, res.Failures)
@@ -70,7 +70,7 @@ func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
 		t.Errorf("accounting saved=%d executed=%d topup=%d misses=%d, want 8/8/0/0",
 			res.RepsSaved, res.RepsExecuted, res.RepsTopUp, res.TargetMisses)
 	}
-	if got := counters.Get("campaign.reps.saved"); got != 8 {
+	if got := counters.Counter("campaign.reps.saved").Value(); got != 8 {
 		t.Errorf("campaign.reps.saved = %d, want 8", got)
 	}
 	// The ISSUE acceptance bar: >= 25% of the fixed budget saved.
@@ -123,11 +123,11 @@ func TestAdaptiveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestAdaptiveTopUpGrantsSavedBudget(t *testing.T) {
-	counters := obs.NewCounterSet()
+	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
 		Launch:   noisyLaunch(5),
 		Adaptive: &launcher.Plan{TargetRCIW: 1e-9},
-		Counters: counters,
+		Metrics:  telemetry.NewMetrics(counters),
 	})
 	if res.Failures != 0 {
 		t.Fatalf("failures: %v", res.Err())
@@ -135,10 +135,10 @@ func TestAdaptiveTopUpGrantsSavedBudget(t *testing.T) {
 	if res.RepsSaved == 0 || res.RepsTopUp == 0 {
 		t.Fatalf("saved=%d topup=%d: want both positive", res.RepsSaved, res.RepsTopUp)
 	}
-	if got := counters.Get("campaign.reps.saved"); got != int64(res.RepsSaved) {
+	if got := counters.Counter("campaign.reps.saved").Value(); got != int64(res.RepsSaved) {
 		t.Errorf("campaign.reps.saved = %d, Result.RepsSaved = %d", got, res.RepsSaved)
 	}
-	if got := counters.Get("campaign.reps.topup"); got != int64(res.RepsTopUp) {
+	if got := counters.Counter("campaign.reps.topup").Value(); got != int64(res.RepsTopUp) {
 		t.Errorf("campaign.reps.topup = %d, Result.RepsTopUp = %d", got, res.RepsTopUp)
 	}
 	// The grant is the even split of the saved budget, and a topped-up
@@ -152,7 +152,7 @@ func TestAdaptiveTopUpGrantsSavedBudget(t *testing.T) {
 		if a.Reps > 6+extra {
 			t.Errorf("variant %s ran %d reps, above the derived ceiling", r.Name, a.Reps)
 		}
-		if r.Stability != stabilityFor(r.Measurement, obs.NewCounterSet()) {
+		if r.Stability != stabilityFor(r.Measurement, nil) {
 			t.Errorf("variant %s stability not refreshed after top-up", r.Name)
 		}
 	}
@@ -177,9 +177,9 @@ func TestAdaptiveWarmRerunPerformsZeroLaunches(t *testing.T) {
 			plan.TargetRCIW = 1e-9
 		}
 		cold := runSweep(t, Options{Launch: tc.launch, Adaptive: plan, Cache: cache})
-		warmCounters := obs.NewCounterSet()
-		warm := runSweep(t, Options{Launch: tc.launch, Adaptive: plan, Cache: cache, Counters: warmCounters})
-		if got := warmCounters.Get("campaign.launches"); got != 0 {
+		warmCounters := telemetry.NewRegistry()
+		warm := runSweep(t, Options{Launch: tc.launch, Adaptive: plan, Cache: cache, Metrics: telemetry.NewMetrics(warmCounters)})
+		if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 			t.Errorf("%s: warm adaptive rerun performed %d launches, want 0", tc.name, got)
 		}
 		if warm.RepsExecuted != 0 {
@@ -280,12 +280,12 @@ func TestStabilityBackfillIsVersioned(t *testing.T) {
 	}
 	cache.mu.Unlock()
 
-	counters := obs.NewCounterSet()
-	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Counters: counters})
-	if got := counters.Get("campaign.launches"); got != 0 {
+	counters := telemetry.NewRegistry()
+	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Metrics: telemetry.NewMetrics(counters)})
+	if got := counters.Counter("campaign.launches").Value(); got != 0 {
 		t.Fatalf("stripped entries missed the cache: %d launches", got)
 	}
-	if got := counters.Get("campaign.stability.backfilled"); got != 4 {
+	if got := counters.Counter("campaign.stability.backfilled").Value(); got != 4 {
 		t.Errorf("campaign.stability.backfilled = %d, want 4", got)
 	}
 	for i, r := range warm.Results {

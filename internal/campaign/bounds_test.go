@@ -9,7 +9,7 @@ import (
 
 	"microtools/internal/core"
 	"microtools/internal/isa"
-	"microtools/internal/obs"
+	"microtools/internal/telemetry"
 )
 
 // seedSpecs returns every seed spec shipped with the repository.
@@ -35,9 +35,9 @@ func TestBoundsOracleAcrossSeedSpecs(t *testing.T) {
 				t.Parallel()
 				launch := quickLaunch()
 				launch.MachineName = machineName
-				counters := obs.NewCounterSet()
+				counters := telemetry.NewRegistry()
 				res, err := RunFile(context.Background(), path, core.GenerateOptions{},
-					Options{Launch: launch, Workers: 8, CheckBounds: true, Counters: counters})
+					Options{Launch: launch, Workers: 8, CheckBounds: true, Metrics: telemetry.NewMetrics(counters)})
 				if err != nil {
 					t.Fatalf("campaign: %v", err)
 				}
@@ -58,7 +58,7 @@ func TestBoundsOracleAcrossSeedSpecs(t *testing.T) {
 				if bounded == 0 {
 					t.Errorf("no variant of %s received a static bound", filepath.Base(path))
 				}
-				if got := counters.Get("analysis.bound.violations"); got != 0 {
+				if got := counters.Counter("analysis.bound.violations").Value(); got != 0 {
 					t.Errorf("analysis.bound.violations = %d, want 0", got)
 				}
 			})
@@ -77,11 +77,11 @@ func TestBoundsOracleCatchesCorruptedTable(t *testing.T) {
 
 	launch := quickLaunch()
 	launch.MachineName = "nehalem-dual"
-	counters := obs.NewCounterSet()
+	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
 		Launch:      launch,
 		CheckBounds: true,
-		Counters:    counters,
+		Metrics:     telemetry.NewMetrics(counters),
 		boundArch:   &corrupted,
 	})
 	if err == nil {
@@ -105,7 +105,7 @@ func TestBoundsOracleCatchesCorruptedTable(t *testing.T) {
 	if violations == 0 {
 		t.Fatal("corrupted latency table produced no BoundViolationError: the oracle has no teeth")
 	}
-	if got := counters.Get("analysis.bound.violations"); got != int64(violations) {
+	if got := counters.Counter("analysis.bound.violations").Value(); got != int64(violations) {
 		t.Errorf("analysis.bound.violations = %d, want %d", got, violations)
 	}
 	if res.Failures != violations {

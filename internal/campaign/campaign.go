@@ -112,35 +112,31 @@ type Options struct {
 	// Cache, when non-nil, consults and fills the content-addressed
 	// measurement cache; hits skip the launch entirely.
 	Cache *Cache
-	// Progress, when non-nil, receives a snapshot after every variant
-	// completes (from whichever worker finished it).
-	Progress func(Progress)
+
+	// --- observability -----------------------------------------------------
+
+	// Observers receive the run's event stream (see Observer): one update
+	// per finished variant in completion order, then the settled totals,
+	// then End with the campaign's error. A tracked live campaign
+	// (telemetry.Tracker.Begin) is an Observer.
+	Observers []Observer
 	// Tracer, when non-nil, records the campaign as a span tree:
 	// "campaign" > per-variant "variant" spans with "cache.hit"/
-	// "cache.miss" children (and the launcher's own spans for misses).
+	// "cache.miss" children. It is propagated into Launch.Tracer, where
+	// each launch of a cache miss records its own root "launch" span.
 	Tracer *obs.Tracer
-	// Counters, when non-nil, accumulates campaign-level event counters:
-	// campaign.variants, campaign.launches, campaign.cache.hits,
-	// campaign.cache.misses, campaign.failures, campaign.retry,
-	// campaign.cache.put_errors, variant.quarantined (and, when Faults is
-	// armed with the same set, faults.injected).
-	Counters *obs.CounterSet
-
-	// --- live telemetry ----------------------------------------------------
-
-	// Name labels the run in live telemetry (/debug/campaigns, /events);
-	// empty defaults to "campaign".
-	Name string
 	// Metrics, when non-nil, records live campaign metrics: the
-	// per-variant duration histogram and queue-depth gauge directly, and
-	// every Counters name via a tee into Metrics.Registry (Counters is
-	// created on demand if nil). It is propagated into Launch.Metrics
-	// (rep latency, calibration time, simulator counters) unless the
-	// launch options already carry their own.
+	// per-variant duration histogram, the queue-depth gauge and the
+	// engine's named counters in Metrics.Registry (campaign.variants,
+	// campaign.launches, campaign.cache.hits, campaign.cache.misses,
+	// campaign.cache.key_errors, campaign.cache.put_errors,
+	// campaign.failures, campaign.retry, variant.quarantined,
+	// analysis.bound.violations, campaign.stability.backfilled and the
+	// adaptive campaign.reps.saved, campaign.reps.topup and
+	// campaign.topup.failures). It is propagated into Launch.Metrics (rep
+	// latency, calibration time, simulator counters) unless the launch
+	// options already carry their own.
 	Metrics *telemetry.Metrics
-	// Tracker, when non-nil, registers the run for live progress: one
-	// tracked campaign from Begin to End, updated after every variant.
-	Tracker *telemetry.Tracker
 
 	// --- resilience --------------------------------------------------------
 
@@ -180,19 +176,27 @@ type Options struct {
 	boundArch *isa.Arch
 }
 
-// Progress is one campaign progress snapshot.
-type Progress struct {
-	// Done counts completed variants (measured, cache-hit, or failed).
-	Done int
-	// Emitted counts variants the generator has produced so far; it is
-	// the final total once Generating is false.
-	Emitted int
-	// Generating reports whether the generator is still emitting.
-	Generating bool
-	// CacheHits and Failed break down the completions so far.
-	CacheHits int
-	Failed    int
+// Observer receives one campaign's event stream. Update is called once
+// per finished variant (measured, cache-hit or failed) in completion
+// order, so Done never decreases; then once more with the settled totals,
+// which equal the returned Result's accounting; then End is called
+// exactly once with the campaign's error (nil on success), on every exit
+// path. Calls are serialized under the engine's lock, from whichever
+// worker finished the variant: an observer must be quick and must not
+// call back into the engine. *telemetry.Campaign is an Observer.
+type Observer interface {
+	Update(telemetry.CampaignUpdate)
+	End(error)
 }
+
+// UpdateFunc adapts a function to an Observer that ignores End.
+type UpdateFunc func(telemetry.CampaignUpdate)
+
+// Update calls f(u).
+func (f UpdateFunc) Update(u telemetry.CampaignUpdate) { f(u) }
+
+// End does nothing.
+func (UpdateFunc) End(error) {}
 
 // VariantResult is one variant's outcome.
 type VariantResult struct {
@@ -386,28 +390,23 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		}
 	}
 
-	// Live telemetry: the counter set (created on demand) tees into the
-	// registry, so every campaign.* counter is visible on /metrics while
-	// the run is still going; the launch options inherit the metrics
-	// handle so rep latency and simulator counters flow too.
+	// Live telemetry: the counter handles are resolved once, so every
+	// campaign.* counter is visible on /metrics while the run is still
+	// going (nil handles no-op without a registry); the launch options
+	// inherit the metrics handle so rep latency and simulator counters
+	// flow too.
 	var variantHist *telemetry.Histogram
 	var queueDepth *telemetry.Gauge
+	var reg *telemetry.Registry
 	if opts.Metrics != nil {
-		if opts.Counters == nil {
-			opts.Counters = obs.NewCounterSet()
-		}
-		opts.Counters.Tee(opts.Metrics.Registry)
 		if opts.Launch.Metrics == nil {
 			opts.Launch.Metrics = opts.Metrics
 		}
 		variantHist = opts.Metrics.VariantSeconds
 		queueDepth = opts.Metrics.QueueDepth
+		reg = opts.Metrics.Registry
 	}
-	liveName := opts.Name
-	if liveName == "" {
-		liveName = "campaign"
-	}
-	live := opts.Tracker.Begin(liveName)
+	cnt := newCounters(reg)
 
 	root := opts.Tracer.Start("campaign").
 		Str("machine", opts.Launch.MachineName).
@@ -432,32 +431,13 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		reps   int
 	}
 
+	// res is the run's accounting, built up under mu as variants finish.
 	var (
-		mu           sync.Mutex
-		results      []VariantResult
-		emitted      int
-		generating   = true
-		hits         int
-		failed       int
-		launches     int
-		retries      int
-		quarantined  int
-		keyErrors    int
-		executedReps int
-		topups       []topupCand
+		mu         sync.Mutex
+		res        = &Result{}
+		generating = true
+		topups     []topupCand
 	)
-	report := func() {
-		if opts.Progress == nil {
-			return
-		}
-		opts.Progress(Progress{
-			Done:       len(results),
-			Emitted:    emitted,
-			Generating: generating,
-			CacheHits:  hits,
-			Failed:     failed,
-		})
-	}
 
 	// Producer: stream programs out of the source into the bounded queue.
 	// A full queue applies backpressure to generation; campaign
@@ -473,7 +453,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			j := job{index: index, prog: p}
 			index++
 			mu.Lock()
-			emitted = index
+			res.Emitted = index
 			mu.Unlock()
 			select {
 			case jobs <- j:
@@ -488,34 +468,27 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		mu.Unlock()
 	}()
 
+	// record files one finished variant and notifies the observers while
+	// still holding mu, so they see the updates in completion order.
 	record := func(r VariantResult) {
 		mu.Lock()
-		results = append(results, r)
+		res.Results = append(res.Results, r)
 		if r.CacheHit {
-			hits++
+			res.CacheHits++
 		}
 		if r.Err != nil {
-			failed++
+			res.Failures++
 		}
 		if r.Quarantined {
-			quarantined++
+			res.Quarantined++
 		}
-		report()
-		upd := telemetry.CampaignUpdate{
-			Done:        len(results),
-			Emitted:     emitted,
-			Generating:  generating,
-			CacheHits:   hits,
-			Failed:      failed,
-			Launches:    launches,
-			Retries:     retries,
-			Quarantined: quarantined,
-			KeyErrors:   keyErrors,
+		upd := res.update(generating)
+		for _, o := range opts.Observers {
+			o.Update(upd)
 		}
 		mu.Unlock()
-		live.Update(upd)
 		if r.Err != nil {
-			opts.Counters.Inc("campaign.failures")
+			cnt.failures.Inc()
 			if opts.FailFast {
 				cancel()
 			}
@@ -556,9 +529,9 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		if err := opts.Faults.Check(faults.PointCampaignLaunch, name); err != nil {
 			return nil, err
 		}
-		opts.Counters.Inc("campaign.launches")
+		cnt.launches.Inc()
 		mu.Lock()
-		launches++
+		res.Launches++
 		mu.Unlock()
 		return launch(ctx, kernel, lopts)
 	}
@@ -575,7 +548,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			attempts++
 			if err == nil {
 				mu.Lock()
-				executedReps += m.Summary.N
+				res.RepsExecuted += m.Summary.N
 				mu.Unlock()
 				return
 			}
@@ -584,16 +557,16 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			}
 			if opts.Quarantine > 0 && attempts >= opts.Quarantine {
 				isQuarantined = true
-				opts.Counters.Inc("variant.quarantined")
+				cnt.quarantined.Inc()
 				sp.Int("quarantined_after", int64(attempts))
 				return
 			}
 			if attempts >= budget || vctx.Err() != nil || !faults.IsTransient(err) {
 				return
 			}
-			opts.Counters.Inc("campaign.retry")
+			cnt.retries.Inc()
 			mu.Lock()
-			retries++
+			res.Retries++
 			mu.Unlock()
 			rsp := sp.Child("retry").
 				Int("attempt", int64(attempts)).
@@ -636,7 +609,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 				key = k
 				if cm, ok := opts.Cache.Get(key); ok {
 					sp.Child("cache.hit").End()
-					opts.Counters.Inc("campaign.cache.hits")
+					cnt.hits.Inc()
 					if bound > 0 && cm.StaticBound != bound {
 						// Copy before annotating: the cache's canonical
 						// measurement is shared across workers.
@@ -647,14 +620,14 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 					return cm, true, 0, false, nil
 				}
 				sp.Child("cache.miss").End()
-				opts.Counters.Inc("campaign.cache.misses")
+				cnt.misses.Inc()
 			} else {
 				// A variant without a key is measured but bypasses the
 				// cache entirely; count it so warm-rerun regressions are
 				// visible instead of silently re-launching.
-				opts.Counters.Inc("campaign.cache.key_errors")
+				cnt.keyErrors.Inc()
 				mu.Lock()
-				keyErrors++
+				res.KeyErrors++
 				mu.Unlock()
 				sp.Str("cache_key_error", kerr.Error())
 			}
@@ -686,7 +659,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			if perr != nil {
 				// A failed cache write degrades to a future miss; the sweep
 				// itself keeps its measurement and keeps going.
-				opts.Counters.Inc("campaign.cache.put_errors")
+				cnt.putErrors.Inc()
 				sp.Str("cache_put_error", perr.Error())
 			}
 			if canon != nil {
@@ -701,7 +674,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		defer vt.Stop()
 		sp := root.Child("variant").Str("kernel", j.prog.Name).Int("index", int64(j.index))
 		defer sp.End()
-		opts.Counters.Inc("campaign.variants")
+		cnt.variants.Inc()
 		// Every pipeline path populates Parsed at emit time; Lowered only
 		// lowers the kernel itself for hand-built programs, so no variant
 		// re-parses assembly text here.
@@ -733,7 +706,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		// Cache hits are not re-checked: they passed when first measured.
 		if opts.CheckBounds && !hit {
 			if v := checkBound(m, coreBound, launchDesc, opts.Launch); v != nil {
-				opts.Counters.Inc("analysis.bound.violations")
+				cnt.boundViolations.Inc()
 				sp.Str("bound_violation", v.Error())
 				record(VariantResult{
 					Index: j.index, Name: j.prog.Name,
@@ -744,7 +717,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		}
 		record(VariantResult{
 			Index: j.index, Name: j.prog.Name,
-			Measurement: m, CacheHit: hit, Attempts: attempts, Stability: stabilityFor(m, opts.Counters),
+			Measurement: m, CacheHit: hit, Attempts: attempts, Stability: stabilityFor(m, cnt.backfilled),
 			StaticBound: unitBound,
 		})
 		noteTopup(j.index, j.prog.Name, kernel, m)
@@ -764,28 +737,27 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 	// MaxReps = prior reps + grant) with its own cache key, so a warm
 	// adaptive re-run replays the whole two-pass schedule without a single
 	// launch. The base measurement stands if a top-up fails.
-	var repsSaved, repsTopup int
 	if plan != nil {
 		mu.Lock()
-		for i := range results {
-			if m := results[i].Measurement; m != nil && m.Adaptive != nil {
+		for i := range res.Results {
+			if m := res.Results[i].Measurement; m != nil && m.Adaptive != nil {
 				if d := plan.MaxReps - m.Adaptive.Reps; d > 0 {
-					repsSaved += d
+					res.RepsSaved += d
 				}
 			}
 		}
 		cands := topups
-		pos := make(map[int]int, len(results))
-		for i := range results {
-			pos[results[i].Index] = i
+		pos := make(map[int]int, len(res.Results))
+		for i := range res.Results {
+			pos[res.Results[i].Index] = i
 		}
-		mu.Unlock()
-		opts.Counters.Add("campaign.reps.saved", int64(repsSaved))
-		sort.Slice(cands, func(a, b int) bool { return cands[a].index < cands[b].index })
 		extra := 0
 		if len(cands) > 0 {
-			extra = repsSaved / len(cands)
+			extra = res.RepsSaved / len(cands)
 		}
+		cnt.repsSaved.Add(int64(res.RepsSaved))
+		mu.Unlock()
+		sort.Slice(cands, func(a, b int) bool { return cands[a].index < cands[b].index })
 		topUp := func(c topupCand) {
 			sp := root.Child("topup").Str("kernel", c.name).Int("index", int64(c.index))
 			defer sp.End()
@@ -793,7 +765,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			slot, ok := pos[c.index]
 			var bound float64
 			if ok {
-				bound = results[slot].StaticBound
+				bound = res.Results[slot].StaticBound
 			}
 			mu.Unlock()
 			if !ok {
@@ -809,7 +781,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			if err != nil {
 				// The extra confidence is forfeited, not the variant: its
 				// main-pass measurement stands.
-				opts.Counters.Inc("campaign.topup.failures")
+				cnt.topupFailures.Inc()
 				sp.Str("error", err.Error())
 				return
 			}
@@ -817,13 +789,13 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			if m.Adaptive != nil && m.Adaptive.Reps > c.reps {
 				gained = m.Adaptive.Reps - c.reps
 			}
-			opts.Counters.Add("campaign.reps.topup", int64(gained))
+			cnt.repsTopUp.Add(int64(gained))
 			sp.Int("reps_gained", int64(gained))
 			mu.Lock()
-			results[slot].Measurement = m
-			results[slot].Stability = stabilityFor(m, opts.Counters)
-			results[slot].Attempts += attempts
-			repsTopup += gained
+			res.Results[slot].Measurement = m
+			res.Results[slot].Stability = stabilityFor(m, cnt.backfilled)
+			res.Results[slot].Attempts += attempts
+			res.RepsTopUp += gained
 			mu.Unlock()
 		}
 		if extra > 0 && cctx.Err() == nil {
@@ -836,29 +808,15 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		}
 	}
 
-	mu.Lock()
-	res := &Result{
-		Results:      results,
-		Emitted:      emitted,
-		Launches:     launches,
-		CacheHits:    hits,
-		Failures:     failed,
-		Retries:      retries,
-		Quarantined:  quarantined,
-		KeyErrors:    keyErrors,
-		RepsSaved:    repsSaved,
-		RepsTopUp:    repsTopup,
-		RepsExecuted: executedReps,
-	}
+	// Every worker and the producer have returned: res and genErr are
+	// settled and no longer need mu.
 	if plan != nil {
-		for i := range results {
-			if m := results[i].Measurement; m != nil && m.Adaptive != nil && m.Adaptive.RCIW > plan.TargetRCIW {
+		for i := range res.Results {
+			if m := res.Results[i].Measurement; m != nil && m.Adaptive != nil && m.Adaptive.RCIW > plan.TargetRCIW {
 				res.TargetMisses++
 			}
 		}
 	}
-	gerr := genErr
-	mu.Unlock()
 	sort.Slice(res.Results, func(a, b int) bool { return res.Results[a].Index < res.Results[b].Index })
 	root.Int("variants", int64(res.Emitted)).
 		Int("launches", int64(res.Launches)).
@@ -874,38 +832,74 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			Int("target_misses", int64(res.TargetMisses))
 	}
 
-	// Close the live-tracked campaign on every exit path: one final
-	// progress update carrying the run's aggregate accounting, then the
-	// "end" event with the campaign's error (nil on success) — so the
-	// /events stream and /debug/campaigns agree with the returned Result
-	// to the bit.
-	finish := func(err error) (*Result, error) {
-		live.Update(telemetry.CampaignUpdate{
-			Done:        len(res.Results),
-			Emitted:     res.Emitted,
-			CacheHits:   res.CacheHits,
-			Failed:      res.Failures,
-			Launches:    res.Launches,
-			Retries:     res.Retries,
-			Quarantined: res.Quarantined,
-			KeyErrors:   res.KeyErrors,
-		})
-		live.End(err)
-		return res, err
-	}
 	if err := ctx.Err(); err != nil {
-		return finish(err)
+		return finish(opts.Observers, res, err)
 	}
-	if gerr != nil && !errors.Is(gerr, context.Canceled) {
-		return finish(&SetupError{Stage: "generate", Err: gerr})
+	if genErr != nil && !errors.Is(genErr, context.Canceled) {
+		return finish(opts.Observers, res, &SetupError{Stage: "generate", Err: genErr})
 	}
 	if err := res.Err(); err != nil {
-		return finish(err)
+		return finish(opts.Observers, res, err)
 	}
 	if res.Emitted == 0 {
-		return finish(ErrNoVariants)
+		return finish(opts.Observers, res, ErrNoVariants)
 	}
-	return finish(nil)
+	return finish(opts.Observers, res, nil)
+}
+
+// counters are the engine's named event counters, resolved once per run.
+// Without a registry every handle is nil and every increment a no-op.
+type counters struct {
+	variants, launches, hits, misses, keyErrors, putErrors, failures,
+	retries, quarantined, boundViolations, backfilled,
+	repsSaved, repsTopUp, topupFailures *telemetry.Counter
+}
+
+func newCounters(r *telemetry.Registry) counters {
+	return counters{
+		variants:        r.Counter("campaign.variants"),
+		launches:        r.Counter("campaign.launches"),
+		hits:            r.Counter("campaign.cache.hits"),
+		misses:          r.Counter("campaign.cache.misses"),
+		keyErrors:       r.Counter("campaign.cache.key_errors"),
+		putErrors:       r.Counter("campaign.cache.put_errors"),
+		failures:        r.Counter("campaign.failures"),
+		retries:         r.Counter("campaign.retry"),
+		quarantined:     r.Counter("variant.quarantined"),
+		boundViolations: r.Counter("analysis.bound.violations"),
+		backfilled:      r.Counter("campaign.stability.backfilled"),
+		repsSaved:       r.Counter("campaign.reps.saved"),
+		repsTopUp:       r.Counter("campaign.reps.topup"),
+		topupFailures:   r.Counter("campaign.topup.failures"),
+	}
+}
+
+// update is the observer event for the accounting so far; generating
+// reports whether the producer is still emitting.
+func (r *Result) update(generating bool) telemetry.CampaignUpdate {
+	return telemetry.CampaignUpdate{
+		Done:        len(r.Results),
+		Emitted:     r.Emitted,
+		Generating:  generating,
+		CacheHits:   r.CacheHits,
+		Failed:      r.Failures,
+		Launches:    r.Launches,
+		Retries:     r.Retries,
+		Quarantined: r.Quarantined,
+		KeyErrors:   r.KeyErrors,
+	}
+}
+
+// finish closes the observers' event stream on every exit path of a run:
+// the settled totals, then End with the campaign's error (nil on success),
+// so a live view agrees with the returned Result to the bit.
+func finish(observers []Observer, res *Result, err error) (*Result, error) {
+	upd := res.update(false)
+	for _, o := range observers {
+		o.Update(upd)
+		o.End(err)
+	}
+	return res, err
 }
 
 // drain runs fn over every item received from in on n workers and returns
@@ -938,11 +932,11 @@ func drain[T any](ctx context.Context, n int, in <-chan T, fn func(T)) {
 // is counted (campaign.stability.backfilled) so cache-age drift is
 // observable; when the two generations agree exactly, the shared value is
 // returned.
-func stabilityFor(m *launcher.Measurement, counters *obs.CounterSet) stats.Stability {
+func stabilityFor(m *launcher.Measurement, backfilled *telemetry.Counter) stats.Stability {
 	if m.Stability.N != 0 {
 		return m.Stability
 	}
-	counters.Inc("campaign.stability.backfilled")
+	backfilled.Inc()
 	legacy := stats.LegacyStabilityOf(m.Summary)
 	if current := stats.StabilityOf(m.Summary); current == legacy {
 		return current
@@ -957,7 +951,7 @@ func stabilityFor(m *launcher.Measurement, counters *obs.CounterSet) stats.Stabi
 func RunFile(ctx context.Context, path string, gen core.GenerateOptions, opts Options) (*Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return &Result{}, &SetupError{Stage: "open", Path: path, Err: err}
+		return finish(opts.Observers, &Result{}, &SetupError{Stage: "open", Path: path, Err: err})
 	}
 	defer f.Close()
 	return Run(ctx, f, gen, opts)

@@ -21,6 +21,7 @@ import (
 	"microtools/internal/machine"
 	"microtools/internal/memsim"
 	"microtools/internal/obs"
+	"microtools/internal/telemetry"
 )
 
 // sweepSpec expands to four variants (unroll 1..4) of a simple streaming
@@ -162,15 +163,15 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCounters := obs.NewCounterSet()
-	coldRes := runSweep(t, Options{Launch: quickLaunch(), Cache: cold, Counters: coldCounters})
+	coldCounters := telemetry.NewRegistry()
+	coldRes := runSweep(t, Options{Launch: quickLaunch(), Cache: cold, Metrics: telemetry.NewMetrics(coldCounters)})
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := coldCounters.Get("campaign.launches"); got != 4 {
+	if got := coldCounters.Counter("campaign.launches").Value(); got != 4 {
 		t.Fatalf("cold run: %d launches, want 4", got)
 	}
-	if got := coldCounters.Get("campaign.cache.misses"); got != 4 {
+	if got := coldCounters.Counter("campaign.cache.misses").Value(); got != 4 {
 		t.Fatalf("cold run: %d misses, want 4", got)
 	}
 
@@ -183,12 +184,12 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 	if warm.Len() != 4 {
 		t.Fatalf("reloaded cache has %d entries, want 4", warm.Len())
 	}
-	warmCounters := obs.NewCounterSet()
-	warmRes := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Counters: warmCounters})
-	if got := warmCounters.Get("campaign.launches"); got != 0 {
+	warmCounters := telemetry.NewRegistry()
+	warmRes := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Metrics: telemetry.NewMetrics(warmCounters)})
+	if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 		t.Errorf("warm run performed %d launches, want 0", got)
 	}
-	if got := warmCounters.Get("campaign.cache.hits"); got != 4 {
+	if got := warmCounters.Counter("campaign.cache.hits").Value(); got != 4 {
 		t.Errorf("warm run: %d hits, want 4", got)
 	}
 	if warmCSV, coldCSV := csvOf(t, warmRes), csvOf(t, coldRes); warmCSV != coldCSV {
@@ -264,12 +265,12 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 	if warm.Len() >= 4 {
 		t.Fatalf("corrupted cache kept %d entries, want fewer than 4", warm.Len())
 	}
-	counters := obs.NewCounterSet()
-	res := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Counters: counters})
+	counters := telemetry.NewRegistry()
+	res := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Metrics: telemetry.NewMetrics(counters)})
 	if res.Failures != 0 || len(res.Results) != 4 {
 		t.Fatalf("campaign over corrupted cache: %d results, %d failures", len(res.Results), res.Failures)
 	}
-	if hits, misses := counters.Get("campaign.cache.hits"), counters.Get("campaign.cache.misses"); hits+misses != 4 || misses == 0 {
+	if hits, misses := counters.Counter("campaign.cache.hits").Value(), counters.Counter("campaign.cache.misses").Value(); hits+misses != 4 || misses == 0 {
 		t.Errorf("hits=%d misses=%d: corrupt entries must degrade to misses", hits, misses)
 	}
 }

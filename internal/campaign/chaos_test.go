@@ -18,7 +18,7 @@ import (
 	"microtools/internal/faults"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
-	"microtools/internal/obs"
+	"microtools/internal/telemetry"
 )
 
 // chaosBudget is a retry budget that provably heals every transient fault
@@ -37,13 +37,13 @@ func TestChaosTransientFaultsRecoverBitIdentical(t *testing.T) {
 
 	const burst = 2
 	injector := faults.New(7).SetRate("*", 0.5).SetBurst(burst)
-	counters := obs.NewCounterSet()
-	injector.SetCounters(counters)
+	counters := telemetry.NewRegistry()
+	injector.SetCounter(counters.Counter("faults.injected"))
 	chaotic := runSweep(t, Options{
-		Launch:   quickLaunch(),
-		Faults:   injector,
-		Retry:    chaosBudget(burst),
-		Counters: counters,
+		Launch:  quickLaunch(),
+		Faults:  injector,
+		Retry:   chaosBudget(burst),
+		Metrics: telemetry.NewMetrics(counters),
 	})
 
 	if injector.Count() == 0 {
@@ -58,10 +58,10 @@ func TestChaosTransientFaultsRecoverBitIdentical(t *testing.T) {
 	if int64(chaotic.Retries) != injector.Count() {
 		t.Errorf("retries = %d, injected faults = %d; want them equal", chaotic.Retries, injector.Count())
 	}
-	if got := counters.Get("campaign.retry"); got != int64(chaotic.Retries) {
+	if got := counters.Counter("campaign.retry").Value(); got != int64(chaotic.Retries) {
 		t.Errorf("campaign.retry counter = %d, Result.Retries = %d", got, chaotic.Retries)
 	}
-	if got := counters.Get("faults.injected"); got != injector.Count() {
+	if got := counters.Counter("faults.injected").Value(); got != injector.Count() {
 		t.Errorf("faults.injected counter = %d, injector.Count() = %d", got, injector.Count())
 	}
 	for _, r := range chaotic.Results {
@@ -158,13 +158,13 @@ func TestChaosQuarantineWithdrawsRepeatOffenders(t *testing.T) {
 	// Transient faults with a burst deeper than the quarantine threshold:
 	// the variant would eventually heal, but quarantine withdraws it first.
 	injector := faults.New(5).SetRate(faults.PointCampaignLaunch, 1).SetBurst(100)
-	counters := obs.NewCounterSet()
+	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
 		Launch:     quickLaunch(),
 		Faults:     injector,
 		Retry:      RetryPolicy{MaxAttempts: 50, Seed: 1},
 		Quarantine: 3,
-		Counters:   counters,
+		Metrics:    telemetry.NewMetrics(counters),
 	})
 	if err == nil {
 		t.Fatal("quarantined campaign must surface the failures")
@@ -172,7 +172,7 @@ func TestChaosQuarantineWithdrawsRepeatOffenders(t *testing.T) {
 	if res.Quarantined != res.Emitted || res.Emitted == 0 {
 		t.Fatalf("quarantined = %d of %d emitted, want all", res.Quarantined, res.Emitted)
 	}
-	if got := counters.Get("variant.quarantined"); got != int64(res.Quarantined) {
+	if got := counters.Counter("variant.quarantined").Value(); got != int64(res.Quarantined) {
 		t.Errorf("variant.quarantined counter = %d, Result.Quarantined = %d", got, res.Quarantined)
 	}
 	for _, r := range res.Results {
@@ -221,19 +221,19 @@ func TestChaosCacheFaultsDegradeNeverCorrupt(t *testing.T) {
 	cleanCSV := csvOf(t, clean)
 
 	injector := faults.New(11).SetRate(faults.PointCacheCheckpoint, 1).SetClass(faults.ClassPermanent)
-	counters := obs.NewCounterSet()
+	counters := telemetry.NewRegistry()
 	cache := NewMemoryCache()
 	res := runSweep(t, Options{
-		Launch:   quickLaunch(),
-		Cache:    cache,
-		Faults:   injector,
-		Counters: counters,
+		Launch:  quickLaunch(),
+		Cache:   cache,
+		Faults:  injector,
+		Metrics: telemetry.NewMetrics(counters),
 	})
 	if res.Failures != 0 {
 		t.Fatalf("checkpoint faults failed %d variants; they must degrade, not fail: %v",
 			res.Failures, res.Err())
 	}
-	if got := counters.Get("campaign.cache.put_errors"); got != int64(res.Emitted) {
+	if got := counters.Counter("campaign.cache.put_errors").Value(); got != int64(res.Emitted) {
 		t.Errorf("campaign.cache.put_errors = %d, want %d (one per variant)", got, res.Emitted)
 	}
 	if csvOf(t, res) != cleanCSV {

@@ -13,6 +13,7 @@ import (
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/passes"
+	"microtools/internal/telemetry"
 )
 
 // dropAllVariants is a Customize hook that inserts a pass discarding every
@@ -28,19 +29,20 @@ func dropAllVariants(m *passes.Manager) error {
 // as *SetupError with the cause reachable through errors.Is/As, an empty
 // sweep is the ErrNoVariants sentinel, measurement failures aggregate
 // into *Error/*VariantError, and cancellation is the caller's ctx error.
-// Both entry points always return a non-nil Result.
+// Both entry points always return a non-nil Result, and close their
+// observers' event stream with the settled totals and one End(err).
 func TestErrorTaxonomy(t *testing.T) {
 	errBoom := errors.New("boom")
 	cases := []struct {
 		name string
-		run  func(t *testing.T) (*Result, error)
+		run  func(t *testing.T, opts Options) (*Result, error)
 		pin  func(t *testing.T, err error)
 	}{
 		{
 			name: "open failure is a SetupError wrapping fs.ErrNotExist",
-			run: func(t *testing.T) (*Result, error) {
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				return RunFile(context.Background(), filepath.Join(t.TempDir(), "missing.xml"),
-					core.GenerateOptions{}, NewOptions(WithLaunch(quickLaunch())))
+					core.GenerateOptions{}, opts)
 			},
 			pin: func(t *testing.T, err error) {
 				var se *SetupError
@@ -57,9 +59,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "malformed spec is a SetupError at the generate stage",
-			run: func(t *testing.T) (*Result, error) {
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				return Run(context.Background(), strings.NewReader("<notes/>"),
-					core.GenerateOptions{}, NewOptions(WithLaunch(quickLaunch())))
+					core.GenerateOptions{}, opts)
 			},
 			pin: func(t *testing.T, err error) {
 				var se *SetupError
@@ -70,10 +72,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "customize failure keeps its cause through the SetupError",
-			run: func(t *testing.T) (*Result, error) {
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				gen := core.GenerateOptions{Customize: func(*passes.Manager) error { return errBoom }}
-				return Run(context.Background(), strings.NewReader(sweepSpec), gen,
-					NewOptions(WithLaunch(quickLaunch())))
+				return Run(context.Background(), strings.NewReader(sweepSpec), gen, opts)
 			},
 			pin: func(t *testing.T, err error) {
 				var se *SetupError
@@ -87,10 +88,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "empty sweep is the ErrNoVariants sentinel",
-			run: func(t *testing.T) (*Result, error) {
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				gen := core.GenerateOptions{Customize: dropAllVariants}
-				return Run(context.Background(), strings.NewReader(sweepSpec), gen,
-					NewOptions(WithLaunch(quickLaunch())))
+				return Run(context.Background(), strings.NewReader(sweepSpec), gen, opts)
 			},
 			pin: func(t *testing.T, err error) {
 				if !errors.Is(err, ErrNoVariants) {
@@ -104,8 +104,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "variant failures aggregate into Error and VariantError",
-			run: func(t *testing.T) (*Result, error) {
-				opts := NewOptions(WithLaunch(quickLaunch()))
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				opts.launch = func(context.Context, *isa.Program, launcher.Options) (*launcher.Measurement, error) {
 					return nil, errBoom
 				}
@@ -128,11 +127,11 @@ func TestErrorTaxonomy(t *testing.T) {
 		},
 		{
 			name: "cancellation surfaces the caller's ctx error",
-			run: func(t *testing.T) (*Result, error) {
+			run: func(t *testing.T, opts Options) (*Result, error) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				return Run(ctx, strings.NewReader(sweepSpec),
-					core.GenerateOptions{}, NewOptions(WithLaunch(quickLaunch())))
+					core.GenerateOptions{}, opts)
 			},
 			pin: func(t *testing.T, err error) {
 				if !errors.Is(err, context.Canceled) {
@@ -143,7 +142,8 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(t)
+			rec := &recorder{}
+			res, err := tc.run(t, NewOptions(WithLaunch(quickLaunch()), WithObservers(rec)))
 			if res == nil {
 				t.Fatal("Result is nil: both entry points must return a usable Result")
 			}
@@ -151,6 +151,7 @@ func TestErrorTaxonomy(t *testing.T) {
 				t.Fatal("expected an error")
 			}
 			tc.pin(t, err)
+			rec.check(t, res, err)
 		})
 	}
 }
@@ -159,7 +160,8 @@ func TestErrorTaxonomy(t *testing.T) {
 // public field and that nil setters are tolerated.
 func TestNewOptionsSetters(t *testing.T) {
 	cache := NewMemoryCache()
-	progress := func(Progress) {}
+	observer := UpdateFunc(func(telemetry.CampaignUpdate) {})
+	metrics := telemetry.NewMetrics(telemetry.NewRegistry())
 	opts := NewOptions(
 		nil,
 		WithLaunch(quickLaunch()),
@@ -167,8 +169,9 @@ func TestNewOptionsSetters(t *testing.T) {
 		WithBuffer(9),
 		WithFailFast(true),
 		WithCache(cache),
-		WithProgress(progress),
-		WithName("suite/run"),
+		WithObservers(observer),
+		WithObservers(observer),
+		WithMetrics(metrics),
 		WithVariantDeadline(42),
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 5}),
 		WithQuarantine(2),
@@ -177,7 +180,7 @@ func TestNewOptionsSetters(t *testing.T) {
 	if opts.Workers != 3 || opts.Buffer != 9 || !opts.FailFast || opts.Cache != cache {
 		t.Errorf("execution setters not applied: %+v", opts)
 	}
-	if opts.Name != "suite/run" || opts.Progress == nil {
+	if len(opts.Observers) != 2 || opts.Metrics != metrics {
 		t.Errorf("telemetry setters not applied: %+v", opts)
 	}
 	if opts.VariantDeadline != 42 || opts.Retry.MaxAttempts != 5 || opts.Quarantine != 2 || !opts.CheckBounds {

@@ -75,25 +75,19 @@ func WithFailFast(on bool) Option { return func(o *Options) { o.FailFast = on } 
 // hits skip the launch entirely.
 func WithCache(c *Cache) Option { return func(o *Options) { o.Cache = c } }
 
-// WithProgress receives a snapshot after every variant completes.
-func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progress = fn } }
+// --- observability -----------------------------------------------------------
+
+// WithObservers appends observers of the run's event stream (see Observer).
+func WithObservers(observers ...Observer) Option {
+	return func(o *Options) { o.Observers = append(o.Observers, observers...) }
+}
 
 // WithTracer records the campaign as a span tree.
 func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
 
-// WithCounters accumulates campaign-level event counters.
-func WithCounters(c *obs.CounterSet) Option { return func(o *Options) { o.Counters = c } }
-
-// --- live telemetry ----------------------------------------------------------
-
-// WithName labels the run in live telemetry (/debug/campaigns, /events).
-func WithName(name string) Option { return func(o *Options) { o.Name = name } }
-
-// WithMetrics records live campaign metrics into the instrument set.
+// WithMetrics records live campaign metrics and counters into the
+// instrument set.
 func WithMetrics(m *telemetry.Metrics) Option { return func(o *Options) { o.Metrics = m } }
-
-// WithTracker registers the run for live progress tracking.
-func WithTracker(t *telemetry.Tracker) Option { return func(o *Options) { o.Tracker = t } }
 
 // --- resilience --------------------------------------------------------------
 

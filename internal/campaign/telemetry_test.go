@@ -3,8 +3,10 @@ package campaign
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
@@ -18,10 +20,12 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 	tr := telemetry.NewTracker()
 	cache := NewMemoryCache()
 
+	coldRec := &recorder{}
 	cold := runSweep(t, Options{
-		Launch: quickLaunch(), Workers: 4, Cache: cache,
-		Name: "cold", Metrics: telemetry.NewMetrics(reg), Tracker: tr,
+		Launch: quickLaunch(), Workers: 4, Cache: cache, Metrics: telemetry.NewMetrics(reg),
+		Observers: []Observer{tr.Begin("cold"), coldRec},
 	})
+	coldRec.check(t, cold, nil)
 	s := reg.Snapshot()
 	if got := s.Counters["campaign.launches"]; got != int64(cold.Launches) {
 		t.Errorf("campaign.launches = %d, Result.Launches = %d", got, cold.Launches)
@@ -44,10 +48,12 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 	}
 
 	// Warm re-run on the same registry: hits add up, launches don't.
+	warmRec := &recorder{}
 	warm := runSweep(t, Options{
-		Launch: quickLaunch(), Workers: 4, Cache: cache,
-		Name: "warm", Metrics: telemetry.NewMetrics(reg), Tracker: tr,
+		Launch: quickLaunch(), Workers: 4, Cache: cache, Metrics: telemetry.NewMetrics(reg),
+		Observers: []Observer{tr.Begin("warm"), warmRec},
 	})
+	warmRec.check(t, warm, nil)
 	if warm.Launches != 0 || warm.CacheHits != 4 {
 		t.Fatalf("warm run: launches=%d hits=%d, want 0/4", warm.Launches, warm.CacheHits)
 	}
@@ -110,8 +116,8 @@ func TestStabilityDeterministic(t *testing.T) {
 	}
 }
 
-// TestEventOrderingUnderCancellation cancels the campaign from its own
-// Progress callback and checks the event stream still arrives in order and
+// TestEventOrderingUnderCancellation cancels the campaign from one of its
+// own observers and checks the event stream still arrives in order and
 // terminates with a single "end" event carrying the cancellation error.
 func TestEventOrderingUnderCancellation(t *testing.T) {
 	tr := telemetry.NewTracker()
@@ -121,11 +127,14 @@ func TestEventOrderingUnderCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts := Options{
-		Launch: quickLaunch(), Workers: 1, Tracker: tr, Name: "canceled-sweep",
-		Progress: func(p Progress) {
-			if p.Done >= 2 {
-				cancel()
-			}
+		Launch: quickLaunch(), Workers: 1,
+		Observers: []Observer{
+			tr.Begin("canceled-sweep"),
+			UpdateFunc(func(u telemetry.CampaignUpdate) {
+				if u.Done >= 2 {
+					cancel()
+				}
+			}),
 		},
 	}
 	_, err := Run(ctx, strings.NewReader(sweepSpec), core.GenerateOptions{}, opts)
@@ -157,6 +166,109 @@ func TestEventOrderingUnderCancellation(t *testing.T) {
 	for _, typ := range types[1 : len(types)-1] {
 		if typ != "progress" {
 			t.Errorf("interior event type %q, want progress (all types: %v)", typ, types)
+		}
+	}
+}
+
+// recorder is an Observer that keeps the whole event stream it saw.
+type recorder struct {
+	mu      sync.Mutex
+	updates []telemetry.CampaignUpdate
+	ends    []error
+}
+
+func (r *recorder) Update(u telemetry.CampaignUpdate) {
+	r.mu.Lock()
+	r.updates = append(r.updates, u)
+	r.mu.Unlock()
+}
+
+func (r *recorder) End(err error) {
+	r.mu.Lock()
+	r.ends = append(r.ends, err)
+	r.mu.Unlock()
+}
+
+// check pins the Observer contract against a finished run: one update per
+// finished variant plus the settled one, Done never decreasing, the last
+// update equal to the Result's accounting, and exactly one End carrying
+// the run's error.
+func (r *recorder) check(t *testing.T, res *Result, err error) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.updates) != len(res.Results)+1 {
+		t.Errorf("%d updates for %d finished variants, want one each plus the settled totals", len(r.updates), len(res.Results))
+	}
+	for i := 1; i < len(r.updates); i++ {
+		if r.updates[i].Done < r.updates[i-1].Done {
+			t.Errorf("update %d: done went backwards %d -> %d", i, r.updates[i-1].Done, r.updates[i].Done)
+		}
+	}
+	want := telemetry.CampaignUpdate{
+		Done:        len(res.Results),
+		Emitted:     res.Emitted,
+		CacheHits:   res.CacheHits,
+		Failed:      res.Failures,
+		Launches:    res.Launches,
+		Retries:     res.Retries,
+		Quarantined: res.Quarantined,
+		KeyErrors:   res.KeyErrors,
+	}
+	if n := len(r.updates); n == 0 || r.updates[n-1] != want {
+		t.Errorf("last update %+v, want the settled totals %+v", r.updates, want)
+	}
+	if len(r.ends) != 1 || r.ends[0] != err {
+		t.Errorf("End calls %v, want exactly one with %v", r.ends, err)
+	}
+}
+
+// TestLiveProgressIsMonotonic runs many cache-warm variants on 8 workers
+// under a tracker subscription: the live "progress" events must never
+// show Done going backwards, and the last one must carry the settled
+// totals.
+func TestLiveProgressIsMonotonic(t *testing.T) {
+	progs, err := core.GenerateString(context.Background(), sweepSpec, core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var many []codegen.Program
+	for len(many) < 256 {
+		many = append(many, progs...)
+	}
+	cache := NewMemoryCache()
+	if _, err := RunPrograms(context.Background(), progs, Options{Launch: quickLaunch(), Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := telemetry.NewTracker()
+	for run := 0; run < 20; run++ {
+		ch, cancelSub := tr.Subscribe(4 * len(many))
+		res, err := RunPrograms(context.Background(), many, Options{
+			Launch: quickLaunch(), Workers: 8, Cache: cache,
+			Observers: []Observer{tr.Begin("warm")},
+		})
+		cancelSub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Launches != 0 {
+			t.Fatalf("run %d: %d launches, want a fully cache-warm run", run, res.Launches)
+		}
+		var last telemetry.CampaignSnapshot
+		progress := 0
+		for ev := range ch {
+			if ev.Type != "progress" {
+				continue
+			}
+			if ev.Campaign.Done < last.Done {
+				t.Errorf("run %d: done went backwards %d -> %d", run, last.Done, ev.Campaign.Done)
+			}
+			last = ev.Campaign
+			progress++
+		}
+		if progress != len(many)+1 || last.Done != len(many) || last.CacheHits != len(many) || last.Generating {
+			t.Fatalf("run %d: %d progress events ending at %+v, want %d ending settled", run, progress, last, len(many)+1)
 		}
 	}
 }

@@ -219,14 +219,15 @@ func (c *Campaign) Options(extra ...campaign.Option) campaign.Options {
 	return campaign.NewOptions(append(setters, extra...)...)
 }
 
-// Progress returns a campaign progress callback that logs one line per
-// completed variant on w, prefixed with the command name: done/total
-// (marked "+" while the generator is still emitting), cache hits,
-// failures, elapsed time and an ETA extrapolated from the elapsed
-// measurement time — a lower bound while the total is still growing.
-func Progress(w io.Writer, prefix string) func(campaign.Progress) {
+// Progress returns a campaign observer that logs one line per update on
+// w — one per finished variant, then the settled totals — prefixed with
+// the command name: done/total (marked "+" while the generator is still
+// emitting), cache hits, failures, elapsed time and an ETA extrapolated
+// from the elapsed measurement time — a lower bound while the total is
+// still growing.
+func Progress(w io.Writer, prefix string) campaign.Observer {
 	started := telemetry.Now()
-	return func(p campaign.Progress) {
+	return campaign.UpdateFunc(func(p telemetry.CampaignUpdate) {
 		elapsed := telemetry.Now().Sub(started)
 		var eta time.Duration
 		if p.Done > 0 {
@@ -238,7 +239,7 @@ func Progress(w io.Writer, prefix string) func(campaign.Progress) {
 		}
 		fmt.Fprintf(w, "%s: %d/%s variants (%d cached, %d failed), elapsed %s, eta %s\n",
 			prefix, p.Done, total, p.CacheHits, p.Failed, elapsed.Round(time.Second), eta)
-	}
+	})
 }
 
 // Telemetry wires the live-telemetry flags shared by every command:

@@ -10,6 +10,7 @@ import (
 	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/launcher"
+	"microtools/internal/telemetry"
 )
 
 // launchSpec is a two-variant movss family (unroll 1 and 2).
@@ -111,11 +112,11 @@ func TestLaunchAllCancellation(t *testing.T) {
 	res, err := campaign.RunPrograms(ctx, many, campaign.Options{
 		Launch:  opts,
 		Workers: 1,
-		Progress: func(p campaign.Progress) {
-			if p.Done == 2 {
+		Observers: []campaign.Observer{campaign.UpdateFunc(func(u telemetry.CampaignUpdate) {
+			if u.Done == 2 {
 				cancel()
 			}
-		},
+		})},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

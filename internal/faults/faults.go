@@ -39,7 +39,7 @@ import (
 	"sort"
 	"sync"
 
-	"microtools/internal/obs"
+	"microtools/internal/telemetry"
 )
 
 // Named injection points, in execution-stack order. An Injector accepts
@@ -196,7 +196,7 @@ type Site struct {
 // final results" provable. Permanent sites fault on every check.
 //
 // A nil *Injector is the disabled default: Check returns nil immediately,
-// mirroring the nil-*Tracer and nil-*CounterSet conventions.
+// mirroring the nil-*Tracer and nil-*telemetry.Counter conventions.
 type Injector struct {
 	seed  int64
 	burst int
@@ -205,7 +205,7 @@ type Injector struct {
 	mu       sync.Mutex
 	rates    map[string]float64
 	hits     map[[2]string]int
-	counters *obs.CounterSet
+	injected *telemetry.Counter
 }
 
 // New returns an injector with no armed points: every Check passes until
@@ -249,12 +249,13 @@ func (in *Injector) SetClass(c Class) *Injector {
 	return in
 }
 
-// SetCounters attaches an event-counter registry; every injection
-// increments "faults.injected". Returns the injector for chaining.
-func (in *Injector) SetCounters(cs *obs.CounterSet) *Injector {
+// SetCounter attaches a live counter (conventionally the registry's
+// "faults.injected") that every injection increments. Returns the
+// injector for chaining.
+func (in *Injector) SetCounter(c *telemetry.Counter) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.counters = cs
+	in.injected = c
 	return in
 }
 
@@ -306,9 +307,9 @@ func (in *Injector) Check(point, key string) error {
 	}
 	in.hits[site]++
 	class := in.class
-	counters := in.counters
+	injected := in.injected
 	in.mu.Unlock()
-	counters.Inc("faults.injected")
+	injected.Inc()
 	return &Error{Point: point, Key: key, Class: class, Err: ErrInjected}
 }
 

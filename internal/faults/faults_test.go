@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"microtools/internal/obs"
+	"microtools/internal/telemetry"
 )
 
 func TestNilInjectorIsDisabled(t *testing.T) {
@@ -181,12 +181,12 @@ func TestExactRateOverridesWildcard(t *testing.T) {
 }
 
 func TestCountersAndInjectedList(t *testing.T) {
-	cs := obs.NewCounterSet()
-	in := New(11).SetRate("*", 1).SetCounters(cs)
+	injected := &telemetry.Counter{}
+	in := New(11).SetRate("*", 1).SetCounter(injected)
 	in.Check(PointCampaignLaunch, "b")
 	in.Check(PointCampaignLaunch, "a")
 	in.Check(PointCacheGet, "a")
-	if got := cs.Get("faults.injected"); got != 3 {
+	if got := injected.Value(); got != 3 {
 		t.Errorf("faults.injected = %d, want 3", got)
 	}
 	sites := in.Injected()

@@ -376,10 +376,11 @@ func (d *Daemon) runJob(j *job) {
 		return
 	}
 
+	// The campaign's last observer update already left the settled totals
+	// in s.Progress.
 	result := buildResult(res, err)
 	status = j.setStatus(func(s *api.JobStatus) {
 		s.FinishedUnixMS = telemetry.Now().UnixMilli()
-		s.Progress = finalProgress(res)
 		if err != nil {
 			s.State = api.StateFailed
 			s.Error = apiError(err)
@@ -415,8 +416,8 @@ func (d *Daemon) release(tenant string) {
 }
 
 // campaignOptions maps the wire request onto engine options: the shared
-// cache, job-scoped telemetry naming, and a progress hook that feeds the
-// job's SSE stream.
+// cache, a live campaign on the daemon's tracker named after the job, and
+// an observer that feeds the job's SSE stream.
 func (d *Daemon) campaignOptions(j *job) campaign.Options {
 	status := j.snapshot()
 	req := j.req
@@ -438,15 +439,13 @@ func (d *Daemon) campaignOptions(j *job) campaign.Options {
 		campaign.WithWorkers(req.Workers),
 		campaign.WithFailFast(req.FailFast),
 		campaign.WithCache(d.opts.Cache),
-		campaign.WithName(status.Name),
 		campaign.WithMetrics(d.metrics),
-		campaign.WithTracker(d.tracker),
 		campaign.WithQuarantine(req.Quarantine),
 		campaign.WithCheckBounds(req.CheckBounds),
-		campaign.WithProgress(func(p campaign.Progress) {
-			st := j.setStatus(func(s *api.JobStatus) { s.Progress = apiProgress(p) })
+		campaign.WithObservers(d.tracker.Begin(status.Name), campaign.UpdateFunc(func(u telemetry.CampaignUpdate) {
+			st := j.setStatus(func(s *api.JobStatus) { s.Progress = apiProgress(u) })
 			j.events.append(api.EventProgress, st)
-		}),
+		})),
 	}
 	if req.Retries > 0 {
 		setters = append(setters, campaign.WithRetryPolicy(campaign.RetryPolicy{
@@ -469,27 +468,16 @@ func (d *Daemon) campaignOptions(j *job) campaign.Options {
 	return campaign.NewOptions(setters...)
 }
 
-// apiProgress maps the engine's progress snapshot onto the wire shape.
-func apiProgress(p campaign.Progress) api.Progress {
+// apiProgress maps one engine update onto the wire shape.
+func apiProgress(u telemetry.CampaignUpdate) api.Progress {
 	return api.Progress{
-		Done:       p.Done,
-		Emitted:    p.Emitted,
-		Generating: p.Generating,
-		CacheHits:  p.CacheHits,
-		Failed:     p.Failed,
-		Launches:   p.Done - p.CacheHits,
-	}
-}
-
-// finalProgress derives the settled progress block from the result.
-func finalProgress(res *campaign.Result) api.Progress {
-	return api.Progress{
-		Done:      len(res.Results),
-		Emitted:   res.Emitted,
-		CacheHits: res.CacheHits,
-		Failed:    res.Failures,
-		Launches:  res.Launches,
-		Retries:   res.Retries,
+		Done:       u.Done,
+		Emitted:    u.Emitted,
+		Generating: u.Generating,
+		CacheHits:  u.CacheHits,
+		Failed:     u.Failed,
+		Launches:   u.Launches,
+		Retries:    u.Retries,
 	}
 }
 

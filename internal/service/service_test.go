@@ -111,6 +111,14 @@ func TestTwoTenantsBitIdenticalResults(t *testing.T) {
 		t.Errorf("warm run launches=%d hits=%d ratio=%v, want 0/4/1",
 			warm.Serving.Launches, warm.Serving.CacheHits, warm.Serving.CacheHitRatio)
 	}
+	// The terminal progress block is the engine's settled accounting.
+	for _, res := range []api.JobResult{cold, warm} {
+		p := res.Job.Progress
+		if p.Done != 4 || p.Emitted != 4 || p.Generating || p.CacheHits != res.Serving.CacheHits ||
+			p.Launches != res.Serving.Launches || p.Retries != res.Serving.Retries {
+			t.Errorf("terminal progress %+v disagrees with serving stats %+v", p, *res.Serving)
+		}
+	}
 	a, err := json.Marshal(cold.Campaign)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,8 @@ package telemetry
 // Dotted internal names; /metrics exposes them with promName applied
 // (microtools_ prefix, dots to underscores).
 const (
-	// Campaign engine counters also flow through obs.CounterSet — the
-	// set tees into the registry, so the names below match the
-	// campaign.Options.Counters documentation.
+	// The campaign engine's named counters (campaign.launches, ...)
+	// live in the same registry; campaign.Options.Metrics lists them.
 	MetricVariantSeconds   = "campaign.variant.seconds"
 	MetricQueueDepth       = "campaign.queue.depth"
 	MetricRepSeconds       = "launcher.rep.seconds"
@@ -28,8 +27,9 @@ const (
 // nil-safe handles, so copying them out of a non-nil Metrics and using
 // them unconditionally is the intended pattern).
 type Metrics struct {
-	// Registry is the backing registry, exposed so campaign counters can
-	// be teed into it and tests can assert on exposition.
+	// Registry is the backing registry, exposed so the campaign engine
+	// can resolve its named counters in it and tests can assert on
+	// exposition.
 	Registry *Registry
 
 	// VariantSeconds is the campaign's per-variant wall-time histogram

@@ -6,7 +6,7 @@
 // and /events (SSE progress stream).
 //
 // The package complements internal/obs: obs records post-hoc artifacts
-// (span traces, counter snapshots written after a run), telemetry serves
+// (span traces, per-measurement counter snapshots), telemetry serves
 // the same signals while the run is still going — the operational
 // requirement of the ROADMAP's campaign-daemon direction. It deliberately
 // imports nothing from the rest of the module so every layer (sim,
@@ -238,9 +238,9 @@ type HistogramSnapshot struct {
 	Buckets []int64   `json:"buckets"`
 }
 
-// Snapshot is a point-in-time copy of every metric in a registry, the
-// unit of work of the Exporter interface. Maps and slices are owned by
-// the caller.
+// Snapshot is a point-in-time copy of every metric in a registry, read by
+// the /metrics exposition and the tests. Maps and slices are owned by the
+// caller.
 type Snapshot struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges"`
@@ -250,10 +250,6 @@ type Snapshot struct {
 // Registry is a concurrency-safe registry of named metrics. Metric
 // handles are created on first use and stable thereafter: instrumented
 // code resolves its handles once and then touches only atomics.
-//
-// A *Registry is also an obs.CounterSink (structurally, via Count), so an
-// obs.CounterSet can tee its campaign counters into live exposition
-// without obs importing this package.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -335,13 +331,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Count routes a named counter delta into the registry — the
-// obs.CounterSink contract, letting a CounterSet tee campaign counters
-// into live exposition.
-func (r *Registry) Count(name string, delta int64) {
-	r.Counter(name).Add(delta)
 }
 
 // Snapshot copies every metric's current value.

@@ -10,14 +10,23 @@ import (
 // /debug/campaigns after they end.
 const retainFinished = 16
 
-// CampaignUpdate is one progress delta from the campaign engine — the
-// engine's Progress snapshot plus the resilience accounting.
+// CampaignUpdate is one event of a campaign's observer stream: the
+// engine's accounting after a variant finished, or the settled totals at
+// the end of the run.
 type CampaignUpdate struct {
-	Done        int
-	Emitted     int
-	Generating  bool
-	CacheHits   int
-	Failed      int
+	// Done counts finished variants (measured, cache-hit or failed); it
+	// never decreases along one campaign's stream.
+	Done int
+	// Emitted counts variants the generator has produced so far; it is
+	// the final total once Generating is false.
+	Emitted int
+	// Generating reports whether the generator is still emitting.
+	Generating bool
+	// CacheHits and Failed break down the finished variants.
+	CacheHits int
+	Failed    int
+	// Launches, Retries, Quarantined and KeyErrors are the engine's
+	// launch and resilience accounting so far.
 	Launches    int
 	Retries     int
 	Quarantined int
@@ -80,8 +89,10 @@ func NewTracker() *Tracker {
 	return &Tracker{live: map[int64]*Campaign{}, subs: map[int64]chan Event{}}
 }
 
-// Campaign is one tracked campaign run. All mutable state is guarded by
-// the owning tracker's lock, which also orders the emitted events.
+// Campaign is one tracked campaign run, and an observer of the engine's
+// event stream (campaign.Observer): pass it in campaign.Options.Observers.
+// All mutable state is guarded by the owning tracker's lock, which also
+// orders the emitted events.
 type Campaign struct {
 	t       *Tracker
 	id      int64

@@ -42,6 +42,7 @@ import (
 	"microtools/internal/plugin"
 	"microtools/internal/power"
 	"microtools/internal/stats"
+	"microtools/internal/telemetry"
 	"microtools/internal/verify"
 )
 
@@ -103,7 +104,7 @@ type (
 	// VerifyEnforce/VerifyCollect/VerifyOff constants).
 	VerifyMode = verify.Mode
 	// CampaignOptions configures RunCampaign (workers, buffering, fail-fast,
-	// cache, progress callback, tracing).
+	// cache, observers, tracing).
 	CampaignOptions = campaign.Options
 	// CampaignOption is one functional setter for NewCampaignOptions; see
 	// the WithCampaign* family below.
@@ -111,8 +112,12 @@ type (
 	// CampaignResult is a campaign's per-variant results plus aggregate
 	// counts (emitted, launches, cache hits, failures).
 	CampaignResult = campaign.Result
-	// CampaignProgress is one progress-callback snapshot.
-	CampaignProgress = campaign.Progress
+	// CampaignObserver receives a campaign's event stream: one
+	// CampaignUpdate per finished variant, the settled totals, then End.
+	CampaignObserver = campaign.Observer
+	// CampaignUpdate is one event of that stream (done/emitted, cache
+	// hits, failures, launches, retries).
+	CampaignUpdate = telemetry.CampaignUpdate
 	// MeasurementCache is the content-addressed measurement store used for
 	// campaign checkpoint/resume.
 	MeasurementCache = campaign.Cache
@@ -390,8 +395,8 @@ func NewCampaignOptions(setters ...CampaignOption) CampaignOptions {
 // Functional setters for NewCampaignOptions, re-exported from the campaign
 // engine under a Campaign prefix (the unprefixed With* names belong to the
 // launcher option family above). Setters whose argument types are not
-// constructible through the facade (live-telemetry handles, PMU counter
-// sets) are reachable via the CampaignOptions struct fields instead.
+// constructible through the facade (live-telemetry handles) are reachable
+// via the CampaignOptions struct fields instead.
 var (
 	// Execution.
 	WithCampaignLaunch   = campaign.WithLaunch
@@ -400,10 +405,9 @@ var (
 	WithCampaignBuffer   = campaign.WithBuffer
 	WithCampaignFailFast = campaign.WithFailFast
 	WithCampaignCache    = campaign.WithCache
-	WithCampaignProgress = campaign.WithProgress
-	WithCampaignTracer   = campaign.WithTracer
-	// Live telemetry.
-	WithCampaignName = campaign.WithName
+	// Observability.
+	WithCampaignObservers = campaign.WithObservers
+	WithCampaignTracer    = campaign.WithTracer
 	// Resilience.
 	WithCampaignVariantDeadline = campaign.WithVariantDeadline
 	WithCampaignRetryPolicy     = campaign.WithRetryPolicy
