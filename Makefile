@@ -65,20 +65,28 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -label '$(LABEL)' -o BENCH_sim.json
 
 # bench-guard runs the campaign sweep benchmark once and fails if its
-# allocs/op exceed the committed ceiling in bench_guard_allocs.txt —
-# wall-clock noise cannot trip it, allocation regressions in the variant
-# pipeline always do. Raise the ceiling only with a justification in the
-# same commit.
+# allocs/op or B/op exceed the committed ceilings in bench_guard_allocs.txt
+# and bench_guard_bytes.txt — wall-clock noise cannot trip it, allocation
+# regressions in the variant pipeline (or a return to building a fresh
+# simulated machine per launch) always do. Raise a ceiling only with a
+# justification in the same commit.
 bench-guard:
 	@limit="$$(cat bench_guard_allocs.txt)"; \
+	blimit="$$(cat bench_guard_bytes.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
+	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
 	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
+	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
 	if [ "$$allocs" -gt "$$limit" ]; then \
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit"
+	if [ "$$bytes" -gt "$$blimit" ]; then \
+		echo "bench-guard: BenchmarkCampaignSweep allocated $$bytes B/op, ceiling is $$blimit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

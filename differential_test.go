@@ -2,6 +2,8 @@ package microtools
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,11 @@ import (
 	"microtools/internal/campaign"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
+	"microtools/internal/faults"
+	"microtools/internal/isa"
+	"microtools/internal/launcher"
+	"microtools/internal/machine"
+	"microtools/internal/sim"
 	"microtools/internal/verify"
 )
 
@@ -120,5 +127,127 @@ func TestDifferentialPipelinePaths(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialFreshVsReusedMachine is the machine-reuse oracle: over
+// the first variant of every shipped spec, on every machine (full size and
+// /8), with noise off and on, in Sequential, Fork and OpenMP modes, a
+// launch on a machine that already ran a different kernel at a different
+// frequency with noise and a fault plan armed, and was then Reset, must
+// encode byte-identically — MemStats and Counters included — to a launch
+// on a freshly built machine. launcher.Launch, which draws its machine
+// from the per-name pool, must agree with both.
+func TestDifferentialFreshVsReusedMachine(t *testing.T) {
+	paths, err := filepath.Glob("specs/*.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 5 {
+		t.Fatalf("expected the shipped spec library, found %d files", len(paths))
+	}
+	var kernels []*isa.Program
+	for _, path := range paths {
+		progs, err := core.GenerateFile(context.Background(), path, core.GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, progs[0].Parsed)
+	}
+	var names []string
+	for _, base := range machine.Names() {
+		names = append(names, base, base+"/8")
+	}
+	ctx := context.Background()
+	encode := func(m *launcher.Measurement) string {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	// configure applies an Options value's frequency and noise the way
+	// launcher.Launch does.
+	configure := func(mach *sim.Machine, opts launcher.Options) {
+		if opts.CoreFrequencyGHz > 0 {
+			if err := mach.SetCoreFrequency(opts.CoreFrequencyGHz); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !opts.DisableInterrupts {
+			if err := mach.SetNoise(sim.DefaultNoise(opts.NoiseSeed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, name := range names {
+		desc, err := machine.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := sim.New(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []launcher.Mode{launcher.Sequential, launcher.Fork, launcher.OpenMP} {
+			for _, noisy := range []bool{false, true} {
+				for ki, kernel := range kernels {
+					t.Run(fmt.Sprintf("%s/%s/noise=%v/%s", name, mode, noisy, kernel.Name), func(t *testing.T) {
+						setters := []launcher.Option{
+							launcher.WithMachine(name), launcher.WithMode(mode), launcher.WithCores(2),
+							launcher.WithArrayBytes(8192), launcher.WithReps(2, 2), launcher.WithCounters(),
+						}
+						if noisy {
+							setters = append(setters, launcher.WithInterruptNoise(int64(5+ki)))
+						}
+						opts := launcher.NewOptions(setters...)
+
+						fresh, err := sim.New(desc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						configure(fresh, opts)
+						want, err := launcher.LaunchOn(ctx, fresh, kernel, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+
+						// Dirty the reused machine: another kernel, another
+						// frequency, noise on, then a fault plan that would
+						// fail every later step if Reset left it armed.
+						other := kernels[(ki+1)%len(kernels)]
+						if err := reused.SetCoreFrequency(desc.CoreGHz * 0.75); err != nil {
+							t.Fatal(err)
+						}
+						if err := reused.SetNoise(sim.DefaultNoise(99)); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := launcher.LaunchOn(ctx, reused, other, launcher.NewOptions(
+							launcher.WithMachine(name), launcher.WithMode(launcher.Fork), launcher.WithCores(2),
+							launcher.WithArrayBytes(16384), launcher.WithReps(1, 1))); err != nil {
+							t.Fatal(err)
+						}
+						reused.SetFaults(faults.New(1).SetRate(faults.PointSimStep, 1), "stale")
+						reused.Reset()
+						configure(reused, opts)
+						got, err := launcher.LaunchOn(ctx, reused, kernel, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g, w := encode(got), encode(want); g != w {
+							t.Errorf("reused machine diverges from a fresh one:\nreused %s\nfresh  %s", g, w)
+						}
+
+						pooled, err := launcher.Launch(ctx, kernel, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g, w := encode(pooled), encode(want); g != w {
+							t.Errorf("pooled launch diverges from a fresh machine:\npooled %s\nfresh  %s", g, w)
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -159,9 +159,12 @@ func NewMemoryCache() *Cache {
 
 // OpenCache opens (creating if needed) a JSONL-backed cache at path and
 // loads every well-formed entry. Malformed lines are tolerated and
-// skipped.
+// skipped. The file is opened for appending, so every Put lands at the
+// current end of file; a last line torn by a killed process (no trailing
+// newline) is terminated first, so the next entry starts on a line of its
+// own instead of being glued onto the torn one.
 func OpenCache(path string) (*Cache, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -187,12 +190,29 @@ func OpenCache(path string) (*Cache, error) {
 		f.Close()
 		return nil, err
 	}
-	// Future writes append after whatever was readable.
-	if _, err := f.Seek(0, 2); err != nil {
+	if err := terminateTornTail(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// terminateTornTail appends a newline when the file is non-empty and does
+// not already end in one.
+func terminateTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Len reports the number of cached measurements.

@@ -275,6 +275,46 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestCacheTornTailDoesNotSwallowNextPut: a killed process can leave the
+// last line without its newline. The next Put must still land on a line
+// of its own, so the new entry (and the intact ones before the tear)
+// survive a reopen.
+func TestCacheTornTailDoesNotSwallowNextPut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "measurements.jsonl")
+	torn := `{"key":"intact","measurement":{"Kernel":"a","Value":1}}` + "\n" +
+		`{"key":"torn","measurement":{"Kern`
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("torn cache loaded %d entries, want 1", c.Len())
+	}
+	if _, err := c.Put("fresh", &launcher.Measurement{Kernel: "b", Value: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for _, key := range []string{"intact", "fresh"} {
+		if _, ok := reopened.Get(key); !ok {
+			t.Errorf("entry %q lost after a Put behind a torn line", key)
+		}
+	}
+	if _, ok := reopened.Get("torn"); ok {
+		t.Error("the torn entry loaded")
+	}
+}
+
 func TestCancellationReturnsPartialResultsPromptly(t *testing.T) {
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {

@@ -149,21 +149,49 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// machines pools simulated machines per machine name (string →
+// *sync.Pool of *sim.Machine). Building a machine allocates every cache
+// tag, LRU and dirty array — by far the largest per-launch cost — so
+// Launch resets a pooled one instead. A machine is owned by exactly one
+// launch between Get and Put, keeping sim.Machine single-owner.
+var machines sync.Map
+
+// acquireMachine returns a machine for name in its freshly built state:
+// a pooled one after Reset, or a new one when the pool is empty.
+func acquireMachine(name string) (*sim.Machine, error) {
+	if p, ok := machines.Load(name); ok {
+		if mach, ok := p.(*sync.Pool).Get().(*sim.Machine); ok {
+			mach.Reset()
+			return mach, nil
+		}
+	}
+	desc, err := machine.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return sim.New(desc)
+}
+
+// releaseMachine returns a machine to its name's pool.
+func releaseMachine(name string, mach *sim.Machine) {
+	p, _ := machines.LoadOrStore(name, new(sync.Pool))
+	p.(*sync.Pool).Put(mach)
+}
+
 // Launch measures one kernel program under the given options. The context
 // cancels the protocol between repetitions: a canceled launch returns
-// ctx.Err() without a measurement.
+// ctx.Err() without a measurement. The simulated machine comes from a
+// per-name pool and is reset to its freshly built state first, so a
+// measurement is bit-identical to one taken on a new machine.
 func Launch(ctx context.Context, prog *isa.Program, opts Options) (*Measurement, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	desc, err := machine.ByName(opts.MachineName)
+	mach, err := acquireMachine(opts.MachineName)
 	if err != nil {
 		return nil, err
 	}
-	mach, err := sim.New(desc)
-	if err != nil {
-		return nil, err
-	}
+	defer releaseMachine(opts.MachineName, mach)
 	if opts.CoreFrequencyGHz > 0 {
 		if err := mach.SetCoreFrequency(opts.CoreFrequencyGHz); err != nil {
 			return nil, err
@@ -177,8 +205,8 @@ func Launch(ctx context.Context, prog *isa.Program, opts Options) (*Measurement,
 	return launchOn(ctx, mach, prog, opts)
 }
 
-// launchOn runs the protocol against an existing machine instance (exposed
-// for the experiment harness, which reuses machines across sweeps).
+// launchOn runs the protocol against a configured machine; Launch and
+// LaunchOn are its two entry points.
 func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Options) (*Measurement, error) {
 	desc := mach.Desc
 	logf := func(format string, args ...any) {

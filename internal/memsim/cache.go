@@ -144,6 +144,15 @@ func (c *cache) flush() {
 	}
 }
 
+// reset returns the cache to its freshly built state: no valid lines and
+// the LRU clock at zero.
+func (c *cache) reset() {
+	clear(c.ways)
+	clear(c.stamp)
+	clear(c.dirty)
+	c.tick = 0
+}
+
 // invalidateFraction drops approximately frac of all lines, using the seeded
 // rng (interrupt-noise model: an interrupt handler evicts part of the
 // cache).

@@ -93,6 +93,9 @@ type System struct {
 	rowMiss    int64 // row-buffer miss penalty, core cycles
 
 	stats Stats
+
+	// baseRatio is the construction-time CoreClockRatio Reset restores.
+	baseRatio float64
 }
 
 // NewSystem builds the memory system for nCores cores.
@@ -104,7 +107,7 @@ func NewSystem(cfg HierarchyConfig, nCores int) (*System, error) {
 		return nil, fmt.Errorf("memsim: need at least one core")
 	}
 	nSocks := (nCores + cfg.CoresPerSocket - 1) / cfg.CoresPerSocket
-	s := &System{cfg: cfg, nCores: nCores}
+	s := &System{cfg: cfg, nCores: nCores, baseRatio: cfg.CoreClockRatio}
 	s.cores = make([]coreState, nCores)
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -140,6 +143,34 @@ func NewSystem(cfg HierarchyConfig, nCores int) (*System, error) {
 	}
 	s.recomputeClocks()
 	return s, nil
+}
+
+// Reset returns the system to the exact state NewSystem built — empty
+// caches, idle ports, channels and MSHRs, untrained prefetchers, closed
+// DRAM rows, the construction clock ratio and zeroed stats — without
+// allocating, so one System can serve many launches in turn.
+func (s *System) Reset() {
+	for i := range s.cores {
+		c := &s.cores[i]
+		c.l1.reset()
+		c.l2.reset()
+		clear(c.mshr)
+		clear(c.bankFree)
+		clear(c.pfInflight)
+		*c = coreState{l1: c.l1, l2: c.l2, mshr: c.mshr, bankFree: c.bankFree, pfInflight: c.pfInflight}
+	}
+	for i := range s.socks {
+		sk := &s.socks[i]
+		sk.l3.reset()
+		clear(sk.chanFree)
+		for r := range sk.openRow {
+			sk.openRow[r] = ^uint64(0)
+		}
+		*sk = socketState{l3: sk.l3, chanFree: sk.chanFree, openRow: sk.openRow, banks: sk.banks}
+	}
+	s.cfg.CoreClockRatio = s.baseRatio
+	s.recomputeClocks()
+	s.stats = Stats{}
 }
 
 // recomputeClocks derives core-cycle latencies from the uncore-domain

@@ -116,6 +116,22 @@ func New(desc *machine.Machine) (*Machine, error) {
 	return &Machine{Desc: desc, Sys: sys, coreGHz: desc.CoreGHz}, nil
 }
 
+// Reset returns the machine to the state New built: a reset memory
+// system, the clock at zero, the nominal frequency, noise off, and no
+// trace span, fault plan or telemetry armed (disarming flushes pending
+// counts to the previous owner). The pooled cores and run scratch are
+// kept — every job Resets its core anyway — so reuse allocates nothing.
+func (m *Machine) Reset() {
+	m.Sys.Reset()
+	m.now = 0
+	m.coreGHz = m.Desc.CoreGHz
+	m.noise, m.rng = NoiseConfig{}, nil
+	m.span = obs.Span{}
+	m.SetFaults(nil, "")
+	m.SetMetrics(nil)
+	m.resetPins()
+}
+
 // SetNoise configures the environmental noise sources. An enabled
 // configuration is validated — the interrupt interval must be positive (it
 // seeds rand.Int63n inside Run/RunStream), the per-interrupt cost

@@ -48,7 +48,8 @@ type Metrics struct {
 	// SimInstsRetired counts simulated instructions retired across all
 	// runs; SimPoolHits/SimPoolMisses track the machine's core-pool
 	// reuse (a miss allocates a fresh cpu.Core, a hit resets a pooled
-	// one — the RunOne fast-path economics).
+	// one — the RunOne fast-path economics). Launch reuses pooled
+	// machines, so hits accumulate across launches too.
 	SimInstsRetired *Counter
 	SimPoolHits     *Counter
 	SimPoolMisses   *Counter
