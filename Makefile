@@ -49,8 +49,9 @@ bench:
 # HOT_BENCHES are the simulator hot-path benchmarks whose numbers this repo
 # tracks in BENCH_sim.json (see README): one repetition, the full launcher
 # protocol with telemetry off and on (the pair bounds instrumentation
-# overhead), and the campaign sweep serial plus across worker counts.
-HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
+# overhead), the campaign sweep serial plus across worker counts, and the
+# cold-vs-warm cache campaign (the warm half is the all-hits path).
+HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -68,16 +69,22 @@ bench-json:
 # allocs/op or B/op exceed the committed ceilings in bench_guard_allocs.txt
 # and bench_guard_bytes.txt — wall-clock noise cannot trip it, allocation
 # regressions in the variant pipeline (or a return to building a fresh
-# simulated machine per launch) always do. Raise a ceiling only with a
-# justification in the same commit.
+# simulated machine per launch) always do. It then runs the all-hits warm
+# campaign once against the allocs/op ceiling in bench_guard_warm_allocs.txt,
+# which a return to decoding every cache hit from JSON exceeds. Raise a
+# ceiling only with a justification in the same commit.
 bench-guard:
 	@limit="$$(cat bench_guard_allocs.txt)"; \
 	blimit="$$(cat bench_guard_bytes.txt)"; \
+	wlimit="$$(cat bench_guard_warm_allocs.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
+	wout="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaign$$/^warm$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
+	wallocs="$$(echo "$$wout" | awk '/^BenchmarkCampaign\/warm/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
 	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
+	if [ -z "$$wallocs" ]; then echo "bench-guard: could not parse warm allocs/op"; exit 1; fi; \
 	if [ "$$allocs" -gt "$$limit" ]; then \
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
 		exit 1; \
@@ -86,7 +93,11 @@ bench-guard:
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$bytes B/op, ceiling is $$blimit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit"
+	if [ "$$wallocs" -gt "$$wlimit" ]; then \
+		echo "bench-guard: BenchmarkCampaign/warm allocated $$wallocs objs/op, ceiling is $$wlimit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

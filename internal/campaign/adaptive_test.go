@@ -8,7 +8,10 @@ package campaign
 // (nil plan) is untouched — cache keys included.
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"microtools/internal/core"
@@ -258,27 +261,59 @@ func TestAdaptiveCacheKeyDimension(t *testing.T) {
 // under), count every backfill, and never flip a stored RCIW to the new
 // formula's value.
 func TestStabilityBackfillIsVersioned(t *testing.T) {
-	cache := NewMemoryCache()
-	cold := runSweep(t, Options{Launch: quickLaunch(), Cache: cache})
-
-	// Strip the Stability field from every stored entry, recreating the
-	// pre-field on-disk shape.
-	cache.mu.Lock()
-	for key, raw := range cache.entries {
-		var entry map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &entry); err != nil {
-			cache.mu.Unlock()
-			t.Fatal(err)
-		}
-		delete(entry, "Stability")
-		stripped, err := json.Marshal(entry)
-		if err != nil {
-			cache.mu.Unlock()
-			t.Fatal(err)
-		}
-		cache.entries[key] = stripped
+	path := filepath.Join(t.TempDir(), "measurements.jsonl")
+	coldCache, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cache.mu.Unlock()
+	cold := runSweep(t, Options{Launch: quickLaunch(), Cache: coldCache})
+	if err := coldCache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Strip the Stability field from every line of the file, recreating
+	// the pre-field on-disk shape, and load it through OpenCache.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var e cacheEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(e.Measurement, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["Stability"]; !ok {
+			t.Fatalf("entry %s stored no Stability field", e.Key)
+		}
+		delete(fields, "Stability")
+		if e.Measurement, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		stripped, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(append(legacy, stripped...), '\n')
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	if cache.Len() != 4 {
+		t.Fatalf("pre-field cache loaded %d entries, want 4", cache.Len())
+	}
 
 	counters := telemetry.NewRegistry()
 	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Metrics: telemetry.NewMetrics(counters)})

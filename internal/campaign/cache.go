@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -118,21 +119,26 @@ type cacheEntry struct {
 	Measurement json.RawMessage `json:"measurement"`
 }
 
+// maxCacheLine caps one JSONL line of the backing file, newline excluded.
+// A longer line is skipped at load time like any corrupt one.
+const maxCacheLine = 16 << 20
+
 // Cache is a content-addressed measurement store: Key → Measurement,
 // optionally backed by an append-only JSONL file. Completed measurements
 // are flushed to disk as they land, so an interrupted campaign's cache is
 // a valid checkpoint and re-running the campaign resumes from it, skipping
 // every already-measured variant.
 //
-// Entries are held as raw JSON and decoded on every Get, so callers always
-// receive a private copy — and a cache hit is bit-identical to the cold
-// measurement, because Put canonicalizes the stored value through the same
-// encoding (see Put). Corrupted lines in the backing file (a torn write
-// from a killed process, stray garbage) are skipped at load time: a
-// corrupt entry degrades to a cache miss, never to an error.
+// Each entry is decoded once — at load time or by the Put that stored it —
+// and held as the canonical value decoded out of its stored encoding, so a
+// cache hit is bit-identical to the cold measurement (see Put). Get and Put
+// hand out deep copies the caller owns; the held values are never
+// mutated. Corrupted lines in the backing file (a torn write from a killed
+// process, stray garbage, a line over maxCacheLine) are skipped at load
+// time: a corrupt entry degrades to a cache miss, never to an error.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]json.RawMessage
+	entries map[string]*launcher.Measurement
 	file    *os.File // nil for a memory-only cache
 	// faults, when non-nil, injects deterministic failures at the store's
 	// I/O boundaries (see SetFaults).
@@ -154,12 +160,12 @@ func (c *Cache) SetFaults(in *faults.Injector) {
 // NewMemoryCache returns a cache with no backing file (useful for tests
 // and single-process warm reruns).
 func NewMemoryCache() *Cache {
-	return &Cache{entries: map[string]json.RawMessage{}}
+	return &Cache{entries: map[string]*launcher.Measurement{}}
 }
 
 // OpenCache opens (creating if needed) a JSONL-backed cache at path and
-// loads every well-formed entry. Malformed lines are tolerated and
-// skipped. The file is opened for appending, so every Put lands at the
+// loads every well-formed entry. Malformed or overlong lines are tolerated
+// and skipped. The file is opened for appending, so every Put lands at the
 // current end of file; a last line torn by a killed process (no trailing
 // newline) is terminated first, so the next entry starts on a line of its
 // own instead of being glued onto the torn one.
@@ -168,33 +174,59 @@ func OpenCache(path string) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{entries: map[string]json.RawMessage{}, file: f}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	c := &Cache{entries: map[string]*launcher.Measurement{}, file: f}
+	r := bufio.NewReaderSize(f, 64<<10)
+	var (
+		line    []byte
+		tooLong bool
+	)
+	for {
+		line, tooLong, err = readLine(r, line[:0])
+		if err != nil && err != io.EOF {
+			f.Close()
+			return nil, err
 		}
-		var e cacheEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || len(e.Measurement) == 0 {
-			continue // corrupt line: degrade to a miss
+		if !tooLong && len(line) > 0 {
+			var e cacheEntry
+			if json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Measurement) > 0 {
+				var m launcher.Measurement
+				if json.Unmarshal(e.Measurement, &m) == nil {
+					c.entries[e.Key] = &m
+				}
+			}
 		}
-		var m launcher.Measurement
-		if err := json.Unmarshal(e.Measurement, &m); err != nil {
-			continue
+		if err == io.EOF {
+			break
 		}
-		c.entries[e.Key] = append(json.RawMessage(nil), e.Measurement...)
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		f.Close()
-		return nil, err
 	}
 	if err := terminateTornTail(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// readLine appends the next line of r, without its newline, to buf. A line
+// longer than maxCacheLine is consumed whole but reported tooLong with its
+// bytes dropped, so loading continues at the following line. err is io.EOF
+// once r is exhausted (line then holds a final unterminated line, if any).
+func readLine(r *bufio.Reader, buf []byte) (line []byte, tooLong bool, err error) {
+	for {
+		var frag []byte
+		frag, err = r.ReadSlice('\n')
+		if err == nil {
+			frag = frag[:len(frag)-1]
+		}
+		if !tooLong && len(buf)+len(frag) > maxCacheLine {
+			tooLong, buf = true, buf[:0]
+		}
+		if !tooLong {
+			buf = append(buf, frag...)
+		}
+		if err != bufio.ErrBufferFull {
+			return buf, tooLong, err
+		}
+	}
 }
 
 // terminateTornTail appends a newline when the file is non-empty and does
@@ -222,11 +254,11 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Get returns the cached measurement for key, decoded into a fresh value
-// the caller owns, or (nil, false) on a miss.
+// Get returns a deep copy of the cached measurement for key, which the
+// caller owns and may mutate, or (nil, false) on a miss.
 func (c *Cache) Get(key string) (*launcher.Measurement, bool) {
 	c.mu.Lock()
-	raw, ok := c.entries[key]
+	m, ok := c.entries[key]
 	inj := c.faults
 	c.mu.Unlock()
 	if err := inj.Check(faults.PointCacheGet, key); err != nil {
@@ -235,20 +267,17 @@ func (c *Cache) Get(key string) (*launcher.Measurement, bool) {
 	if !ok {
 		return nil, false
 	}
-	var m launcher.Measurement
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, false
-	}
-	return &m, true
+	return m.Clone(), true
 }
 
 // Put stores a measurement under key, appending it to the backing file
 // when one is attached, and returns the canonicalized measurement — the
-// value decoded back out of the stored encoding. Callers should adopt the
-// returned value: it is what every future Get for this key yields, so cold
-// and cache-warm campaign results stay bit-identical by construction. A
-// measurement that does not survive the encoding (e.g. a NaN value) is
-// reported as an error and simply not cached.
+// value decoded back out of the stored encoding, as a copy the caller
+// owns. Callers should adopt the returned value: it is what every future
+// Get for this key yields, so cold and cache-warm campaign results stay
+// bit-identical by construction. A measurement that does not survive the
+// encoding (e.g. a NaN value) is reported as an error and simply not
+// cached.
 func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement, error) {
 	c.mu.Lock()
 	inj := c.faults
@@ -269,19 +298,20 @@ func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement,
 		return nil, err
 	}
 	line = append(line, '\n')
+	out := canon.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = raw
+	c.entries[key] = &canon
 	if err := inj.Check(faults.PointCacheCheckpoint, key); err != nil {
 		// The entry is live in memory; only the checkpoint write "failed".
-		return &canon, fmt.Errorf("campaign: cache append: %w", err)
+		return out, fmt.Errorf("campaign: cache append: %w", err)
 	}
 	if c.file != nil {
 		if _, err := c.file.Write(line); err != nil {
-			return &canon, fmt.Errorf("campaign: cache append: %w", err)
+			return out, fmt.Errorf("campaign: cache append: %w", err)
 		}
 	}
-	return &canon, nil
+	return out, nil
 }
 
 // Close releases the backing file (a no-op for memory caches).

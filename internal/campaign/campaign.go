@@ -599,8 +599,9 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 	// shared by the main pass and the adaptive top-up pass: consult the
 	// cache under keyOf's key, otherwise launch under the variant deadline
 	// and store the canonical encoding. bound is the variant's static bound
-	// in the report unit, stamped on the measurement (cache entries that
-	// predate the field are backfilled on a copy). A cancellation error
+	// in the report unit, stamped on the measurement (on a hit, on the
+	// caller-owned copy Get returns, so entries that predate the field
+	// are backfilled without touching the cache). A cancellation error
 	// propagates for the caller to discard; any other error is final.
 	measureOne := func(sp obs.Span, name string, kernel *isa.Program, lopts launcher.Options, keyOf func(*isa.Program) (string, error), bound float64) (m *launcher.Measurement, hit bool, attempts int, isQuarantined bool, err error) {
 		var key string
@@ -610,12 +611,10 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 				if cm, ok := opts.Cache.Get(key); ok {
 					sp.Child("cache.hit").End()
 					cnt.hits.Inc()
-					if bound > 0 && cm.StaticBound != bound {
-						// Copy before annotating: the cache's canonical
-						// measurement is shared across workers.
-						mc := *cm
-						mc.StaticBound = bound
-						cm = &mc
+					if bound > 0 {
+						// Get hands out a private copy, so stamping it
+						// leaves the cached entry untouched.
+						cm.StaticBound = bound
 					}
 					return cm, true, 0, false, nil
 				}

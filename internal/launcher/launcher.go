@@ -3,6 +3,7 @@ package launcher
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"microtools/internal/cpu"
@@ -70,6 +71,27 @@ type Measurement struct {
 	Counters *obs.Counters
 	// Energy is the §7 power-model estimate (nil unless requested).
 	Energy *power.Estimate
+}
+
+// Clone returns a deep copy of m that shares no memory with it. A nil
+// slice or pointer stays nil and an empty Arrays stays empty, so the copy
+// encodes byte-identically to the original.
+func (m *Measurement) Clone() *Measurement {
+	c := *m
+	c.Arrays = slices.Clone(m.Arrays)
+	if m.Adaptive != nil {
+		a := *m.Adaptive
+		c.Adaptive = &a
+	}
+	if m.Counters != nil {
+		k := *m.Counters
+		c.Counters = &k
+	}
+	if m.Energy != nil {
+		e := *m.Energy
+		c.Energy = &e
+	}
+	return &c
 }
 
 // NumArraysOf derives how many launcher-provided arrays a kernel consumes:
