@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-json bench-guard fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke
+.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-guard examples-smoke fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke
 
 # ci is the repository's verify command (see ROADMAP.md): formatting, vet,
 # the project-invariant linter, build, the full test suite under the race
@@ -11,8 +11,8 @@ GO ?= go
 # the measurement service (submit, shared cache, metrics, drain), a
 # fixed-vs-adaptive study comparison guarding the planner's savings and
 # ranking-preservation contract, and a fault-injected run that must match
-# the fault-free one bit for bit.
-ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke chaos-smoke
+# the fault-free one bit for bit, and a run of every example program.
+ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke chaos-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -46,24 +46,19 @@ fmt-check:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# HOT_BENCHES are the simulator hot-path benchmarks whose numbers this repo
-# tracks in BENCH_sim.json (see README): one repetition, the full launcher
-# protocol with telemetry off and on (the pair bounds instrumentation
-# overhead), the campaign sweep serial plus across worker counts, and the
-# cold-vs-warm cache campaign (the warm half is the all-hits path).
+# HOT_BENCHES are the simulator hot-path benchmarks that bench-smoke keeps
+# working (see README "Benchmark guards"): one repetition, variant
+# materialization, the full launcher protocol with telemetry off and on (the
+# pair bounds instrumentation overhead), the campaign sweep serial, adaptive
+# and across worker counts, the cold-vs-warm cache campaign (the warm half is
+# the all-hits path), the static analysis and the static screen. Timing
+# evidence comes from perfbench/, not from these.
 HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchtime=1x -benchmem .
-
-# bench-json measures the hot-path benchmarks and merges the numbers into
-# BENCH_sim.json under LABEL (default: local).
-LABEL ?= local
-bench-json:
-	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchmem . \
-		| $(GO) run ./cmd/benchjson -label '$(LABEL)' -o BENCH_sim.json
 
 # bench-guard runs the campaign sweep benchmark once and fails if its
 # allocs/op or B/op exceed the committed ceilings in bench_guard_allocs.txt
@@ -129,6 +124,15 @@ chaos-smoke:
 	echo "$$out"; \
 	echo "$$out" | grep -q 'bit-identical to the fault-free run' || { \
 		echo "chaos-smoke: no bit-identity line in the output"; exit 1; }
+
+# examples-smoke runs every program under examples/ — the root package's
+# only outside callers — and fails on the first non-zero exit.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		out="$$($(GO) run "./$$d" 2>&1)" || { \
+			echo "$$out"; echo "examples-smoke: $$d exited non-zero"; exit 1; }; \
+	done
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
 # regression in the parsers' error paths without stalling CI.

@@ -25,6 +25,7 @@ import (
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
+	"microtools/internal/obs"
 	"microtools/internal/sim"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
@@ -626,7 +627,7 @@ func BenchmarkLaunchTraced(b *testing.B) {
 	opts := obsLaunchOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts.Tracer = NewTracer()
+		opts.Tracer = obs.New()
 		if _, err := Launch(context.Background(), prog, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -649,13 +650,15 @@ func BenchmarkLaunchCounters(b *testing.B) {
 	}
 }
 
-// ---- hot-path simulator benchmarks (the BENCH_sim.json trajectory) ---------
+// ---- hot-path simulator benchmarks (the Makefile's HOT_BENCHES) -----------
 //
-// These three benchmarks are the repository's performance gate for the
-// measurement loop itself (make bench-json): the single-repetition simulator
-// path, the full launcher protocol, and a whole campaign sweep. They are
-// pprof-friendly (one op = one unit of real work, no per-op setup) and run
-// with -benchmem so allocation regressions fail review.
+// These benchmarks guard the measurement loop itself: the single-repetition
+// simulator path, the full launcher protocol, and whole campaign sweeps.
+// make bench-smoke runs each once in CI so they cannot rot, and make
+// bench-guard holds the sweep's allocation ceilings. They are pprof-friendly
+// (one op = one unit of real work, no per-op setup) and run with -benchmem
+// so allocation regressions fail review. Timing evidence for a speed claim
+// comes from perfbench/, not from single runs of these.
 
 // BenchmarkRunOne measures the simulate-one-repetition path: the same kernel
 // re-launched on the same machine, which is exactly the unit of work the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/token"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestBadFixtureTripsEveryRule(t *testing.T) {
 		"L006": 3,  // Background + TODO + misplaced exported ctx param
 		"L007": 1,  // %v-flattened cause (the %w forms are clean)
 		"L008": 2,  // expvar import + package-level atomic (struct field allowed)
-		"L009": 12, // RunParallel call + its comment, then one per deleted API: LaunchAll, LaunchAllProgress, LaunchErrors, ScreenTopKStatic, the analytic import, CounterSet, NewCounterSet, CounterSink, WithProgress, WithTracker
+		"L009": 14, // RunParallel call + its comment, then one per deleted API: LaunchAll, LaunchAllProgress, LaunchErrors, ScreenTopKStatic, the analytic import, CounterSet, NewCounterSet, CounterSink, WithProgress, WithTracker; then microtools.Run's call + its comment
 		"L010": 1,  // bare library panic (Must*/must*/init forms are clean)
 	}
 	got := map[string]int{}
@@ -38,8 +39,47 @@ func TestBadFixtureTripsEveryRule(t *testing.T) {
 			t.Errorf("rule %s: %d findings, want %d\nall: %v", rule, got[rule], n, ds)
 		}
 	}
-	if len(ds) != 2+1+1+1+2+3+1+2+12+1 {
-		t.Errorf("total findings %d, want 26: %v", len(ds), ds)
+	if len(ds) != 2+1+1+1+2+3+1+2+14+1 {
+		t.Errorf("total findings %d, want 28: %v", len(ds), ds)
+	}
+}
+
+// TestL009FacadeEntries: every qualified microtools.<Name> entry trips L009
+// once in each of its three forms — a selector on an import of the root
+// package, a top-level declaration in package microtools, and a comment
+// naming it — while the same name on another package, and a longer
+// identifier sharing its prefix, stay clean.
+func TestL009FacadeEntries(t *testing.T) {
+	if len(deletedFacade) == 0 {
+		t.Fatal("no qualified entries in deletedAPIs")
+	}
+	dir := t.TempDir()
+	lint := func(name, src string) []Diagnostic {
+		t.Helper()
+		path := filepath.Join(dir, name+".go")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return lintPath(t, path)
+	}
+	for name := range deletedFacade {
+		forms := map[string]string{
+			"selector": "package p\n\nimport \"microtools\"\n\nvar _ = microtools." + name + "\n",
+			"decl":     "package microtools\n\nvar " + name + " = 0\n",
+			"comment":  "package p\n\n// Use microtools." + name + " here.\nvar x = 0\n",
+		}
+		for form, src := range forms {
+			ds := lint(name+"_"+form, src)
+			if len(ds) != 1 || ds[0].Rule != "L009" {
+				t.Errorf("%s %s form: findings %v, want one L009", name, form, ds)
+			}
+		}
+		clean := "package p\n\nimport \"microtools/internal/core\"\n\n" +
+			"// core." + name + " and microtools." + name + "X are other names.\n" +
+			"var _ = core." + name + "\n"
+		if ds := lint(name+"_clean", clean); len(ds) != 0 {
+			t.Errorf("%s: unqualified or longer names flagged: %v", name, ds)
+		}
 	}
 }
 

@@ -36,7 +36,12 @@
 //	      (RunParallel, LaunchAll, LaunchAllProgress, LaunchErrors,
 //	      ScreenTopKStatic, the analytic package) may not reappear as
 //	      declarations, references, imports or lingering comment mentions —
-//	      docs and examples point at their replacements.
+//	      docs and examples point at their replacements. Entries of the
+//	      qualified form microtools.<Name> cover the root facade's deleted
+//	      re-exports, whose names stay live in the internal packages: they
+//	      match only selectors on an import of the root package, top-level
+//	      declarations in package microtools, and comments naming
+//	      microtools.<Name> literally.
 //	L010  no panic in library packages: libraries return errors and leave
 //	      the exit decision to the caller. The two conventional exceptions
 //	      are Must*/must* helpers (whose name announces the panic) and
@@ -728,9 +733,13 @@ func atomicTypeName(c *fileContext, e ast.Expr) (string, bool) {
 	return name, name != ""
 }
 
-// deletedAPIs is L009's table: each removed identifier with the
-// replacement its finding points readers at.
-var deletedAPIs = []struct{ name, use string }{
+// deletedAPIs is L009's table: each removed identifier (or space-separated
+// group of identifiers) with the replacement its finding points readers at.
+// A bare name is banned in every package; a facadePrefix-qualified name only
+// in its root-package forms (see checkDeletedAPIs), because the same
+// identifier is live API in an internal package (core.Vet, campaign.Run,
+// launcher.WithFunction).
+var deletedAPIs = []struct{ names, use string }{
 	{"RunParallel", "RunCampaign (campaign.Run) with Options.Workers"},
 	{"LaunchAll", "campaign.RunPrograms"},
 	{"LaunchAllProgress", "campaign.RunPrograms with an Options.Observers entry"},
@@ -741,29 +750,110 @@ var deletedAPIs = []struct{ name, use string }{
 	{"CounterSink", "telemetry.Registry.Counter"},
 	{"WithProgress", "campaign.WithObservers"},
 	{"WithTracker", "campaign.WithObservers(tracker.Begin(name))"},
+	{"microtools.Run", "microtools.RunCampaign"},
+	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
+	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},
+	{"microtools.Vet microtools.VetFile microtools.Diagnostic",
+		"GenerateOptions.Verify = VerifyCollect, or the microtools vet command"},
+	{"microtools.NewTracer microtools.Tracer microtools.Span", "the CLIs' -trace flag"},
+	{"microtools.Experiments microtools.Experiment", "microtools.RunExperiment (microtools -list names the ids)"},
+	{"microtools.Machines", "microtools.MachineByName"},
+	{"microtools.WriteMeasurements microtools.WriteMeasurementsCSV microtools.ReportFormat microtools.ReportCSV microtools.ReportJSON",
+		"the launcher CLI's -report flag"},
+	{"microtools.AnalyzeTable", "microtools.RankMeasurements, or microtools -experiment"},
+	{"microtools.EnergyEstimate", "Measurement.Energy"},
+	{"microtools.Counters", "Measurement.Counters"},
+	{"microtools.AdaptiveOutcome", "Measurement.Adaptive"},
+	{"microtools.CampaignObserver microtools.CampaignUpdate", "the CLIs' -v progress or -telemetry-addr"},
+	{"microtools.CampaignSetupError microtools.ErrNoVariants", "the error and counts RunCampaign returns"},
+	{"microtools.FaultPoints microtools.FaultError microtools.FaultClass microtools.FaultSite " +
+		"microtools.FaultTransient microtools.FaultPermanent microtools.ErrFaultInjected " +
+		"microtools.ErrFaultTransient microtools.ErrFaultPermanent",
+		"NewFaultInjector and the CampaignError's *VariantError records"},
+	{"microtools.PermanentFault microtools.IsPermanentFault microtools.IsTransientFault",
+		"microtools.TransientFault (unclassified errors are never retried)"},
+	{"microtools.NewLaunchOptions microtools.LaunchOption " +
+		"microtools.WithFunction microtools.WithMode microtools.WithMachine " +
+		"microtools.WithCoreFrequency microtools.WithPinCore microtools.WithCores " +
+		"microtools.WithSpreadSockets microtools.WithInterruptNoise microtools.WithVectors " +
+		"microtools.WithArrayBytes microtools.WithAlignments microtools.WithAlignWindow " +
+		"microtools.WithTrip microtools.WithExactTrip microtools.WithElementBytes " +
+		"microtools.WithReps microtools.WithWarmup microtools.WithCalibration " +
+		"microtools.WithStatistic microtools.WithMaxInstructions microtools.WithOMPOverheadScale " +
+		"microtools.WithOMPDynamic microtools.WithAdaptive microtools.WithAdaptiveTarget " +
+		"microtools.WithTimeUnit microtools.WithEnergy microtools.WithWholeCall " +
+		"microtools.WithVerbose microtools.WithTracer microtools.WithCounters microtools.WithFaults",
+		"DefaultLaunchOptions plus LaunchOptions field assignment"},
+	{"microtools.NewCampaignOptions microtools.CampaignOption " +
+		"microtools.WithCampaignLaunch microtools.WithCampaignAdaptive microtools.WithCampaignWorkers " +
+		"microtools.WithCampaignBuffer microtools.WithCampaignFailFast microtools.WithCampaignCache " +
+		"microtools.WithCampaignObservers microtools.WithCampaignTracer " +
+		"microtools.WithCampaignVariantDeadline microtools.WithCampaignRetryPolicy " +
+		"microtools.WithCampaignQuarantine microtools.WithCampaignFaults microtools.WithCampaignCheckBounds",
+		"a CampaignOptions literal"},
 }
+
+// facadePrefix marks a deletedAPIs name as a root-package facade name.
+const facadePrefix = "microtools."
+
+// deletedBare and deletedFacade index deletedAPIs by unqualified name: the
+// bare entries, and the facade entries with facadePrefix stripped.
+var deletedBare, deletedFacade = func() (map[string]string, map[string]string) {
+	bare, facade := map[string]string{}, map[string]string{}
+	for _, api := range deletedAPIs {
+		for _, name := range strings.Fields(api.names) {
+			if n, ok := strings.CutPrefix(name, facadePrefix); ok {
+				facade[n] = api.use
+			} else {
+				bare[name] = api.use
+			}
+		}
+	}
+	return bare, facade
+}()
 
 // deletedImports lists L009's removed packages with their replacements.
 var deletedImports = []struct{ path, use string }{
 	{"microtools/internal/analytic", "internal/dataflow (core.ScreenTopK for ranking)"},
 }
 
-// checkDeletedAPIs implements L009: every deletedAPIs entry stays deleted —
-// no plain function or type declaration, no reference (a bare call or any
-// selector, call or type position), no comment mentioning it — and no
-// deletedImports package is imported or mentioned. The linter's own
-// sources are exempt: the rule must be allowed to name what it bans.
+// checkDeletedAPIs implements L009: every bare deletedAPIs entry stays
+// deleted — no plain function or type declaration, no reference (a bare
+// call or any selector, call or type position), no comment mentioning it —
+// and no deletedImports package is imported or mentioned. A facade entry
+// matches a selector on an import of the root package, a top-level
+// declaration in package microtools, or a comment containing
+// microtools.<Name> as a whole identifier. The linter's own sources are
+// exempt: the rule must be allowed to name what it bans.
 func checkDeletedAPIs(c *fileContext) {
 	if strings.Contains(filepath.ToSlash(c.path), "cmd/microlint/") {
 		return
 	}
-	deleted := func(name string) (string, bool) {
-		for _, api := range deletedAPIs {
-			if api.name == name {
-				return api.use, true
+	reportFacade := func(id *ast.Ident) {
+		if use, ok := deletedFacade[id.Name]; ok {
+			c.report(id.Pos(), "L009", "%s%s was deleted: use %s", facadePrefix, id.Name, use)
+		}
+	}
+	if c.file.Name.Name == "microtools" {
+		for _, decl := range c.file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					reportFacade(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						reportFacade(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							reportFacade(id)
+						}
+					}
+				}
 			}
 		}
-		return "", false
 	}
 	for _, imp := range c.file.Imports {
 		for _, d := range deletedImports {
@@ -783,23 +873,39 @@ func checkDeletedAPIs(c *fileContext) {
 			id = n.Name
 		case *ast.SelectorExpr:
 			id = n.Sel
+			if x, ok := n.X.(*ast.Ident); ok && c.imports[x.Name] == "microtools" {
+				reportFacade(n.Sel)
+			}
 		case *ast.CallExpr:
 			id, _ = n.Fun.(*ast.Ident)
 		}
 		if id != nil {
-			if use, ok := deleted(id.Name); ok {
+			if use, ok := deletedBare[id.Name]; ok {
 				c.report(id.Pos(), "L009", "%s was deleted: use %s", id.Name, use)
 			}
 		}
 		return true
 	})
-	isIdent := func(r rune) bool { return r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) }
+	isIdent := func(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
+	isSep := func(r rune) bool { return !isIdent(r) }
 	for _, cg := range c.file.Comments {
 	comments:
 		for _, cm := range cg.List {
-			for _, word := range strings.FieldsFunc(cm.Text, isIdent) {
-				if use, ok := deleted(word); ok {
+			for _, word := range strings.FieldsFunc(cm.Text, isSep) {
+				if use, ok := deletedBare[word]; ok {
 					c.report(cm.Pos(), "L009", "comment still references the deleted %s: point readers at %s", word, use)
+					continue comments
+				}
+			}
+			for rest := cm.Text; ; {
+				i := strings.Index(rest, facadePrefix)
+				if i < 0 {
+					break
+				}
+				rest = rest[i+len(facadePrefix):]
+				name := rest[:len(rest)-len(strings.TrimLeftFunc(rest, isIdent))]
+				if use, ok := deletedFacade[name]; ok {
+					c.report(cm.Pos(), "L009", "comment still references the deleted %s%s: point readers at %s", facadePrefix, name, use)
 					continue comments
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"microtools/internal/core"
 	"microtools/internal/dataflow"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
@@ -50,7 +51,7 @@ func TestStaticBoundNeverExceedsSimulation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %s does not render: %v", path, p.Name, err)
 			}
-			kernel, err := LoadKernel(asmText, "")
+			kernel, err := core.LoadKernel(asmText, "")
 			if err != nil {
 				t.Fatalf("%s: %s does not reload: %v", path, p.Name, err)
 			}

@@ -68,26 +68,23 @@ func main() {
 	const machineName = "nehalem-dual/8"
 
 	// 1. MicroLauncher configuration: how each variant is measured.
-	opts := microtools.NewLaunchOptions(
-		microtools.WithMachine(machineName),
-		microtools.WithArrayBytes(2<<10), // the hotspot's working set: L1-resident
-		// Page-offset the destination away from the source: the launcher's
-		// alignment control avoids 4K store-load aliasing between the streams
-		// (the §5.2.2 effect — the ranking below is what remains once data
-		// placement is right).
-		microtools.WithAlignments(0, 2048),
-		microtools.WithReps(2, 2),
-		microtools.WithEnergy(),
-	)
+	opts := microtools.DefaultLaunchOptions()
+	opts.MachineName = machineName
+	opts.ArrayBytes = 2 << 10 // the hotspot's working set: L1-resident
+	// Page-offset the destination away from the source: the launcher's
+	// alignment control avoids 4K store-load aliasing between the streams
+	// (the §5.2.2 effect — the ranking below is what remains once data
+	// placement is right).
+	opts.Alignments = []int64{0, 2048}
+	opts.OuterReps, opts.InnerReps = 2, 2
+	opts.ReportEnergy = true
 
 	// 2. Campaign: MicroCreator expands the hotspot's variant space and the
 	// engine streams every variant straight into a measurement worker pool,
 	// with per-variant fault isolation.
 	res, err := microtools.RunCampaign(ctx, strings.NewReader(hotspotSpec),
 		microtools.GenerateOptions{},
-		microtools.NewCampaignOptions(
-			microtools.WithCampaignLaunch(opts),
-		))
+		microtools.CampaignOptions{Launch: opts})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,10 +52,9 @@ func main() {
 	fmt.Printf("MicroCreator generated %d variants\n\n", len(progs))
 
 	// MicroLauncher: run each variant over an L1-resident array.
-	opts := microtools.NewLaunchOptions(
-		microtools.WithMachine("nehalem-dual/8"),
-		microtools.WithArrayBytes(2<<10), // half the scaled L1
-	)
+	opts := microtools.DefaultLaunchOptions()
+	opts.MachineName = "nehalem-dual/8"
+	opts.ArrayBytes = 2 << 10 // half the scaled L1
 
 	fmt.Printf("%-18s %-12s %s\n", "variant", "cycles/iter", "cycles/load")
 	for _, p := range progs {

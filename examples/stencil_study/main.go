@@ -117,12 +117,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			opts := microtools.NewLaunchOptions(
-				microtools.WithMachine("nehalem-dual/8"),
-				microtools.WithArrayBytes(level.bytes),
-				microtools.WithMaxInstructions(100_000),
-				microtools.WithReps(2, 2),
-			)
+			opts := microtools.DefaultLaunchOptions()
+			opts.MachineName = "nehalem-dual/8"
+			opts.ArrayBytes = level.bytes
+			opts.MaxInstructions = 100_000
+			opts.OuterReps, opts.InnerReps = 2, 2
 			m, err := microtools.Launch(ctx, kernel, opts)
 			if err != nil {
 				log.Fatal(err)

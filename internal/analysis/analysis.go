@@ -17,60 +17,8 @@ import (
 	"microtools/internal/stats"
 )
 
-// Best returns the measurement with the smallest Value (time per iteration:
-// smaller is better). NaN values are skipped — a NaN in the first slot used
-// to poison the whole comparison chain (every `m.Value < NaN` is false) and
-// return the broken measurement as the "best". All-NaN input is an error.
-func Best(ms []*launcher.Measurement) (*launcher.Measurement, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("analysis: no measurements")
-	}
-	var best *launcher.Measurement
-	for _, m := range ms {
-		if math.IsNaN(m.Value) {
-			continue
-		}
-		if best == nil || m.Value < best.Value {
-			best = m
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("analysis: all %d measurements are NaN", len(ms))
-	}
-	return best, nil
-}
-
-// Worst returns the measurement with the largest Value, skipping NaN values
-// (see Best).
-func Worst(ms []*launcher.Measurement) (*launcher.Measurement, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("analysis: no measurements")
-	}
-	var worst *launcher.Measurement
-	for _, m := range ms {
-		if math.IsNaN(m.Value) {
-			continue
-		}
-		if worst == nil || m.Value > worst.Value {
-			worst = m
-		}
-	}
-	if worst == nil {
-		return nil, fmt.Errorf("analysis: all %d measurements are NaN", len(ms))
-	}
-	return worst, nil
-}
-
 // Ranking is a measurement set ordered best-first.
 type Ranking []*launcher.Measurement
-
-// Rank sorts measurements by Value ascending (stable, so generation order
-// breaks ties deterministically). NaN values sort last.
-func Rank(ms []*launcher.Measurement) Ranking {
-	out := append(Ranking(nil), ms...)
-	sort.SliceStable(out, func(i, j int) bool { return lessNaNLast(out[i].Value, out[j].Value) })
-	return out
-}
 
 // lessNaNLast orders float64s ascending with NaN after every number, giving
 // rankings a deterministic order even over broken measurements.

@@ -14,17 +14,12 @@ func meas(name string, v float64) *launcher.Measurement {
 	return &launcher.Measurement{Kernel: name, Value: v}
 }
 
+// TestBestWorstAndRank: a ranking's head is the best variant and its tail
+// the worst (per-iteration cost stands in when no per-element cost was
+// derived); Gain and Report summarize the spread.
 func TestBestWorstAndRank(t *testing.T) {
 	ms := []*launcher.Measurement{meas("a", 3), meas("b", 1), meas("c", 2)}
-	b, err := Best(ms)
-	if err != nil || b.Kernel != "b" {
-		t.Errorf("Best = %v, %v", b, err)
-	}
-	w, err := Worst(ms)
-	if err != nil || w.Kernel != "a" {
-		t.Errorf("Worst = %v, %v", w, err)
-	}
-	r := Rank(ms)
+	r := RankPerElement(ms)
 	if r[0].Kernel != "b" || r[2].Kernel != "a" {
 		t.Errorf("rank order wrong: %v", r)
 	}
@@ -35,11 +30,8 @@ func TestBestWorstAndRank(t *testing.T) {
 	if !strings.Contains(rep, "* b") || !strings.Contains(rep, "66.7%") {
 		t.Errorf("report:\n%s", rep)
 	}
-	if _, err := Best(nil); err == nil {
-		t.Error("empty Best accepted")
-	}
-	if _, err := Worst(nil); err == nil {
-		t.Error("empty Worst accepted")
+	if empty := RankPerElement(nil); len(empty) != 0 || empty.Gain() != 0 {
+		t.Errorf("empty ranking = %v, gain %v", empty, empty.Gain())
 	}
 }
 
@@ -124,8 +116,8 @@ func TestStudyReport(t *testing.T) {
 	}
 }
 
-// Property: Rank is a permutation (same multiset) and sorted ascending;
-// Best equals the first ranked element.
+// Property: RankPerElement keeps every measurement, sorts ascending, and
+// its head is the minimum.
 func TestPropertyRanking(t *testing.T) {
 	f := func(vals []uint16) bool {
 		if len(vals) == 0 {
@@ -135,7 +127,7 @@ func TestPropertyRanking(t *testing.T) {
 		for i, v := range vals {
 			ms = append(ms, meas(strings.Repeat("k", i%3+1), float64(v)))
 		}
-		r := Rank(ms)
+		r := RankPerElement(ms)
 		if len(r) != len(ms) {
 			return false
 		}
@@ -144,8 +136,12 @@ func TestPropertyRanking(t *testing.T) {
 				return false
 			}
 		}
-		b, err := Best(ms)
-		return err == nil && b.Value == r[0].Value
+		for _, m := range ms {
+			if m.Value < r[0].Value {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -174,30 +170,15 @@ func TestPropertyPlateausPartition(t *testing.T) {
 
 func TestBestWorstSkipNaN(t *testing.T) {
 	nan := math.NaN()
-	// A NaN in the first slot used to poison the comparison chain and be
-	// returned as the "best" measurement.
+	// A NaN in the first slot must not poison the comparison chain and rank
+	// as the best measurement.
 	ms := []*launcher.Measurement{meas("broken", nan), meas("a", 3), meas("b", 1)}
-	b, err := Best(ms)
-	if err != nil || b.Kernel != "b" {
-		t.Errorf("Best with leading NaN = %v, %v; want b", b, err)
+	r := RankPerElement(ms)
+	if r[0].Kernel != "b" || r[1].Kernel != "a" {
+		t.Errorf("best/worst measured variant with leading NaN = %s/%s; want b/a", r[0].Kernel, r[1].Kernel)
 	}
-	w, err := Worst(ms)
-	if err != nil || w.Kernel != "a" {
-		t.Errorf("Worst with leading NaN = %v, %v; want a", w, err)
-	}
-	if _, err := Best([]*launcher.Measurement{meas("x", nan)}); err == nil {
-		t.Error("all-NaN Best did not error")
-	}
-	if _, err := Worst([]*launcher.Measurement{meas("x", nan)}); err == nil {
-		t.Error("all-NaN Worst did not error")
-	}
-	r := Rank(ms)
 	if r[len(r)-1].Kernel != "broken" {
-		t.Errorf("Rank did not sort NaN last: %v", r)
-	}
-	rp := RankPerElement(ms)
-	if rp[len(rp)-1].Kernel != "broken" {
-		t.Errorf("RankPerElement did not sort NaN last: %v", rp)
+		t.Errorf("RankPerElement did not sort NaN last: %v", r)
 	}
 }
 

@@ -429,8 +429,3 @@ func countArrayPointers(k *ir.Kernel) int {
 	}
 	return n
 }
-
-// NumArrays reports the number of dynamically-allocated arrays the kernel
-// expects from the launcher (the paper's -nbvectors, derived automatically
-// here from the allocated argument registers).
-func NumArrays(k *ir.Kernel) int { return countArrayPointers(k) }

@@ -117,12 +117,6 @@ func TestCSourceShape(t *testing.T) {
 	}
 }
 
-func TestNumArrays(t *testing.T) {
-	if got := NumArrays(loweredKernel()); got != 1 {
-		t.Errorf("NumArrays = %d, want 1 (only %%rsi is a data pointer)", got)
-	}
-}
-
 func TestAbstractKernelRejected(t *testing.T) {
 	k := loweredKernel()
 	k.Body[0].Op = ""

@@ -67,18 +67,6 @@ const (
 	PointSimStep = "sim.step"
 )
 
-// Points lists the built-in injection points in execution-stack order.
-func Points() []string {
-	return []string{
-		PointCampaignLaunch,
-		PointCacheGet,
-		PointCachePut,
-		PointCacheCheckpoint,
-		PointLauncherRep,
-		PointSimStep,
-	}
-}
-
 // Class is a fault's retry semantics.
 type Class int
 
@@ -101,8 +89,8 @@ func (c Class) String() string {
 }
 
 // Sentinel errors for the errors.Is taxonomy. ErrInjected matches every
-// injector-produced fault; ErrTransient/ErrPermanent match by class (and
-// also match real errors wrapped via Transient/Permanent).
+// injector-produced fault; ErrTransient/ErrPermanent match by class
+// (ErrTransient also matches real errors wrapped via Transient).
 var (
 	ErrInjected  = errors.New("faults: injected fault")
 	ErrTransient = errors.New("faults: transient fault")
@@ -110,8 +98,7 @@ var (
 )
 
 // Error is one classified fault: either injected by an Injector (Err wraps
-// ErrInjected) or a real error wrapped into the taxonomy by Transient /
-// Permanent.
+// ErrInjected) or a real error wrapped into the taxonomy by Transient.
 type Error struct {
 	// Point is the injection point that produced the fault ("" for
 	// wrapped real errors).
@@ -157,22 +144,10 @@ func Transient(err error) error {
 	return &Error{Class: ClassTransient, Err: err}
 }
 
-// Permanent wraps a real error as a permanent fault: errors.Is(..,
-// ErrPermanent) holds and retry is skipped. A nil err returns nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &Error{Class: ClassPermanent, Err: err}
-}
-
 // IsTransient reports whether err is classified transient — the retry
 // policy's gate. Unclassified errors are NOT transient: a plain launcher
 // error (bad options, a malformed kernel) will not heal on retry.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
-// IsPermanent reports whether err is classified permanent.
-func IsPermanent(err error) bool { return errors.Is(err, ErrPermanent) }
 
 // Site is one faulting (point, key) pair an injector actually fired at.
 type Site struct {

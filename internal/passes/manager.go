@@ -143,10 +143,6 @@ func NewManager() *Manager {
 	return m
 }
 
-// NewEmptyManager returns a manager with no passes (for plugins that build
-// a custom pipeline from scratch).
-func NewEmptyManager() *Manager { return &Manager{} }
-
 // Passes returns the pass list in execution order.
 func (m *Manager) Passes() []*Pass { return append([]*Pass(nil), m.passes...) }
 

@@ -1,15 +1,18 @@
 package microtools
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
+
+	"microtools/internal/core"
+	"microtools/internal/experiments"
+	"microtools/internal/machine"
 )
 
 // TestFacadeEndToEnd exercises the whole public surface: generate the
-// paper's Fig. 6 family, launch a variant, render CSV, and consult the
-// experiment registry.
+// paper's Fig. 6 family, reload a variant from its assembly text, and
+// launch it.
 func TestFacadeEndToEnd(t *testing.T) {
 	progs, err := GenerateString(context.Background(), fig6Spec(), GenerateOptions{})
 	if err != nil {
@@ -23,7 +26,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel, err := LoadKernel(asmText, "")
+	kernel, err := core.LoadKernel(asmText, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,21 +39,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Value <= 0 {
+	if m.Value <= 0 || m.Kernel != progs[0].Name {
 		t.Errorf("measurement = %+v", m)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteMeasurementsCSV(&buf, []*Measurement{m}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), m.Kernel) {
-		t.Error("CSV missing kernel name")
 	}
 }
 
 func TestFacadeExperimentRegistry(t *testing.T) {
-	exps := Experiments()
+	exps := experiments.All()
 	if len(exps) < 13 {
 		t.Fatalf("registry has %d experiments", len(exps))
 	}
@@ -60,7 +55,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 }
 
 func TestFacadeMachines(t *testing.T) {
-	names := Machines()
+	names := machine.Names()
 	if len(names) != 3 {
 		t.Fatalf("machines = %v", names)
 	}
@@ -78,12 +73,12 @@ func TestFacadeRun(t *testing.T) {
 	opts.ArrayBytes = 4 << 10
 	opts.InnerReps = 1
 	opts.OuterReps = 1
-	ms, err := Run(context.Background(), strings.NewReader(spec), GenerateOptions{}, opts)
+	res, err := RunCampaign(context.Background(), strings.NewReader(spec), GenerateOptions{}, CampaignOptions{Launch: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// unroll 1..2 with swap-after: 2 + 4 = 6 variants.
-	if len(ms) != 6 {
+	if ms := res.Measurements(); len(ms) != 6 {
 		t.Fatalf("measured %d variants, want 6", len(ms))
 	}
 }

@@ -2,12 +2,12 @@
 // side of the paper's §3.3 plugin system ("The user can easily add, remove,
 // or modify a pass without recompiling the system"). Import this package
 // for its side effects to register all of them, or register individual
-// plugins with microtools.RegisterPlugin:
+// plugins with microtools.RegisterPlugin. Then name them in the generation
+// options of the library quick start (Example in the root package's
+// example_test.go):
 //
 //	import _ "microtools/plugins"
-//	progs, err := microtools.Generate(r, microtools.GenerateOptions{
-//	    Plugins: []string{"enable-schedule", "cap-variants-64"},
-//	})
+//	opts := microtools.GenerateOptions{Plugins: []string{"enable-schedule", "cap-variants-64"}}
 package plugins
 
 import (

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"microtools/internal/core"
 )
 
 // TestShippedSpecsGenerate ensures every XML description under specs/
@@ -46,7 +48,7 @@ func TestShippedSpecsGenerate(t *testing.T) {
 				t.Errorf("%s: %s does not render: %v", path, p.Name, err)
 				continue
 			}
-			if _, err := LoadKernel(asmText, ""); err != nil {
+			if _, err := core.LoadKernel(asmText, ""); err != nil {
 				t.Errorf("%s: %s does not reload: %v", path, p.Name, err)
 			}
 		}
