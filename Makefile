@@ -47,13 +47,14 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # HOT_BENCHES are the simulator hot-path benchmarks that bench-smoke keeps
-# working (see README "Benchmark guards"): one repetition, variant
+# working (see README "Benchmark guards"): the core's simulation speed, the
+# pooled machine's warm-up-and-reset cost, one repetition, variant
 # materialization, the full launcher protocol with telemetry off and on (the
 # pair bounds instrumentation overhead), the campaign sweep serial, adaptive
 # and across worker counts, the cold-vs-warm cache campaign (the warm half is
 # the all-hits path), the static analysis and the static screen. Timing
 # evidence comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.

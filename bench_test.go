@@ -696,6 +696,29 @@ func BenchmarkRunOne(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkMachineReset measures the fixed cost a pooled machine pays
+// between launches: warm three 16 KiB arrays through core 0's caches, as the
+// launcher's warm-up does, then Reset the machine to its freshly built
+// state. Reset clears only the cache sets the traffic filled.
+func BenchmarkMachineReset(b *testing.B) {
+	desc, err := machine.ByName("nehalem-dual/8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mach, err := sim.New(desc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a := uint64(0); a < 3; a++ {
+			mach.Touch(0, 0x10000000+a*0x10000, 16<<10)
+		}
+		mach.Reset()
+	}
+}
+
 // BenchmarkLauncherProtocol measures one full launch protocol (warm-up,
 // calibration, outer×inner repetitions) of a small streaming kernel on a
 // reused machine. The trip count is deliberately tiny so per-repetition

@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"microtools/internal/isa"
 )
@@ -256,13 +257,27 @@ func (c *Core) robSlot(dispatch int64, completion int64) int64 {
 		if oldest > dispatch {
 			dispatch = oldest
 		}
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = wrapInc(c.robHead, len(c.rob))
 		c.robCount--
 	}
-	tail := (c.robHead + c.robCount) % len(c.rob)
+	// robHead < len and robCount < len here, so one subtraction wraps.
+	tail := c.robHead + c.robCount
+	if tail >= len(c.rob) {
+		tail -= len(c.rob)
+	}
 	c.rob[tail] = completion
 	c.robCount++
 	return dispatch
+}
+
+// wrapInc advances ring index i (< n) by one, wrapping with a compare
+// rather than a divide.
+func wrapInc(i, n int) int {
+	i++
+	if i == n {
+		return 0
+	}
+	return i
 }
 
 // portPreference orders port candidates for multi-port µops: generic ALU
@@ -272,21 +287,27 @@ func (c *Core) robSlot(dispatch int64, completion int64) int64 {
 var portPreference = [...]isa.Port{isa.P5, isa.P0, isa.P1, isa.P2, isa.P3, isa.P4}
 
 // pickPort chooses the earliest-free allowed port (preference order breaks
-// ties), reserving it from start.
+// ties), reserving it from start. A single-port mask (loads, store address
+// and data, branches) has one candidate and skips the preference loop.
 func (c *Core) pickPort(mask isa.PortMask, earliest int64) (int64, error) {
 	best := isa.Port(255)
 	var bestFree int64
-	for _, p := range portPreference {
-		if !mask.Has(p) {
-			continue
+	if p := bits.TrailingZeros16(uint16(mask)); mask&(mask-1) == 0 && p < int(isa.NumPorts) {
+		best = isa.Port(p)
+		bestFree = c.portFree[p]
+	} else {
+		for _, p := range portPreference {
+			if !mask.Has(p) {
+				continue
+			}
+			if best == 255 || c.portFree[p] < bestFree {
+				best = p
+				bestFree = c.portFree[p]
+			}
 		}
-		if best == 255 || c.portFree[p] < bestFree {
-			best = p
-			bestFree = c.portFree[p]
+		if best == 255 {
+			return 0, fmt.Errorf("cpu: µop with empty port mask")
 		}
-	}
-	if best == 255 {
-		return 0, fmt.Errorf("cpu: µop with empty port mask")
 	}
 	start := earliest
 	if bestFree > start {
@@ -383,7 +404,7 @@ func (c *Core) stepInst() error {
 			}
 			completion = c.mem.Load(c.id, addr, width, start)
 			c.loadBuf[c.loadIdx] = completion
-			c.loadIdx = (c.loadIdx + 1) % len(c.loadBuf)
+			c.loadIdx = wrapInc(c.loadIdx, len(c.loadBuf))
 			loadReady = completion
 		case isa.RoleStoreData:
 			// Store buffer: the store retires into L1 asynchronously;
@@ -394,7 +415,7 @@ func (c *Core) stepInst() error {
 			}
 			drain := c.mem.Store(c.id, addr, width, start)
 			c.storeBuf[c.storeIdx] = drain
-			c.storeIdx = (c.storeIdx + 1) % len(c.storeBuf)
+			c.storeIdx = wrapInc(c.storeIdx, len(c.storeBuf))
 		}
 		dispatch := c.robSlot(slot, completion)
 		if dispatch > c.frontCycle {

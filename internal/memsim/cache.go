@@ -19,6 +19,13 @@ type cache struct {
 	stamp []int64
 	dirty []bool
 	tick  int64
+
+	// marked[set] records that the set has held a line since the last
+	// reset; touched lists the marked sets in marking order. Only a marked
+	// set can hold a non-zero ways, stamp or dirty slot, so reset clears
+	// just those and costs in proportion to what the launch filled.
+	marked  []bool
+	touched []int64
 }
 
 func newCache(cfg CacheConfig) *cache {
@@ -32,6 +39,8 @@ func newCache(cfg CacheConfig) *cache {
 		ways:     make([]uint64, sets*int64(cfg.Assoc)),
 		stamp:    make([]int64, sets*int64(cfg.Assoc)),
 		dirty:    make([]bool, sets*int64(cfg.Assoc)),
+		marked:   make([]bool, sets),
+		touched:  []int64{},
 	}
 	shift := uint(0)
 	for l := cfg.LineSize; l > 1; l >>= 1 {
@@ -55,13 +64,20 @@ func (c *cache) setOf(line uint64) int64 {
 // lookup probes for the line; on hit it refreshes LRU state (and optionally
 // marks the line dirty) and returns true.
 func (c *cache) lookup(line uint64, markDirty bool) bool {
-	base := c.setOf(line) * int64(c.cfg.Assoc)
-	for w := int64(0); w < int64(c.cfg.Assoc); w++ {
-		if c.ways[base+w] == line {
+	set := c.setOf(line)
+	assoc := int64(c.cfg.Assoc)
+	base := set * assoc
+	for w, l := range c.ways[base : base+assoc] {
+		if l == line {
+			if line == 0 {
+				// Line 0 matches an invalid way, so only its hits can
+				// touch a set no insert marked.
+				c.mark(set)
+			}
 			c.tick++
-			c.stamp[base+w] = c.tick
+			c.stamp[base+int64(w)] = c.tick
 			if markDirty {
-				c.dirty[base+w] = true
+				c.dirty[base+int64(w)] = true
 			}
 			return true
 		}
@@ -69,11 +85,20 @@ func (c *cache) lookup(line uint64, markDirty bool) bool {
 	return false
 }
 
+// mark records that set may hold state reset must clear.
+func (c *cache) mark(set int64) {
+	if !c.marked[set] {
+		c.marked[set] = true
+		c.touched = append(c.touched, set)
+	}
+}
+
 // contains probes without touching LRU state.
 func (c *cache) contains(line uint64) bool {
-	base := c.setOf(line) * int64(c.cfg.Assoc)
-	for w := int64(0); w < int64(c.cfg.Assoc); w++ {
-		if c.ways[base+w] == line {
+	assoc := int64(c.cfg.Assoc)
+	base := c.setOf(line) * assoc
+	for _, l := range c.ways[base : base+assoc] {
+		if l == line {
 			return true
 		}
 	}
@@ -82,35 +107,41 @@ func (c *cache) contains(line uint64) bool {
 
 // insert places a line, evicting the LRU way if needed. It returns the
 // evicted line and whether it was dirty (victim == 0 means no eviction).
+// One pass over the set refreshes the line if already present (e.g. a
+// racing prefetch), else fills the first free way, else replaces the first
+// way with the oldest stamp.
 func (c *cache) insert(line uint64, dirty bool) (victim uint64, victimDirty bool) {
-	base := c.setOf(line) * int64(c.cfg.Assoc)
-	// Already present (e.g. racing prefetch): refresh.
-	for w := int64(0); w < int64(c.cfg.Assoc); w++ {
-		if c.ways[base+w] == line {
+	set := c.setOf(line)
+	c.mark(set)
+	assoc := int64(c.cfg.Assoc)
+	base := set * assoc
+	ways := c.ways[base : base+assoc]
+	stamp := c.stamp[base : base+assoc]
+	free, lru := -1, 0
+	for w, l := range ways {
+		if l == line {
 			c.tick++
-			c.stamp[base+w] = c.tick
+			stamp[w] = c.tick
 			if dirty {
-				c.dirty[base+w] = true
+				c.dirty[base+int64(w)] = true
 			}
 			return 0, false
 		}
-	}
-	// Free way?
-	for w := int64(0); w < int64(c.cfg.Assoc); w++ {
-		if c.ways[base+w] == 0 {
-			c.fill(base+w, line, dirty)
-			return 0, false
-		}
-	}
-	// Evict LRU.
-	lru := base
-	for w := base + 1; w < base+int64(c.cfg.Assoc); w++ {
-		if c.stamp[w] < c.stamp[lru] {
+		if l == 0 {
+			if free < 0 {
+				free = w
+			}
+		} else if stamp[w] < stamp[lru] {
 			lru = w
 		}
 	}
-	victim, victimDirty = c.ways[lru], c.dirty[lru]
-	c.fill(lru, line, dirty)
+	if free >= 0 {
+		c.fill(base+int64(free), line, dirty)
+		return 0, false
+	}
+	slot := base + int64(lru)
+	victim, victimDirty = c.ways[slot], c.dirty[slot]
+	c.fill(slot, line, dirty)
 	return victim, victimDirty
 }
 
@@ -145,11 +176,18 @@ func (c *cache) flush() {
 }
 
 // reset returns the cache to its freshly built state: no valid lines and
-// the LRU clock at zero.
+// the LRU clock at zero. Only the sets marked since the last reset can
+// differ from that state, so only they are cleared.
 func (c *cache) reset() {
-	clear(c.ways)
-	clear(c.stamp)
-	clear(c.dirty)
+	assoc := int64(c.cfg.Assoc)
+	for _, set := range c.touched {
+		base := set * assoc
+		clear(c.ways[base : base+assoc])
+		clear(c.stamp[base : base+assoc])
+		clear(c.dirty[base : base+assoc])
+		c.marked[set] = false
+	}
+	c.touched = c.touched[:0]
 	c.tick = 0
 }
 

@@ -91,3 +91,64 @@ func TestResetAllocatesNothing(t *testing.T) {
 		t.Errorf("Reset allocated %.0f objects per call, want 0", n)
 	}
 }
+
+// ramTraffic streams 64 MiB through one core on each socket: far more than
+// the L3 holds, so every L3 set on both sockets fills and evicts, and the
+// sweep exercises the RAM path (row buffers, channel queues, writebacks of
+// the dirty lines the stores leave behind).
+func ramTraffic(s *System) {
+	cycle := int64(1)
+	for core := 0; core < s.NumCores(); core += s.cfg.CoresPerSocket {
+		base := uint64(0x10000000 * (core + 1))
+		for off := uint64(0); off < 64<<20; off += 64 {
+			if off%512 == 0 {
+				s.Store(core, base+off, 8, cycle)
+			}
+			cycle = s.Load(core, base+off, 8, cycle)
+		}
+	}
+}
+
+// TestResetAfterRAMTraffic covers the touched-set reset at its largest: with
+// every L3 set marked on both sockets, Reset must still give a system equal
+// to a fresh one that replays the traffic identically. A Reset on a
+// never-used system and a second Reset in a row must change nothing.
+func TestResetAfterRAMTraffic(t *testing.T) {
+	cfg := resetConfig()
+	s, err := NewSystem(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSystem(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	if !reflect.DeepEqual(s, fresh) {
+		t.Fatal("Reset changed a never-used system")
+	}
+
+	ramTraffic(s)
+	for i, sk := range s.socks {
+		if int64(len(sk.l3.touched)) != sk.l3.sets {
+			t.Fatalf("socket %d: traffic touched %d of %d L3 sets", i, len(sk.l3.touched), sk.l3.sets)
+		}
+	}
+	if s.Stats().Writebacks == 0 || s.Stats().RowMisses == 0 {
+		t.Fatalf("traffic did not reach RAM: %+v", s.Stats())
+	}
+	s.Reset()
+	if !reflect.DeepEqual(s, fresh) {
+		t.Fatal("reset system differs from a freshly built one")
+	}
+	s.Reset()
+	if !reflect.DeepEqual(s, fresh) {
+		t.Fatal("a second Reset changed the system")
+	}
+
+	ramTraffic(s)
+	ramTraffic(fresh)
+	if !reflect.DeepEqual(s, fresh) {
+		t.Fatal("reset system diverged from a fresh one under identical traffic")
+	}
+}

@@ -26,6 +26,9 @@ type coreState struct {
 	l2 *cache
 
 	mshr []inflight
+	// mshrMax bounds every ready cycle in mshr from above (the largest
+	// written since Reset), so a hit issued at or after it skips the scan.
+	mshrMax int64
 
 	// bankFree[b] is the next core cycle L1 bank b is free.
 	bankFree []int64
@@ -49,6 +52,9 @@ type coreState struct {
 	// accesses arriving before the fill completes wait for it.
 	l2fill [16]inflight
 	l2i    int
+	// l2fillMax bounds every ready cycle in l2fill from above, like
+	// mshrMax.
+	l2fillMax int64
 
 	// pfInflight is a ring of the streamer's in-flight fill completion
 	// times, bounding outstanding requests.
@@ -263,16 +269,21 @@ func (s *System) access(core int, addr uint64, size int, isWrite bool, issue int
 	// pays a reissue penalty — the classic "(dst-src) mod 4096 < 64"
 	// hazard between streams.
 	if !isWrite && s.cfg.AliasPenalty > 0 {
+		ls, window := uint64(s.cfg.L1.LineSize), s.cfg.AliasWindow
 		for i := range c.stores {
 			st := &c.stores[i]
+			// A match must pass every test, so their order only sets
+			// the cost: the page-offset test rejects most records.
+			if (addr-st.addr)&4095 >= ls {
+				continue
+			}
 			if st.cycle == 0 && st.addr == 0 {
 				continue
 			}
-			if issue-st.cycle > s.cfg.AliasWindow {
+			if issue-st.cycle > window {
 				continue
 			}
-			d := (addr - st.addr) & 4095
-			if d < uint64(s.cfg.L1.LineSize) && c.l1.lineOf(st.addr) != line {
+			if c.l1.lineOf(st.addr) != line {
 				s.stats.AliasStalls++
 				// The replay re-runs the load through the pipeline: it
 				// both delays this load and serializes against other
@@ -311,10 +322,13 @@ func (s *System) accessLine(core int, line uint64, isWrite bool, issue int64) in
 		s.stats.L1Hits++
 		ready := issue + l1Lat
 		// The line may still be in flight (filled speculatively at miss
-		// initiation): serve no earlier than the fill completes.
-		for i := range c.mshr {
-			if c.mshr[i].line == line && c.mshr[i].ready > ready {
-				ready = c.mshr[i].ready
+		// initiation): serve no earlier than the fill completes. No fill
+		// completes after mshrMax.
+		if c.mshrMax > ready {
+			for i := range c.mshr {
+				if c.mshr[i].line == line && c.mshr[i].ready > ready {
+					ready = c.mshr[i].ready
+				}
 			}
 		}
 		return ready
@@ -347,6 +361,9 @@ allocated:
 
 	fill := s.fetchFromL2(core, line, issue)
 	c.mshr[slot] = inflight{line: line, ready: fill}
+	if fill > c.mshrMax {
+		c.mshrMax = fill
+	}
 	s.insertL1(core, line, isWrite)
 
 	return fill
@@ -410,6 +427,9 @@ func (s *System) prefetchToL2(core int, line uint64, issue int64) {
 		c.pfIdx = (c.pfIdx + 1) % len(c.pfInflight)
 	}
 	c.l2fill[c.l2i] = inflight{line: line, ready: fill}
+	if fill > c.l2fillMax {
+		c.l2fillMax = fill
+	}
 	c.l2i = (c.l2i + 1) % len(c.l2fill)
 	victim, vDirty := c.l2.insert(line, false)
 	if victim != 0 && vDirty {
@@ -449,9 +469,11 @@ func (s *System) fetchFromL2(core int, line uint64, issue int64) int64 {
 		s.stats.L2Hits++
 		ready := start + int64(s.cfg.L2.Latency)
 		// The line may still be in flight from the streamer.
-		for i := range c.l2fill {
-			if c.l2fill[i].line == line && c.l2fill[i].ready > ready {
-				ready = c.l2fill[i].ready
+		if c.l2fillMax > ready {
+			for i := range c.l2fill {
+				if c.l2fill[i].line == line && c.l2fill[i].ready > ready {
+					ready = c.l2fill[i].ready
+				}
 			}
 		}
 		return ready
@@ -545,7 +567,8 @@ func (s *System) chargeChannel(sk *socketState, line uint64, at int64) {
 }
 
 // FlushCore empties a core's private caches (migration noise, or explicit
-// cold-cache runs).
+// cold-cache runs). It leaves mshrMax and l2fillMax: they stay upper
+// bounds on the cleared rings.
 func (s *System) FlushCore(core int) {
 	s.cores[core].l1.flush()
 	s.cores[core].l2.flush()
