@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"microtools/internal/isa"
 )
@@ -93,25 +94,18 @@ func (a *analysis) carriedDist(s isa.Reg, dist *[isa.NumRegs]float64) {
 			continue
 		}
 		best := negInf
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if a.reads[i].has(r) && dist[r] > best {
-				best = dist[r]
+		for rs := a.reads[i]; rs != 0; rs &= rs - 1 {
+			if d := dist[bits.TrailingZeros64(uint64(rs))]; d > best {
+				best = d
 			}
 		}
-		if best == negInf {
-			// This definition is independent of s: it kills the chain.
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if a.writes[i].has(r) {
-					dist[r] = negInf
-				}
-			}
-			continue
+		// A definition independent of s (best still -Inf) kills the chain.
+		d := negInf
+		if best != negInf {
+			d = best + a.defLat(i)
 		}
-		d := best + a.defLat(i)
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if a.writes[i].has(r) {
-				dist[r] = d
-			}
+		for ws := a.writes[i]; ws != 0; ws &= ws - 1 {
+			dist[bits.TrailingZeros64(uint64(ws))] = d
 		}
 	}
 }

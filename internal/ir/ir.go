@@ -369,23 +369,32 @@ func (k *Kernel) InductionFor(reg *Register) *Induction {
 	return nil
 }
 
+// regCopy pairs a source register with its clone.
+type regCopy struct{ src, dst *Register }
+
+// cloneReg returns the clone of r recorded in seen, copying r and recording
+// the pair on first sight. The scan is linear: kernels reference a handful
+// of distinct registers, so it beats a map's hashing and growth.
+func cloneReg(r *Register, seen []regCopy) (*Register, []regCopy) {
+	if r == nil {
+		return nil, seen
+	}
+	for _, p := range seen {
+		if p.src == r {
+			return p.dst, seen
+		}
+	}
+	c := new(Register)
+	*c = *r
+	return c, append(seen, regCopy{r, c})
+}
+
 // Clone deep-copies the kernel, preserving register identity within the
 // copy: operands and inductions that shared a *Register still share the
 // corresponding clone.
 func (k *Kernel) Clone() *Kernel {
-	regMap := map[*Register]*Register{}
-	cloneReg := func(r *Register) *Register {
-		if r == nil {
-			return nil
-		}
-		if c, ok := regMap[r]; ok {
-			return c
-		}
-		c := &Register{}
-		*c = *r
-		regMap[r] = c
-		return c
-	}
+	var buf [16]regCopy
+	seen := buf[:0]
 	nk := &Kernel{
 		BaseName:    k.BaseName,
 		Name:        k.Name,
@@ -409,7 +418,7 @@ func (k *Kernel) Clone() *Kernel {
 		ni.Operands = make([]Operand, len(in.Operands))
 		for j, o := range in.Operands {
 			no := o
-			no.Reg = cloneReg(o.Reg)
+			no.Reg, seen = cloneReg(o.Reg, seen)
 			no.ImmChoices = append([]int64(nil), o.ImmChoices...)
 			ni.Operands[j] = no
 		}
@@ -418,14 +427,14 @@ func (k *Kernel) Clone() *Kernel {
 	nk.Inductions = make([]Induction, len(k.Inductions))
 	for i, ind := range k.Inductions {
 		ni := ind
-		ni.Reg = cloneReg(ind.Reg)
-		ni.LinkedTo = cloneReg(ind.LinkedTo)
+		ni.Reg, seen = cloneReg(ind.Reg, seen)
+		ni.LinkedTo, seen = cloneReg(ind.LinkedTo, seen)
 		ni.IncrementChoices = append([]int64(nil), ind.IncrementChoices...)
 		nk.Inductions[i] = ni
 	}
 	nk.ZeroAtEntry = make([]*Register, len(k.ZeroAtEntry))
 	for i, r := range k.ZeroAtEntry {
-		nk.ZeroAtEntry[i] = cloneReg(r)
+		nk.ZeroAtEntry[i], seen = cloneReg(r, seen)
 	}
 	if k.Tags != nil {
 		nk.Tags = make(map[string]string, len(k.Tags))

@@ -24,14 +24,14 @@ func defaultPasses() []*Pass {
 	}
 	passes := []*Pass{
 		mk("validate", "check spec-level kernel invariants", passValidate),
-		mk("repeat-instructions", "expand per-instruction repetition ranges", passRepeat),
+		mk("repeat-instructions", "expand per-instruction repetition ranges", fanOut(repeatChildren)),
 		mk("random-select", "seeded random instruction selection", passRandomSelect),
-		mk("select-instructions", "expand move semantics into concrete opcodes", passSelectInstructions),
-		mk("select-strides", "one variant per induction stride choice", passSelectStrides),
-		mk("select-immediates", "one variant per immediate choice", passSelectImmediates),
-		mk("swap-before-unroll", "load/store operand swap before unrolling", passSwapBeforeUnroll),
+		mk("select-instructions", "expand move semantics into concrete opcodes", fanOut(moveChildren)),
+		mk("select-strides", "one variant per induction stride choice", fanOut(strideChildren)),
+		mk("select-immediates", "one variant per immediate choice", fanOut(immediateChildren)),
+		mk("swap-before-unroll", "load/store operand swap before unrolling", fanOut(swapBeforeChildren)),
 		mk("unroll", "unroll the kernel across the requested range", passUnroll),
-		mk("swap-after-unroll", "per-copy load/store operand swap", passSwapAfterUnroll),
+		mk("swap-after-unroll", "per-copy load/store operand swap", fanOut(swapAfterChildren)),
 		mk("rotate-registers", "assign rotating vector registers per copy", passRotateRegisters),
 		mk("allocate-registers", "map logical registers to physical ones", passAllocateRegisters),
 		mk("link-inductions", "scale induction increments by unroll and width", passLinkInductions),
@@ -58,13 +58,18 @@ func defaultPasses() []*Pass {
 }
 
 // expandAll repeatedly applies f to kernels until it reports no further
-// expansion (returns nil). Deterministic depth-first order.
+// expansion (returns nil). Deterministic depth-first order: a LIFO stack
+// that takes the inputs and each expansion's children in reverse, so the
+// first child is expanded next.
 func expandAll(ks []*ir.Kernel, f func(*ir.Kernel) ([]*ir.Kernel, error)) ([]*ir.Kernel, error) {
 	var out []*ir.Kernel
-	queue := append([]*ir.Kernel(nil), ks...)
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
+	stack := make([]*ir.Kernel, 0, len(ks))
+	for i := len(ks) - 1; i >= 0; i-- {
+		stack = append(stack, ks[i])
+	}
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		vs, err := f(k)
 		if err != nil {
 			return nil, err
@@ -76,12 +81,23 @@ func expandAll(ks []*ir.Kernel, f func(*ir.Kernel) ([]*ir.Kernel, error)) ([]*ir
 			}
 			continue
 		}
-		queue = append(append([]*ir.Kernel(nil), vs...), queue...)
-		if len(queue) > expansionLimit {
+		for i := len(vs) - 1; i >= 0; i-- {
+			stack = append(stack, vs[i])
+		}
+		if len(stack) > expansionLimit {
 			return nil, fmt.Errorf("variant explosion beyond %d kernels", expansionLimit)
 		}
 	}
 	return out, nil
+}
+
+// fanOut is the pass that expands every kernel through children, which
+// returns a kernel's variants at its first fan-out point, or nil when the
+// kernel has none left.
+func fanOut(children func(*ir.Kernel) ([]*ir.Kernel, error)) RunFunc {
+	return func(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
+		return expandAll(ks, children)
+	}
 }
 
 // cloneInstr deep-copies an instruction for duplication within the same
@@ -134,37 +150,35 @@ func passValidate(ctx *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 
 // ---- pass 2: repeat-instructions ------------------------------------------
 
-func passRepeat(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Body {
-			rep := k.Body[i].Repeat
-			if rep.Singleton() && rep.Min == 1 {
-				continue
-			}
-			var vs []*ir.Kernel
-			for c := rep.Min; c <= rep.Max; c++ {
-				v := k.Clone()
-				inst := v.Body[i]
-				inst.Repeat = ir.Range{Min: 1, Max: 1}
-				expanded := make([]ir.Instruction, 0, len(v.Body)+c-1)
-				expanded = append(expanded, v.Body[:i]...)
-				for j := 0; j < c; j++ {
-					ni := cloneInstr(inst)
-					// Each repetition is its own copy for register
-					// rotation, so repeated instructions draw distinct
-					// rotating registers (independent chains).
-					ni.Copy = j
-					expanded = append(expanded, ni)
-				}
-				expanded = append(expanded, v.Body[i+1:]...)
-				v.Body = expanded
-				v.Tag(fmt.Sprintf("rep%d", i), fmt.Sprintf("%d", c))
-				vs = append(vs, v)
-			}
-			return vs, nil
+func repeatChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Body {
+		rep := k.Body[i].Repeat
+		if rep.Singleton() && rep.Min == 1 {
+			continue
 		}
-		return nil, nil
-	})
+		var vs []*ir.Kernel
+		for c := rep.Min; c <= rep.Max; c++ {
+			v := k.Clone()
+			inst := v.Body[i]
+			inst.Repeat = ir.Range{Min: 1, Max: 1}
+			expanded := make([]ir.Instruction, 0, len(v.Body)+c-1)
+			expanded = append(expanded, v.Body[:i]...)
+			for j := 0; j < c; j++ {
+				ni := cloneInstr(inst)
+				// Each repetition is its own copy for register
+				// rotation, so repeated instructions draw distinct
+				// rotating registers (independent chains).
+				ni.Copy = j
+				expanded = append(expanded, ni)
+			}
+			expanded = append(expanded, v.Body[i+1:]...)
+			v.Body = expanded
+			v.Tag(fmt.Sprintf("rep%d", i), fmt.Sprintf("%d", c))
+			vs = append(vs, v)
+		}
+		return vs, nil
+	}
+	return nil, nil
 }
 
 // ---- pass 3: random-select -------------------------------------------------
@@ -243,76 +257,70 @@ func moveCandidates(mv *ir.MoveSemantics) ([]string, error) {
 	return out, nil
 }
 
-func passSelectInstructions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Body {
-			if k.Body[i].Move == nil {
-				continue
-			}
-			cands, err := moveCandidates(k.Body[i].Move)
-			if err != nil {
-				return nil, fmt.Errorf("kernel %q instruction %d: %w", k.BaseName, i, err)
-			}
-			var vs []*ir.Kernel
-			for _, op := range cands {
-				v := k.Clone()
-				v.Body[i].Op = op
-				v.Body[i].Move = nil
-				v.Tag(fmt.Sprintf("i%d", i), op)
-				vs = append(vs, v)
-			}
-			return vs, nil
+func moveChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Body {
+		if k.Body[i].Move == nil {
+			continue
 		}
-		return nil, nil
-	})
+		cands, err := moveCandidates(k.Body[i].Move)
+		if err != nil {
+			return nil, fmt.Errorf("kernel %q instruction %d: %w", k.BaseName, i, err)
+		}
+		var vs []*ir.Kernel
+		for _, op := range cands {
+			v := k.Clone()
+			v.Body[i].Op = op
+			v.Body[i].Move = nil
+			v.Tag(fmt.Sprintf("i%d", i), op)
+			vs = append(vs, v)
+		}
+		return vs, nil
+	}
+	return nil, nil
 }
 
 // ---- pass 5: select-strides -------------------------------------------------
 
-func passSelectStrides(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Inductions {
-			choices := k.Inductions[i].IncrementChoices
-			if len(choices) == 0 {
-				continue
-			}
-			var vs []*ir.Kernel
-			for _, c := range choices {
-				v := k.Clone()
-				v.Inductions[i].Increment = c
-				v.Inductions[i].IncrementChoices = nil
-				v.Tag(fmt.Sprintf("stride%d", i), fmt.Sprintf("%d", c))
-				vs = append(vs, v)
-			}
-			return vs, nil
+func strideChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Inductions {
+		choices := k.Inductions[i].IncrementChoices
+		if len(choices) == 0 {
+			continue
 		}
-		return nil, nil
-	})
+		var vs []*ir.Kernel
+		for _, c := range choices {
+			v := k.Clone()
+			v.Inductions[i].Increment = c
+			v.Inductions[i].IncrementChoices = nil
+			v.Tag(fmt.Sprintf("stride%d", i), fmt.Sprintf("%d", c))
+			vs = append(vs, v)
+		}
+		return vs, nil
+	}
+	return nil, nil
 }
 
 // ---- pass 6: select-immediates ----------------------------------------------
 
-func passSelectImmediates(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Body {
-			for j := range k.Body[i].Operands {
-				o := &k.Body[i].Operands[j]
-				if o.Kind != ir.ImmOperand || len(o.ImmChoices) == 0 {
-					continue
-				}
-				var vs []*ir.Kernel
-				for _, c := range o.ImmChoices {
-					v := k.Clone()
-					v.Body[i].Operands[j].Imm = c
-					v.Body[i].Operands[j].ImmChoices = nil
-					v.Tag(fmt.Sprintf("imm%d_%d", i, j), fmt.Sprintf("%d", c))
-					vs = append(vs, v)
-				}
-				return vs, nil
+func immediateChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Body {
+		for j := range k.Body[i].Operands {
+			o := &k.Body[i].Operands[j]
+			if o.Kind != ir.ImmOperand || len(o.ImmChoices) == 0 {
+				continue
 			}
+			var vs []*ir.Kernel
+			for _, c := range o.ImmChoices {
+				v := k.Clone()
+				v.Body[i].Operands[j].Imm = c
+				v.Body[i].Operands[j].ImmChoices = nil
+				v.Tag(fmt.Sprintf("imm%d_%d", i, j), fmt.Sprintf("%d", c))
+				vs = append(vs, v)
+			}
+			return vs, nil
 		}
-		return nil, nil
-	})
+	}
+	return nil, nil
 }
 
 // ---- passes 7 & 9: operand swaps ---------------------------------------------
@@ -331,43 +339,42 @@ func swapInstr(in *ir.Instruction) bool {
 	return false
 }
 
-func passSwapBeforeUnroll(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Body {
-			if !k.Body[i].SwapBeforeUnroll {
-				continue
-			}
-			orig := k.Clone()
-			orig.Body[i].SwapBeforeUnroll = false
-			swapped := k.Clone()
-			swapped.Body[i].SwapBeforeUnroll = false
-			if !swapInstr(&swapped.Body[i]) {
-				// Not swappable: keep only the original.
-				return []*ir.Kernel{orig}, nil
-			}
-			return []*ir.Kernel{orig, swapped}, nil
+// swapBeforeChildren clones both leaves: its input can be the caller's
+// spec-level kernel, which no pass may mutate.
+func swapBeforeChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Body {
+		if !k.Body[i].SwapBeforeUnroll {
+			continue
 		}
-		return nil, nil
-	})
+		orig := k.Clone()
+		orig.Body[i].SwapBeforeUnroll = false
+		swapped := k.Clone()
+		swapped.Body[i].SwapBeforeUnroll = false
+		if !swapInstr(&swapped.Body[i]) {
+			// Not swappable: keep only the original.
+			return []*ir.Kernel{orig}, nil
+		}
+		return []*ir.Kernel{orig, swapped}, nil
+	}
+	return nil, nil
 }
 
-func passSwapAfterUnroll(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
-	return expandAll(ks, func(k *ir.Kernel) ([]*ir.Kernel, error) {
-		for i := range k.Body {
-			if !k.Body[i].SwapAfterUnroll {
-				continue
-			}
-			orig := k.Clone()
-			orig.Body[i].SwapAfterUnroll = false
-			swapped := k.Clone()
-			swapped.Body[i].SwapAfterUnroll = false
-			if !swapInstr(&swapped.Body[i]) {
-				return []*ir.Kernel{orig}, nil
-			}
-			return []*ir.Kernel{orig, swapped}, nil
+// swapAfterChildren owns its inputs: each is a kernel the unroll pass
+// cloned for this run. So k itself becomes the unswapped leaf and only the
+// swapped leaf is a new clone, 2^u - 1 clones per unroll factor.
+func swapAfterChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
+	for i := range k.Body {
+		if !k.Body[i].SwapAfterUnroll {
+			continue
 		}
-		return nil, nil
-	})
+		k.Body[i].SwapAfterUnroll = false
+		swapped := k.Clone()
+		if !swapInstr(&swapped.Body[i]) {
+			return []*ir.Kernel{k}, nil
+		}
+		return []*ir.Kernel{k, swapped}, nil
+	}
+	return nil, nil
 }
 
 // ---- pass 8: unroll -----------------------------------------------------------
@@ -580,35 +587,38 @@ func passLinkInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 // update (e.g. Fig. 9's iteration counter) would clobber them.
 func passInsertInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	for _, k := range ks {
-		order := make([]*ir.Induction, 0, len(k.Inductions))
+		var orderBuf [8]*ir.Induction
+		order := orderBuf[:0]
 		var last *ir.Induction
 		for i := range k.Inductions {
 			if k.Inductions[i].Last {
 				last = &k.Inductions[i]
 				continue
 			}
-			order = append(order, &k.Inductions[i])
+			if k.Inductions[i].Increment != 0 {
+				order = append(order, &k.Inductions[i])
+			}
 		}
-		if last != nil {
+		if last != nil && last.Increment != 0 {
 			order = append(order, last)
 		}
-		for _, ind := range order {
-			if ind.Increment == 0 {
-				continue
-			}
+		if len(order) == 0 {
+			continue
+		}
+		body := make([]ir.Instruction, len(k.Body), len(k.Body)+len(order))
+		copy(body, k.Body)
+		operands := make([]ir.Operand, 2*len(order))
+		for j, ind := range order {
 			op, imm := "add", ind.Increment
 			if imm < 0 {
 				op, imm = "sub", -imm
 			}
-			k.Body = append(k.Body, ir.Instruction{
-				Op: op,
-				Operands: []ir.Operand{
-					{Kind: ir.ImmOperand, Imm: imm},
-					{Kind: ir.RegOperand, Reg: ind.Reg},
-				},
-				Repeat: ir.Range{Min: 1, Max: 1},
-			})
+			ops := operands[2*j : 2*j+2 : 2*j+2]
+			ops[0] = ir.Operand{Kind: ir.ImmOperand, Imm: imm}
+			ops[1] = ir.Operand{Kind: ir.RegOperand, Reg: ind.Reg}
+			body = append(body, ir.Instruction{Op: op, Operands: ops, Repeat: ir.Range{Min: 1, Max: 1}})
 		}
+		k.Body = body
 	}
 	return ks, nil
 }
@@ -724,6 +734,18 @@ func sanitizeSymbol(s string) string {
 	return b.String()
 }
 
+// isMemBase reports whether a memory operand of k addresses through reg.
+func isMemBase(k *ir.Kernel, reg *ir.Register) bool {
+	for i := range k.Body {
+		for _, o := range k.Body[i].Operands {
+			if o.Kind == ir.MemOperand && o.Reg == reg {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func passPrologue(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	seen := map[string]bool{}
 	var out []*ir.Kernel
@@ -733,17 +755,9 @@ func passPrologue(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		// them as a base) are iteration counters the launcher reads back
 		// (Fig. 9) and must start at zero.
 		k.ZeroAtEntry = nil
-		memBases := map[*ir.Register]bool{}
-		for i := range k.Body {
-			for _, o := range k.Body[i].Operands {
-				if o.Kind == ir.MemOperand {
-					memBases[o.Reg] = true
-				}
-			}
-		}
 		for i := range k.Inductions {
 			ind := &k.Inductions[i]
-			if !ind.Last && ind.Reg.Pinned && !memBases[ind.Reg] {
+			if !ind.Last && ind.Reg.Pinned && !isMemBase(k, ind.Reg) {
 				k.ZeroAtEntry = append(k.ZeroAtEntry, ind.Reg)
 			}
 		}

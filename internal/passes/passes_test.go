@@ -94,6 +94,22 @@ func TestFig6Produces510Variants(t *testing.T) {
 			t.Errorf("unroll %d: %d variants, want %d", u, perUnroll[u], 1<<u)
 		}
 	}
+	// Depth-first order: unroll ascending, then the swap choices with the
+	// first copy most significant and the load before the store
+	// (u1: L, S; u2: LL, LS, SL, SS; ...).
+	i := 0
+	for u := 1; u <= 8; u++ {
+		for m := 0; m < 1<<u; m++ {
+			pat := make([]byte, u)
+			for c := range pat {
+				pat[c] = "LS"[m>>(u-1-c)&1]
+			}
+			if want := fmt.Sprintf("loadstore_u%d_%s", u, pat); out[i].Name != want {
+				t.Fatalf("variant %d is %q, want %q", i, out[i].Name, want)
+			}
+			i++
+		}
+	}
 }
 
 // TestFig8GoldenOutput finds the u=3 store/load/store variant and checks the

@@ -5,6 +5,10 @@ import (
 	"microtools/internal/isa"
 )
 
+// nehalem is the Arch every dataflowRules call analyzes against. It is
+// shared read-only: decoding and analysis only read an Arch.
+var nehalem = isa.Nehalem()
+
 // dataflowRules runs the analysis-backed rules over a decoded program:
 // dead register writes (V009), redundant self moves (V010) and — when
 // opt.Recurrences asks for them — the loop-carried recurrence report
@@ -22,7 +26,7 @@ func dataflowRules(p *isa.Program, opt Options, add addFunc) {
 	if opt.Recurrences {
 		analyze = dataflow.Analyze
 	}
-	rep, err := analyze(p, isa.Nehalem())
+	rep, err := analyze(p, nehalem)
 	if err != nil {
 		// The program did not decode; the structural rules (V000/V001/
 		// V006) already explain why.
