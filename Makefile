@@ -52,9 +52,9 @@ bench:
 # materialization, the full launcher protocol with telemetry off and on (the
 # pair bounds instrumentation overhead), the campaign sweep serial, adaptive
 # and across worker counts, the cold-vs-warm cache campaign (the warm half is
-# the all-hits path), the static analysis and the static screen. Timing
-# evidence comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
+# the all-hits path), the static analysis, the static screen and the JSON
+# report encoding. Timing evidence comes from perfbench/, not from these.
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -67,20 +67,27 @@ bench-smoke:
 # regressions in the variant pipeline (or a return to building a fresh
 # simulated machine per launch) always do. It then runs the all-hits warm
 # campaign once against the allocs/op ceiling in bench_guard_warm_allocs.txt,
-# which a return to decoding every cache hit from JSON exceeds. Raise a
-# ceiling only with a justification in the same commit.
+# which a return to decoding every cache hit from JSON exceeds, and the
+# 510-variant JSON report encoding once against bench_guard_report_allocs.txt
+# (the appending encoder makes one allocation; a return to building the
+# report through encoding/json reflection costs ~12k). Raise a ceiling only
+# with a justification in the same commit.
 bench-guard:
 	@limit="$$(cat bench_guard_allocs.txt)"; \
 	blimit="$$(cat bench_guard_bytes.txt)"; \
 	wlimit="$$(cat bench_guard_warm_allocs.txt)"; \
+	rlimit="$$(cat bench_guard_report_allocs.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
 	wout="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaign$$/^warm$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	wallocs="$$(echo "$$wout" | awk '/^BenchmarkCampaign\/warm/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
+	rout="$$($(GO) test -run='^$$' -bench '^BenchmarkWriteReport$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
+	rallocs="$$(echo "$$rout" | awk '/^BenchmarkWriteReport/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
 	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
 	if [ -z "$$wallocs" ]; then echo "bench-guard: could not parse warm allocs/op"; exit 1; fi; \
+	if [ -z "$$rallocs" ]; then echo "bench-guard: could not parse report allocs/op"; exit 1; fi; \
 	if [ "$$allocs" -gt "$$limit" ]; then \
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
 		exit 1; \
@@ -93,7 +100,11 @@ bench-guard:
 		echo "bench-guard: BenchmarkCampaign/warm allocated $$wallocs objs/op, ceiling is $$wlimit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit"
+	if [ "$$rallocs" -gt "$$rlimit" ]; then \
+		echo "bench-guard: BenchmarkWriteReport allocated $$rallocs objs/op, ceiling is $$rlimit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the
@@ -141,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xmlspec
 	$(GO) test -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=10s ./internal/asm
 	$(GO) test -run='^$$' -fuzz=FuzzValidate -fuzztime=10s ./internal/launcher
+	$(GO) test -run='^$$' -fuzz=FuzzReportJSON -fuzztime=10s ./internal/launcher
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=10s ./internal/dataflow
 
 # analyze-smoke runs the static dataflow analysis over every variant of every

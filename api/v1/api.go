@@ -14,6 +14,8 @@ package api
 import (
 	"encoding/json"
 	"math"
+	"reflect"
+	"strconv"
 )
 
 // SchemaVersion identifies this revision of the v1 wire contract. Servers
@@ -225,9 +227,10 @@ type Stability struct {
 	StopReason string `json:"stop_reason,omitempty"`
 }
 
-// stabilityWire is Stability's JSON shape: rciw rides a pointer so the
-// degenerate +Inf (rejected by encoding/json) crosses the wire as null
-// while finite values keep their exact historical encoding.
+// stabilityWire is Stability's JSON shape, decoded by UnmarshalJSON: rciw
+// rides a pointer so the degenerate +Inf (rejected by encoding/json)
+// crosses the wire as null while finite values keep their exact
+// historical encoding.
 type stabilityWire struct {
 	N            int      `json:"n"`
 	Mean         float64  `json:"mean"`
@@ -240,18 +243,81 @@ type stabilityWire struct {
 }
 
 // MarshalJSON encodes a non-finite RCIW as null; finite values encode
-// exactly as the plain struct always did.
+// exactly as the plain struct always did, and a non-finite mean, cv or
+// target_rciw fails with encoding/json's UnsupportedValueError. Every
+// variant of every result document passes through here, so the bytes are
+// appended directly; they match json.Marshal of stabilityWire exactly
+// (the test oracle).
 func (s Stability) MarshalJSON() ([]byte, error) {
-	w := stabilityWire{
-		N: s.N, Mean: s.Mean, CV: s.CV,
-		TargetRCIW: s.TargetRCIW, MissedTarget: s.MissedTarget,
-		Reps: s.Reps, StopReason: s.StopReason,
+	b := make([]byte, 0, 96+len(s.StopReason))
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(s.N), 10)
+	var err error
+	if b, err = appendFloat(append(b, `,"mean":`...), s.Mean); err != nil {
+		return nil, err
 	}
-	if !math.IsInf(s.RCIW, 0) && !math.IsNaN(s.RCIW) {
-		r := s.RCIW
-		w.RCIW = &r
+	if b, err = appendFloat(append(b, `,"cv":`...), s.CV); err != nil {
+		return nil, err
 	}
-	return json.Marshal(w)
+	b = append(b, `,"rciw":`...)
+	if math.IsInf(s.RCIW, 0) || math.IsNaN(s.RCIW) {
+		b = append(b, "null"...)
+	} else if b, err = appendFloat(b, s.RCIW); err != nil {
+		return nil, err
+	}
+	if s.TargetRCIW != 0 {
+		if b, err = appendFloat(append(b, `,"target_rciw":`...), s.TargetRCIW); err != nil {
+			return nil, err
+		}
+	}
+	if s.MissedTarget {
+		b = append(b, `,"missed_target":true`...)
+	}
+	if s.Reps != 0 {
+		b = strconv.AppendInt(append(b, `,"reps":`...), int64(s.Reps), 10)
+	}
+	if s.StopReason != "" {
+		b = appendString(append(b, `,"stop_reason":`...), s.StopReason)
+	}
+	return append(b, '}'), nil
+}
+
+// appendFloat appends f in encoding/json's float64 format: the shortest
+// 'f' form, or 'e' outside [1e-6, 1e21) with a one-digit negative
+// exponent trimmed to e-7 rather than e-07. A non-finite f fails as it
+// does in encoding/json.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendString appends s as a JSON string: as-is when encoding/json would
+// copy it verbatim, through json.Marshal otherwise (HTML escaping, control
+// bytes, invalid UTF-8). The launcher's report applies the same rule; this
+// package imports nothing from internal/, so it keeps its own copy.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON decodes a null (or absent) rciw back to +Inf.

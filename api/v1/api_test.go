@@ -2,6 +2,8 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,6 +119,72 @@ func TestExplicitTagsEverywhere(t *testing.T) {
 			if f.Tag.Get("json") == "" {
 				t.Errorf("%s.%s lacks an explicit json tag", rt.Name(), f.Name)
 			}
+		}
+	}
+}
+
+// referenceStability is the nested encoding Stability.MarshalJSON
+// replaced: the stabilityWire struct through json.Marshal.
+func referenceStability(s Stability) ([]byte, error) {
+	w := stabilityWire{
+		N: s.N, Mean: s.Mean, CV: s.CV,
+		TargetRCIW: s.TargetRCIW, MissedTarget: s.MissedTarget,
+		Reps: s.Reps, StopReason: s.StopReason,
+	}
+	if !math.IsInf(s.RCIW, 0) && !math.IsNaN(s.RCIW) {
+		r := s.RCIW
+		w.RCIW = &r
+	}
+	return json.Marshal(w)
+}
+
+// TestStabilityMarshalMatchesReference pins the appended encoding to the
+// reference byte for byte — tiny, huge, negative and exponent-boundary
+// floats, a null RCIW, every omitempty field — and pins the error on a
+// non-finite mean, cv or target.
+func TestStabilityMarshalMatchesReference(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.02, 12.5, -3.75, 1e-6, 9.99e-7, 1e-7,
+		-1.5e-9, 5e-324, 1e20, 1e21, -1e21, 123456789012345678, math.MaxFloat64,
+		-math.MaxFloat64, 1.0 / 3, 2.5e-300,
+	}
+	var cases []Stability
+	for i, f := range floats {
+		g := floats[(i+7)%len(floats)]
+		cases = append(cases,
+			Stability{N: i, Mean: f, CV: g, RCIW: f},
+			Stability{N: -i, Mean: g, CV: f, RCIW: math.Inf(1), TargetRCIW: f},
+			Stability{N: 3, Mean: f, CV: f, RCIW: math.Inf(-1), TargetRCIW: g,
+				MissedTarget: true, Reps: i - 5, StopReason: "budget"},
+			Stability{Mean: f, RCIW: math.NaN(), MissedTarget: i%2 == 0, Reps: i},
+		)
+	}
+	for _, reason := range []string{"target", "a<b>&c", `q"\`, "nl\n\x00", "ünï", "bad\xff", "sep\u2028"} {
+		cases = append(cases, Stability{N: 2, Mean: 1, RCIW: 0.5, StopReason: reason})
+	}
+	for _, s := range cases {
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		want, err := referenceStability(s)
+		if err != nil {
+			t.Fatalf("%+v: reference: %v", s, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%+v:\n got %s\nwant %s", s, got, want)
+		}
+	}
+	for _, s := range []Stability{
+		{N: 2, Mean: math.NaN(), RCIW: 1},
+		{N: 2, Mean: 1, CV: math.Inf(1)},
+		{N: 2, Mean: 1, CV: 0.5, TargetRCIW: math.Inf(-1)},
+	} {
+		_, err := s.MarshalJSON()
+		_, wantErr := referenceStability(s)
+		var got, want *json.UnsupportedValueError
+		if !errors.As(err, &got) || !errors.As(wantErr, &want) || got.Error() != want.Error() {
+			t.Errorf("%+v: error %v, want %v", s, err, wantErr)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package microtools
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"slices"
@@ -803,6 +804,35 @@ func BenchmarkCampaignSweep(b *testing.B) {
 		}
 		if res.Launches != 510 {
 			b.Fatalf("sweep launched %d variants, want 510", res.Launches)
+		}
+	}
+}
+
+// BenchmarkWriteReport encodes the JSON report of the 510-variant family,
+// measured once outside the timer with the static bound checked: the
+// reporting layer that ends every study and every served job. make
+// bench-guard holds its allocs/op under bench_guard_report_allocs.txt.
+func BenchmarkWriteReport(b *testing.B) {
+	launch := DefaultLaunchOptions()
+	launch.MachineName = "nehalem-dual/8"
+	launch.ArrayBytes = 1 << 12
+	launch.InnerReps = 1
+	launch.OuterReps = 2
+	launch.MaxInstructions = 2_000
+	res, err := RunCampaign(context.Background(), strings.NewReader(fig6Spec()), GenerateOptions{},
+		CampaignOptions{Launch: launch, Workers: 4, CheckBounds: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms := res.Measurements()
+	if len(ms) != 510 {
+		b.Fatalf("report covers %d variants, want 510", len(ms))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := launcher.WriteReport(io.Discard, launcher.ReportJSON, ms); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -112,7 +112,8 @@ func TCrit95(df int) float64 {
 // sentinel: fewer than two repetitions admit no interval estimate, and a
 // zero mean admits no relative one. +Inf orders correctly against any
 // finite target (never "stable enough") and the JSON boundaries render it
-// null (jsonFloat in reports, the Stability codec in caches and the API).
+// null (launcher.WriteJSON in reports, the Stability codec in caches and
+// the API).
 func (s Summary) RCIW() float64 {
 	if s.N < 2 || s.Mean == 0 {
 		return math.Inf(1)

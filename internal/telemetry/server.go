@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -195,11 +196,14 @@ func WriteSSE(w io.Writer, kind string, seq int64, payload any) error {
 	if err != nil {
 		return err
 	}
+	// One buffer, one Write: a served job streams a frame per variant.
+	frame := make([]byte, 0, len(data)+len(kind)+40)
 	if seq > 0 {
-		if _, err := fmt.Fprintf(w, "id: %d\n", seq); err != nil {
-			return err
-		}
+		frame = strconv.AppendInt(append(frame, "id: "...), seq, 10)
+		frame = append(frame, '\n')
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", kind, data)
+	frame = append(append(frame, "event: "...), kind...)
+	frame = append(append(frame, "\ndata: "...), data...)
+	_, err = w.Write(append(frame, "\n\n"...))
 	return err
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -198,5 +199,43 @@ func TestServerEventsStream(t *testing.T) {
 	}
 	if !cs.Finished {
 		t.Error("final end event snapshot not marked finished")
+	}
+}
+
+// countingWriter records each Write call separately.
+type countingWriter struct{ writes []string }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, string(p))
+	return len(p), nil
+}
+
+// TestWriteSSEFrame pins the SSE framing byte for byte against the
+// historical two-Fprintf rendering, and checks a frame is a single Write.
+func TestWriteSSEFrame(t *testing.T) {
+	payload := map[string]any{"seq": 7, "html": "<a&b>", "name": "k_u1"}
+	data, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind string
+		seq  int64
+	}{{"progress", 1}, {"end", 514}, {"snapshot", 0}, {"x", -3}, {"started", 1 << 62}} {
+		var want strings.Builder
+		if tc.seq > 0 {
+			fmt.Fprintf(&want, "id: %d\n", tc.seq)
+		}
+		fmt.Fprintf(&want, "event: %s\ndata: %s\n\n", tc.kind, data)
+		var w countingWriter
+		if err := WriteSSE(&w, tc.kind, tc.seq, payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.writes) != 1 || w.writes[0] != want.String() {
+			t.Errorf("WriteSSE(%q, %d) wrote %q, want one write of %q", tc.kind, tc.seq, w.writes, want.String())
+		}
+	}
+	if err := WriteSSE(io.Discard, "bad", 1, func() {}); err == nil {
+		t.Error("WriteSSE accepted an unencodable payload")
 	}
 }

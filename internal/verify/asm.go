@@ -71,12 +71,14 @@ func Program(p *isa.Program, name string, opt Options) Diagnostics {
 	// (without index registers) for the stride check below; 0 = unused.
 	var alignedBases [isa.NumRegs]int64
 	hasRet := false
+	var sigBuf [4]byte
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		if in.Op == isa.RET {
 			hasRet = true
 		}
-		checkForm(in.Op, asmSignature(in), asmSignatureKnown(in), i, add)
+		sig, known := asmSignature(in, sigBuf[:])
+		checkForm(in.Op, string(sig), known, i, add)
 		for j := 0; j < in.NOps; j++ {
 			o := in.Operand(j)
 			if o.Kind != isa.MemOperand {
@@ -180,33 +182,30 @@ func checkBranch(p *isa.Program, i int, add addFunc) {
 	}
 }
 
-// asmSignature maps a decoded instruction's operands to a form signature.
-func asmSignature(in *isa.Inst) string {
-	sig := make([]byte, 0, in.NOps)
+// asmSignature writes a decoded instruction's form signature into buf and
+// reports whether every operand class is known (an unknown one is '?').
+// The caller's buffer keeps the per-instruction signature off the heap.
+func asmSignature(in *isa.Inst, buf []byte) (sig []byte, known bool) {
+	sig, known = buf[:0], true
 	for j := 0; j < in.NOps; j++ {
+		c := byte('?')
 		switch o := in.Operand(j); o.Kind {
 		case isa.ImmOperand:
-			sig = append(sig, 'i')
+			c = 'i'
 		case isa.MemOperand:
-			sig = append(sig, 'm')
+			c = 'm'
 		case isa.LabelOperand:
-			sig = append(sig, 'l')
+			c = 'l'
 		case isa.RegOperand:
 			switch {
 			case o.Reg.IsXMM():
-				sig = append(sig, 'x')
+				c = 'x'
 			case o.Reg.IsGPR():
-				sig = append(sig, 'r')
-			default:
-				sig = append(sig, '?')
+				c = 'r'
 			}
-		default:
-			sig = append(sig, '?')
 		}
+		known = known && c != '?'
+		sig = append(sig, c)
 	}
-	return string(sig)
-}
-
-func asmSignatureKnown(in *isa.Inst) bool {
-	return !strings.Contains(asmSignature(in), "?")
+	return sig, known
 }

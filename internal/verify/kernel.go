@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -302,14 +303,11 @@ func checkKernelInductions(k *ir.Kernel, regs []*ir.Register, add addFunc) {
 		return // copy indices were customized; cannot reconstruct copies
 	}
 	width := (maxCopy + 1) / k.Unroll
-	// Per induction base, offsets grouped by unrolled-copy index. A short
-	// linear-scanned slice, not nested maps: the rule runs per variant and
-	// kernels touch only a handful of base registers.
-	type copyOffsets struct {
-		base   *ir.Register
-		byCopy [][]int64
-	}
-	var bos []copyOffsets
+	// Every access through an induction base, in one flat buffer sorted
+	// by (base, copy, offset): the rule runs per variant, so it must not
+	// allocate per base or per copy.
+	var buf [32]inductionAccess
+	accs := buf[:0]
 	for i := range k.Body {
 		for _, o := range k.Body[i].Operands {
 			if o.Kind != ir.MemOperand {
@@ -319,65 +317,77 @@ func checkKernelInductions(k *ir.Kernel, regs []*ir.Register, add addFunc) {
 			if ind == nil {
 				continue
 			}
+			base := slices.Index(regs, o.Reg)
+			if base < 0 {
+				continue
+			}
 			uc := k.Body[i].Copy / width
-			var co *copyOffsets
-			for j := range bos {
-				if bos[j].base == o.Reg {
-					co = &bos[j]
-					break
-				}
-			}
-			if co == nil {
-				bos = append(bos, copyOffsets{base: o.Reg, byCopy: make([][]int64, k.Unroll)})
-				co = &bos[len(bos)-1]
-			}
-			co.byCopy[uc] = append(co.byCopy[uc], o.Offset-int64(uc)*ind.Offset)
+			accs = append(accs, inductionAccess{base, uc, o.Offset - int64(uc)*ind.Offset})
 		}
 	}
-	for _, base := range regs { // deterministic first-use order
-		var co *copyOffsets
-		for j := range bos {
-			if bos[j].base == base {
-				co = &bos[j]
-				break
-			}
+	slices.SortFunc(accs, func(a, b inductionAccess) int {
+		if c := cmp.Compare(a.base, b.base); c != 0 {
+			return c
 		}
-		if co == nil {
-			continue
+		if c := cmp.Compare(a.copy, b.copy); c != 0 {
+			return c
 		}
-		// Compare every copy that has accesses against the first such copy;
-		// copies are naturally in increasing index order here.
-		refUC := -1
-		var ref []int64
-		for uc, offs := range co.byCopy {
-			if len(offs) == 0 {
-				continue
-			}
-			slices.Sort(offs)
-			if refUC < 0 {
-				refUC, ref = uc, offs
-				continue
-			}
-			if !int64SlicesEqual(ref, offs) {
+		return cmp.Compare(a.off, b.off)
+	})
+	// run returns the end of the run starting at i that shares its base
+	// (and, with sameCopy, its copy).
+	run := func(i int, sameCopy bool) int {
+		j := i + 1
+		for j < len(accs) && accs[j].base == accs[i].base && (!sameCopy || accs[j].copy == accs[i].copy) {
+			j++
+		}
+		return j
+	}
+	for i := 0; i < len(accs); {
+		baseEnd := run(i, false)
+		// Compare every copy that has accesses against the first such copy.
+		ref := accs[i:run(i, true)]
+		for j := i + len(ref); j < baseEnd; {
+			cp := accs[j:run(j, true)]
+			if !sameOffsets(ref, cp) {
 				add(RuleInduction, SeverityError, -1,
 					"accesses through %s are inconsistent across unrolled copies: copy %d covers offsets %v, copy %d covers %v (normalized by the per-copy offset)",
-					regName(base), refUC, ref, uc, offs)
+					regName(regs[ref[0].base]), ref[0].copy, offsetsOf(ref), cp[0].copy, offsetsOf(cp))
 				break
 			}
+			j += len(cp)
 		}
+		i = baseEnd
 	}
 }
 
-func int64SlicesEqual(a, b []int64) bool {
+// inductionAccess is one memory access through an induction base: the
+// base's first-use position in the kernel's register list, the access's
+// unrolled-copy index, and its offset normalized by the per-copy shift.
+type inductionAccess struct {
+	base, copy int
+	off        int64
+}
+
+func sameOffsets(a, b []inductionAccess) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].off != b[i].off {
 			return false
 		}
 	}
 	return true
+}
+
+// offsetsOf lists a copy's sorted offsets for a diagnostic.
+func offsetsOf(g []inductionAccess) []int64 {
+	offs := make([]int64, len(g))
+	for i, a := range g {
+		offs[i] = a.off
+	}
+	return offs
 }
 
 // checkKernelPressure is rule V007: rotation ranges must fit the XMM file

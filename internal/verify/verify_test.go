@@ -492,3 +492,44 @@ func TestAsmRecurrenceInfoOptIn(t *testing.T) {
 		t.Errorf("no recurrence through %%rsi reported: %v", ds)
 	}
 }
+
+// TestInductionDiagnosticsAcrossBases pins V005's findings when several
+// induction bases share a body: one finding per inconsistent base, in
+// register first-use order, comparing each copy against the first copy
+// that has accesses, with every offset list sorted.
+func TestInductionDiagnosticsAcrossBases(t *testing.T) {
+	k := lowered()
+	k.Unroll = 3
+	b1 := k.Body[0].Operands[0].Reg
+	b2 := &ir.Register{Logical: "r2", Phys: isa.RDX}
+	k.Inductions = append(k.Inductions, ir.Induction{Reg: b2, Increment: 48, Offset: 16})
+	xmm := k.Body[0].Operands[1].Reg
+	load := func(base *ir.Register, off int64, copy int) ir.Instruction {
+		return ir.Instruction{Op: "movss", Copy: copy, Operands: []ir.Operand{
+			{Kind: ir.MemOperand, Reg: base, Offset: off},
+			{Kind: ir.RegOperand, Reg: xmm},
+		}}
+	}
+	k.Body = []ir.Instruction{
+		load(b2, 16+5, 1), // b2 is used first; no copy-0 access, so copy 1 is its reference
+		load(b1, 8, 0), load(b1, 0, 0),
+		load(b1, 4, 1), load(b1, 12, 1),
+		load(b2, 32+7, 2), load(b2, 32, 2),
+		load(b1, 20, 2), load(b1, 8, 2),
+		load(b1, 99, 2),
+	}
+	ds := verify.Kernel(k, verify.Options{})
+	want := []string{
+		"accesses through r2(%rdx) are inconsistent across unrolled copies: copy 1 covers offsets [5], copy 2 covers [0 7] (normalized by the per-copy offset)",
+		"accesses through r1(%rsi) are inconsistent across unrolled copies: copy 0 covers offsets [0 8], copy 2 covers [0 12 91] (normalized by the per-copy offset)",
+	}
+	var got []string
+	for _, d := range ds {
+		if d.Rule == verify.RuleInduction {
+			got = append(got, d.Message)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("V005 findings:\n%s\nwant:\n%s\nall: %v", strings.Join(got, "\n"), strings.Join(want, "\n"), ds)
+	}
+}
