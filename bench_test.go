@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	api "microtools/api/v1"
 	"microtools/internal/asm"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
@@ -27,6 +28,7 @@ import (
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
 	"microtools/internal/obs"
+	"microtools/internal/service"
 	"microtools/internal/sim"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
@@ -832,6 +834,53 @@ func BenchmarkWriteReport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := launcher.WriteReport(io.Discard, launcher.ReportJSON, ms); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJobResultCodec decodes and re-encodes the result document of
+// the 510-variant family as microserved serves it (a real job through an
+// in-process daemon, run once outside the timer): the wire codec every
+// served job pays on both ends. make bench-guard holds its allocs/op under
+// bench_guard_codec_allocs.txt.
+func BenchmarkJobResultCodec(b *testing.B) {
+	launch := DefaultLaunchOptions()
+	launch.MachineName = "nehalem-dual/8"
+	launch.ArrayBytes = 1 << 12
+	launch.InnerReps = 1
+	launch.OuterReps = 2
+	launch.MaxInstructions = 2_000
+	d, err := service.New(context.Background(), service.Options{MaxConcurrentJobs: 1, Launch: launch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	status, aerr := d.Submit(api.JobRequest{Spec: fig6Spec(), Workers: 4, CheckBounds: true})
+	if aerr != nil {
+		b.Fatal(aerr)
+	}
+	res, _ := d.Result(status.ID)
+	for res.Serving == nil { // set with the terminal state
+		time.Sleep(10 * time.Millisecond)
+		res, _ = d.Result(status.ID)
+	}
+	if res.Job.State != api.StateDone || res.Campaign == nil || len(res.Campaign.Variants) != 510 {
+		b.Fatalf("job ended %s, want done with 510 variants", res.Job.State)
+	}
+	doc, err := res.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out api.JobResult
+		if err := out.UnmarshalJSON(doc); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := out.MarshalJSON(); err != nil {
 			b.Fatal(err)
 		}
 	}

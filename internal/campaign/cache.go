@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 
 	"microtools/internal/faults"
 	"microtools/internal/isa"
+	"microtools/internal/jsonl"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
 	"microtools/internal/memsim"
@@ -119,10 +119,6 @@ type cacheEntry struct {
 	Measurement json.RawMessage `json:"measurement"`
 }
 
-// maxCacheLine caps one JSONL line of the backing file, newline excluded.
-// A longer line is skipped at load time like any corrupt one.
-const maxCacheLine = 16 << 20
-
 // Cache is a content-addressed measurement store: Key → Measurement,
 // optionally backed by an append-only JSONL file. Completed measurements
 // are flushed to disk as they land, so an interrupted campaign's cache is
@@ -134,7 +130,7 @@ const maxCacheLine = 16 << 20
 // cache hit is bit-identical to the cold measurement (see Put). Get and Put
 // hand out deep copies the caller owns; the held values are never
 // mutated. Corrupted lines in the backing file (a torn write from a killed
-// process, stray garbage, a line over maxCacheLine) are skipped at load
+// process, stray garbage, a line over jsonl.MaxLine) are skipped at load
 // time: a corrupt entry degrades to a cache miss, never to an error.
 type Cache struct {
 	mu      sync.Mutex
@@ -175,13 +171,9 @@ func OpenCache(path string) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{entries: map[string]*launcher.Measurement{}, file: f}
-	r := bufio.NewReaderSize(f, 64<<10)
-	var (
-		line    []byte
-		tooLong bool
-	)
+	lines := jsonl.NewReader(f)
 	for {
-		line, tooLong, err = readLine(r, line[:0])
+		line, tooLong, err := lines.Next()
 		if err != nil && err != io.EOF {
 			f.Close()
 			return nil, err
@@ -204,29 +196,6 @@ func OpenCache(path string) (*Cache, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// readLine appends the next line of r, without its newline, to buf. A line
-// longer than maxCacheLine is consumed whole but reported tooLong with its
-// bytes dropped, so loading continues at the following line. err is io.EOF
-// once r is exhausted (line then holds a final unterminated line, if any).
-func readLine(r *bufio.Reader, buf []byte) (line []byte, tooLong bool, err error) {
-	for {
-		var frag []byte
-		frag, err = r.ReadSlice('\n')
-		if err == nil {
-			frag = frag[:len(frag)-1]
-		}
-		if !tooLong && len(buf)+len(frag) > maxCacheLine {
-			tooLong, buf = true, buf[:0]
-		}
-		if !tooLong {
-			buf = append(buf, frag...)
-		}
-		if err != bufio.ErrBufferFull {
-			return buf, tooLong, err
-		}
-	}
 }
 
 // terminateTornTail appends a newline when the file is non-empty and does

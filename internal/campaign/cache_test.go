@@ -8,23 +8,24 @@ import (
 	"reflect"
 	"testing"
 
+	"microtools/internal/jsonl"
 	"microtools/internal/launcher"
 	"microtools/internal/obs"
 	"microtools/internal/power"
 	"microtools/internal/stats"
 )
 
-// TestCacheOverlongLineIsSkipped: a line over maxCacheLine is skipped like
+// TestCacheOverlongLineIsSkipped: a line over jsonl.MaxLine is skipped like
 // any corrupt line — the entries after it still load, and the next Put
 // lands on a line of its own.
 func TestCacheOverlongLineIsSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "measurements.jsonl")
-	// A well-formed entry padded to maxCacheLine+1 bytes: only the cap
+	// A well-formed entry padded to jsonl.MaxLine+1 bytes: only the cap
 	// keeps it out.
 	head, tail := `{"key":"long","measurement":{"Kernel":"`, `"}}`
-	long := head + string(bytes.Repeat([]byte("x"), maxCacheLine+1-len(head)-len(tail))) + tail
-	if len(long) != maxCacheLine+1 {
-		t.Fatalf("overlong line is %d bytes, want %d", len(long), maxCacheLine+1)
+	long := head + string(bytes.Repeat([]byte("x"), jsonl.MaxLine+1-len(head)-len(tail))) + tail
+	if len(long) != jsonl.MaxLine+1 {
+		t.Fatalf("overlong line is %d bytes, want %d", len(long), jsonl.MaxLine+1)
 	}
 	data := `{"key":"before","measurement":{"Kernel":"a","Value":1}}` + "\n" +
 		long + "\n" +

@@ -72,12 +72,16 @@ func writeError(w http.ResponseWriter, e *api.Error) {
 	_ = json.NewEncoder(w).Encode(e)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes doc and a newline, the bytes json.Encoder.Encode
+// writes, and leaves the body empty on an encoding error. Compact
+// (non-indented) encoding keeps result documents byte-stable for
+// cross-job comparison.
+func writeJSON(w http.ResponseWriter, status int, doc []byte, err error) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	// Compact (non-indented) encoding keeps result documents byte-stable
-	// for cross-job comparison.
-	_ = json.NewEncoder(w).Encode(v)
+	if err == nil {
+		_, _ = w.Write(append(doc, '\n'))
+	}
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -94,7 +98,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+status.ID)
-	writeJSON(w, http.StatusAccepted, status)
+	doc, err := json.Marshal(status)
+	writeJSON(w, http.StatusAccepted, doc, err)
 }
 
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +110,8 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 			Message: "unknown job " + id})
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	doc, err := res.MarshalJSON()
+	writeJSON(w, http.StatusOK, doc, err)
 }
 
 // handleEvents streams the job's event log as SSE. The client resumes
@@ -141,7 +147,8 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		batch, wait, done := j.events.after(after)
 		for _, ev := range batch {
-			if err := telemetry.WriteSSE(w, ev.Type, ev.Seq, ev); err != nil {
+			data, err := ev.MarshalJSON()
+			if err != nil || telemetry.WriteSSE(w, ev.Type, ev.Seq, data) != nil {
 				return
 			}
 			after = ev.Seq

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,7 @@ import (
 
 	api "microtools/api/v1"
 	"microtools/internal/campaign"
+	"microtools/internal/jsonl"
 	"microtools/internal/launcher"
 	"microtools/serviceclient"
 )
@@ -401,6 +403,37 @@ func TestStoreCorruptLineDegradesToMiss(t *testing.T) {
 	}
 	if len(finished) != 0 || len(pending) != 1 || pending[0].Job.ID != "j-3" {
 		t.Errorf("replay finished=%v pending=%v, want the one good submit", finished, pending)
+	}
+}
+
+// TestStoreOverlongLineIsSkipped: a garbage line over jsonl.MaxLine
+// between two submit records is skipped and counted like any corrupt
+// line, and both jobs still come back pending.
+func TestStoreOverlongLineIsSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	var blob bytes.Buffer
+	for i, id := range []string{"j-1", "j-2"} {
+		if i == 1 {
+			blob.Write(bytes.Repeat([]byte("x"), jsonl.MaxLine+1))
+			blob.WriteByte('\n')
+		}
+		line, err := json.Marshal(storeRecord{Kind: "submit",
+			Job:     api.JobStatus{SchemaVersion: api.SchemaVersion, ID: id, Tenant: "t", State: api.StateQueued},
+			Request: &api.JobRequest{Spec: "<kernel/>"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(path, blob.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	finished, pending, corrupt, err := replayStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 1 || len(finished) != 0 || len(pending) != 2 || pending[0].Job.ID != "j-1" || pending[1].Job.ID != "j-2" {
+		t.Errorf("replay corrupt=%d finished=%v pending=%v, want 1 corrupt line and j-1, j-2 pending", corrupt, finished, pending)
 	}
 }
 

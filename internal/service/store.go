@@ -1,13 +1,14 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	api "microtools/api/v1"
+	"microtools/internal/jsonl"
 )
 
 // storeRecord is one line of the append-only job store. Kind "submit"
@@ -74,8 +75,9 @@ func (s *store) close() error {
 // replayStore reads the ledger at path and reconstructs the job table:
 // finished is every job with a terminal record, pending is every accepted
 // job without one (in submission order, ready to re-enqueue). Corrupt
-// lines are skipped and counted, never fatal — the ledger degrades to
-// partial knowledge exactly like a corrupt cache line degrades to a miss.
+// lines, and lines over jsonl.MaxLine, are skipped and counted, never
+// fatal — the ledger degrades to partial knowledge exactly like a corrupt
+// cache line degrades to a miss.
 func replayStore(path string) (finished []storeRecord, pending []storeRecord, corrupt int, err error) {
 	if path == "" {
 		return nil, nil, 0, nil
@@ -91,34 +93,36 @@ func replayStore(path string) (finished []storeRecord, pending []storeRecord, co
 
 	submits := map[string]storeRecord{}
 	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec storeRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Job.ID == "" {
+	lines := jsonl.NewReader(f)
+	for {
+		line, tooLong, err := lines.Next()
+		if err != nil && err != io.EOF {
+			// A failed read loses the records after it, nothing more.
 			corrupt++
-			continue
+			break
 		}
-		switch rec.Kind {
-		case "submit":
-			if _, dup := submits[rec.Job.ID]; !dup {
-				order = append(order, rec.Job.ID)
+		if tooLong {
+			corrupt++
+		} else if len(line) > 0 {
+			var rec storeRecord
+			switch {
+			case json.Unmarshal(line, &rec) != nil || rec.Job.ID == "":
+				corrupt++
+			case rec.Kind == "submit":
+				if _, dup := submits[rec.Job.ID]; !dup {
+					order = append(order, rec.Job.ID)
+				}
+				submits[rec.Job.ID] = rec
+			case rec.Kind == "end":
+				delete(submits, rec.Job.ID)
+				finished = append(finished, rec)
+			default:
+				corrupt++
 			}
-			submits[rec.Job.ID] = rec
-		case "end":
-			delete(submits, rec.Job.ID)
-			finished = append(finished, rec)
-		default:
-			corrupt++
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// A truncated tail loses the records after it, nothing more.
-		corrupt++
+		if err == io.EOF {
+			break
+		}
 	}
 	for _, id := range order {
 		if rec, ok := submits[id]; ok {

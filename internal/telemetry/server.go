@@ -164,7 +164,8 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := s.opts.Tracker.Subscribe(256)
 	defer cancel()
 	for _, snap := range s.opts.Tracker.Snapshots() {
-		if err := WriteSSE(w, "snapshot", 0, snap); err != nil {
+		data, err := json.Marshal(snap)
+		if err != nil || WriteSSE(w, "snapshot", 0, data) != nil {
 			return
 		}
 	}
@@ -177,7 +178,8 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if err := WriteSSE(w, ev.Type, ev.Seq, ev.Campaign); err != nil {
+			data, err := json.Marshal(ev.Campaign)
+			if err != nil || WriteSSE(w, ev.Type, ev.Seq, data) != nil {
 				return
 			}
 			fl.Flush()
@@ -187,15 +189,12 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 
 // WriteSSE frames one event in the text/event-stream format: an optional
 // numeric id line (seq > 0), the event name, and the JSON-encoded payload
-// as the data line. It is the single SSE framing implementation shared by
-// the telemetry /events stream and the service job-event streams, so
-// every stream in the system reconnects with the same Last-Event-ID
-// semantics.
-func WriteSSE(w io.Writer, kind string, seq int64, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
+// data as the data line. It is the single SSE framing implementation
+// shared by the telemetry /events stream and the service job-event
+// streams, so every stream in the system reconnects with the same
+// Last-Event-ID semantics. Callers encode the payload (the service's
+// event frames encode themselves without reflection).
+func WriteSSE(w io.Writer, kind string, seq int64, data []byte) error {
 	// One buffer, one Write: a served job streams a frame per variant.
 	frame := make([]byte, 0, len(data)+len(kind)+40)
 	if seq > 0 {
@@ -204,6 +203,6 @@ func WriteSSE(w io.Writer, kind string, seq int64, payload any) error {
 	}
 	frame = append(append(frame, "event: "...), kind...)
 	frame = append(append(frame, "\ndata: "...), data...)
-	_, err = w.Write(append(frame, "\n\n"...))
+	_, err := w.Write(append(frame, "\n\n"...))
 	return err
 }

@@ -24,6 +24,9 @@ trap cleanup EXIT
 "$GO" build -o "$workdir/microserved" ./cmd/microserved
 "$GO" build -o "$workdir/microtools" ./cmd/microtools
 
+# Create the log first: the polling below may run before the background
+# daemon's redirection does, and sed on a missing file fails under set -e.
+: >"$workdir/served.log"
 "$workdir/microserved" -addr 127.0.0.1:0 -cache "$workdir/cache.jsonl" \
     -store "$workdir/store.jsonl" 2>"$workdir/served.log" &
 pid=$!

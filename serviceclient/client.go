@@ -136,9 +136,26 @@ func (c *Client) Result(ctx context.Context, id string) (api.JobResult, error) {
 		if resp.StatusCode != http.StatusOK {
 			return decodeError(resp)
 		}
-		return json.NewDecoder(resp.Body).Decode(&out)
+		return decodeResult(resp.Body, &out)
 	})
 	return out, err
+}
+
+// decodeResult decodes a result body into out. The body is read whole and
+// handed to the wire codec's one-pass UnmarshalJSON, which skips
+// json.Decoder's two validation scans; a body that is not exactly one
+// JSON document goes through json.Decoder, which decodes its first value
+// and ignores what follows.
+func decodeResult(body io.Reader, out *api.JobResult) error {
+	doc, err := io.ReadAll(body)
+	if err != nil {
+		return err
+	}
+	if out.UnmarshalJSON(doc) == nil {
+		return nil
+	}
+	*out = api.JobResult{}
+	return json.NewDecoder(bytes.NewReader(doc)).Decode(out)
 }
 
 // terminal reports whether a job state is final.
@@ -203,7 +220,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, last *int64, fn func
 			return false, nil // dropped connection: reconnect
 		}
 		var ev api.VariantEvent
-		if json.Unmarshal([]byte(frame.data), &ev) != nil {
+		if ev.UnmarshalJSON(frame.data) != nil {
 			continue
 		}
 		if ev.Seq <= *last {

@@ -14,24 +14,30 @@ import (
 )
 
 func TestSSEDecoder(t *testing.T) {
+	long := strings.Repeat("x", 10000) // over the bufio buffer
 	stream := "" +
 		": heartbeat\n" +
 		"id: 1\nevent: queued\ndata: {\"seq\":1}\n\n" +
 		"event: progress\ndata: part1\ndata: part2\n\n" +
-		"id: 3\nevent: end\ndata: {\"seq\":3}\n\n"
+		": comment only\n\n" +
+		"id: 3\r\nevent: end\r\n: inside a frame\r\ndata:no-space\r\ndata:\r\ndata: " + long + "\r\nretry: 5\r\n\r\n" +
+		"data: a\ndata: b\ndata: c\n\n" +
+		"id: 4\ndata: cut mid-frame"
 	dec := newSSEDecoder(strings.NewReader(stream))
-
-	f1, err := dec.next()
-	if err != nil || f1.id != 1 || f1.event != "queued" || f1.data != `{"seq":1}` {
-		t.Fatalf("frame 1 = %+v, %v", f1, err)
-	}
-	f2, err := dec.next()
-	if err != nil || f2.id != 0 || f2.event != "progress" || f2.data != "part1\npart2" {
-		t.Fatalf("frame 2 = %+v, %v", f2, err)
-	}
-	f3, err := dec.next()
-	if err != nil || f3.id != 3 || f3.event != "end" {
-		t.Fatalf("frame 3 = %+v, %v", f3, err)
+	for i, want := range []struct {
+		id    int64
+		event string
+		data  string
+	}{
+		{1, "queued", `{"seq":1}`},
+		{0, "progress", "part1\npart2"},
+		{3, "end", "no-space\n\n" + long},
+		{0, "", "a\nb\nc"},
+	} {
+		f, err := dec.next()
+		if err != nil || f.id != want.id || f.event != want.event || string(f.data) != want.data {
+			t.Fatalf("frame %d = {%d %q %.40q}, %v; want {%d %q %.40q}", i+1, f.id, f.event, f.data, err, want.id, want.event, want.data)
+		}
 	}
 	if _, err := dec.next(); err == nil {
 		t.Fatal("decoder did not report stream end")

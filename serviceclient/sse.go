@@ -2,23 +2,29 @@ package serviceclient
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // sseFrame is one decoded text/event-stream event.
 type sseFrame struct {
 	id    int64
 	event string
-	data  string
+	// data aliases the decoder's buffer: it is valid until the next call
+	// to next.
+	data []byte
 }
 
 // sseDecoder reads the subset of the SSE wire format the service emits:
 // "id:", "event:", and "data:" lines, events separated by a blank line.
-// Comment lines (":") and unknown fields are ignored per the spec.
+// Comment lines (":") and unknown fields are ignored per the spec. Lines
+// are read in place from the bufio buffer and a frame's data lines are
+// joined into one reused buffer, so a frame costs no per-line strings.
 type sseDecoder struct {
-	r *bufio.Reader
+	r    *bufio.Reader
+	data []byte
+	long []byte // a line longer than the bufio buffer, reassembled
 }
 
 func newSSEDecoder(r io.Reader) *sseDecoder {
@@ -30,36 +36,56 @@ func newSSEDecoder(r io.Reader) *sseDecoder {
 func (d *sseDecoder) next() (sseFrame, error) {
 	var frame sseFrame
 	seen := false
+	d.data = d.data[:0]
 	for {
-		line, err := d.r.ReadString('\n')
+		line, err := d.line()
 		if err != nil {
 			return sseFrame{}, err
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "" {
+		if len(line) == 0 {
 			if seen {
+				frame.data = d.data
 				return frame, nil
 			}
 			continue
 		}
-		if strings.HasPrefix(line, ":") {
+		if line[0] == ':' {
 			continue
 		}
-		field, value, _ := strings.Cut(line, ":")
-		value = strings.TrimPrefix(value, " ")
-		switch field {
+		field, value, _ := bytes.Cut(line, []byte(":"))
+		value = bytes.TrimPrefix(value, []byte(" "))
+		switch string(field) {
 		case "id":
-			frame.id, _ = strconv.ParseInt(value, 10, 64)
+			frame.id, _ = strconv.ParseInt(string(value), 10, 64)
 			seen = true
 		case "event":
-			frame.event = value
+			frame.event = string(value)
 			seen = true
 		case "data":
-			if frame.data != "" {
-				frame.data += "\n"
+			if len(d.data) > 0 {
+				d.data = append(d.data, '\n')
 			}
-			frame.data += value
+			d.data = append(d.data, value...)
 			seen = true
 		}
 	}
+}
+
+// line returns the next line without its line ending. It aliases the
+// bufio buffer (or d.long) and is valid until the next read. A final line
+// without a newline is an error, as the stream was cut mid-frame.
+func (d *sseDecoder) line() ([]byte, error) {
+	line, err := d.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = d.r.ReadSlice('\n')
+			d.long = append(d.long, line...)
+		}
+		line = d.long
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
 }
