@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-guard examples-smoke fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke
+.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-guard examples-smoke fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke perfbench-check
 
 # ci is the repository's verify command (see ROADMAP.md): formatting, vet,
 # the project-invariant linter, build, the full test suite under the race
@@ -11,8 +11,9 @@ GO ?= go
 # the measurement service (submit, shared cache, metrics, drain), a
 # fixed-vs-adaptive study comparison guarding the planner's savings and
 # ranking-preservation contract, and a fault-injected run that must match
-# the fault-free one bit for bit, and a run of every example program.
-ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke chaos-smoke examples-smoke
+# the fault-free one bit for bit, a run of every example program, and
+# vet plus tests of the nested perfbench module.
+ci: fmt-check vet lint build race bench-smoke bench-guard analyze-smoke telemetry-smoke serve-smoke adaptive-smoke chaos-smoke examples-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,12 @@ vet:
 # string conventions).
 lint:
 	$(GO) run ./cmd/microlint .
+
+# perfbench-check vets and tests the benchmark harness, a nested module
+# the root ./... pattern skips: deleting an API it builds against must fail
+# here, not only when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # race also shuffles test order so inter-test state dependencies surface.
 race:

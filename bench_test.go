@@ -899,10 +899,11 @@ func BenchmarkCampaignSweepAdaptive(b *testing.B) {
 	launch.InnerReps = 1
 	launch.OuterReps = 4
 	launch.MaxInstructions = 2_000
+	launch.Adaptive = &AdaptivePlan{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := RunCampaign(context.Background(), strings.NewReader(spec), GenerateOptions{},
-			CampaignOptions{Launch: launch, Workers: 4, Adaptive: &AdaptivePlan{}})
+			CampaignOptions{Launch: launch, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

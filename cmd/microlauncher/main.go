@@ -87,7 +87,7 @@ func main() {
 	counters.Register(flag.CommandLine, "over the measured region (shown in the json report; csv prints them on stderr)")
 	camp.RegisterWorkers(flag.CommandLine, "measuring several functions")
 	camp.RegisterAdaptive(flag.CommandLine, "each measurement")
-	trace.Register(flag.CommandLine, "the launch protocol")
+	trace.Register(flag.CommandLine, "the campaign and every launch (campaign, variant and launch spans)")
 	tele.Register(flag.CommandLine, "the launches")
 	flag.Parse()
 
@@ -274,18 +274,14 @@ func main() {
 	opts := launcher.NewOptions(setters...)
 
 	// Every selected function runs through the campaign engine, fanned out
-	// over -workers (-adaptive arms the plan there). Each kernel gets its
+	// over -workers (-adaptive arms the plan on opts). Each kernel gets its
 	// own simulated machine, so the measurements are bit-identical to
 	// launching the functions one at a time.
 	progs := make([]codegen.Program, len(kernels))
 	for i, k := range kernels {
 		progs[i] = codegen.Program{Name: k.Name, Parsed: k}
 	}
-	copts := camp.Options(
-		campaign.WithLaunch(opts),
-		campaign.WithMetrics(tele.Metrics()),
-		campaign.WithObservers(tele.Tracker().Begin(*kernelPath)),
-	)
+	copts := camp.Options(opts, campaign.WithObservers(tele.Tracker().Begin(*kernelPath)))
 	if *verbose {
 		copts.Observers = append(copts.Observers, cliutil.Progress(os.Stderr, "microlauncher"))
 	}

@@ -745,11 +745,13 @@ var deletedAPIs = []struct{ names, use string }{
 	{"LaunchAllProgress", "campaign.RunPrograms with an Options.Observers entry"},
 	{"LaunchErrors", "campaign.Error"},
 	{"ScreenTopKStatic", "core.ScreenTopK"},
-	{"CounterSet", "the named counters of a telemetry.Registry (campaign.Options.Metrics)"},
+	{"CounterSet", "the named counters of a telemetry.Registry (launcher.Options.Metrics)"},
 	{"NewCounterSet", "telemetry.NewRegistry"},
 	{"CounterSink", "telemetry.Registry.Counter"},
 	{"WithProgress", "campaign.WithObservers"},
 	{"WithTracker", "campaign.WithObservers(tracker.Begin(name))"},
+	{"WithBuffer", "campaign.WithWorkers (the queue holds 2×Workers variants)"},
+	{"WithAdaptiveTarget", "launcher.WithAdaptive(launcher.Plan{TargetRCIW: rciw})"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},
@@ -780,7 +782,7 @@ var deletedAPIs = []struct{ names, use string }{
 		"microtools.WithTrip microtools.WithExactTrip microtools.WithElementBytes " +
 		"microtools.WithReps microtools.WithWarmup microtools.WithCalibration " +
 		"microtools.WithStatistic microtools.WithMaxInstructions microtools.WithOMPOverheadScale " +
-		"microtools.WithOMPDynamic microtools.WithAdaptive microtools.WithAdaptiveTarget " +
+		"microtools.WithOMPDynamic microtools.WithAdaptive " +
 		"microtools.WithTimeUnit microtools.WithEnergy microtools.WithWholeCall " +
 		"microtools.WithVerbose microtools.WithTracer microtools.WithCounters microtools.WithFaults",
 		"DefaultLaunchOptions plus LaunchOptions field assignment"},

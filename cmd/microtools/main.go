@@ -278,21 +278,19 @@ func runChaos(ctx context.Context, args []string) {
 		launcher.WithMetrics(tele.Metrics()),
 	)
 
-	run := func(name string, extra ...campaign.Option) (*campaign.Result, error) {
-		copts := camp.Options(append([]campaign.Option{
-			campaign.WithLaunch(opts),
-			campaign.WithMetrics(tele.Metrics()),
-			campaign.WithObservers(tele.Tracker().Begin(name)),
-		}, extra...)...)
+	run := func(name string, launch launcher.Options) (*campaign.Result, error) {
+		copts := camp.Options(launch, campaign.WithObservers(tele.Tracker().Begin(name)))
 		return campaign.RunFile(ctx, spec, core.GenerateOptions{}, copts)
 	}
 
-	clean, err := run(spec + " (fault-free)")
+	clean, err := run(spec+" (fault-free)", opts)
 	if err != nil {
 		fail(fmt.Errorf("fault-free run: %w", err))
 	}
 	injector := chaos.Injector().SetCounter(tele.Registry().Counter("faults.injected"))
-	chaotic, cerr := run(spec+" (chaotic)", campaign.WithFaults(injector))
+	faulted := opts
+	faulted.Faults = injector
+	chaotic, cerr := run(spec+" (chaotic)", faulted)
 	if cerr != nil && !chaos.Permanent {
 		fail(fmt.Errorf("chaotic run: %w", cerr))
 	}
@@ -734,9 +732,6 @@ func main() {
 		}
 		opts := launcher.NewOptions(setters...)
 		extra := []campaign.Option{
-			campaign.WithLaunch(opts),
-			campaign.WithTracer(tracer),
-			campaign.WithMetrics(tele.Metrics()),
 			campaign.WithObservers(tele.Tracker().Begin(*study)),
 		}
 		cache, err := camp.OpenCache()
@@ -750,7 +745,7 @@ func main() {
 		if *vFlag {
 			extra = append(extra, campaign.WithObservers(cliutil.Progress(os.Stderr, "microtools")))
 		}
-		copts := camp.Options(extra...)
+		copts := camp.Options(opts, extra...)
 		var res *campaign.Result
 		if *screen > 0 {
 			// Screening ranks the whole variant family, so it is

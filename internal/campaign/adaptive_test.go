@@ -50,9 +50,7 @@ func noisyLaunch(seed int64) launcher.Options {
 func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
-		Launch:   adaptiveLaunch(),
-		Adaptive: &launcher.Plan{},
-		Metrics:  telemetry.NewMetrics(counters),
+		Launch: hooked(adaptiveLaunch(), launcher.WithAdaptive(launcher.Plan{}), launcher.WithMetrics(telemetry.NewMetrics(counters))),
 	})
 	if res.Emitted != 4 || res.Failures != 0 {
 		t.Fatalf("emitted=%d failures=%d", res.Emitted, res.Failures)
@@ -99,9 +97,8 @@ func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
 func TestAdaptiveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Result {
 		return runSweep(t, Options{
-			Launch:   noisyLaunch(11),
-			Adaptive: &launcher.Plan{TargetRCIW: 1e-9},
-			Workers:  workers,
+			Launch:  hooked(noisyLaunch(11), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9})),
+			Workers: workers,
 		})
 	}
 	base := run(1)
@@ -128,9 +125,7 @@ func TestAdaptiveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestAdaptiveTopUpGrantsSavedBudget(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
-		Launch:   noisyLaunch(5),
-		Adaptive: &launcher.Plan{TargetRCIW: 1e-9},
-		Metrics:  telemetry.NewMetrics(counters),
+		Launch: hooked(noisyLaunch(5), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9}), launcher.WithMetrics(telemetry.NewMetrics(counters))),
 	})
 	if res.Failures != 0 {
 		t.Fatalf("failures: %v", res.Err())
@@ -175,13 +170,14 @@ func TestAdaptiveWarmRerunPerformsZeroLaunches(t *testing.T) {
 		{"noisy with top-up", noisyLaunch(23)},
 	} {
 		cache := NewMemoryCache()
-		plan := &launcher.Plan{TargetRCIW: 0.05}
+		plan := launcher.Plan{TargetRCIW: 0.05}
 		if tc.name != "deterministic" {
 			plan.TargetRCIW = 1e-9
 		}
-		cold := runSweep(t, Options{Launch: tc.launch, Adaptive: plan, Cache: cache})
+		launch := hooked(tc.launch, launcher.WithAdaptive(plan))
+		cold := runSweep(t, Options{Launch: launch, Cache: cache})
 		warmCounters := telemetry.NewRegistry()
-		warm := runSweep(t, Options{Launch: tc.launch, Adaptive: plan, Cache: cache, Metrics: telemetry.NewMetrics(warmCounters)})
+		warm := runSweep(t, Options{Launch: hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(warmCounters))), Cache: cache})
 		if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 			t.Errorf("%s: warm adaptive rerun performed %d launches, want 0", tc.name, got)
 		}
@@ -316,7 +312,7 @@ func TestStabilityBackfillIsVersioned(t *testing.T) {
 	}
 
 	counters := telemetry.NewRegistry()
-	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Metrics: telemetry.NewMetrics(counters)})
+	warm := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))), Cache: cache})
 	if got := counters.Counter("campaign.launches").Value(); got != 0 {
 		t.Fatalf("stripped entries missed the cache: %d launches", got)
 	}
@@ -347,8 +343,7 @@ func TestStabilityBackfillIsVersioned(t *testing.T) {
 func TestChaosAdaptiveRecoversBitIdentical(t *testing.T) {
 	opts := func() Options {
 		return Options{
-			Launch:   noisyLaunch(17),
-			Adaptive: &launcher.Plan{TargetRCIW: 1e-9},
+			Launch: hooked(noisyLaunch(17), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9})),
 		}
 	}
 	clean := runSweep(t, opts())
@@ -356,7 +351,7 @@ func TestChaosAdaptiveRecoversBitIdentical(t *testing.T) {
 
 	injector := faults.New(7).SetRate("*", 0.3).SetBurst(1)
 	chaotic := opts()
-	chaotic.Faults = injector
+	chaotic.Launch.Faults = injector
 	chaotic.Retry = RetryPolicy{MaxAttempts: 40, Seed: 42}
 	res := runSweep(t, chaotic)
 	if injector.Count() == 0 {

@@ -9,6 +9,7 @@ import (
 
 	"microtools/internal/core"
 	"microtools/internal/isa"
+	"microtools/internal/launcher"
 	"microtools/internal/telemetry"
 )
 
@@ -37,7 +38,7 @@ func TestBoundsOracleAcrossSeedSpecs(t *testing.T) {
 				launch.MachineName = machineName
 				counters := telemetry.NewRegistry()
 				res, err := RunFile(context.Background(), path, core.GenerateOptions{},
-					Options{Launch: launch, Workers: 8, CheckBounds: true, Metrics: telemetry.NewMetrics(counters)})
+					Options{Launch: hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(counters))), Workers: 8, CheckBounds: true})
 				if err != nil {
 					t.Fatalf("campaign: %v", err)
 				}
@@ -79,9 +80,8 @@ func TestBoundsOracleCatchesCorruptedTable(t *testing.T) {
 	launch.MachineName = "nehalem-dual"
 	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:      launch,
+		Launch:      hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(counters))),
 		CheckBounds: true,
-		Metrics:     telemetry.NewMetrics(counters),
 		boundArch:   &corrupted,
 	})
 	if err == nil {

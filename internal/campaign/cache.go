@@ -144,9 +144,9 @@ type Cache struct {
 // SetFaults arms the store's fault-injection points: cache.get (a lookup
 // degrades to a miss), cache.put (the entry is rejected before storing)
 // and cache.checkpoint (the entry lands in memory but the backing-file
-// append fails — the torn-checkpoint scenario). Campaign.Run propagates
-// its own injector here when the cache has none; the injector stays
-// attached until replaced. A nil injector detaches.
+// append fails — the torn-checkpoint scenario). Only the cache's owner
+// arms these points: a campaign's Launch.Faults never reaches the cache.
+// The injector stays attached until replaced; a nil injector detaches.
 func (c *Cache) SetFaults(in *faults.Injector) {
 	c.mu.Lock()
 	c.faults = in
@@ -191,29 +191,11 @@ func OpenCache(path string) (*Cache, error) {
 			break
 		}
 	}
-	if err := terminateTornTail(f); err != nil {
+	if err := jsonl.TerminateTornTail(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return c, nil
-}
-
-// terminateTornTail appends a newline when the file is non-empty and does
-// not already end in one.
-func terminateTornTail(f *os.File) error {
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		return err
-	}
-	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
-		return err
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	_, err = f.Write([]byte{'\n'})
-	return err
 }
 
 // Len reports the number of cached measurements.

@@ -25,7 +25,8 @@
 //     instead of failing the variant outright; variants that keep failing
 //     are quarantined, cache-write failures degrade to a counted miss, and
 //     the whole failure surface is exercisable on demand through the
-//     deterministic fault injector (internal/faults, Options.Faults).
+//     deterministic fault injector (internal/faults, Launch.Faults and
+//     Cache.SetFaults).
 //
 // Results are deterministic and bit-identical across serial, parallel and
 // cache-warm runs: every variant runs on its own simulated machine, and
@@ -88,24 +89,33 @@ type launchFunc func(context.Context, *isa.Program, launcher.Options) (*launcher
 // Options configures a campaign run.
 type Options struct {
 	// Launch is the measurement configuration applied to every variant.
+	// Its hooks serve the campaign as well as each launch:
+	//
+	//   - Adaptive, when non-nil, arms μOpTime-style adaptive repetition
+	//     for every variant: the plan (resolved once against
+	//     Launch.OuterReps) drives the launcher's per-rep stop rule, and
+	//     after the main pass the engine reallocates the saved repetition
+	//     budget to variants whose achieved RCIW missed the plan's target
+	//     — a bounded second "top-up" pass (see the adaptive accounting on
+	//     Result). The resolved plan is a cache-key dimension; fixed-budget
+	//     runs (nil) keep their exact pre-adaptive keys.
+	//   - Tracer records the campaign as a span tree: "campaign" >
+	//     per-variant "variant" spans with "cache.hit"/"cache.miss"
+	//     children; each launch of a cache miss records its own root
+	//     "launch" span.
+	//   - Metrics records the per-variant duration histogram, the
+	//     queue-depth gauge and the engine's named counters (listed on
+	//     launcher.Options.Metrics) beside the launcher's own instruments.
+	//   - Faults arms the campaign worker-launch injection point beside
+	//     the launcher's repetition and sim-stepping points. The cache's
+	//     I/O points are armed by the cache's owner (Cache.SetFaults).
 	Launch launcher.Options
-	// Adaptive, when non-nil, arms μOpTime-style adaptive repetition for
-	// every variant: the plan (resolved once against Launch.OuterReps) is
-	// threaded into the launcher's per-rep stop rule, and after the main
-	// pass the engine reallocates the saved repetition budget to variants
-	// whose achieved RCIW missed the plan's target — a bounded second
-	// "top-up" pass (see the adaptive accounting on Result). The resolved
-	// plan is a cache-key dimension; fixed-budget runs (nil) keep their
-	// exact pre-adaptive keys. See launcher.Plan.
-	Adaptive *launcher.Plan
 	// Workers sizes the launch pool (<= 0 means GOMAXPROCS). Every
 	// variant runs on its own simulated machine, so results are
-	// bit-identical to a serial run; only wall-clock time changes.
+	// bit-identical to a serial run; only wall-clock time changes. The
+	// queue between the generator and the pool holds 2×Workers variants:
+	// generation stalls rather than materializing an unbounded backlog.
 	Workers int
-	// Buffer bounds the in-flight variant queue between the generator and
-	// the launch pool (<= 0 means 2×Workers): generation stalls rather
-	// than materializing an unbounded program backlog.
-	Buffer int
 	// FailFast cancels the campaign on the first variant failure instead
 	// of isolating it and measuring the rest.
 	FailFast bool
@@ -118,25 +128,9 @@ type Options struct {
 	// Observers receive the run's event stream (see Observer): one update
 	// per finished variant in completion order, then the settled totals,
 	// then End with the campaign's error. A tracked live campaign
-	// (telemetry.Tracker.Begin) is an Observer.
+	// (telemetry.Tracker.Begin) is an Observer. Spans, metrics, faults
+	// and the adaptive plan are hooks on Launch.
 	Observers []Observer
-	// Tracer, when non-nil, records the campaign as a span tree:
-	// "campaign" > per-variant "variant" spans with "cache.hit"/
-	// "cache.miss" children. It is propagated into Launch.Tracer, where
-	// each launch of a cache miss records its own root "launch" span.
-	Tracer *obs.Tracer
-	// Metrics, when non-nil, records live campaign metrics: the
-	// per-variant duration histogram, the queue-depth gauge and the
-	// engine's named counters in Metrics.Registry (campaign.variants,
-	// campaign.launches, campaign.cache.hits, campaign.cache.misses,
-	// campaign.cache.key_errors, campaign.cache.put_errors,
-	// campaign.failures, campaign.retry, variant.quarantined,
-	// analysis.bound.violations, campaign.stability.backfilled and the
-	// adaptive campaign.reps.saved, campaign.reps.topup and
-	// campaign.topup.failures). It is propagated into Launch.Metrics (rep
-	// latency, calibration time, simulator counters) unless the launch
-	// options already carry their own.
-	Metrics *telemetry.Metrics
 
 	// --- resilience --------------------------------------------------------
 
@@ -152,12 +146,6 @@ type Options struct {
 	// marks it quarantined in the result (counter: variant.quarantined).
 	// 0 disables quarantine.
 	Quarantine int
-	// Faults, when non-nil, arms the deterministic fault-injection plan
-	// at every built-in injection point: campaign worker launch, cache
-	// Get/Put/checkpoint I/O, launcher repetition boundaries and sim
-	// stepping (see internal/faults). It is propagated into Launch.Faults
-	// and the Cache unless those already carry their own injector.
-	Faults *faults.Injector
 
 	// CheckBounds asserts the oracle invariant on every cache-miss
 	// measurement: the static lower bound from internal/dataflow must not
@@ -256,7 +244,7 @@ type Result struct {
 	// so a warm re-run repeats their launches.
 	KeyErrors int
 
-	// --- adaptive accounting (zero unless Options.Adaptive) ---------------
+	// --- adaptive accounting (zero unless Launch.Adaptive) ----------------
 
 	// RepsSaved is the repetition budget the main pass left unspent:
 	// Σ max(0, plan.MaxReps − realized reps) over adaptive measurements.
@@ -351,64 +339,33 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 2 * workers
-	}
 	launch := opts.launch
 	if launch == nil {
 		launch = launcher.Launch
 	}
 	// Resolve the adaptive plan once against the fixed budget so every
-	// variant — and the cache key — sees the same effective plan. A plan
-	// set directly on the launch options (struct-literal callers) is
-	// promoted so the top-up pass covers it too.
-	var plan *launcher.Plan
-	if opts.Adaptive == nil {
-		opts.Adaptive = opts.Launch.Adaptive
-	}
-	if opts.Adaptive != nil {
-		p := opts.Adaptive.Resolve(opts.Launch.OuterReps)
+	// variant — and the cache key — sees the same effective plan.
+	plan := opts.Launch.Adaptive
+	if plan != nil {
+		p := plan.Resolve(opts.Launch.OuterReps)
 		plan = &p
 		opts.Launch.Adaptive = plan
-	}
-	if opts.Tracer != nil && opts.Launch.Tracer == nil {
-		opts.Launch.Tracer = opts.Tracer
-	}
-	// Thread the fault plan down the stack: the launcher checks its
-	// repetition boundaries and sim stepping, the cache its I/O points.
-	if opts.Faults != nil {
-		if opts.Launch.Faults == nil {
-			opts.Launch.Faults = opts.Faults
-		}
-		if opts.Cache != nil {
-			opts.Cache.mu.Lock()
-			if opts.Cache.faults == nil {
-				opts.Cache.faults = opts.Faults
-			}
-			opts.Cache.mu.Unlock()
-		}
 	}
 
 	// Live telemetry: the counter handles are resolved once, so every
 	// campaign.* counter is visible on /metrics while the run is still
-	// going (nil handles no-op without a registry); the launch options
-	// inherit the metrics handle so rep latency and simulator counters
-	// flow too.
+	// going (nil handles no-op without a registry).
 	var variantHist *telemetry.Histogram
 	var queueDepth *telemetry.Gauge
 	var reg *telemetry.Registry
-	if opts.Metrics != nil {
-		if opts.Launch.Metrics == nil {
-			opts.Launch.Metrics = opts.Metrics
-		}
-		variantHist = opts.Metrics.VariantSeconds
-		queueDepth = opts.Metrics.QueueDepth
-		reg = opts.Metrics.Registry
+	if m := opts.Launch.Metrics; m != nil {
+		variantHist = m.VariantSeconds
+		queueDepth = m.QueueDepth
+		reg = m.Registry
 	}
 	cnt := newCounters(reg)
 
-	root := opts.Tracer.Start("campaign").
+	root := opts.Launch.Tracer.Start("campaign").
 		Str("machine", opts.Launch.MachineName).
 		Int("workers", int64(workers))
 	defer root.End()
@@ -420,7 +377,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		index int
 		prog  codegen.Program
 	}
-	jobs := make(chan job, buffer)
+	jobs := make(chan job, 2*workers)
 
 	// topupCand is one variant whose achieved RCIW missed the adaptive
 	// target in the main pass — a candidate for budget reallocation.
@@ -526,7 +483,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 	// point first; an injected fault there models the worker dying before
 	// the launcher even starts.
 	attempt := func(ctx context.Context, name string, kernel *isa.Program, lopts launcher.Options) (*launcher.Measurement, error) {
-		if err := opts.Faults.Check(faults.PointCampaignLaunch, name); err != nil {
+		if err := opts.Launch.Faults.Check(faults.PointCampaignLaunch, name); err != nil {
 			return nil, err
 		}
 		cnt.launches.Inc()

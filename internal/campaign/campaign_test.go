@@ -55,6 +55,15 @@ func quickLaunch() launcher.Options {
 	return opts
 }
 
+// hooked returns l with the launcher setters applied; the tests arm a
+// campaign's plan, tracer, metrics and injector on its launch options.
+func hooked(l launcher.Options, set ...launcher.Option) launcher.Options {
+	for _, s := range set {
+		s(&l)
+	}
+	return l
+}
+
 // source is one way variants enter the engine.
 type source struct {
 	name string
@@ -164,7 +173,7 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldCounters := telemetry.NewRegistry()
-	coldRes := runSweep(t, Options{Launch: quickLaunch(), Cache: cold, Metrics: telemetry.NewMetrics(coldCounters)})
+	coldRes := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(coldCounters))), Cache: cold})
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 		t.Fatalf("reloaded cache has %d entries, want 4", warm.Len())
 	}
 	warmCounters := telemetry.NewRegistry()
-	warmRes := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Metrics: telemetry.NewMetrics(warmCounters)})
+	warmRes := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(warmCounters))), Cache: warm})
 	if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 		t.Errorf("warm run performed %d launches, want 0", got)
 	}
@@ -266,7 +275,7 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 		t.Fatalf("corrupted cache kept %d entries, want fewer than 4", warm.Len())
 	}
 	counters := telemetry.NewRegistry()
-	res := runSweep(t, Options{Launch: quickLaunch(), Cache: warm, Metrics: telemetry.NewMetrics(counters)})
+	res := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))), Cache: warm})
 	if res.Failures != 0 || len(res.Results) != 4 {
 		t.Fatalf("campaign over corrupted cache: %d results, %d failures", len(res.Results), res.Failures)
 	}
@@ -535,8 +544,9 @@ func TestRunFileAndEmptySpec(t *testing.T) {
 func TestTracerRecordsCampaignSpans(t *testing.T) {
 	tr := obs.New()
 	cache := NewMemoryCache()
-	runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Tracer: tr})
-	runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Tracer: tr})
+	launch := hooked(quickLaunch(), launcher.WithTracer(tr))
+	runSweep(t, Options{Launch: launch, Cache: cache})
+	runSweep(t, Options{Launch: launch, Cache: cache})
 	names := map[string]int{}
 	for _, r := range tr.Records() {
 		names[r.Name]++

@@ -40,10 +40,8 @@ func TestChaosTransientFaultsRecoverBitIdentical(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	injector.SetCounter(counters.Counter("faults.injected"))
 	chaotic := runSweep(t, Options{
-		Launch:  quickLaunch(),
-		Faults:  injector,
-		Retry:   chaosBudget(burst),
-		Metrics: telemetry.NewMetrics(counters),
+		Launch: hooked(quickLaunch(), launcher.WithFaults(injector), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Retry:  chaosBudget(burst),
 	})
 
 	if injector.Count() == 0 {
@@ -78,9 +76,8 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (*Result, []faults.Site) {
 		injector := faults.New(99).SetRate("*", 0.5).SetBurst(1)
 		res := runSweep(t, Options{
-			Launch:  quickLaunch(),
+			Launch:  hooked(quickLaunch(), launcher.WithFaults(injector)),
 			Workers: workers,
-			Faults:  injector,
 			Retry:   chaosBudget(1),
 		})
 		return res, injector.Injected()
@@ -108,7 +105,7 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 
 	// A different seed must not replay the same schedule.
 	other := faults.New(100).SetRate("*", 0.5).SetBurst(1)
-	runSweep(t, Options{Launch: quickLaunch(), Faults: other, Retry: chaosBudget(1)})
+	runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithFaults(other)), Retry: chaosBudget(1)})
 	otherSites := other.Injected()
 	same := len(otherSites) == len(serialSites)
 	if same {
@@ -127,8 +124,7 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 func TestChaosPermanentFaultsAreNotRetried(t *testing.T) {
 	injector := faults.New(3).SetRate(faults.PointCampaignLaunch, 1).SetClass(faults.ClassPermanent)
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch: quickLaunch(),
-		Faults: injector,
+		Launch: hooked(quickLaunch(), launcher.WithFaults(injector)),
 		Retry:  RetryPolicy{MaxAttempts: 10, Seed: 1},
 	})
 	if err == nil {
@@ -160,11 +156,9 @@ func TestChaosQuarantineWithdrawsRepeatOffenders(t *testing.T) {
 	injector := faults.New(5).SetRate(faults.PointCampaignLaunch, 1).SetBurst(100)
 	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:     quickLaunch(),
-		Faults:     injector,
+		Launch:     hooked(quickLaunch(), launcher.WithFaults(injector), launcher.WithMetrics(telemetry.NewMetrics(counters))),
 		Retry:      RetryPolicy{MaxAttempts: 50, Seed: 1},
 		Quarantine: 3,
-		Metrics:    telemetry.NewMetrics(counters),
 	})
 	if err == nil {
 		t.Fatal("quarantined campaign must surface the failures")
@@ -223,11 +217,10 @@ func TestChaosCacheFaultsDegradeNeverCorrupt(t *testing.T) {
 	injector := faults.New(11).SetRate(faults.PointCacheCheckpoint, 1).SetClass(faults.ClassPermanent)
 	counters := telemetry.NewRegistry()
 	cache := NewMemoryCache()
+	cache.SetFaults(injector)
 	res := runSweep(t, Options{
-		Launch:  quickLaunch(),
-		Cache:   cache,
-		Faults:  injector,
-		Metrics: telemetry.NewMetrics(counters),
+		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Cache:  cache,
 	})
 	if res.Failures != 0 {
 		t.Fatalf("checkpoint faults failed %d variants; they must degrade, not fail: %v",
@@ -241,17 +234,45 @@ func TestChaosCacheFaultsDegradeNeverCorrupt(t *testing.T) {
 	}
 
 	// Get faults: a warm cache degrades to misses (variants re-measure)
-	// and the results stay bit-identical. Run only installs opts.Faults on
-	// a cache that has none yet, so re-arm this one explicitly.
-	getInjector := faults.New(12).SetRate(faults.PointCacheGet, 1).SetClass(faults.ClassPermanent)
-	cache.SetFaults(getInjector)
-	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache, Faults: getInjector})
+	// and the results stay bit-identical.
+	cache.SetFaults(faults.New(12).SetRate(faults.PointCacheGet, 1).SetClass(faults.ClassPermanent))
+	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache})
 	if warm.CacheHits != 0 || warm.Launches != warm.Emitted {
 		t.Errorf("get faults: %d hits, %d launches of %d variants; want 0 hits, all launched",
 			warm.CacheHits, warm.Launches, warm.Emitted)
 	}
 	if csvOf(t, warm) != cleanCSV {
 		t.Error("get-faulted warm run diverged from the clean run")
+	}
+}
+
+// TestLaunchFaultsLeaveTheCacheUnarmed: a faulted run arms the launch path
+// only. The shared cache's I/O points are its owner's to arm, so the run
+// leaves no injector behind on it and the next run there sees no faults.
+func TestLaunchFaultsLeaveTheCacheUnarmed(t *testing.T) {
+	cache := NewMemoryCache()
+	injector := faults.New(13).SetRate("*", 0.5).SetBurst(1)
+	cold := runSweep(t, Options{
+		Launch: hooked(quickLaunch(), launcher.WithFaults(injector)),
+		Cache:  cache,
+		Retry:  chaosBudget(1),
+	})
+	if injector.Count() == 0 {
+		t.Fatal("no faults injected; the run tested nothing")
+	}
+	cache.mu.Lock()
+	armed := cache.faults
+	cache.mu.Unlock()
+	if armed != nil {
+		t.Fatal("the faulted run left its injector armed on the caller's cache")
+	}
+	injected := injector.Count()
+	warm := runSweep(t, Options{Launch: quickLaunch(), Cache: cache})
+	if warm.CacheHits != cold.Emitted || warm.Launches != 0 {
+		t.Errorf("warm run: %d hits, %d launches of %d variants; want all hits", warm.CacheHits, warm.Launches, cold.Emitted)
+	}
+	if injector.Count() != injected {
+		t.Errorf("the warm run injected %d faults through the cache", injector.Count()-injected)
 	}
 }
 

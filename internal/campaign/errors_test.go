@@ -166,7 +166,6 @@ func TestNewOptionsSetters(t *testing.T) {
 		nil,
 		WithLaunch(quickLaunch()),
 		WithWorkers(3),
-		WithBuffer(9),
 		WithFailFast(true),
 		WithCache(cache),
 		WithObservers(observer),
@@ -177,10 +176,10 @@ func TestNewOptionsSetters(t *testing.T) {
 		WithQuarantine(2),
 		WithCheckBounds(true),
 	)
-	if opts.Workers != 3 || opts.Buffer != 9 || !opts.FailFast || opts.Cache != cache {
+	if opts.Workers != 3 || !opts.FailFast || opts.Cache != cache {
 		t.Errorf("execution setters not applied: %+v", opts)
 	}
-	if len(opts.Observers) != 2 || opts.Metrics != metrics {
+	if len(opts.Observers) != 2 || opts.Launch.Metrics != metrics {
 		t.Errorf("telemetry setters not applied: %+v", opts)
 	}
 	if opts.VariantDeadline != 42 || opts.Retry.MaxAttempts != 5 || opts.Quarantine != 2 || !opts.CheckBounds {

@@ -3,9 +3,7 @@ package campaign
 import (
 	"time"
 
-	"microtools/internal/faults"
 	"microtools/internal/launcher"
-	"microtools/internal/obs"
 	"microtools/internal/telemetry"
 )
 
@@ -41,31 +39,13 @@ func NewOptions(setters ...Option) Options {
 
 // --- execution ---------------------------------------------------------------
 
-// WithLaunch sets the measurement configuration applied to every variant.
+// WithLaunch sets the measurement configuration applied to every variant,
+// hooks included: the adaptive plan, tracer, metrics and fault injector
+// are launcher options (see Options.Launch).
 func WithLaunch(l launcher.Options) Option { return func(o *Options) { o.Launch = l } }
-
-// WithAdaptive arms μOpTime-style adaptive repetition with the given plan
-// (see launcher.Plan); the engine early-stops stable variants and tops up
-// the ones whose RCIW missed the plan's target from the saved budget.
-func WithAdaptive(p launcher.Plan) Option {
-	return func(o *Options) {
-		pp := p
-		o.Adaptive = &pp
-	}
-}
-
-// WithAdaptiveTarget arms adaptive repetition with the given RCIW stop
-// threshold and plan defaults for everything else.
-func WithAdaptiveTarget(rciw float64) Option {
-	return func(o *Options) { o.Adaptive = &launcher.Plan{TargetRCIW: rciw} }
-}
 
 // WithWorkers sizes the launch pool (<= 0 means GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithBuffer bounds the in-flight variant queue between the generator and
-// the launch pool (<= 0 means 2×Workers).
-func WithBuffer(n int) Option { return func(o *Options) { o.Buffer = n } }
 
 // WithFailFast cancels the campaign on the first variant failure instead
 // of isolating it.
@@ -82,12 +62,10 @@ func WithObservers(observers ...Observer) Option {
 	return func(o *Options) { o.Observers = append(o.Observers, observers...) }
 }
 
-// WithTracer records the campaign as a span tree.
-func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
-
-// WithMetrics records live campaign metrics and counters into the
-// instrument set.
-func WithMetrics(m *telemetry.Metrics) Option { return func(o *Options) { o.Metrics = m } }
+// WithMetrics sets Launch.Metrics, the instrument set the engine and every
+// launch record into. Apply it after WithLaunch, which replaces the whole
+// launch configuration.
+func WithMetrics(m *telemetry.Metrics) Option { return func(o *Options) { o.Launch.Metrics = m } }
 
 // --- resilience --------------------------------------------------------------
 
@@ -103,10 +81,6 @@ func WithRetryPolicy(p RetryPolicy) Option { return func(o *Options) { o.Retry =
 // WithQuarantine stops retrying a variant after n consecutive failed
 // attempts (0 = off).
 func WithQuarantine(n int) Option { return func(o *Options) { o.Quarantine = n } }
-
-// WithFaults arms the deterministic fault-injection plan at every built-in
-// injection point.
-func WithFaults(in *faults.Injector) Option { return func(o *Options) { o.Faults = in } }
 
 // WithCheckBounds asserts the static-bound oracle invariant on every
 // cache-miss measurement.

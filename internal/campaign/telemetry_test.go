@@ -8,6 +8,7 @@ import (
 
 	"microtools/internal/codegen"
 	"microtools/internal/core"
+	"microtools/internal/launcher"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
 )
@@ -22,7 +23,7 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 
 	coldRec := &recorder{}
 	cold := runSweep(t, Options{
-		Launch: quickLaunch(), Workers: 4, Cache: cache, Metrics: telemetry.NewMetrics(reg),
+		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(reg))), Workers: 4, Cache: cache,
 		Observers: []Observer{tr.Begin("cold"), coldRec},
 	})
 	coldRec.check(t, cold, nil)
@@ -39,7 +40,7 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 	if got := reg.Histogram(telemetry.MetricVariantSeconds, nil).Count(); got != int64(len(cold.Results)) {
 		t.Errorf("variant histogram count = %d, want one observation per variant (%d)", got, len(cold.Results))
 	}
-	// The launcher instruments through the propagated Metrics too.
+	// The launcher instruments through the same Launch.Metrics.
 	if got := s.Counters[telemetry.MetricSimInstsRetired]; got == 0 {
 		t.Error("sim.insts.retired = 0: launcher metrics not propagated")
 	}
@@ -50,7 +51,7 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 	// Warm re-run on the same registry: hits add up, launches don't.
 	warmRec := &recorder{}
 	warm := runSweep(t, Options{
-		Launch: quickLaunch(), Workers: 4, Cache: cache, Metrics: telemetry.NewMetrics(reg),
+		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(reg))), Workers: 4, Cache: cache,
 		Observers: []Observer{tr.Begin("warm"), warmRec},
 	})
 	warmRec.check(t, warm, nil)

@@ -198,11 +198,16 @@ func (c *Campaign) OpenCache() (*campaign.Cache, error) {
 }
 
 // Options assembles a campaign.Options from the parsed flags through the
-// functional constructor; extra setters (launch configuration, cache,
-// progress, telemetry handles) are applied after the flag-derived ones,
-// so callers can override anything.
-func (c *Campaign) Options(extra ...campaign.Option) campaign.Options {
+// functional constructor. launch is the measurement configuration, hooks
+// included; the -adaptive plan, when set, is armed on it. extra setters
+// (cache, observers) are applied after the flag-derived ones, so callers
+// can override anything.
+func (c *Campaign) Options(launch launcher.Options, extra ...campaign.Option) campaign.Options {
+	if p := c.AdaptivePlan(); p != nil {
+		launch.Adaptive = p
+	}
 	setters := []campaign.Option{
+		campaign.WithLaunch(launch),
 		campaign.WithWorkers(c.Workers),
 		campaign.WithFailFast(c.FailFast),
 		campaign.WithVariantDeadline(c.Deadline),
@@ -212,9 +217,6 @@ func (c *Campaign) Options(extra ...campaign.Option) campaign.Options {
 			Backoff:     c.Backoff,
 			Seed:        c.RetrySeed,
 		}),
-	}
-	if p := c.AdaptivePlan(); p != nil {
-		setters = append(setters, campaign.WithAdaptive(*p))
 	}
 	return campaign.NewOptions(append(setters, extra...)...)
 }

@@ -2,11 +2,14 @@
 // measurement cache and the service's job ledger — one line at a time,
 // with one rule for a line that is too long: it is consumed whole and
 // reported, so the caller skips it like any corrupt line and reads on.
+// Before either file is appended to, a last line torn by a killed process
+// is terminated (TerminateTornTail).
 package jsonl
 
 import (
 	"bufio"
 	"io"
+	"os"
 )
 
 // MaxLine caps one line, newline excluded.
@@ -46,4 +49,24 @@ func (r *Reader) Next() (line []byte, tooLong bool, err error) {
 			return buf, tooLong, err
 		}
 	}
+}
+
+// TerminateTornTail appends a newline when f is non-empty and does not
+// already end in one, so the next record appended to f starts on a line of
+// its own instead of being glued onto a line torn by a killed process.
+// f must be open for reading and appending.
+func TerminateTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }

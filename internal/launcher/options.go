@@ -156,7 +156,9 @@ type Options struct {
 	// default) keeps the fixed OuterReps protocol — and, via omitempty,
 	// keeps the cache key of fixed-budget runs byte-identical to builds
 	// that predate the field. See Plan for the stop rules and the
-	// cache-key policy (planned budget in, realized reps out).
+	// cache-key policy (planned budget in, realized reps out). A campaign
+	// resolves the plan once for every variant and adds its top-up pass
+	// (see campaign.Options.Launch).
 	Adaptive *Plan `json:",omitempty"`
 
 	// --- output ------------------------------------------------------------
@@ -179,7 +181,9 @@ type Options struct {
 
 	// Tracer, when non-nil, records hierarchical spans over the whole
 	// protocol (warm-up, calibration, each measurement repetition, and the
-	// simulator runs underneath). Nil is the zero-overhead default.
+	// simulator runs underneath). Nil is the zero-overhead default. A
+	// campaign records its "campaign" and per-variant "variant" spans
+	// into the same tracer.
 	Tracer *obs.Tracer
 	// CollectCounters attaches a simulated-PMU Counters snapshot to the
 	// measurement, captured as a delta over the measured region only (so
@@ -188,9 +192,17 @@ type Options struct {
 	// Metrics, when non-nil, records live telemetry for the launch: the
 	// per-repetition latency and calibration-time histograms, plus the
 	// simulator's instructions-retired and core-pool counters for the
-	// machine's duration. Nil is the zero-overhead default. Excluded
-	// from cache keys: live instrumentation observes the run, it does
-	// not change the measured value.
+	// machine's duration. A campaign records into the same set: the
+	// per-variant duration histogram, the queue-depth gauge and the
+	// engine's named counters in Metrics.Registry (campaign.variants,
+	// campaign.launches, campaign.cache.hits, campaign.cache.misses,
+	// campaign.cache.key_errors, campaign.cache.put_errors,
+	// campaign.failures, campaign.retry, variant.quarantined,
+	// analysis.bound.violations, campaign.stability.backfilled and the
+	// adaptive campaign.reps.saved, campaign.reps.topup and
+	// campaign.topup.failures). Nil is the zero-overhead default.
+	// Excluded from cache keys: live instrumentation observes the run, it
+	// does not change the measured value.
 	Metrics *telemetry.Metrics `json:"-"`
 
 	// --- resilience --------------------------------------------------------
@@ -198,8 +210,10 @@ type Options struct {
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// launch protocol's boundaries (faults.PointLauncherRep at every outer
 	// repetition, faults.PointSimStep under the simulator). Nil is the
-	// fault-free default. Campaign.Run propagates its own injector here
-	// when the launch options carry none. Excluded from cache keys: the
+	// fault-free default. A campaign also checks it at its worker-launch
+	// point (faults.PointCampaignLaunch); the measurement cache's I/O
+	// points are armed on the cache (campaign.Cache.SetFaults). Excluded
+	// from cache keys: the
 	// fault plan perturbs execution, not the measured value a healthy run
 	// produces.
 	Faults *faults.Injector `json:"-"`
@@ -400,15 +414,6 @@ func WithAdaptive(p Plan) Option {
 	return func(o *Options) {
 		pp := p
 		o.Adaptive = &pp
-	}
-}
-
-// WithAdaptiveTarget arms adaptive repetition with the given RCIW stop
-// threshold and defaults for everything else — the one-knob form of
-// WithAdaptive.
-func WithAdaptiveTarget(rciw float64) Option {
-	return func(o *Options) {
-		o.Adaptive = &Plan{TargetRCIW: rciw}
 	}
 }
 

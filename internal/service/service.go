@@ -44,8 +44,9 @@ type Options struct {
 	// no restart resume).
 	StorePath string
 	// Launch is the base measurement configuration; per-request fields
-	// (machine, array size, repetitions) override it. The zero value
-	// means launcher.DefaultOptions().
+	// (machine, array size, repetitions, adaptive plan) override it, and
+	// every job records into the daemon's instruments (Registry) in place
+	// of Launch.Metrics. The zero value means launcher.DefaultOptions().
 	Launch launcher.Options
 	// Registry, Tracker back the mounted telemetry endpoints and the
 	// service metrics (nil creates private ones).
@@ -434,12 +435,20 @@ func (d *Daemon) campaignOptions(j *job) campaign.Options {
 	if req.InnerReps > 0 {
 		launch.InnerReps = req.InnerReps
 	}
+	launch.Metrics = d.metrics
+	if req.Adaptive != nil {
+		launch.Adaptive = &launcher.Plan{
+			MinReps:    req.Adaptive.MinReps,
+			MaxReps:    req.Adaptive.MaxReps,
+			TargetRCIW: req.Adaptive.TargetRCIW,
+			StableRuns: req.Adaptive.StableRuns,
+		}
+	}
 	setters := []campaign.Option{
 		campaign.WithLaunch(launch),
 		campaign.WithWorkers(req.Workers),
 		campaign.WithFailFast(req.FailFast),
 		campaign.WithCache(d.opts.Cache),
-		campaign.WithMetrics(d.metrics),
 		campaign.WithQuarantine(req.Quarantine),
 		campaign.WithCheckBounds(req.CheckBounds),
 		campaign.WithObservers(d.tracker.Begin(status.Name), campaign.UpdateFunc(func(u telemetry.CampaignUpdate) {
@@ -456,14 +465,6 @@ func (d *Daemon) campaignOptions(j *job) campaign.Options {
 	}
 	if req.VariantDeadlineMS > 0 {
 		setters = append(setters, campaign.WithVariantDeadline(time.Duration(req.VariantDeadlineMS)*time.Millisecond))
-	}
-	if req.Adaptive != nil {
-		setters = append(setters, campaign.WithAdaptive(launcher.Plan{
-			MinReps:    req.Adaptive.MinReps,
-			MaxReps:    req.Adaptive.MaxReps,
-			TargetRCIW: req.Adaptive.TargetRCIW,
-			StableRuns: req.Adaptive.StableRuns,
-		}))
 	}
 	return campaign.NewOptions(setters...)
 }

@@ -406,6 +406,45 @@ func TestStoreCorruptLineDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestStoreTornTailIsTerminated: a daemon killed mid-append leaves the
+// ledger's last line torn, here j-1's terminal record. The next daemon
+// re-runs j-1 and must write its terminal record on a line of its own:
+// glued onto the torn line, it would be lost on replay and every later
+// restart would run j-1 again.
+func TestStoreTornTailIsTerminated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	submit, err := json.Marshal(storeRecord{Kind: "submit",
+		Job:     api.JobStatus{SchemaVersion: api.SchemaVersion, ID: "j-1", Tenant: "t", State: api.StateQueued},
+		Request: &api.JobRequest{Tenant: "t", Spec: sweepSpec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := `{"kind":"end","job":{"schema_version":"v1","id":"j-1","ten`
+	if err := os.WriteFile(path, append(append(submit, '\n'), torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: campaign.NewMemoryCache(), StorePath: path, MaxConcurrentJobs: 1}
+	d, client := startDaemon(t, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if res, err := client.WaitResult(ctx, "j-1"); err != nil || res.Job.State != api.StateDone {
+		t.Fatalf("resumed j-1: %v, %v", res.Job.State, err)
+	}
+	second := submitWait(t, client, api.JobRequest{Tenant: "t", Spec: sweepSpec})
+	_ = d.CloseHTTP()
+	_ = d.Close()
+
+	d2, _ := startDaemon(t, opts)
+	for _, id := range []string{"j-1", second.Job.ID} {
+		if st, ok := d2.Job(id); !ok || st.State != api.StateDone {
+			t.Errorf("%s after reopen: %+v (known %v), want done", id, st, ok)
+		}
+	}
+	if got := d2.storeErrors.Value(); got != 1 {
+		t.Errorf("%d corrupt ledger lines on reopen, want 1 (the torn one)", got)
+	}
+}
+
 // TestStoreOverlongLineIsSkipped: a garbage line over jsonl.MaxLine
 // between two submit records is skipped and counted like any corrupt
 // line, and both jobs still come back pending.

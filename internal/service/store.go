@@ -26,8 +26,8 @@ type storeRecord struct {
 // store persists the job ledger as append-only JSONL, mirroring the
 // measurement cache's durability contract: every accepted record is one
 // fsync-free line, a torn or corrupt line degrades to a miss (the records
-// before it survive, the tail is ignored), and two processes never share
-// a store.
+// around it survive, and the next append starts a line of its own), and
+// two processes never share a store.
 type store struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -35,14 +35,20 @@ type store struct {
 	path string
 }
 
-// openStore opens (creating if needed) the JSONL ledger at path. A nil
-// store (path "") is valid and drops every append — memory-only serving.
+// openStore opens (creating if needed) the JSONL ledger at path for
+// appending. A last line torn by a killed daemon is terminated first, so
+// the next record lands on a line of its own. A nil store (path "") is
+// valid and drops every append — memory-only serving.
 func openStore(path string) (*store, error) {
 	if path == "" {
 		return nil, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("service: open job store: %w", err)
+	}
+	if err := jsonl.TerminateTornTail(f); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("service: open job store: %w", err)
 	}
 	return &store{f: f, enc: json.NewEncoder(f), path: path}, nil

@@ -5,7 +5,7 @@ package telemetry
 // (microtools_ prefix, dots to underscores).
 const (
 	// The campaign engine's named counters (campaign.launches, ...)
-	// live in the same registry; campaign.Options.Metrics lists them.
+	// live in the same registry; launcher.Options.Metrics lists them.
 	MetricVariantSeconds   = "campaign.variant.seconds"
 	MetricQueueDepth       = "campaign.queue.depth"
 	MetricRepSeconds       = "launcher.rep.seconds"

@@ -74,8 +74,9 @@ type (
 	// VerifyMode selects how generation treats verifier findings (see the
 	// VerifyEnforce/VerifyCollect/VerifyOff constants).
 	VerifyMode = verify.Mode
-	// CampaignOptions configures RunCampaign (workers, buffering, fail-fast,
-	// cache, observers, tracing).
+	// CampaignOptions configures RunCampaign (launch options, workers,
+	// fail-fast, cache, observers, resilience); tracing, metrics, fault
+	// injection and the adaptive plan are hooks on its LaunchOptions.
 	CampaignOptions = campaign.Options
 	// CampaignResult is a campaign's per-variant results plus aggregate
 	// counts (emitted, launches, cache hits, failures).
@@ -85,7 +86,7 @@ type (
 	MeasurementCache = campaign.Cache
 	// AdaptivePlan configures the μOpTime-style adaptive repetition planner
 	// (per-variant early stop plus campaign top-up); arm it through
-	// LaunchOptions.Adaptive or CampaignOptions.Adaptive.
+	// LaunchOptions.Adaptive (CampaignOptions.Launch for a campaign).
 	AdaptivePlan = launcher.Plan
 
 	// --- error taxonomy ---------------------------------------------------
@@ -102,8 +103,9 @@ type (
 	// name, cause) inside a campaign.
 	VariantError = campaign.VariantError
 	// FaultInjector is the deterministic, seed-driven fault-injection
-	// registry armed via CampaignOptions.Faults (or directly on
-	// LaunchOptions.Faults); see NewFaultInjector.
+	// registry armed via LaunchOptions.Faults (CampaignOptions.Launch for
+	// a campaign) or, for the cache's I/O points, MeasurementCache.SetFaults;
+	// see NewFaultInjector.
 	FaultInjector = faults.Injector
 	// RetryPolicy bounds how a campaign re-attempts transiently failed
 	// variants (CampaignOptions.Retry): attempt budget plus deterministic
@@ -126,7 +128,7 @@ const (
 // (point, key) site faults is a pure function of the seed, so the injected
 // fault set of a campaign is reproducible regardless of worker count. Arm
 // points with SetRate (the point "*" arms all) and attach via
-// CampaignOptions.Faults.
+// LaunchOptions.Faults, and MeasurementCache.SetFaults for cache I/O.
 func NewFaultInjector(seed int64) *FaultInjector { return faults.New(seed) }
 
 // TransientFault wraps a real error as a transient fault: the campaign
