@@ -56,13 +56,14 @@ bench:
 # HOT_BENCHES are the simulator hot-path benchmarks that bench-smoke keeps
 # working (see README "Benchmark guards"): the core's simulation speed, the
 # pooled machine's warm-up-and-reset cost, one repetition, variant
-# materialization, the full launcher protocol with telemetry off and on (the
+# materialization, generation of the 510-variant family, the full launcher
+# protocol with telemetry off and on (the
 # pair bounds instrumentation overhead), the campaign sweep serial, adaptive
 # and across worker counts, the cold-vs-warm cache campaign (the warm half is
 # the all-hits path), the static analysis, the static screen, the JSON
 # report encoding and the served result's wire decode + encode. Timing
 # evidence comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -80,7 +81,11 @@ bench-smoke:
 # (the appending encoder makes one allocation; a return to building the
 # report through encoding/json reflection costs ~12k), and the served
 # result's wire decode + encode once against bench_guard_codec_allocs.txt
-# (one string per variant name; encoding/json reflection costs ~4.6k).
+# (one string per variant name; encoding/json reflection costs ~4.6k), and
+# the generation of the 510-variant family once against
+# bench_guard_gen_allocs.txt, which a return to a second dataflow scan per
+# variant, to parsing every instruction's mnemonic or to formatting variant
+# names exceeds.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	@limit="$$(cat bench_guard_allocs.txt)"; \
@@ -88,6 +93,7 @@ bench-guard:
 	wlimit="$$(cat bench_guard_warm_allocs.txt)"; \
 	rlimit="$$(cat bench_guard_report_allocs.txt)"; \
 	climit="$$(cat bench_guard_codec_allocs.txt)"; \
+	glimit="$$(cat bench_guard_gen_allocs.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
@@ -97,11 +103,14 @@ bench-guard:
 	rallocs="$$(echo "$$rout" | awk '/^BenchmarkWriteReport/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	cout="$$($(GO) test -run='^$$' -bench '^BenchmarkJobResultCodec$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	callocs="$$(echo "$$cout" | awk '/^BenchmarkJobResultCodec/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
+	gout="$$($(GO) test -run='^$$' -bench '^BenchmarkGenerate510Variants$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
+	gallocs="$$(echo "$$gout" | awk '/^BenchmarkGenerate510Variants/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
 	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
 	if [ -z "$$wallocs" ]; then echo "bench-guard: could not parse warm allocs/op"; exit 1; fi; \
 	if [ -z "$$rallocs" ]; then echo "bench-guard: could not parse report allocs/op"; exit 1; fi; \
 	if [ -z "$$callocs" ]; then echo "bench-guard: could not parse codec allocs/op"; exit 1; fi; \
+	if [ -z "$$gallocs" ]; then echo "bench-guard: could not parse generation allocs/op"; exit 1; fi; \
 	if [ "$$allocs" -gt "$$limit" ]; then \
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
 		exit 1; \
@@ -122,7 +131,11 @@ bench-guard:
 		echo "bench-guard: BenchmarkJobResultCodec allocated $$callocs objs/op, ceiling is $$climit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit; codec $$callocs allocs/op <= $$climit"
+	if [ "$$gallocs" -gt "$$glimit" ]; then \
+		echo "bench-guard: BenchmarkGenerate510Variants allocated $$gallocs objs/op, ceiling is $$glimit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit; codec $$callocs allocs/op <= $$climit; generation $$gallocs allocs/op <= $$glimit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

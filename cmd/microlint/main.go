@@ -752,6 +752,7 @@ var deletedAPIs = []struct{ names, use string }{
 	{"WithTracker", "campaign.WithObservers(tracker.Begin(name))"},
 	{"WithBuffer", "campaign.WithWorkers (the queue holds 2×Workers variants)"},
 	{"WithAdaptiveTarget", "launcher.WithAdaptive(launcher.Plan{TargetRCIW: rciw})"},
+	{"AnalyzeLiveness", "dataflow.KernelLiveness"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},

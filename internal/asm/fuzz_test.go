@@ -32,6 +32,18 @@ k:
     jge .L0
     ret
 `)
+	// sal with every size suffix parses as shl and prints back as shl.
+	f.Add(`
+k:
+.L0:
+    salb $1, %rax
+    salw $1, %rax
+    sall $1, %rax
+    salq $1, %rax
+    sub $1, %rdi
+    jge .L0
+    ret
+`)
 	f.Add("k:\nret\n")
 	f.Add("garbage $$$\n")
 	f.Fuzz(func(t *testing.T, src string) {

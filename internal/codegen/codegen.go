@@ -277,14 +277,14 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 		})
 	}
 	p.Labels[k.Branch.Label] = len(p.Insts)
-	for _, in := range k.Body {
-		inst, err := lowerInstruction(in)
+	for i := range k.Body {
+		inst, err := lowerInstruction(&k.Body[i])
 		if err != nil {
 			return nil, err
 		}
 		p.Insts = append(p.Insts, inst)
 	}
-	testOp, err := isa.ParseOp(k.Branch.Test)
+	testOp, err := k.Branch.Opcode()
 	if err != nil {
 		return nil, fmt.Errorf("codegen: branch: %w", err)
 	}
@@ -301,12 +301,12 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 
 // lowerInstruction lowers one IR instruction to its decoded form, mapping
 // operands exactly as the asm parser maps their renderings.
-func lowerInstruction(in ir.Instruction) (isa.Inst, error) {
+func lowerInstruction(in *ir.Instruction) (isa.Inst, error) {
 	var inst isa.Inst
 	if in.Op == "" {
 		return inst, fmt.Errorf("codegen: abstract instruction (%s) reached code generation", in)
 	}
-	op, err := isa.ParseOp(in.Op)
+	op, err := in.Opcode()
 	if err != nil {
 		return inst, err
 	}

@@ -58,8 +58,7 @@ func KernelBounds(p *isa.Program, arch *isa.Arch) (Bounds, error) {
 
 // computeBounds is the lean bound computation behind KernelBounds.
 func computeBounds(p *isa.Program, dp *isa.DecodedProgram, arch *isa.Arch) Bounds {
-	a := &analysis{prog: p, dp: dp, arch: arch}
-	a.scan()
+	a := newAnalysis(p, dp, arch)
 	b := Bounds{LoopStart: a.start, LoopEnd: a.end}
 	for i := a.start; i <= a.end; i++ {
 		for _, u := range dp.Uops[i] {
@@ -134,16 +133,22 @@ func (a *analysis) latencyBound() float64 {
 	if n == 0 {
 		return 0
 	}
+	// Three n×n matrices; a loop carries a handful of resources, so they
+	// fit on the stack.
+	var buf [3 * 8 * 8]float64
+	mats := buf[:]
+	if 3*n*n > len(buf) {
+		mats = make([]float64, 3*n*n)
+	}
+	w, pow, next := mats[:n*n:n*n], mats[n*n:2*n*n:2*n*n], mats[2*n*n:3*n*n]
 	var dist [isa.NumRegs]float64
-	w := make([]float64, n*n) // w[u*n+v]: carried[u] -> final write of carried[v]
-	for u, s := range carried {
+	for u, s := range carried { // w[u*n+v]: carried[u] -> final write of carried[v]
 		a.carriedDist(s, &dist)
 		for v, t := range carried {
 			w[u*n+v] = dist[t]
 		}
 	}
-	pow := append([]float64(nil), w...)
-	next := make([]float64, n*n)
+	copy(pow, w)
 	best := 0.0
 	for k := 1; k <= n; k++ {
 		if k > 1 {

@@ -70,8 +70,8 @@ k:
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &analysis{prog: p, dp: dp, arch: arch}
-	a.scan()
+	// A private scan, not the memoized one: the trials overwrite its sets.
+	a := &analysis{prog: p, dp: dp, arch: arch, scanned: scan(p, dp)}
 	if !a.hasLoop {
 		t.Fatal("test kernel has no loop")
 	}
@@ -101,5 +101,32 @@ k:
 				}
 			}
 		}
+	}
+}
+
+// TestScanMemoizedPerDecode: liveness, bounds and the full analysis of one
+// decoded program share one scan.
+func TestScanMemoizedPerDecode(t *testing.T) {
+	p, err := asm.ParseOne("k:\n.L0:\n\tadd $1, %eax\n\tsub $1, %rdi\n\tjge .L0\n\tret\n", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := isa.Nehalem()
+	if _, err := KernelLiveness(p, arch); err != nil {
+		t.Fatal(err)
+	}
+	dp, err := p.Decoded(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := newAnalysis(p, dp, arch).scanned
+	if _, err := KernelBounds(p, arch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(p, arch); err != nil {
+		t.Fatal(err)
+	}
+	if again := newAnalysis(p, dp, arch).scanned; again != first {
+		t.Fatal("a second analysis of the same decode rescanned the program")
 	}
 }

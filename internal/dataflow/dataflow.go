@@ -177,15 +177,14 @@ func Analyze(p *isa.Program, arch *isa.Arch) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: %w", err)
 	}
-	a := &analysis{prog: p, dp: dp, arch: arch}
-	a.scan()
+	a := newAnalysis(p, dp, arch)
 	rep := &Report{
 		Kernel:    p.Name,
 		Arch:      arch.Name,
 		LoopStart: a.start,
 		LoopEnd:   a.end,
 	}
-	a.liveness(rep)
+	rep.DeadWrites, rep.SelfMoves = a.liveness(false)
 	a.dependences(rep)
 	a.latency(rep)
 	a.pressure(rep)
@@ -195,65 +194,85 @@ func Analyze(p *isa.Program, arch *isa.Arch) (*Report, error) {
 	return rep, nil
 }
 
-// AnalyzeLiveness runs only the liveness fixpoint and fills DeadWrites and
-// SelfMoves — the microarchitecture-independent facts behind the verifier's
-// V009/V010 rules. It skips the dependence DAG and every bound computation,
-// so it is considerably cheaper than Analyze on the per-variant verify path;
-// the entries it does produce are identical to Analyze's, except that dead
-// writes with a memory operand carry no rendered Inst/Resource strings (no
-// rule reports them, and the strings dominate the pass's allocations).
-func AnalyzeLiveness(p *isa.Program, arch *isa.Arch) (*Report, error) {
+// Liveness is the microarchitecture-independent slice of Report behind the
+// verifier's V009/V010 rules.
+type Liveness struct {
+	// DeadWrites mirrors Report.DeadWrites without the writes whose
+	// instruction touches memory: no rule reports those (the access is the
+	// workload), so they are neither listed nor rendered.
+	DeadWrites []DeadWrite
+	// SelfMoves mirrors Report.SelfMoves.
+	SelfMoves []int
+}
+
+// KernelLiveness runs only the liveness fixpoint of Analyze over p's scan on
+// arch, which it shares with KernelBounds and Analyze through the decode's
+// memo. It skips the dependence DAG and every bound, so it is what the
+// verifier runs per variant; its entries are Analyze's, less the
+// memory-accessing dead writes.
+func KernelLiveness(p *isa.Program, arch *isa.Arch) (Liveness, error) {
 	if p == nil || len(p.Insts) == 0 {
-		return nil, fmt.Errorf("dataflow: empty program")
+		return Liveness{}, fmt.Errorf("dataflow: empty program")
 	}
 	dp, err := p.Decoded(arch)
 	if err != nil {
-		return nil, fmt.Errorf("dataflow: %w", err)
+		return Liveness{}, fmt.Errorf("dataflow: %w", err)
 	}
-	a := &analysis{prog: p, dp: dp, arch: arch, lean: true}
-	a.scan()
-	rep := &Report{
-		Kernel:    p.Name,
-		Arch:      arch.Name,
-		LoopStart: a.start,
-		LoopEnd:   a.end,
-	}
-	a.liveness(rep)
-	return rep, nil
+	a := newAnalysis(p, dp, arch)
+	var l Liveness
+	l.DeadWrites, l.SelfMoves = a.liveness(true)
+	return l, nil
 }
 
-// analysis carries the per-run scratch state.
+// analysis carries one run's view of a program: its decode, the arch the
+// bounds are weighted for, and the program's memoized scan.
 type analysis struct {
 	prog *isa.Program
 	dp   *isa.DecodedProgram
 	arch *isa.Arch
+	*scanned
+}
 
+// scanned is a program's scan: its innermost loop and each instruction's
+// read and write sets. It depends on the decode alone, so every analysis
+// of one DecodedProgram shares one scan, memoized on the decode; it is
+// read-only once published.
+type scanned struct {
 	start, end int // analysed body, inclusive
 	hasLoop    bool
-	lean       bool // liveness-only run: skip strings nothing will read
 
 	reads  []bitset // per instruction (whole program)
 	writes []bitset
+}
+
+// derivedScanTag namespaces the memoized scan in the DecodedProgram
+// derived-result memo (see derivedBoundsTag).
+const derivedScanTag = uint64(2) << 32
+
+// newAnalysis returns the analysis of p over its decode dp on arch, with
+// the scan memoized on dp.
+func newAnalysis(p *isa.Program, dp *isa.DecodedProgram, arch *isa.Arch) analysis {
+	sc := dp.Derived(derivedScanTag, func() any { return scan(p, dp) })
+	return analysis{prog: p, dp: dp, arch: arch, scanned: sc.(*scanned)}
 }
 
 // scan finds the innermost loop and precomputes each instruction's read and
 // write sets. The innermost loop is the first backward conditional branch
 // and its target: generated kernels have exactly one loop, and in nested
 // kernels (matmul) the first backward branch closes the hot inner loop.
-func (a *analysis) scan() {
-	n := len(a.prog.Insts)
-	a.start, a.end = 0, n-1
-	for i := range a.prog.Insts {
-		in := &a.prog.Insts[i]
+func scan(p *isa.Program, dp *isa.DecodedProgram) *scanned {
+	n := len(p.Insts)
+	sets := make([]bitset, 2*n)
+	s := &scanned{start: 0, end: n - 1, reads: sets[:n:n], writes: sets[n:]}
+	for i := range p.Insts {
+		in := &p.Insts[i]
 		if in.Op.IsCondBranch() && in.Target >= 0 && in.Target <= i {
-			a.start, a.end, a.hasLoop = in.Target, i, true
+			s.start, s.end, s.hasLoop = in.Target, i, true
 			break
 		}
 	}
-	a.reads = make([]bitset, n)
-	a.writes = make([]bitset, n)
-	for i := range a.prog.Insts {
-		info := &a.dp.Info[i]
+	for i := range p.Insts {
+		info := &dp.Info[i]
 		var rd, wr bitset
 		for _, r := range info.AddrRegs {
 			if r != isa.NoReg {
@@ -272,8 +291,9 @@ func (a *analysis) scan() {
 		if info.WritesFlags {
 			wr.add(isa.RFLAGS)
 		}
-		a.reads[i], a.writes[i] = rd, wr
+		s.reads[i], s.writes[i] = rd, wr
 	}
+	return s
 }
 
 // defLat returns the latency a RAW consumer of instruction i's result must
@@ -309,11 +329,18 @@ func (a *analysis) succs(i int, buf []int) []int {
 }
 
 // liveness runs the backward dataflow fixpoint over the whole program and
-// fills Report.DeadWrites and Report.SelfMoves.
-func (a *analysis) liveness(rep *Report) {
+// returns Report.DeadWrites and Report.SelfMoves; lean drops the dead
+// writes of memory-accessing instructions (see Liveness).
+func (a *analysis) liveness(lean bool) (dead []DeadWrite, selfMoves []int) {
 	n := len(a.prog.Insts)
-	liveIn := make([]bitset, n)
-	liveOut := make([]bitset, n)
+	// Generated kernels are a few dozen instructions: their live sets fit
+	// on the stack.
+	var buf [64]bitset
+	live := buf[:]
+	if 2*n > len(buf) {
+		live = make([]bitset, 2*n)
+	}
+	liveIn, liveOut := live[:n:n], live[n:2*n]
 	var sbuf [2]int
 	for changed := true; changed; {
 		changed = false
@@ -335,26 +362,16 @@ func (a *analysis) liveness(rep *Report) {
 	for i := range a.prog.Insts {
 		in := &a.prog.Insts[i]
 		info := &a.dp.Info[i]
-		if d := info.DstReg; d != isa.NoReg && !liveOut[i].has(d) {
-			if a.lean && info.HasMem {
-				// No rule reports a dead write that touches memory (the
-				// access is the workload); skip the entry and its rendered
-				// strings entirely on the liveness-only path.
-			} else {
-				dw := DeadWrite{Index: i, HasMem: info.HasMem}
-				if !a.lean || !info.HasMem {
-					dw.Inst = in.String()
-					dw.Resource = d.String()
-				}
-				rep.DeadWrites = append(rep.DeadWrites, dw)
-			}
+		if d := info.DstReg; d != isa.NoReg && !liveOut[i].has(d) && !(lean && info.HasMem) {
+			dead = append(dead, DeadWrite{Index: i, Inst: in.String(), Resource: d.String(), HasMem: info.HasMem})
 		}
 		if in.Op.IsMove() && in.NOps == 2 &&
 			in.A.Kind == isa.RegOperand && in.B.Kind == isa.RegOperand &&
 			in.A.Reg == in.B.Reg {
-			rep.SelfMoves = append(rep.SelfMoves, i)
+			selfMoves = append(selfMoves, i)
 		}
 	}
+	return dead, selfMoves
 }
 
 // dependences builds the loop-body dependence DAG, including the carried

@@ -360,18 +360,18 @@ func TestBoundsAreFinite(t *testing.T) {
 }
 
 // TestBoundsAgreeWithAnalyze: KernelBounds is the memoized lean slice of
-// Analyze, and AnalyzeLiveness the liveness-only slice; over a spread of
-// kernels (recurrence chains, dead writes, straight-line code, both matmul
-// microarchitectures) every shared field must agree exactly with the full
-// analysis — they are computed by the same passes, and any drift would
-// desynchronize the campaign oracle from `microtools analyze`.
+// Analyze; over a spread of kernels (recurrence chains, dead writes,
+// straight-line code, both matmul microarchitectures) and every variant of
+// every shipped spec, every shared field must agree exactly with the full
+// analysis — they are computed by the same passes over one memoized scan,
+// and any drift would desynchronize the campaign oracle from `microtools
+// analyze`.
 func TestBoundsAgreeWithAnalyze(t *testing.T) {
-	progs := map[string]*isa.Program{
-		"chain":       parse(t, chainKernel),
-		"cross":       parse(t, crossKernel),
-		"independent": parse(t, independentKernel),
-		"straight":    parse(t, "k:\n\tmov $3, %rax\n\tret\n"),
-	}
+	progs := specPrograms(t)
+	progs["chain"] = parse(t, chainKernel)
+	progs["cross"] = parse(t, crossKernel)
+	progs["independent"] = parse(t, independentKernel)
+	progs["straight"] = parse(t, "k:\n\tmov $3, %rax\n\tret\n")
 	for _, u := range []int{1, 4} {
 		mp, err := matmul.Full(u)
 		if err != nil {
@@ -381,55 +381,57 @@ func TestBoundsAgreeWithAnalyze(t *testing.T) {
 	}
 	for _, arch := range []*isa.Arch{isa.Nehalem(), isa.SandyBridge()} {
 		for name, p := range progs {
-			rep, err := dataflow.Analyze(p, arch)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, arch.Name, err)
-			}
-			b, err := dataflow.KernelBounds(p, arch)
-			if err != nil {
-				t.Fatalf("%s/%s: KernelBounds: %v", name, arch.Name, err)
-			}
-			if b.LatencyBound != rep.LatencyBound || b.ThroughputBound != rep.ThroughputBound ||
-				b.FrontendBound != rep.FrontendBound || b.CyclesLowerBound != rep.CyclesLowerBound {
-				t.Errorf("%s/%s: bounds %+v diverge from Analyze (%g/%g/%g/%g)", name, arch.Name, b,
-					rep.LatencyBound, rep.ThroughputBound, rep.FrontendBound, rep.CyclesLowerBound)
-			}
-			if b.CounterStep != rep.CounterStep || b.Uops != rep.Uops || b.UnfusedUops != rep.UnfusedUops {
-				t.Errorf("%s/%s: counters %+v diverge from Analyze (%d/%d/%d)", name, arch.Name, b,
-					rep.CounterStep, rep.Uops, rep.UnfusedUops)
-			}
-			if b.LoopStart != rep.LoopStart || b.LoopEnd != rep.LoopEnd {
-				t.Errorf("%s/%s: loop %d..%d diverges from Analyze (%d..%d)", name, arch.Name,
-					b.LoopStart, b.LoopEnd, rep.LoopStart, rep.LoopEnd)
-			}
-			// Memoized: a second query returns the identical value.
-			again, err := dataflow.KernelBounds(p, arch)
-			if err != nil || again != b {
-				t.Errorf("%s/%s: memoized bounds changed: %+v vs %+v (%v)", name, arch.Name, again, b, err)
-			}
-
-			lrep, err := dataflow.AnalyzeLiveness(p, arch)
-			if err != nil {
-				t.Fatalf("%s/%s: AnalyzeLiveness: %v", name, arch.Name, err)
-			}
-			var fullDead, leanDead []dataflow.DeadWrite
-			for _, d := range rep.DeadWrites {
-				if !d.HasMem {
-					fullDead = append(fullDead, d)
-				}
-			}
-			for _, d := range lrep.DeadWrites {
-				if !d.HasMem {
-					leanDead = append(leanDead, d)
-				}
-			}
-			if !reflect.DeepEqual(fullDead, leanDead) {
-				t.Errorf("%s/%s: reportable dead writes diverge: %+v vs %+v", name, arch.Name, fullDead, leanDead)
-			}
-			if !reflect.DeepEqual(lrep.SelfMoves, rep.SelfMoves) {
-				t.Errorf("%s/%s: self moves diverge: %v vs %v", name, arch.Name, lrep.SelfMoves, rep.SelfMoves)
-			}
+			checkBounds(t, name, p, arch)
 		}
+	}
+}
+
+// checkBounds compares KernelBounds, twice (the second from the memo), with
+// Analyze.
+func checkBounds(t *testing.T, name string, p *isa.Program, arch *isa.Arch) {
+	t.Helper()
+	rep, err := dataflow.Analyze(p, arch)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", name, arch.Name, err)
+	}
+	b, err := dataflow.KernelBounds(p, arch)
+	if err != nil {
+		t.Fatalf("%s/%s: KernelBounds: %v", name, arch.Name, err)
+	}
+	if b.LatencyBound != rep.LatencyBound || b.ThroughputBound != rep.ThroughputBound ||
+		b.FrontendBound != rep.FrontendBound || b.CyclesLowerBound != rep.CyclesLowerBound {
+		t.Errorf("%s/%s: bounds %+v diverge from Analyze (%g/%g/%g/%g)", name, arch.Name, b,
+			rep.LatencyBound, rep.ThroughputBound, rep.FrontendBound, rep.CyclesLowerBound)
+	}
+	if b.CounterStep != rep.CounterStep || b.Uops != rep.Uops || b.UnfusedUops != rep.UnfusedUops {
+		t.Errorf("%s/%s: counters %+v diverge from Analyze (%d/%d/%d)", name, arch.Name, b,
+			rep.CounterStep, rep.Uops, rep.UnfusedUops)
+	}
+	if b.LoopStart != rep.LoopStart || b.LoopEnd != rep.LoopEnd {
+		t.Errorf("%s/%s: loop %d..%d diverges from Analyze (%d..%d)", name, arch.Name,
+			b.LoopStart, b.LoopEnd, rep.LoopStart, rep.LoopEnd)
+	}
+	// Memoized: a second query returns the identical value.
+	again, err := dataflow.KernelBounds(p, arch)
+	if err != nil || again != b {
+		t.Errorf("%s/%s: memoized bounds changed: %+v vs %+v (%v)", name, arch.Name, again, b, err)
+	}
+	// The liveness slice is Analyze's, less the memory-accessing writes.
+	live, err := dataflow.KernelLiveness(p, arch)
+	if err != nil {
+		t.Fatalf("%s/%s: KernelLiveness: %v", name, arch.Name, err)
+	}
+	var fullDead []dataflow.DeadWrite
+	for _, d := range rep.DeadWrites {
+		if !d.HasMem {
+			fullDead = append(fullDead, d)
+		}
+	}
+	if !reflect.DeepEqual(fullDead, live.DeadWrites) {
+		t.Errorf("%s/%s: reportable dead writes diverge: %+v vs %+v", name, arch.Name, fullDead, live.DeadWrites)
+	}
+	if !reflect.DeepEqual(live.SelfMoves, rep.SelfMoves) {
+		t.Errorf("%s/%s: self moves diverge: %v vs %v", name, arch.Name, live.SelfMoves, rep.SelfMoves)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // FuzzAnalyze asserts the analyzer's contract with verify: any source that
 // parses and carries no error-severity findings must analyze on both Table 1
-// microarchitectures without panicking, and every bound must come out
-// finite and non-negative.
+// microarchitectures without panicking, every bound must come out finite
+// and non-negative, KernelBounds must equal Analyze's bounds, and
+// KernelLiveness must equal the reference liveness analysis.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(`
 k:
@@ -62,6 +63,8 @@ k:
 						name, v, arch.Name, src)
 				}
 			}
+			checkBounds(t, "fuzz", prog, arch)
+			checkLiveness(t, "fuzz", prog, arch)
 			if rep.CyclesLowerBound < rep.LatencyBound ||
 				rep.CyclesLowerBound < rep.ThroughputBound ||
 				rep.CyclesLowerBound < rep.FrontendBound {

@@ -198,12 +198,39 @@ type Instruction struct {
 	// passes of §3.2 for this instruction.
 	SwapBeforeUnroll bool
 	SwapAfterUnroll  bool
+	// op is Op resolved to its opcode where the mnemonic was set (Validate,
+	// SetOpcode); see Opcode.
+	op isa.Op
 	// Repeat is the instruction repetition range handled by the
 	// repeat-instructions pass (default {1,1}).
 	Repeat Range
 	// Copy is the unroll copy index this instruction belongs to (set by
 	// the unroll pass; registers rotate per copy).
 	Copy int
+}
+
+// SetOpcode sets the instruction's mnemonic to op's and records op as its
+// resolved opcode.
+func (in *Instruction) SetOpcode(op isa.Op) {
+	in.Op, in.op = op.String(), op
+}
+
+// Opcode returns the opcode Op names. The opcode resolved where the
+// mnemonic was set serves every later caller, as long as Op still spells
+// it canonically (without a size suffix); any other spelling, including
+// an Op assigned directly after resolution, is parsed with isa.ParseOp.
+func (in *Instruction) Opcode() (isa.Op, error) {
+	return opcode(in.Op, in.op)
+}
+
+// opcode returns op when name is its canonical mnemonic, and otherwise
+// parses name. The zero op is NOP, whose mnemonic "nop" resolves to it, so
+// an unresolved zero value never answers for another name.
+func opcode(name string, op isa.Op) (isa.Op, error) {
+	if name == op.String() {
+		return op, nil
+	}
+	return isa.ParseOp(name)
 }
 
 func (in Instruction) String() string {
@@ -250,6 +277,14 @@ type Induction struct {
 type Branch struct {
 	Label string
 	Test  string // conditional jump mnemonic, e.g. "jge"
+	// op is Test resolved by Kernel.Validate; see Opcode.
+	op isa.Op
+}
+
+// Opcode returns the opcode Test names, resolved once by Kernel.Validate
+// while Test spells it canonically (see Instruction.Opcode).
+func (b *Branch) Opcode() (isa.Op, error) {
+	return opcode(b.Test, b.op)
 }
 
 // Kernel is one (possibly still abstract) benchmark program variant.
@@ -331,8 +366,9 @@ func (k *Kernel) TagString() string {
 func (k *Kernel) Registers() []*Register {
 	// Linear dedup: kernels reference a handful of distinct register
 	// objects, so scanning the result beats a map — this runs per variant
-	// in codegen and verification.
-	out := make([]*Register, 0, 8)
+	// in codegen and verification. An 8× unrolled kernel with a rotating
+	// pool references a dozen, so the list starts with room for 16.
+	out := make([]*Register, 0, 16)
 	add := func(r *Register) {
 		if r == nil {
 			return
@@ -372,29 +408,58 @@ func (k *Kernel) InductionFor(reg *Register) *Induction {
 // regCopy pairs a source register with its clone.
 type regCopy struct{ src, dst *Register }
 
-// cloneReg returns the clone of r recorded in seen, copying r and recording
-// the pair on first sight. The scan is linear: kernels reference a handful
-// of distinct registers, so it beats a map's hashing and growth.
-func cloneReg(r *Register, seen []regCopy) (*Register, []regCopy) {
+// addReg records r in seen on first sight. The scan is linear: kernels
+// reference a handful of distinct registers, so it beats a map's hashing
+// and growth.
+func addReg(seen []regCopy, r *Register) []regCopy {
 	if r == nil {
-		return nil, seen
+		return seen
 	}
 	for _, p := range seen {
 		if p.src == r {
-			return p.dst, seen
+			return seen
 		}
 	}
-	c := new(Register)
-	*c = *r
-	return c, append(seen, regCopy{r, c})
+	return append(seen, regCopy{src: r})
+}
+
+// cloneOf returns the clone seen recorded for r.
+func cloneOf(seen []regCopy, r *Register) *Register {
+	for _, p := range seen {
+		if p.src == r {
+			return p.dst
+		}
+	}
+	return nil
 }
 
 // Clone deep-copies the kernel, preserving register identity within the
 // copy: operands and inductions that shared a *Register still share the
-// corresponding clone.
+// corresponding clone. The clones of the distinct registers share one
+// allocation, and so do the operands of every instruction (each carved
+// with its own capacity, so appending to one never reaches the next).
 func (k *Kernel) Clone() *Kernel {
 	var buf [16]regCopy
 	seen := buf[:0]
+	nOps := 0
+	for i := range k.Body {
+		nOps += len(k.Body[i].Operands)
+		for j := range k.Body[i].Operands {
+			seen = addReg(seen, k.Body[i].Operands[j].Reg)
+		}
+	}
+	for i := range k.Inductions {
+		seen = addReg(seen, k.Inductions[i].Reg)
+		seen = addReg(seen, k.Inductions[i].LinkedTo)
+	}
+	for _, r := range k.ZeroAtEntry {
+		seen = addReg(seen, r)
+	}
+	regs := make([]Register, len(seen))
+	for i := range seen {
+		regs[i] = *seen[i].src
+		seen[i].dst = &regs[i]
+	}
 	nk := &Kernel{
 		BaseName:    k.BaseName,
 		Name:        k.Name,
@@ -409,16 +474,18 @@ func (k *Kernel) Clone() *Kernel {
 		CodeAlign:   k.CodeAlign,
 	}
 	nk.Body = make([]Instruction, len(k.Body))
+	ops := make([]Operand, nOps)
 	for i, in := range k.Body {
 		ni := in
 		if in.Move != nil {
 			mv := *in.Move
 			ni.Move = &mv
 		}
-		ni.Operands = make([]Operand, len(in.Operands))
+		n := len(in.Operands)
+		ni.Operands, ops = ops[:n:n], ops[n:]
 		for j, o := range in.Operands {
 			no := o
-			no.Reg, seen = cloneReg(o.Reg, seen)
+			no.Reg = cloneOf(seen, o.Reg)
 			no.ImmChoices = append([]int64(nil), o.ImmChoices...)
 			ni.Operands[j] = no
 		}
@@ -427,14 +494,14 @@ func (k *Kernel) Clone() *Kernel {
 	nk.Inductions = make([]Induction, len(k.Inductions))
 	for i, ind := range k.Inductions {
 		ni := ind
-		ni.Reg, seen = cloneReg(ind.Reg, seen)
-		ni.LinkedTo, seen = cloneReg(ind.LinkedTo, seen)
+		ni.Reg = cloneOf(seen, ind.Reg)
+		ni.LinkedTo = cloneOf(seen, ind.LinkedTo)
 		ni.IncrementChoices = append([]int64(nil), ind.IncrementChoices...)
 		nk.Inductions[i] = ni
 	}
 	nk.ZeroAtEntry = make([]*Register, len(k.ZeroAtEntry))
 	for i, r := range k.ZeroAtEntry {
-		nk.ZeroAtEntry[i], seen = cloneReg(r, seen)
+		nk.ZeroAtEntry[i] = cloneOf(seen, r)
 	}
 	if k.Tags != nil {
 		nk.Tags = make(map[string]string, len(k.Tags))
@@ -461,9 +528,11 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("ir: kernel %q instruction %d has neither operation nor move semantics", k.BaseName, i)
 		}
 		if in.Op != "" {
-			if _, err := isa.ParseOp(in.Op); err != nil {
+			op, err := isa.ParseOp(in.Op)
+			if err != nil {
 				return fmt.Errorf("ir: kernel %q instruction %d: %w", k.BaseName, i, err)
 			}
+			k.Body[i].op = op
 		}
 		if in.Move != nil {
 			switch in.Move.Bytes {
@@ -504,6 +573,7 @@ func (k *Kernel) Validate() error {
 	if err != nil || !op.IsCondBranch() {
 		return fmt.Errorf("ir: kernel %q branch test %q is not a conditional jump", k.BaseName, k.Branch.Test)
 	}
+	k.Branch.op = op
 	if k.ElementSize == 0 {
 		k.ElementSize = 4
 	}

@@ -212,3 +212,51 @@ func TestOperandAndInstructionStrings(t *testing.T) {
 		t.Error("abstract instruction String empty")
 	}
 }
+
+// TestOpcodeResolvedOnce: Validate and SetOpcode record the resolved
+// opcode, which Opcode returns while Op spells it canonically; any other
+// spelling, or an Op assigned after resolution, is parsed afresh.
+func TestOpcodeResolvedOnce(t *testing.T) {
+	k := validKernel()
+	k.Body = append(k.Body, Instruction{
+		Op:       "addq",
+		Operands: []Operand{{Kind: ImmOperand, Imm: 1}, {Kind: RegOperand, Reg: NewLogical("r2")}},
+	})
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Body[0].op != isa.MOVSS || k.Branch.op != isa.JGE {
+		t.Errorf("Validate resolved %v / %v, want movss / jge", k.Body[0].op, k.Branch.op)
+	}
+	cases := []struct {
+		in   Instruction
+		want isa.Op
+		ok   bool
+	}{
+		{k.Body[0], isa.MOVSS, true},
+		{k.Body[1], isa.ADD, true},                           // suffixed: parsed
+		{Instruction{Op: "movaps"}, isa.MOVAPS, true},        // never resolved
+		{Instruction{Op: "nop"}, isa.NOP, true},              // the zero op's own name
+		{Instruction{Op: "sub", op: isa.ADD}, isa.SUB, true}, // reassigned after resolution
+		{Instruction{Op: "frob", op: isa.MOVSS}, 0, false},
+		{Instruction{}, 0, false},
+	}
+	for _, c := range cases {
+		got, err := c.in.Opcode()
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("Opcode(%q) = %v, %v; want %v (ok=%v)", c.in.Op, got, err, c.want, c.ok)
+		}
+		if want, err := isa.ParseOp(c.in.Op); c.ok && (err != nil || want != got) {
+			t.Errorf("Opcode(%q) = %v, ParseOp says %v, %v", c.in.Op, got, want, err)
+		}
+	}
+	var in Instruction
+	in.SetOpcode(isa.MULPD)
+	if in.Op != "mulpd" || in.op != isa.MULPD {
+		t.Errorf("SetOpcode(mulpd) left %q / %v", in.Op, in.op)
+	}
+	b := Branch{Test: "jl", op: isa.JGE}
+	if op, err := b.Opcode(); err != nil || op != isa.JL {
+		t.Errorf("reassigned branch test resolved to %v, %v", op, err)
+	}
+}

@@ -30,63 +30,83 @@ type DecodedProgram struct {
 	PredInit []uint8
 
 	// derived memoizes analysis results computed from this decode (see
-	// Derived); like the decode cache it is copy-on-write and first-wins.
-	derived derivedCache
+	// Derived); like the decode cache it is first-wins.
+	derived memo[uint64, any]
 }
 
-// maxDerived bounds the per-decode derived-result memo, mirroring
-// maxDecodedArchs: real campaigns derive one bounds result per decode (the
-// issue width rarely varies for one decode signature).
-const maxDerived = 4
+// memoCap bounds both memos: a program's decodes and a decode's derived
+// results. Real sweeps touch one or two microarchitectures and derive a
+// scan plus one bounds result per decode (the issue width rarely varies
+// for one decode signature); the bound only guards against a pathological
+// caller feeding an endless stream of distinct keys.
+const memoCap = 4
 
-type derivedEntry struct {
-	key uint64
-	val any
+// memoList is one published state of a memo: its first n entries, oldest
+// first. It is immutable once published.
+type memoList[K comparable, V any] struct {
+	n    int
+	keys [memoCap]K
+	vals [memoCap]V
 }
 
-// derivedCache memoizes values derived from one DecodedProgram: a
-// copy-on-write entry list read lock-free on the hot path, with writers
-// serialized by mu. The zero value is ready to use.
-type derivedCache struct {
-	mu      sync.Mutex
-	entries atomic.Pointer[[]derivedEntry]
+// memo is a small copy-on-write map, read lock-free on the hot path, with
+// writers serialized by mu; each write publishes one new list. The zero
+// value is ready to use.
+type memo[K comparable, V any] struct {
+	mu   sync.Mutex
+	list atomic.Pointer[memoList[K, V]]
+}
+
+func (m *memo[K, V]) get(k K) (v V, ok bool) {
+	if l := m.list.Load(); l != nil {
+		for i := 0; i < l.n; i++ {
+			if l.keys[i] == k {
+				return l.vals[i], true
+			}
+		}
+	}
+	return v, false
+}
+
+// put publishes v under k and returns the canonical value: if another
+// goroutine published k first, the first value wins so every caller shares
+// it. A full memo evicts its oldest entry.
+func (m *memo[K, V]) put(k K, v V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := new(memoList[K, V])
+	if old := m.list.Load(); old != nil {
+		for i := 0; i < old.n; i++ {
+			if old.keys[i] == k {
+				return old.vals[i]
+			}
+		}
+		*next = *old
+	}
+	if next.n == memoCap {
+		copy(next.keys[:], next.keys[1:])
+		copy(next.vals[:], next.vals[1:])
+		next.n--
+	}
+	next.keys[next.n], next.vals[next.n] = k, v
+	next.n++
+	m.list.Store(next)
+	return v
 }
 
 // Derived returns the value memoized under key, calling compute and
 // publishing its result on the first request. If two goroutines race on the
 // same key the first published value wins and every caller shares it, so
 // compute must be pure and its result treated as immutable. Keys are
-// namespaced by consumer: the high 32 bits identify the computing package,
-// the low 32 its parameter (internal/dataflow keys its bounds by issue
-// width — the one scheduling parameter outside the decode signature).
+// namespaced by consumer: the high 32 bits identify the computing result,
+// the low 32 its parameter (internal/dataflow keys its scan by nothing and
+// its bounds by issue width — the one scheduling parameter outside the
+// decode signature).
 func (d *DecodedProgram) Derived(key uint64, compute func() any) any {
-	if es := d.derived.entries.Load(); es != nil {
-		for i := range *es {
-			if (*es)[i].key == key {
-				return (*es)[i].val
-			}
-		}
+	if v, ok := d.derived.get(key); ok {
+		return v
 	}
-	v := compute()
-	d.derived.mu.Lock()
-	defer d.derived.mu.Unlock()
-	var old []derivedEntry
-	if es := d.derived.entries.Load(); es != nil {
-		old = *es
-	}
-	for i := range old {
-		if old[i].key == key {
-			return old[i].val
-		}
-	}
-	if len(old) >= maxDerived {
-		old = old[1:] // evict the oldest result
-	}
-	next := make([]derivedEntry, 0, len(old)+1)
-	next = append(next, old...)
-	next = append(next, derivedEntry{key: key, val: v})
-	d.derived.entries.Store(&next)
-	return v
+	return d.derived.put(key, compute())
 }
 
 // InstClass buckets an instruction for the dynamic-mix counters.
@@ -212,60 +232,6 @@ func (a *Arch) decodeKey() decodeKey {
 	}
 }
 
-// maxDecodedArchs bounds the per-program decode cache. Real sweeps touch
-// one or two microarchitectures; the bound only guards against a pathological
-// caller decoding one program against an endless stream of distinct Archs.
-const maxDecodedArchs = 4
-
-type decodedEntry struct {
-	key decodeKey
-	dp  *DecodedProgram
-}
-
-// decodeCache is the per-program decode memo: a copy-on-write entry list
-// read lock-free on the hot path, with writers serialized by mu. The zero
-// value is ready to use; Clone deliberately starts clones with a fresh one.
-type decodeCache struct {
-	mu      sync.Mutex
-	entries atomic.Pointer[[]decodedEntry]
-}
-
-func (c *decodeCache) get(k decodeKey) *DecodedProgram {
-	if es := c.entries.Load(); es != nil {
-		for i := range *es {
-			if (*es)[i].key == k {
-				return (*es)[i].dp
-			}
-		}
-	}
-	return nil
-}
-
-// put publishes dp under k and returns the canonical entry: if another
-// goroutine decoded the same signature first, the first decode wins so every
-// caller shares one DecodedProgram.
-func (c *decodeCache) put(k decodeKey, dp *DecodedProgram) *DecodedProgram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var old []decodedEntry
-	if es := c.entries.Load(); es != nil {
-		old = *es
-	}
-	for i := range old {
-		if old[i].key == k {
-			return old[i].dp
-		}
-	}
-	next := make([]decodedEntry, 0, len(old)+1)
-	if len(old) >= maxDecodedArchs {
-		old = old[1:] // evict the oldest signature
-	}
-	next = append(next, old...)
-	next = append(next, decodedEntry{key: k, dp: dp})
-	c.entries.Store(&next)
-	return dp
-}
-
 // Decoded returns the program's µop decode for arch, validating and decoding
 // it exactly once per decode signature and caching the result on the
 // program. It is safe for concurrent use. The program must not be mutated
@@ -274,7 +240,7 @@ func (c *decodeCache) put(k decodeKey, dp *DecodedProgram) *DecodedProgram {
 // program with an empty cache.
 func (p *Program) Decoded(a *Arch) (*DecodedProgram, error) {
 	k := a.decodeKey()
-	if dp := p.dcache.get(k); dp != nil {
+	if dp, ok := p.dcache.get(k); ok {
 		return dp, nil
 	}
 	if err := p.Validate(); err != nil {

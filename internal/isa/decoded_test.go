@@ -101,9 +101,9 @@ func TestDecodedCacheEvictsOldestSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the cache with maxDecodedArchs further signatures so the first
+	// Fill the cache with memoCap further signatures so the first
 	// one falls out.
-	for i := 0; i < maxDecodedArchs; i++ {
+	for i := 0; i < memoCap; i++ {
 		a := Nehalem()
 		a.FPAddLat = 50 + i
 		if _, err := p.Decoded(a); err != nil {

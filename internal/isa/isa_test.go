@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +63,9 @@ func TestParseOp(t *testing.T) {
 		{"addsd", ADDSD}, {"mulsd", MULSD}, {"jge", JGE}, {"jg", JG},
 		{"ret", RET}, {"leaq", LEA}, {"sall", SHL}, {"imulq", IMUL},
 		{"incq", INC}, {"decl", DEC}, {"testq", TEST},
+		// sal is shl under its arithmetic name, with every size suffix.
+		{"sal", SHL}, {"salb", SHL}, {"salw", SHL}, {"sall", SHL}, {"salq", SHL},
+		{"shlb", SHL}, {"shlw", SHL}, {"shll", SHL}, {"shlq", SHL},
 	}
 	for _, c := range cases {
 		got, err := ParseOp(c.in)
@@ -74,6 +78,38 @@ func TestParseOp(t *testing.T) {
 	}
 	if _, err := ParseOp("vfmadd231pd"); err == nil {
 		t.Error("AVX mnemonics are outside the subset and must fail")
+	}
+}
+
+// TestOpStringMatchesMap compares the String table with the map lookup and
+// "op(N)" format it replaced, for every Op value.
+func TestOpStringMatchesMap(t *testing.T) {
+	old := map[Op]string{
+		NOP:   "nop",
+		MOVSS: "movss", MOVSD: "movsd",
+		MOVAPS: "movaps", MOVAPD: "movapd", MOVUPS: "movups", MOVUPD: "movupd",
+		ADDSS: "addss", ADDSD: "addsd", ADDPS: "addps", ADDPD: "addpd",
+		MULSS: "mulss", MULSD: "mulsd", MULPS: "mulps", MULPD: "mulpd",
+		XORPS: "xorps",
+		MOV:   "mov", LEA: "lea", ADD: "add", SUB: "sub", INC: "inc", DEC: "dec",
+		IMUL: "imul", SHL: "shl", XOR: "xor", AND: "and", CMP: "cmp", TEST: "test",
+		JMP: "jmp", JE: "je", JNE: "jne", JL: "jl", JLE: "jle", JG: "jg", JGE: "jge",
+		RET: "ret",
+	}
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		want, ok := old[op]
+		if !ok {
+			want = fmt.Sprintf("op(%d)", i)
+		}
+		if got := op.String(); got != want {
+			t.Errorf("Op(%d).String() = %q, want %q", i, got, want)
+		}
+		if ok {
+			if back, err := ParseOp(want); err != nil || back != op {
+				t.Errorf("ParseOp(%q) = %v, %v; want %v", want, back, err, op)
+			}
+		}
 	}
 }
 

@@ -58,7 +58,8 @@ const (
 	numOps
 )
 
-var opNames = map[Op]string{
+// opNames holds the AT&T mnemonic of every opcode, indexed by Op.
+var opNames = [numOps]string{
 	NOP:   "nop",
 	MOVSS: "movss", MOVSD: "movsd",
 	MOVAPS: "movaps", MOVAPD: "movapd", MOVUPS: "movups", MOVUPD: "movupd",
@@ -71,19 +72,29 @@ var opNames = map[Op]string{
 	RET: "ret",
 }
 
-// String returns the AT&T mnemonic (without size suffix).
-func (op Op) String() string {
-	if n, ok := opNames[op]; ok {
-		return n
+// opStrings is String's table over every Op value: the mnemonic of each
+// opcode, "op(N)" for the values past the subset. Cache keys print an op per
+// instruction, so String is one index, never a format.
+var opStrings = func() (t [256]string) {
+	for i := range t {
+		if i < int(numOps) {
+			t[i] = opNames[i]
+		} else {
+			t[i] = fmt.Sprintf("op(%d)", i)
+		}
 	}
-	return fmt.Sprintf("op(%d)", int(op))
-}
+	return t
+}()
+
+// String returns the AT&T mnemonic (without size suffix).
+func (op Op) String() string { return opStrings[op] }
 
 var opByName = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
+	m := make(map[string]Op, numOps+1)
 	for op, n := range opNames {
-		m[n] = op
+		m[n] = Op(op)
 	}
+	m["sal"] = SHL // the arithmetic left shift is the logical one
 	return m
 }()
 
@@ -106,9 +117,6 @@ func ParseOp(mnemonic string) (Op, error) {
 				return op, nil
 			}
 		}
-	}
-	if n == "sal" || n == "sall" || n == "salq" {
-		return SHL, nil
 	}
 	return NOP, fmt.Errorf("isa: unknown mnemonic %q", mnemonic)
 }

@@ -89,7 +89,7 @@ type Program struct {
 
 	// dcache memoizes the per-microarchitecture µop decode (see Decoded).
 	// Lazily filled, safe for concurrent use; Clone starts empty.
-	dcache decodeCache
+	dcache memo[decodeKey, *DecodedProgram]
 }
 
 // Clone returns a deep copy of the program.

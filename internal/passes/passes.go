@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"microtools/internal/codegen"
 	"microtools/internal/ir"
@@ -157,6 +159,7 @@ func repeatChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
 			continue
 		}
 		var vs []*ir.Kernel
+		key := "rep" + strconv.Itoa(i)
 		for c := rep.Min; c <= rep.Max; c++ {
 			v := k.Clone()
 			inst := v.Body[i]
@@ -173,7 +176,7 @@ func repeatChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
 			}
 			expanded = append(expanded, v.Body[i+1:]...)
 			v.Body = expanded
-			v.Tag(fmt.Sprintf("rep%d", i), fmt.Sprintf("%d", c))
+			v.Tag(key, strconv.Itoa(c))
 			vs = append(vs, v)
 		}
 		return vs, nil
@@ -203,7 +206,7 @@ func passRandomSelect(ctx *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 				body[i] = cloneInstr(nk.Body[rng.Intn(len(nk.Body))])
 			}
 			nk.Body = body
-			nk.Tag("rand", fmt.Sprintf("%d", v))
+			nk.Tag("rand", strconv.Itoa(v))
 			out = append(out, nk)
 		}
 	}
@@ -212,10 +215,10 @@ func passRandomSelect(ctx *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 
 // ---- pass 4: select-instructions -------------------------------------------
 
-// moveCandidates enumerates the concrete mnemonics matching the abstract
+// moveCandidates enumerates the concrete opcodes matching the abstract
 // move semantics (§3.1: "aligned versus non-aligned instructions or using
 // vectorized or scalar instructions").
-func moveCandidates(mv *ir.MoveSemantics) ([]string, error) {
+func moveCandidates(mv *ir.MoveSemantics) ([]isa.Op, error) {
 	var precisions []string
 	switch mv.Precision {
 	case "single":
@@ -225,21 +228,21 @@ func moveCandidates(mv *ir.MoveSemantics) ([]string, error) {
 	case "":
 		precisions = []string{"single", "double"}
 	}
-	var out []string
+	var out []isa.Op
 	for _, p := range precisions {
 		switch mv.Bytes {
 		case 4:
 			if p == "single" {
-				out = append(out, "movss")
+				out = append(out, isa.MOVSS)
 			}
 		case 8:
 			if p == "double" {
-				out = append(out, "movsd")
+				out = append(out, isa.MOVSD)
 			}
 		case 16:
-			aligned, unaligned := "movaps", "movups"
+			aligned, unaligned := isa.MOVAPS, isa.MOVUPS
 			if p == "double" {
-				aligned, unaligned = "movapd", "movupd"
+				aligned, unaligned = isa.MOVAPD, isa.MOVUPD
 			}
 			switch mv.Aligned {
 			case "aligned":
@@ -267,11 +270,12 @@ func moveChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
 			return nil, fmt.Errorf("kernel %q instruction %d: %w", k.BaseName, i, err)
 		}
 		var vs []*ir.Kernel
+		key := "i" + strconv.Itoa(i)
 		for _, op := range cands {
 			v := k.Clone()
-			v.Body[i].Op = op
+			v.Body[i].SetOpcode(op)
 			v.Body[i].Move = nil
-			v.Tag(fmt.Sprintf("i%d", i), op)
+			v.Tag(key, op.String())
 			vs = append(vs, v)
 		}
 		return vs, nil
@@ -288,11 +292,12 @@ func strideChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
 			continue
 		}
 		var vs []*ir.Kernel
+		key := "stride" + strconv.Itoa(i)
 		for _, c := range choices {
 			v := k.Clone()
 			v.Inductions[i].Increment = c
 			v.Inductions[i].IncrementChoices = nil
-			v.Tag(fmt.Sprintf("stride%d", i), fmt.Sprintf("%d", c))
+			v.Tag(key, strconv.FormatInt(c, 10))
 			vs = append(vs, v)
 		}
 		return vs, nil
@@ -310,11 +315,12 @@ func immediateChildren(k *ir.Kernel) ([]*ir.Kernel, error) {
 				continue
 			}
 			var vs []*ir.Kernel
+			key := "imm" + strconv.Itoa(i) + "_" + strconv.Itoa(j)
 			for _, c := range o.ImmChoices {
 				v := k.Clone()
 				v.Body[i].Operands[j].Imm = c
 				v.Body[i].Operands[j].ImmChoices = nil
-				v.Tag(fmt.Sprintf("imm%d_%d", i, j), fmt.Sprintf("%d", c))
+				v.Tag(key, strconv.FormatInt(c, 10))
 				vs = append(vs, v)
 			}
 			return vs, nil
@@ -416,7 +422,7 @@ func passUnroll(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 				}
 			}
 			v.Body = body
-			v.Tag("u", fmt.Sprintf("%d", u))
+			v.Tag("u", strconv.Itoa(u))
 			out = append(out, v)
 		}
 	}
@@ -458,9 +464,12 @@ func passRotateRegisters(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 // them); other logical registers draw from a scratch pool.
 func passAllocateRegisters(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	for _, k := range ks {
-		used := map[isa.Reg]bool{}
-		for _, r := range k.Registers() {
-			if !r.IsRotating() && r.Phys != isa.NoReg {
+		// The register objects stay the same while this pass assigns
+		// them, so one list serves both walks.
+		regs := k.Registers()
+		var used [isa.NumRegs]bool
+		for _, r := range regs {
+			if !r.IsRotating() && r.Phys < isa.NumRegs {
 				used[r.Phys] = true
 			}
 		}
@@ -502,7 +511,7 @@ func passAllocateRegisters(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		}
 		// 3. Everything else.
 		scratch := []isa.Reg{isa.R10, isa.R11, isa.RBX, isa.R12, isa.R13, isa.R14, isa.R15}
-		for _, r := range k.Registers() {
+		for _, r := range regs {
 			if r.IsRotating() || r.Phys != isa.NoReg {
 				continue
 			}
@@ -525,7 +534,7 @@ func instrWidthFor(k *ir.Kernel, reg *ir.Register) (int, error) {
 		in := &k.Body[i]
 		for _, o := range in.Operands {
 			if o.Kind == ir.MemOperand && o.Reg == reg {
-				op, err := isa.ParseOp(in.Op)
+				op, err := in.Opcode()
 				if err != nil {
 					return 0, err
 				}
@@ -609,14 +618,16 @@ func passInsertInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		copy(body, k.Body)
 		operands := make([]ir.Operand, 2*len(order))
 		for j, ind := range order {
-			op, imm := "add", ind.Increment
+			op, imm := isa.ADD, ind.Increment
 			if imm < 0 {
-				op, imm = "sub", -imm
+				op, imm = isa.SUB, -imm
 			}
 			ops := operands[2*j : 2*j+2 : 2*j+2]
 			ops[0] = ir.Operand{Kind: ir.ImmOperand, Imm: imm}
 			ops[1] = ir.Operand{Kind: ir.RegOperand, Reg: ind.Reg}
-			body = append(body, ir.Instruction{Op: op, Operands: ops, Repeat: ir.Range{Min: 1, Max: 1}})
+			in := ir.Instruction{Operands: ops, Repeat: ir.Range{Min: 1, Max: 1}}
+			in.SetOpcode(op)
+			body = append(body, in)
 		}
 		k.Body = body
 	}
@@ -689,7 +700,7 @@ func passInsertBranch(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 			// spec omitted the conventional dot — not a per-variant rendering.
 			k.Branch.Label = "." + k.Branch.Label //microlint:disable L011
 		}
-		op, err := isa.ParseOp(k.Branch.Test)
+		op, err := k.Branch.Opcode()
 		if err != nil || !op.IsCondBranch() {
 			return nil, fmt.Errorf("kernel %q: branch test %q is not a conditional jump", k.Name, k.Branch.Test)
 		}
@@ -699,11 +710,10 @@ func passInsertBranch(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 
 // ---- pass 16: prologue-epilogue ------------------------------------------------
 
-// loadStorePattern renders the per-copy load/store pattern of the body
-// ("LSL" = load, store, load), the distinguishing signature the operand
-// swap passes create.
-func loadStorePattern(k *ir.Kernel) string {
-	var b strings.Builder
+// appendLoadStorePattern appends the per-copy load/store pattern of the
+// body ("LSL" = load, store, load), the distinguishing signature the
+// operand swap passes create.
+func appendLoadStorePattern(dst []byte, k *ir.Kernel) []byte {
 	for _, in := range k.Body {
 		if len(in.Operands) != 2 {
 			continue
@@ -711,27 +721,38 @@ func loadStorePattern(k *ir.Kernel) string {
 		a, c := in.Operands[0].Kind, in.Operands[1].Kind
 		switch {
 		case a == ir.MemOperand && c == ir.RegOperand:
-			b.WriteByte('L')
+			dst = append(dst, 'L')
 		case a == ir.RegOperand && c == ir.MemOperand:
-			b.WriteByte('S')
+			dst = append(dst, 'S')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-func sanitizeSymbol(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		case r == '-':
-			b.WriteByte('m') // negative numbers in tag values
-		default:
-			b.WriteByte('_')
+// sanitizeSymbol rewrites b[from:] in place into symbol characters: ASCII
+// letters, digits and '_' stay, '-' (negative numbers in tag values)
+// becomes 'm', and any other rune, or byte of invalid UTF-8, becomes one
+// '_'. No rune maps to more than one byte, so the rewrite never overtakes
+// its input.
+func sanitizeSymbol(b []byte, from int) []byte {
+	w := from
+	for r := from; r < len(b); {
+		c := b[r]
+		if c >= utf8.RuneSelf {
+			_, size := utf8.DecodeRune(b[r:])
+			b[w], r, w = '_', r+size, w+1
+			continue
 		}
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
+		case c == '-':
+			c = 'm'
+		default:
+			c = '_'
+		}
+		b[w], r, w = c, r+1, w+1
 	}
-	return b.String()
+	return b[:w]
 }
 
 // isMemBase reports whether a memory operand of k addresses through reg.
@@ -749,6 +770,10 @@ func isMemBase(k *ir.Kernel, reg *ir.Register) bool {
 func passPrologue(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	seen := map[string]bool{}
 	var out []*ir.Kernel
+	// Every name is built in buf, which the kernels share; only a name
+	// that survives the dedup becomes a string.
+	var buf []byte
+	var keyBuf [8]string
 	for _, k := range ks {
 		// Prologue zeroing: pinned induction registers that are neither
 		// the loop counter nor a data pointer (no memory operand uses
@@ -762,37 +787,37 @@ func passPrologue(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 			}
 		}
 		// Variant naming: base + unroll + load/store pattern + remaining
-		// distinguishing tags (instruction selection, strides, ...).
-		parts := []string{sanitizeSymbol(k.BaseName)}
+		// distinguishing tags (instruction selection, strides, ...), each
+		// part sanitized and joined by '_'.
+		buf = sanitizeSymbol(append(buf[:0], k.BaseName...), 0)
 		if k.Unroll > 0 {
-			parts = append(parts, fmt.Sprintf("u%d", k.Unroll))
+			buf = strconv.AppendInt(append(buf, "_u"...), int64(k.Unroll), 10)
 		}
-		if pat := loadStorePattern(k); pat != "" {
-			parts = append(parts, pat)
+		n := len(buf)
+		if buf = appendLoadStorePattern(append(buf, '_'), k); len(buf) == n+1 {
+			buf = buf[:n] // no load/store pattern
 		}
-		if len(k.Tags) > 0 {
-			keys := make([]string, 0, len(k.Tags))
-			for key := range k.Tags {
-				if key == "u" {
-					continue
-				}
+		keys := keyBuf[:0]
+		for key := range k.Tags {
+			if key != "u" {
 				keys = append(keys, key)
 			}
-			for i := 1; i < len(keys); i++ {
-				for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-					keys[j], keys[j-1] = keys[j-1], keys[j]
-				}
-			}
-			for _, key := range keys {
-				parts = append(parts, sanitizeSymbol(key+k.Tags[key]))
+		}
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
 			}
 		}
-		name := strings.Join(parts, "_")
-		if seen[name] {
+		for _, key := range keys {
+			from := len(buf) + 1
+			buf = sanitizeSymbol(append(append(append(buf, '_'), key...), k.Tags[key]...), from)
+		}
+		if seen[string(buf)] {
 			// Content-identical variant (e.g. swap-before + swap-after
 			// overlap, §3.2); drop it.
 			continue
 		}
+		name := string(buf)
 		seen[name] = true
 		k.Name = name
 		out = append(out, k)
@@ -831,7 +856,7 @@ func passVerify(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 			if in.Op == "" {
 				return nil, fmt.Errorf("kernel %q: instruction %d still abstract", k.Name, i)
 			}
-			if _, err := isa.ParseOp(in.Op); err != nil {
+			if _, err := in.Opcode(); err != nil {
 				return nil, fmt.Errorf("kernel %q: instruction %d: %w", k.Name, i, err)
 			}
 			if len(in.Operands) == 0 || len(in.Operands) > 3 {

@@ -19,41 +19,39 @@ var nehalem = isa.Nehalem()
 // baseline Nehalem tables to stay deterministic (use `microtools analyze
 // -machine` for the per-machine view).
 func dataflowRules(p *isa.Program, opt Options, add addFunc) {
-	// V009/V010 are pure liveness facts; the full analysis (dependence DAG,
-	// latency, port pressure) is only needed when the caller asked for the
-	// recurrence report, so the common path runs the liveness-only scope.
-	analyze := dataflow.AnalyzeLiveness
-	if opt.Recurrences {
-		analyze = dataflow.Analyze
-	}
-	rep, err := analyze(p, nehalem)
+	// V009/V010 are pure liveness facts, read from the liveness-only scope
+	// (memory-accessing dead writes are left out: the access itself is the
+	// workload, a bandwidth probe's load, and the unread destination is
+	// incidental, mirroring V002's exemption for SSE target registers).
+	live, err := dataflow.KernelLiveness(p, nehalem)
 	if err != nil {
 		// The program did not decode; the structural rules (V000/V001/
 		// V006) already explain why.
 		return
 	}
-	for _, d := range rep.DeadWrites {
-		if d.HasMem {
-			// The access itself is the workload (a bandwidth probe's
-			// load); the unread destination is incidental, mirroring
-			// V002's exemption for SSE target registers.
-			continue
-		}
+	for _, d := range live.DeadWrites {
 		add(RuleDeadWrite, SeverityWarning, d.Index,
 			"%s writes %s but no instruction can read the value", d.Inst, d.Resource)
 	}
-	for _, i := range rep.SelfMoves {
+	for _, i := range live.SelfMoves {
 		add(RuleSelfMove, SeverityWarning, i,
 			"%s moves a register onto itself", p.Insts[i].String())
 	}
-	if opt.Recurrences {
-		for _, c := range rep.LoopCarried {
-			if c.Length <= 0 {
-				continue
-			}
-			add(RuleRecurrence, SeverityInfo, -1,
-				"loop-carried recurrence through %s: %.2f cycles/iteration (latency bound %.2f)",
-				c.Resource, c.Length, rep.LatencyBound)
+	if !opt.Recurrences {
+		return
+	}
+	// The full analysis (dependence DAG, latency, port pressure) runs only
+	// for the recurrence report; it reuses the scan liveness memoized.
+	rep, err := dataflow.Analyze(p, nehalem)
+	if err != nil {
+		return
+	}
+	for _, c := range rep.LoopCarried {
+		if c.Length <= 0 {
+			continue
 		}
+		add(RuleRecurrence, SeverityInfo, -1,
+			"loop-carried recurrence through %s: %.2f cycles/iteration (latency bound %.2f)",
+			c.Resource, c.Length, rep.LatencyBound)
 	}
 }

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"strings"
-	"sync"
 
 	"microtools/internal/isa"
 )
@@ -21,23 +20,18 @@ import (
 // opForms returns the legal operand signatures for op, derived from the
 // executable subset in internal/isa (exec.go evaluates exactly these forms;
 // isa.Program.Validate rejects some of the rest only at launch time). A nil
-// return means the opcode is unknown to the table. Results are memoised:
-// the check runs once per instruction of every generated variant.
-func opForms(op isa.Op) []string {
-	formsMu.Lock()
-	forms, ok := formsCache[op]
-	if !ok {
-		forms = computeOpForms(op)
-		formsCache[op] = forms
-	}
-	formsMu.Unlock()
-	return forms
-}
+// return means the opcode is unknown to the table. The check runs once per
+// instruction of every generated variant, so it reads a table built once.
+func opForms(op isa.Op) []string { return opFormsTable[op] }
 
-var (
-	formsMu    sync.Mutex
-	formsCache = map[isa.Op][]string{}
-)
+// opFormsTable holds computeOpForms for every Op value; it is read-only
+// after init, so concurrent verifiers share it without a lock.
+var opFormsTable = func() (t [256][]string) {
+	for i := range t {
+		t[i] = computeOpForms(isa.Op(i))
+	}
+	return t
+}()
 
 func computeOpForms(op isa.Op) []string {
 	switch {

@@ -21,10 +21,11 @@ func Kernel(k *ir.Kernel, opt Options) Diagnostics {
 	var ds Diagnostics
 	add := collector(name, opt, &ds)
 	// Shared across rules: building the register list walks the body, and
-	// opcode parsing is per instruction — doing either once per rule shows
-	// up when verifying thousand-variant families.
+	// opcode resolution is per instruction — doing either once per rule
+	// shows up when verifying thousand-variant families.
 	regs := k.Registers()
-	ops := parseOps(k)
+	var opsBuf [32]isa.Op
+	ops := parseOps(k, opsBuf[:0])
 	checkKernelForms(k, ops, add)
 	checkKernelDefUse(k, ops, add)
 	checkKernelConflicts(k, regs, add)
@@ -37,16 +38,16 @@ func Kernel(k *ir.Kernel, opt Options) Diagnostics {
 // unknownOp marks a body instruction whose mnemonic is outside the subset.
 const unknownOp = isa.Op(0xFF)
 
-// parseOps decodes every body mnemonic once; unknown opcodes map to
-// unknownOp (reported by the forms rule, skipped by the others).
-func parseOps(k *ir.Kernel) []isa.Op {
-	ops := make([]isa.Op, len(k.Body))
+// parseOps appends every body instruction's opcode to ops, as resolved
+// where its mnemonic was set; unknown opcodes map to unknownOp (reported by
+// the forms rule, skipped by the others).
+func parseOps(k *ir.Kernel, ops []isa.Op) []isa.Op {
 	for i := range k.Body {
-		op, err := isa.ParseOp(k.Body[i].Op)
+		op, err := k.Body[i].Opcode()
 		if err != nil {
 			op = unknownOp
 		}
-		ops[i] = op
+		ops = append(ops, op)
 	}
 	return ops
 }
@@ -220,15 +221,13 @@ func checkKernelConflicts(k *ir.Kernel, regs []*ir.Register, add addFunc) {
 	}
 	// Rotating pools: clones of one spec-level pool share the same range,
 	// so report each distinct range at most once.
-	var seenRange map[ir.Range]bool
+	var rangeBuf [4]ir.Range
+	seenRange := rangeBuf[:0]
 	for _, r := range regs {
-		if !r.IsRotating() || seenRange[r.RotRange] {
+		if !r.IsRotating() || slices.Contains(seenRange, r.RotRange) {
 			continue
 		}
-		if seenRange == nil {
-			seenRange = map[ir.Range]bool{}
-		}
-		seenRange[r.RotRange] = true
+		seenRange = append(seenRange, r.RotRange)
 		for idx := r.RotRange.Min; idx < r.RotRange.Max; idx++ {
 			if idx < 0 || idx > 15 {
 				continue // the pressure rule reports out-of-file ranges
@@ -395,14 +394,12 @@ func offsetsOf(g []inductionAccess) []int64 {
 // register files.
 func checkKernelPressure(k *ir.Kernel, regs []*ir.Register, opt Options, add addFunc) {
 	var used [isa.NumRegs]bool // fixed-size set: the rule runs per variant
-	var seenRange map[ir.Range]bool
+	var rangeBuf [4]ir.Range
+	seenRange := rangeBuf[:0]
 	for _, r := range regs {
 		if r.IsRotating() {
-			if !seenRange[r.RotRange] {
-				if seenRange == nil {
-					seenRange = map[ir.Range]bool{}
-				}
-				seenRange[r.RotRange] = true
+			if !slices.Contains(seenRange, r.RotRange) {
+				seenRange = append(seenRange, r.RotRange)
 				if r.RotRange.Min < 0 || r.RotRange.Max > opt.xmmFile() {
 					add(RulePressure, SeverityError, -1,
 						"rotation range %s[%d,%d) exceeds the %d-register XMM file",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,6 +105,27 @@ func TestUnknownOpcodeIsOperandFormError(t *testing.T) {
 	ds := verify.Kernel(k, verify.Options{})
 	if len(ds) != 1 || ds[0].Rule != verify.RuleOperandForm {
 		t.Fatalf("want one %s finding, got %v", verify.RuleOperandForm, ds)
+	}
+}
+
+// TestUnknownOpcodeDiagnostic pins the V001 finding for an unknown
+// mnemonic: on a kernel that never resolved its opcodes, and on one whose
+// mnemonic was replaced after resolution.
+func TestUnknownOpcodeDiagnostic(t *testing.T) {
+	want := verify.Diagnostics{{
+		Rule: verify.RuleOperandForm, Severity: verify.SeverityError,
+		Kernel: "golden", Instr: 0, Message: `unknown opcode "vfmadd231ps"`,
+	}}
+	k := lowered()
+	k.Body[0].Op = "vfmadd231ps"
+	if ds := verify.Kernel(k, verify.Options{}); !reflect.DeepEqual(ds, want) {
+		t.Errorf("unresolved kernel: got %v, want %v", ds, want)
+	}
+	k = lowered()
+	k.Body[0].SetOpcode(isa.MOVSS)
+	k.Body[0].Op = "vfmadd231ps"
+	if ds := verify.Kernel(k, verify.Options{}); !reflect.DeepEqual(ds, want) {
+		t.Errorf("kernel resolved before the mnemonic changed: got %v, want %v", ds, want)
 	}
 }
 
