@@ -85,7 +85,11 @@ bench-smoke:
 # the generation of the 510-variant family once against
 # bench_guard_gen_allocs.txt, which a return to a second dataflow scan per
 # variant, to parsing every instruction's mnemonic or to formatting variant
-# names exceeds.
+# names exceeds, and against the B/op ceiling in bench_guard_gen_bytes.txt
+# (stable to ~100 B, unlike the sweep's bytes, which swing by a rebuilt
+# pooled machine). Last, it runs the file-backed cold campaign once (510
+# launches and cache puts) against bench_guard_cold_allocs.txt, which a
+# return to encoding each cache line by reflection round trips exceeds.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	@limit="$$(cat bench_guard_allocs.txt)"; \
@@ -94,6 +98,8 @@ bench-guard:
 	rlimit="$$(cat bench_guard_report_allocs.txt)"; \
 	climit="$$(cat bench_guard_codec_allocs.txt)"; \
 	glimit="$$(cat bench_guard_gen_allocs.txt)"; \
+	gblimit="$$(cat bench_guard_gen_bytes.txt)"; \
+	klimit="$$(cat bench_guard_cold_allocs.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
@@ -105,12 +111,17 @@ bench-guard:
 	callocs="$$(echo "$$cout" | awk '/^BenchmarkJobResultCodec/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	gout="$$($(GO) test -run='^$$' -bench '^BenchmarkGenerate510Variants$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
 	gallocs="$$(echo "$$gout" | awk '/^BenchmarkGenerate510Variants/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
+	gbytes="$$(echo "$$gout" | awk '/^BenchmarkGenerate510Variants/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
+	kout="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaign$$/^cold$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
+	kallocs="$$(echo "$$kout" | awk '/^BenchmarkCampaign\/cold/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
 	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
 	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
 	if [ -z "$$wallocs" ]; then echo "bench-guard: could not parse warm allocs/op"; exit 1; fi; \
 	if [ -z "$$rallocs" ]; then echo "bench-guard: could not parse report allocs/op"; exit 1; fi; \
 	if [ -z "$$callocs" ]; then echo "bench-guard: could not parse codec allocs/op"; exit 1; fi; \
 	if [ -z "$$gallocs" ]; then echo "bench-guard: could not parse generation allocs/op"; exit 1; fi; \
+	if [ -z "$$gbytes" ]; then echo "bench-guard: could not parse generation B/op"; exit 1; fi; \
+	if [ -z "$$kallocs" ]; then echo "bench-guard: could not parse cold allocs/op"; exit 1; fi; \
 	if [ "$$allocs" -gt "$$limit" ]; then \
 		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
 		exit 1; \
@@ -135,7 +146,15 @@ bench-guard:
 		echo "bench-guard: BenchmarkGenerate510Variants allocated $$gallocs objs/op, ceiling is $$glimit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit; codec $$callocs allocs/op <= $$climit; generation $$gallocs allocs/op <= $$glimit"
+	if [ "$$gbytes" -gt "$$gblimit" ]; then \
+		echo "bench-guard: BenchmarkGenerate510Variants allocated $$gbytes B/op, ceiling is $$gblimit"; \
+		exit 1; \
+	fi; \
+	if [ "$$kallocs" -gt "$$klimit" ]; then \
+		echo "bench-guard: BenchmarkCampaign/cold allocated $$kallocs objs/op, ceiling is $$klimit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit; codec $$callocs allocs/op <= $$climit; generation $$gallocs allocs/op <= $$glimit, $$gbytes B/op <= $$gblimit; cold $$kallocs allocs/op <= $$klimit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the
@@ -186,6 +205,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReportJSON -fuzztime=10s ./internal/launcher
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=10s ./internal/dataflow
 	$(GO) test -run='^$$' -fuzz=FuzzWireJSON -fuzztime=10s ./api/v1
+	$(GO) test -run='^$$' -fuzz=FuzzCacheLine -fuzztime=10s ./internal/campaign
 
 # analyze-smoke runs the static dataflow analysis over every variant of every
 # shipped spec on both machine models; `microtools analyze` exits non-zero on

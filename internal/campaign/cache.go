@@ -77,20 +77,22 @@ func NewKeyer(opts launcher.Options) (*Keyer, error) {
 	return &Keyer{fixed: fixed}, nil
 }
 
-// keyBufPool recycles the rendering buffers Keyer.Key hashes from.
-var keyBufPool = sync.Pool{New: func() any {
+// bufPool recycles the buffers Keyer.Key hashes from and Cache.Put
+// encodes its lines into.
+var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b
 }}
 
 // Key derives the cache key for one kernel. The digest is identical to the
 // package-level Key: SHA-256 over the NUL-separated parts, with the kernel
-// rendering appended via AppendPrint instead of materialized as a string.
+// rendering appended via AppendPrint instead of materialized as a string,
+// and its hex form appended into the same buffer.
 func (ky *Keyer) Key(kernel *isa.Program) (string, error) {
 	if kernel == nil {
 		return "", fmt.Errorf("campaign: nil kernel")
 	}
-	bp := keyBufPool.Get().(*[]byte)
+	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, keyVersion...)
 	buf = append(buf, 0)
@@ -98,9 +100,11 @@ func (ky *Keyer) Key(kernel *isa.Program) (string, error) {
 	buf = append(buf, 0)
 	buf = append(buf, ky.fixed...)
 	sum := sha256.Sum256(buf)
+	buf = hex.AppendEncode(buf[:0], sum[:])
+	key := string(buf)
 	*bp = buf
-	keyBufPool.Put(bp)
-	return hex.EncodeToString(sum[:]), nil
+	bufPool.Put(bp)
+	return key, nil
 }
 
 // Key derives the content-addressed cache key for measuring a kernel under
@@ -125,13 +129,14 @@ type cacheEntry struct {
 // a valid checkpoint and re-running the campaign resumes from it, skipping
 // every already-measured variant.
 //
-// Each entry is decoded once — at load time or by the Put that stored it —
-// and held as the canonical value decoded out of its stored encoding, so a
-// cache hit is bit-identical to the cold measurement (see Put). Get and Put
-// hand out deep copies the caller owns; the held values are never
+// Each entry is held as the canonical value its stored encoding decodes
+// to — decoded once at load time, or derived by the Put that stored it —
+// so a cache hit is bit-identical to the cold measurement (see Put). Get
+// and Put hand out values the caller owns; the held values are never
 // mutated. Corrupted lines in the backing file (a torn write from a killed
-// process, stray garbage, a line over jsonl.MaxLine) are skipped at load
-// time: a corrupt entry degrades to a cache miss, never to an error.
+// process, stray garbage, a line over jsonl.MaxLine, an entry with no
+// repetitions) are skipped at load time: a corrupt entry degrades to a
+// cache miss, never to an error.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*launcher.Measurement
@@ -181,8 +186,11 @@ func OpenCache(path string) (*Cache, error) {
 		if !tooLong && len(line) > 0 {
 			var e cacheEntry
 			if json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Measurement) > 0 {
+				// null and {} decode without error into a zero value; an
+				// entry without a single repetition is never a launcher
+				// result, so it degrades to a miss like any corrupt line.
 				var m launcher.Measurement
-				if json.Unmarshal(e.Measurement, &m) == nil {
+				if json.Unmarshal(e.Measurement, &m) == nil && m.Summary.N > 0 {
 					c.entries[e.Key] = &m
 				}
 			}
@@ -223,12 +231,11 @@ func (c *Cache) Get(key string) (*launcher.Measurement, bool) {
 
 // Put stores a measurement under key, appending it to the backing file
 // when one is attached, and returns the canonicalized measurement — the
-// value decoded back out of the stored encoding, as a copy the caller
-// owns. Callers should adopt the returned value: it is what every future
-// Get for this key yields, so cold and cache-warm campaign results stay
-// bit-identical by construction. A measurement that does not survive the
-// encoding (e.g. a NaN value) is reported as an error and simply not
-// cached.
+// value its stored encoding decodes to, which the caller owns. Callers
+// should adopt the returned value: it is what every future Get for this
+// key yields, so cold and cache-warm campaign results stay bit-identical
+// by construction. A measurement that does not survive the encoding
+// (e.g. a NaN value) is reported as an error and simply not cached.
 func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement, error) {
 	c.mu.Lock()
 	inj := c.faults
@@ -236,23 +243,16 @@ func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement,
 	if err := inj.Check(faults.PointCachePut, key); err != nil {
 		return nil, fmt.Errorf("campaign: cache put: %w", err)
 	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: measurement not cacheable: %w", err)
-	}
-	var canon launcher.Measurement
-	if err := json.Unmarshal(raw, &canon); err != nil {
-		return nil, fmt.Errorf("campaign: measurement does not round-trip: %w", err)
-	}
-	line, err := json.Marshal(cacheEntry{Key: key, Measurement: raw})
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	line, held, out, err := entry((*bp)[:0], key, m)
 	if err != nil {
 		return nil, err
 	}
-	line = append(line, '\n')
-	out := canon.Clone()
+	*bp = line
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = &canon
+	c.entries[key] = held
 	if err := inj.Check(faults.PointCacheCheckpoint, key); err != nil {
 		// The entry is live in memory; only the checkpoint write "failed".
 		return out, fmt.Errorf("campaign: cache append: %w", err)
@@ -263,6 +263,34 @@ func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement,
 		}
 	}
 	return out, nil
+}
+
+// entry encodes m's JSONL line under key, appending it to b, and returns
+// it with the canonical value the cache holds and the one Put hands back
+// (distinct, sharing no memory). The line is appended in one pass
+// (launcher.AppendCacheLine); when m already is its own decoded form, as
+// a launcher result is unless it holds a NaN or an infinity other than a
+// +Inf rciw, the held value is a copy of m and m itself is handed back. Any other measurement goes through
+// encoding/json: it fails on a non-finite value, and the canonical value
+// is decoded back out of its bytes (invalid UTF-8 replaced, a non-finite
+// rciw read back as +Inf).
+func entry(b []byte, key string, m *launcher.Measurement) (line []byte, held, out *launcher.Measurement, err error) {
+	line, canonical := launcher.AppendCacheLine(b, key, m)
+	if canonical {
+		return line, m.Clone(), m, nil
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("campaign: measurement not cacheable: %w", err)
+	}
+	var canon launcher.Measurement
+	if err := json.Unmarshal(raw, &canon); err != nil {
+		return nil, nil, nil, fmt.Errorf("campaign: measurement does not round-trip: %w", err)
+	}
+	if line, err = json.Marshal(cacheEntry{Key: key, Measurement: raw}); err != nil {
+		return nil, nil, nil, err
+	}
+	return append(line, '\n'), &canon, canon.Clone(), nil
 }
 
 // Close releases the backing file (a no-op for memory caches).

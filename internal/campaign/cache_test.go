@@ -27,9 +27,9 @@ func TestCacheOverlongLineIsSkipped(t *testing.T) {
 	if len(long) != jsonl.MaxLine+1 {
 		t.Fatalf("overlong line is %d bytes, want %d", len(long), jsonl.MaxLine+1)
 	}
-	data := `{"key":"before","measurement":{"Kernel":"a","Value":1}}` + "\n" +
+	data := `{"key":"before","measurement":{"Kernel":"a","Value":1,"Summary":{"N":1}}}` + "\n" +
 		long + "\n" +
-		`{"key":"after","measurement":{"Kernel":"b","Value":2}}` + "\n"
+		`{"key":"after","measurement":{"Kernel":"b","Value":2,"Summary":{"N":1}}}` + "\n"
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestCacheOverlongLineIsSkipped(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("loaded %d entries, want the 2 around the overlong line", c.Len())
 	}
-	if _, err := c.Put("fresh", &launcher.Measurement{Kernel: "c", Value: 3}); err != nil {
+	if _, err := c.Put("fresh", &launcher.Measurement{Kernel: "c", Value: 3, Summary: stats.Summary{N: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -134,5 +134,60 @@ func TestCacheHitsAreCallerOwned(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("reloaded entry encodes as\n%s\nwant the Put value's\n%s", got, want)
+	}
+}
+
+// TestCacheEntriesWithoutRepetitionsAreSkipped: a null or {} measurement
+// decodes without error into a zero value, which would be a hit with Value
+// 0 that ranks first. Such lines load as misses beside the good ones, and
+// a warm rerun re-launches exactly their variants.
+func TestCacheEntriesWithoutRepetitionsAreSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "measurements.jsonl")
+	cold, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSweep(t, Options{Launch: quickLaunch(), Cache: cold})
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) != 5 || len(lines[4]) != 0 {
+		t.Fatalf("cold cache holds %d lines, want 4", len(lines)-1)
+	}
+	var zeroed []string
+	for i, stored := range []string{"null", "{}", `{"Kernel":"k","Value":0}`} {
+		var e cacheEntry
+		if err := json.Unmarshal(lines[i], &e); err != nil {
+			t.Fatal(err)
+		}
+		zeroed = append(zeroed, e.Key)
+		lines[i] = []byte(`{"key":"` + e.Key + `","measurement":` + stored + "}\n")
+	}
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if warm.Len() != 1 {
+		t.Fatalf("loaded %d entries, want only the 1 good one", warm.Len())
+	}
+	for _, key := range zeroed {
+		if m, ok := warm.Get(key); ok {
+			t.Errorf("entry %s without repetitions is a hit: %+v", key, m)
+		}
+	}
+	res := runSweep(t, Options{Launch: quickLaunch(), Cache: warm})
+	if res.Launches != len(zeroed) || res.CacheHits != 4-len(zeroed) {
+		t.Errorf("warm rerun: %d launches, %d hits; want %d and %d",
+			res.Launches, res.CacheHits, len(zeroed), 4-len(zeroed))
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"microtools/internal/machine"
 	"microtools/internal/memsim"
 	"microtools/internal/obs"
+	"microtools/internal/stats"
 	"microtools/internal/telemetry"
 )
 
@@ -290,7 +291,7 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 // survive a reopen.
 func TestCacheTornTailDoesNotSwallowNextPut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "measurements.jsonl")
-	torn := `{"key":"intact","measurement":{"Kernel":"a","Value":1}}` + "\n" +
+	torn := `{"key":"intact","measurement":{"Kernel":"a","Value":1,"Summary":{"N":1}}}` + "\n" +
 		`{"key":"torn","measurement":{"Kern`
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
@@ -302,7 +303,7 @@ func TestCacheTornTailDoesNotSwallowNextPut(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("torn cache loaded %d entries, want 1", c.Len())
 	}
-	if _, err := c.Put("fresh", &launcher.Measurement{Kernel: "b", Value: 2}); err != nil {
+	if _, err := c.Put("fresh", &launcher.Measurement{Kernel: "b", Value: 2, Summary: stats.Summary{N: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

@@ -231,10 +231,10 @@ func Launch(ctx context.Context, prog *isa.Program, opts Options) (*Measurement,
 // LaunchOn are its two entry points.
 func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Options) (*Measurement, error) {
 	desc := mach.Desc
+	// Callers check opts.Verbose before logging, so a quiet launch never
+	// boxes the arguments.
 	logf := func(format string, args ...any) {
-		if opts.Verbose != nil {
-			fmt.Fprintf(opts.Verbose, format+"\n", args...)
-		}
+		fmt.Fprintf(opts.Verbose, format+"\n", args...)
 	}
 
 	root := opts.Tracer.Start("launch").
@@ -355,7 +355,9 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 			}
 		}
 		wsp.Cycles(wstart, mach.Now()).End()
-		logf("warmup done at machine cycle %d", mach.Now())
+		if opts.Verbose != nil {
+			logf("warmup done at machine cycle %d", mach.Now())
+		}
 	}
 
 	// Calibration (§4.5): time the empty kernel.
@@ -378,7 +380,9 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		if calHist != nil {
 			tick.Lap(calHist)
 		}
-		logf("calibrated overhead: %.0f cycles/call", overhead)
+		if opts.Verbose != nil {
+			logf("calibrated overhead: %.0f cycles/call", overhead)
+		}
 	}
 
 	meas := &Measurement{
@@ -432,9 +436,12 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 			msp.Str("error", err.Error()).End()
 			return nil, err
 		}
-		if err := opts.Faults.Check(faults.PointLauncherRep, fmt.Sprintf("%s/rep%d", prog.Name, rep)); err != nil {
-			msp.Str("error", err.Error()).End()
-			return nil, fmt.Errorf("launcher: rep %d: %w", rep, err)
+		if opts.Faults != nil {
+			// The fault key is formatted only when a plan is armed.
+			if err := opts.Faults.Check(faults.PointLauncherRep, fmt.Sprintf("%s/rep%d", prog.Name, rep)); err != nil {
+				msp.Str("error", err.Error()).End()
+				return nil, fmt.Errorf("launcher: rep %d: %w", rep, err)
+			}
 		}
 		rsp := msp.Child("rep").Int("rep", int64(rep))
 		repStart := mach.Now()
@@ -568,10 +575,14 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		}
 		samples = append(samples, value)
 		rsp.Float("value", value).Cycles(repStart, mach.Now()).End()
-		logf("rep %d: %.4f %s", rep, value, opts.TimeUnit)
+		if opts.Verbose != nil {
+			logf("rep %d: %.4f %s", rep, value, opts.TimeUnit)
+		}
 		if adaptive != nil {
 			if stopReason = adaptive.observe(value); stopReason != "" {
-				logf("adaptive stop after rep %d: %s", rep, stopReason)
+				if opts.Verbose != nil {
+					logf("adaptive stop after rep %d: %s", rep, stopReason)
+				}
 				break
 			}
 		}
