@@ -3,9 +3,11 @@ package cliutil
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"microtools/internal/campaign"
 	"microtools/internal/core"
@@ -83,5 +85,51 @@ func TestProgressFollowsCampaign(t *testing.T) {
 	}
 	if settled := "microtools: 12/12 variants (0 cached, 0 failed)"; res.Emitted != 12 || got[len(got)-1] != settled {
 		t.Errorf("settled line %q (emitted %d), want %q", got[len(got)-1], res.Emitted, settled)
+	}
+}
+
+// TestCampaignOptionsMapsFlags pins the flag → campaign.Options mapping:
+// each campaign flag lands on exactly one field, -retries N becomes an
+// N+1 attempt budget (always set, so no flags means one attempt), and
+// the adaptive knobs arm a plan on the launch only under -adaptive.
+func TestCampaignOptionsMapsFlags(t *testing.T) {
+	base := launcher.DefaultOptions()
+	base.MachineName = "nehalem-dual/8"
+	for _, tc := range []struct {
+		name  string
+		flags Campaign
+		want  func(o *campaign.Options)
+	}{
+		{"defaults", Campaign{}, func(o *campaign.Options) {}},
+		{"workers and fail-fast", Campaign{Workers: 3, FailFast: true},
+			func(o *campaign.Options) {
+				o.Workers = 3
+				o.FailFast = true
+			}},
+		{"retries", Campaign{Retries: 2, Backoff: 5 * time.Millisecond, RetrySeed: 9},
+			func(o *campaign.Options) {
+				o.Retry = campaign.RetryPolicy{MaxAttempts: 3, Backoff: 5 * time.Millisecond, Seed: 9}
+			}},
+		{"deadline and quarantine", Campaign{Deadline: 30 * time.Second, Quarantine: 4},
+			func(o *campaign.Options) {
+				o.VariantDeadline = 30 * time.Second
+				o.Quarantine = 4
+			}},
+		{"adaptive", Campaign{Adaptive: true, AdaptiveRCIW: 0.02, AdaptiveMin: 3, AdaptiveMax: 12, AdaptiveStable: 2},
+			func(o *campaign.Options) {
+				o.Launch.Adaptive = &launcher.Plan{MinReps: 3, MaxReps: 12, TargetRCIW: 0.02, StableRuns: 2}
+			}},
+		{"adaptive knobs without -adaptive", Campaign{AdaptiveRCIW: 0.02, AdaptiveMin: 3}, func(o *campaign.Options) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := campaign.Options{Launch: base, Retry: campaign.RetryPolicy{MaxAttempts: 1}}
+			tc.want(&want)
+			if got := tc.flags.Options(base); !reflect.DeepEqual(got, want) {
+				t.Errorf("Options() =\n%+v\nwant\n%+v", got, want)
+			}
+			if base.Adaptive != nil {
+				t.Fatal("Options armed the plan on the caller's launch options")
+			}
+		})
 	}
 }
