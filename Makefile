@@ -70,91 +70,28 @@ HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunO
 bench-smoke:
 	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchtime=1x -benchmem .
 
-# bench-guard runs the campaign sweep benchmark once and fails if its
-# allocs/op or B/op exceed the committed ceilings in bench_guard_allocs.txt
-# and bench_guard_bytes.txt — wall-clock noise cannot trip it, allocation
-# regressions in the variant pipeline (or a return to building a fresh
-# simulated machine per launch) always do. It then runs the all-hits warm
-# campaign once against the allocs/op ceiling in bench_guard_warm_allocs.txt,
-# which a return to decoding every cache hit from JSON exceeds, and the
-# 510-variant JSON report encoding once against bench_guard_report_allocs.txt
-# (the appending encoder makes one allocation; a return to building the
-# report through encoding/json reflection costs ~12k), and the served
-# result's wire decode + encode once against bench_guard_codec_allocs.txt
-# (one string per variant name; encoding/json reflection costs ~4.6k), and
-# the generation of the 510-variant family once against
-# bench_guard_gen_allocs.txt, which a return to a second dataflow scan per
-# variant, to parsing every instruction's mnemonic or to formatting variant
-# names exceeds, and against the B/op ceiling in bench_guard_gen_bytes.txt
-# (stable to ~100 B, unlike the sweep's bytes, which swing by a rebuilt
-# pooled machine). Last, it runs the file-backed cold campaign once (510
-# launches and cache puts) against bench_guard_cold_allocs.txt, which a
-# return to encoding each cache line by reflection round trips exceeds.
+# bench-guard runs each guarded benchmark once at GOMAXPROCS 2 and fails if
+# an allocs/op or B/op figure exceeds its committed ceiling
+# (scripts/bench_guard.sh holds the table of benchmark, metric and ceiling
+# file). Wall-clock noise cannot trip it. The campaign sweep's ceilings (bench_guard_allocs.txt,
+# bench_guard_bytes.txt) catch allocation regressions in the variant
+# pipeline or a return to building a fresh simulated machine per launch;
+# the all-hits warm campaign's (bench_guard_warm_allocs.txt) a return to
+# decoding every cache hit from JSON; the 510-variant JSON report's
+# (bench_guard_report_allocs.txt; the appending encoder makes one
+# allocation, encoding/json reflection ~12k) and the served result's wire
+# decode + encode (bench_guard_codec_allocs.txt; one string per variant
+# name, encoding/json reflection ~4.6k) a return to reflection; the
+# 510-variant generation's (bench_guard_gen_allocs.txt, and the B/op
+# ceiling in bench_guard_gen_bytes.txt, stable to ~100 B unlike the
+# sweep's bytes, which swing by a rebuilt pooled machine) a second
+# dataflow scan per variant, parsing every instruction's mnemonic or
+# formatting variant names; and the file-backed cold campaign's (510
+# launches and cache puts, bench_guard_cold_allocs.txt) a return to
+# encoding each cache line by reflection round trips.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
-	@limit="$$(cat bench_guard_allocs.txt)"; \
-	blimit="$$(cat bench_guard_bytes.txt)"; \
-	wlimit="$$(cat bench_guard_warm_allocs.txt)"; \
-	rlimit="$$(cat bench_guard_report_allocs.txt)"; \
-	climit="$$(cat bench_guard_codec_allocs.txt)"; \
-	glimit="$$(cat bench_guard_gen_allocs.txt)"; \
-	gblimit="$$(cat bench_guard_gen_bytes.txt)"; \
-	klimit="$$(cat bench_guard_cold_allocs.txt)"; \
-	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	bytes="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
-	wout="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaign$$/^warm$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	wallocs="$$(echo "$$wout" | awk '/^BenchmarkCampaign\/warm/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	rout="$$($(GO) test -run='^$$' -bench '^BenchmarkWriteReport$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	rallocs="$$(echo "$$rout" | awk '/^BenchmarkWriteReport/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	cout="$$($(GO) test -run='^$$' -bench '^BenchmarkJobResultCodec$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	callocs="$$(echo "$$cout" | awk '/^BenchmarkJobResultCodec/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	gout="$$($(GO) test -run='^$$' -bench '^BenchmarkGenerate510Variants$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	gallocs="$$(echo "$$gout" | awk '/^BenchmarkGenerate510Variants/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	gbytes="$$(echo "$$gout" | awk '/^BenchmarkGenerate510Variants/ {for (i=1; i<=NF; i++) if ($$i == "B/op") print $$(i-1)}')"; \
-	kout="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaign$$/^cold$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	kallocs="$$(echo "$$kout" | awk '/^BenchmarkCampaign\/cold/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
-	if [ -z "$$bytes" ]; then echo "bench-guard: could not parse B/op"; exit 1; fi; \
-	if [ -z "$$wallocs" ]; then echo "bench-guard: could not parse warm allocs/op"; exit 1; fi; \
-	if [ -z "$$rallocs" ]; then echo "bench-guard: could not parse report allocs/op"; exit 1; fi; \
-	if [ -z "$$callocs" ]; then echo "bench-guard: could not parse codec allocs/op"; exit 1; fi; \
-	if [ -z "$$gallocs" ]; then echo "bench-guard: could not parse generation allocs/op"; exit 1; fi; \
-	if [ -z "$$gbytes" ]; then echo "bench-guard: could not parse generation B/op"; exit 1; fi; \
-	if [ -z "$$kallocs" ]; then echo "bench-guard: could not parse cold allocs/op"; exit 1; fi; \
-	if [ "$$allocs" -gt "$$limit" ]; then \
-		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
-		exit 1; \
-	fi; \
-	if [ "$$bytes" -gt "$$blimit" ]; then \
-		echo "bench-guard: BenchmarkCampaignSweep allocated $$bytes B/op, ceiling is $$blimit"; \
-		exit 1; \
-	fi; \
-	if [ "$$wallocs" -gt "$$wlimit" ]; then \
-		echo "bench-guard: BenchmarkCampaign/warm allocated $$wallocs objs/op, ceiling is $$wlimit"; \
-		exit 1; \
-	fi; \
-	if [ "$$rallocs" -gt "$$rlimit" ]; then \
-		echo "bench-guard: BenchmarkWriteReport allocated $$rallocs objs/op, ceiling is $$rlimit"; \
-		exit 1; \
-	fi; \
-	if [ "$$callocs" -gt "$$climit" ]; then \
-		echo "bench-guard: BenchmarkJobResultCodec allocated $$callocs objs/op, ceiling is $$climit"; \
-		exit 1; \
-	fi; \
-	if [ "$$gallocs" -gt "$$glimit" ]; then \
-		echo "bench-guard: BenchmarkGenerate510Variants allocated $$gallocs objs/op, ceiling is $$glimit"; \
-		exit 1; \
-	fi; \
-	if [ "$$gbytes" -gt "$$gblimit" ]; then \
-		echo "bench-guard: BenchmarkGenerate510Variants allocated $$gbytes B/op, ceiling is $$gblimit"; \
-		exit 1; \
-	fi; \
-	if [ "$$kallocs" -gt "$$klimit" ]; then \
-		echo "bench-guard: BenchmarkCampaign/cold allocated $$kallocs objs/op, ceiling is $$klimit"; \
-		exit 1; \
-	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit, $$bytes B/op <= $$blimit; warm $$wallocs allocs/op <= $$wlimit; report $$rallocs allocs/op <= $$rlimit; codec $$callocs allocs/op <= $$climit; generation $$gallocs allocs/op <= $$glimit, $$gbytes B/op <= $$gblimit; cold $$kallocs allocs/op <= $$klimit"
+	GO='$(GO)' sh scripts/bench_guard.sh
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

@@ -20,6 +20,7 @@ import (
 	"syscall"
 
 	"microtools/internal/cliutil"
+	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/dataflow"
 	"microtools/internal/machine"
@@ -106,7 +107,7 @@ func main() {
 	}
 	if *verifyOnly || *verifyJSON {
 		var ds verify.Diagnostics
-		var progs []core.GeneratedProgram
+		var progs []codegen.Program
 		var err error
 		if *input == "-" {
 			ds, progs, err = core.Vet(ctx, os.Stdin, opts)
@@ -131,7 +132,7 @@ func main() {
 	}
 	opts.Tracer = trace.Tracer()
 
-	var progs []core.GeneratedProgram
+	var progs []codegen.Program
 	var err error
 	if *input == "-" {
 		progs, err = core.Generate(ctx, os.Stdin, opts)

@@ -222,56 +222,49 @@ func main() {
 			*noiseSeed, *noiseSeed)
 	}
 
-	setters := []launcher.Option{
-		launcher.WithFunction(*function),
-		launcher.WithMode(execMode),
-		launcher.WithMachine(*machineName),
-		launcher.WithCoreFrequency(*freq),
-		launcher.WithPinCore(*pin),
-		launcher.WithCores(*cores),
-		launcher.WithSpreadSockets(*spread),
-		launcher.WithVectors(*nbVectors),
-		launcher.WithArrayBytes(*arrayBytes),
-		launcher.WithAlignments(aligns...),
-		launcher.WithAlignWindow(*alignWin),
-		launcher.WithTrip(*trip),
-		launcher.WithElementBytes(*elemBytes),
-		launcher.WithReps(*outerReps, *innerReps),
-		launcher.WithWarmup(*warmup),
-		launcher.WithCalibration(*calibrate),
-		launcher.WithStatistic(statistic),
-		launcher.WithMaxInstructions(*maxInsts),
-		launcher.WithOMPOverheadScale(*ompScale),
-		launcher.WithTimeUnit(timeUnit),
-		launcher.WithTracer(trace.Tracer()),
-		launcher.WithMetrics(tele.Metrics()),
-	}
+	opts := launcher.DefaultOptions()
+	opts.FunctionName = *function
+	opts.Mode = execMode
+	opts.MachineName = *machineName
+	opts.CoreFrequencyGHz = *freq
+	opts.PinCore = *pin
+	opts.Cores = *cores
+	opts.SpreadSockets = *spread
 	if !*noIRQ {
-		setters = append(setters, launcher.WithInterruptNoise(*noiseSeed))
+		opts.DisableInterrupts = false
+		opts.NoiseSeed = *noiseSeed
 	}
-	if *tripExact {
-		setters = append(setters, launcher.WithExactTrip())
-	}
-	if *energy {
-		setters = append(setters, launcher.WithEnergy())
-	}
-	if !*perIter {
-		setters = append(setters, launcher.WithWholeCall())
-	}
-	if *verbose {
-		setters = append(setters, launcher.WithVerbose(os.Stderr))
-	}
-	if counters.Enabled {
-		setters = append(setters, launcher.WithCounters())
-	}
+	opts.NBVectors = *nbVectors
+	opts.ArrayBytes = *arrayBytes
+	opts.Alignments = aligns
+	opts.AlignWindow = *alignWin
+	opts.TripElements = *trip
+	opts.TripExact = *tripExact
+	opts.ElementBytes = *elemBytes
+	opts.OuterReps = *outerReps
+	opts.InnerReps = *innerReps
+	opts.Warmup = *warmup
+	opts.Calibrate = *calibrate
+	opts.Statistic = statistic
+	opts.MaxInstructions = *maxInsts
+	opts.OMPOverheadScale = *ompScale
 	switch *ompSched {
 	case "static":
 	case "dynamic":
-		setters = append(setters, launcher.WithOMPDynamic(*ompChunk))
+		opts.OMPDynamic = true
+		opts.OMPChunkElements = *ompChunk
 	default:
 		fail(fmt.Errorf("unknown -omp-schedule %q (want static|dynamic)", *ompSched))
 	}
-	opts := launcher.NewOptions(setters...)
+	opts.TimeUnit = timeUnit
+	opts.ReportEnergy = *energy
+	opts.PerIteration = *perIter
+	if *verbose {
+		opts.Verbose = os.Stderr
+	}
+	opts.Tracer = trace.Tracer()
+	opts.CollectCounters = counters.Enabled
+	opts.Metrics = tele.Metrics()
 
 	// Every selected function runs through the campaign engine, fanned out
 	// over -workers (-adaptive arms the plan on opts). Each kernel gets its
@@ -281,7 +274,8 @@ func main() {
 	for i, k := range kernels {
 		progs[i] = codegen.Program{Name: k.Name, Parsed: k}
 	}
-	copts := camp.Options(opts, campaign.WithObservers(tele.Tracker().Begin(*kernelPath)))
+	copts := camp.Options(opts)
+	copts.Observers = []campaign.Observer{tele.Tracker().Begin(*kernelPath)}
 	if *verbose {
 		copts.Observers = append(copts.Observers, cliutil.Progress(os.Stderr, "microlauncher"))
 	}

@@ -83,6 +83,39 @@ func TestL009FacadeEntries(t *testing.T) {
 	}
 }
 
+// TestL009BareEntries: every bare entry trips L009 once as a selector on
+// any package and once in a comment, while a longer identifier sharing its
+// prefix stays clean.
+func TestL009BareEntries(t *testing.T) {
+	dir := t.TempDir()
+	lint := func(name, src string) []Diagnostic {
+		t.Helper()
+		path := filepath.Join(dir, name+".go")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return lintPath(t, path)
+	}
+	for name := range deletedBare {
+		forms := map[string]string{
+			"selector": "package p\n\nimport \"microtools/internal/launcher\"\n\nvar _ = launcher." + name + "\n",
+			"comment":  "package p\n\n// Use " + name + " here.\nvar x = 0\n",
+		}
+		for form, src := range forms {
+			ds := lint(name+"_"+form, src)
+			if len(ds) != 1 || ds[0].Rule != "L009" {
+				t.Errorf("%s %s form: findings %v, want one L009", name, form, ds)
+			}
+		}
+		clean := "package p\n\nimport \"microtools/internal/launcher\"\n\n" +
+			"// " + name + "X is another name.\n" +
+			"var _ = launcher." + name + "X\n"
+		if ds := lint(name+"_clean", clean); len(ds) != 0 {
+			t.Errorf("%s: longer name flagged: %v", name, ds)
+		}
+	}
+}
+
 func TestBadFixtureFindingPositions(t *testing.T) {
 	ds := lintPath(t, filepath.Join("testdata", "src", "bad", "bad.go"))
 	// The dropped span is reported at its creation site inside droppedSpan.

@@ -34,8 +34,10 @@
 //	L009  deleted APIs stay deleted: the fan-outs and the second static
 //	      cost model the campaign engine and internal/dataflow replaced
 //	      (RunParallel, LaunchAll, LaunchAllProgress, LaunchErrors,
-//	      ScreenTopKStatic, the analytic package) may not reappear as
-//	      declarations, references, imports or lingering comment mentions —
+//	      ScreenTopKStatic, the analytic package) and the launch/campaign
+//	      option setters that option values replaced (WithFunction,
+//	      WithObservers, ...) may not reappear as declarations,
+//	      references, imports or lingering comment mentions —
 //	      docs and examples point at their replacements. Entries of the
 //	      qualified form microtools.<Name> cover the root facade's deleted
 //	      re-exports, whose names stay live in the internal packages: they
@@ -738,7 +740,7 @@ func atomicTypeName(c *fileContext, e ast.Expr) (string, bool) {
 // A bare name is banned in every package; a facadePrefix-qualified name only
 // in its root-package forms (see checkDeletedAPIs), because the same
 // identifier is live API in an internal package (core.Vet, campaign.Run,
-// launcher.WithFunction).
+// launcher.Launch).
 var deletedAPIs = []struct{ names, use string }{
 	{"RunParallel", "RunCampaign (campaign.Run) with Options.Workers"},
 	{"LaunchAll", "campaign.RunPrograms"},
@@ -748,11 +750,19 @@ var deletedAPIs = []struct{ names, use string }{
 	{"CounterSet", "the named counters of a telemetry.Registry (launcher.Options.Metrics)"},
 	{"NewCounterSet", "telemetry.NewRegistry"},
 	{"CounterSink", "telemetry.Registry.Counter"},
-	{"WithProgress", "campaign.WithObservers"},
-	{"WithTracker", "campaign.WithObservers(tracker.Begin(name))"},
-	{"WithBuffer", "campaign.WithWorkers (the queue holds 2×Workers variants)"},
-	{"WithAdaptiveTarget", "launcher.WithAdaptive(launcher.Plan{TargetRCIW: rciw})"},
+	{"WithProgress", "an Options.Observers entry"},
+	{"WithTracker", "an Options.Observers entry tracker.Begin(name)"},
+	{"WithBuffer", "Options.Workers (the queue holds 2×Workers variants)"},
+	{"WithAdaptiveTarget", "Launch.Adaptive = &launcher.Plan{TargetRCIW: rciw}"},
 	{"AnalyzeLiveness", "dataflow.KernelLiveness"},
+	{"WithFunction WithMode WithCoreFrequency WithPinCore WithCores WithSpreadSockets " +
+		"WithInterruptNoise WithVectors WithAlignments WithAlignWindow WithTrip WithExactTrip " +
+		"WithElementBytes WithWarmup WithCalibration WithStatistic WithMaxInstructions " +
+		"WithOMPOverheadScale WithOMPDynamic WithAdaptive WithTimeUnit WithEnergy WithWholeCall " +
+		"WithVerbose WithTracer WithCounters WithFaults " +
+		"WithFailFast WithObservers WithVariantDeadline WithRetryPolicy WithQuarantine",
+		"the Options field"},
+	{"GeneratedProgram", "codegen.Program"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},
@@ -776,16 +786,7 @@ var deletedAPIs = []struct{ names, use string }{
 	{"microtools.PermanentFault microtools.IsPermanentFault microtools.IsTransientFault",
 		"microtools.TransientFault (unclassified errors are never retried)"},
 	{"microtools.NewLaunchOptions microtools.LaunchOption " +
-		"microtools.WithFunction microtools.WithMode microtools.WithMachine " +
-		"microtools.WithCoreFrequency microtools.WithPinCore microtools.WithCores " +
-		"microtools.WithSpreadSockets microtools.WithInterruptNoise microtools.WithVectors " +
-		"microtools.WithArrayBytes microtools.WithAlignments microtools.WithAlignWindow " +
-		"microtools.WithTrip microtools.WithExactTrip microtools.WithElementBytes " +
-		"microtools.WithReps microtools.WithWarmup microtools.WithCalibration " +
-		"microtools.WithStatistic microtools.WithMaxInstructions microtools.WithOMPOverheadScale " +
-		"microtools.WithOMPDynamic microtools.WithAdaptive " +
-		"microtools.WithTimeUnit microtools.WithEnergy microtools.WithWholeCall " +
-		"microtools.WithVerbose microtools.WithTracer microtools.WithCounters microtools.WithFaults",
+		"microtools.WithMachine microtools.WithArrayBytes microtools.WithReps",
 		"DefaultLaunchOptions plus LaunchOptions field assignment"},
 	{"microtools.NewCampaignOptions microtools.CampaignOption " +
 		"microtools.WithCampaignLaunch microtools.WithCampaignAdaptive microtools.WithCampaignWorkers " +

@@ -139,7 +139,7 @@ func legacyFacade(ctx context.Context) {
 	core.Vet(ctx, nil)
 	core.GenerateFile(ctx, "spec.xml")
 	core.LoadKernelFile("k.s", "")
-	launcher.WithFunction("k")
+	launcher.Launch(ctx, nil)
 }
 
 type runnerStub struct{}

@@ -271,15 +271,15 @@ func runChaos(ctx context.Context, args []string) {
 	}
 	defer tele.Close()
 	spec := fs.Arg(0)
-	opts := launcher.NewOptions(
-		launcher.WithMachine(*machineName),
-		launcher.WithArrayBytes(*size),
-		launcher.WithReps(2, 1),
-		launcher.WithMetrics(tele.Metrics()),
-	)
+	opts := launcher.DefaultOptions()
+	opts.MachineName = *machineName
+	opts.ArrayBytes = *size
+	opts.OuterReps, opts.InnerReps = 2, 1
+	opts.Metrics = tele.Metrics()
 
 	run := func(name string, launch launcher.Options) (*campaign.Result, error) {
-		copts := camp.Options(launch, campaign.WithObservers(tele.Tracker().Begin(name)))
+		copts := camp.Options(launch)
+		copts.Observers = []campaign.Observer{tele.Tracker().Begin(name)}
 		return campaign.RunFile(ctx, spec, core.GenerateOptions{}, copts)
 	}
 
@@ -718,34 +718,28 @@ func main() {
 			fail(err)
 		}
 		tracer := trace.Tracer()
-		setters := []launcher.Option{
-			launcher.WithMachine(*machine),
-			launcher.WithArrayBytes(*size),
-			launcher.WithTracer(tracer),
-			launcher.WithMetrics(tele.Metrics()),
-		}
-		if counters.Enabled {
-			setters = append(setters, launcher.WithCounters())
-		}
+		opts := launcher.DefaultOptions()
+		opts.MachineName = *machine
+		opts.ArrayBytes = *size
 		if *quick {
-			setters = append(setters, launcher.WithReps(2, 1))
+			opts.OuterReps, opts.InnerReps = 2, 1
 		}
-		opts := launcher.NewOptions(setters...)
-		extra := []campaign.Option{
-			campaign.WithObservers(tele.Tracker().Begin(*study)),
-		}
+		opts.Tracer = tracer
+		opts.CollectCounters = counters.Enabled
+		opts.Metrics = tele.Metrics()
 		cache, err := camp.OpenCache()
 		if err != nil {
 			fail(err)
 		}
 		if cache != nil {
 			defer cache.Close()
-			extra = append(extra, campaign.WithCache(cache))
 		}
+		copts := camp.Options(opts)
+		copts.Cache = cache
+		copts.Observers = []campaign.Observer{tele.Tracker().Begin(*study)}
 		if *vFlag {
-			extra = append(extra, campaign.WithObservers(cliutil.Progress(os.Stderr, "microtools")))
+			copts.Observers = append(copts.Observers, cliutil.Progress(os.Stderr, "microtools"))
 		}
-		copts := camp.Options(opts, extra...)
 		var res *campaign.Result
 		if *screen > 0 {
 			// Screening ranks the whole variant family, so it is

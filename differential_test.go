@@ -193,14 +193,13 @@ func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 			for _, noisy := range []bool{false, true} {
 				for ki, kernel := range kernels {
 					t.Run(fmt.Sprintf("%s/%s/noise=%v/%s", name, mode, noisy, kernel.Name), func(t *testing.T) {
-						setters := []launcher.Option{
-							launcher.WithMachine(name), launcher.WithMode(mode), launcher.WithCores(2),
-							launcher.WithArrayBytes(8192), launcher.WithReps(2, 2), launcher.WithCounters(),
-						}
+						opts := launcher.DefaultOptions()
+						opts.MachineName, opts.Mode, opts.Cores = name, mode, 2
+						opts.ArrayBytes, opts.OuterReps, opts.InnerReps = 8192, 2, 2
+						opts.CollectCounters = true
 						if noisy {
-							setters = append(setters, launcher.WithInterruptNoise(int64(5+ki)))
+							opts.DisableInterrupts, opts.NoiseSeed = false, int64(5+ki)
 						}
-						opts := launcher.NewOptions(setters...)
 
 						fresh, err := sim.New(desc)
 						if err != nil {
@@ -222,9 +221,10 @@ func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 						if err := reused.SetNoise(sim.DefaultNoise(99)); err != nil {
 							t.Fatal(err)
 						}
-						if _, err := launcher.LaunchOn(ctx, reused, other, launcher.NewOptions(
-							launcher.WithMachine(name), launcher.WithMode(launcher.Fork), launcher.WithCores(2),
-							launcher.WithArrayBytes(16384), launcher.WithReps(1, 1))); err != nil {
+						dirty := launcher.DefaultOptions()
+						dirty.MachineName, dirty.Mode, dirty.Cores = name, launcher.Fork, 2
+						dirty.ArrayBytes, dirty.OuterReps, dirty.InnerReps = 16384, 1, 1
+						if _, err := launcher.LaunchOn(ctx, reused, other, dirty); err != nil {
 							t.Fatal(err)
 						}
 						reused.SetFaults(faults.New(1).SetRate(faults.PointSimStep, 1), "stale")

@@ -50,7 +50,7 @@ func noisyLaunch(seed int64) launcher.Options {
 func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
-		Launch: hooked(adaptiveLaunch(), launcher.WithAdaptive(launcher.Plan{}), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch: metered(planned(adaptiveLaunch(), launcher.Plan{}), counters),
 	})
 	if res.Emitted != 4 || res.Failures != 0 {
 		t.Fatalf("emitted=%d failures=%d", res.Emitted, res.Failures)
@@ -97,7 +97,7 @@ func TestAdaptiveSweepSavesRepsDeterministically(t *testing.T) {
 func TestAdaptiveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Result {
 		return runSweep(t, Options{
-			Launch:  hooked(noisyLaunch(11), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9})),
+			Launch:  planned(noisyLaunch(11), launcher.Plan{TargetRCIW: 1e-9}),
 			Workers: workers,
 		})
 	}
@@ -125,7 +125,7 @@ func TestAdaptiveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestAdaptiveTopUpGrantsSavedBudget(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	res := runSweep(t, Options{
-		Launch: hooked(noisyLaunch(5), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9}), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch: metered(planned(noisyLaunch(5), launcher.Plan{TargetRCIW: 1e-9}), counters),
 	})
 	if res.Failures != 0 {
 		t.Fatalf("failures: %v", res.Err())
@@ -174,10 +174,10 @@ func TestAdaptiveWarmRerunPerformsZeroLaunches(t *testing.T) {
 		if tc.name != "deterministic" {
 			plan.TargetRCIW = 1e-9
 		}
-		launch := hooked(tc.launch, launcher.WithAdaptive(plan))
+		launch := planned(tc.launch, plan)
 		cold := runSweep(t, Options{Launch: launch, Cache: cache})
 		warmCounters := telemetry.NewRegistry()
-		warm := runSweep(t, Options{Launch: hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(warmCounters))), Cache: cache})
+		warm := runSweep(t, Options{Launch: metered(launch, warmCounters), Cache: cache})
 		if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 			t.Errorf("%s: warm adaptive rerun performed %d launches, want 0", tc.name, got)
 		}
@@ -312,7 +312,7 @@ func TestStabilityBackfillIsVersioned(t *testing.T) {
 	}
 
 	counters := telemetry.NewRegistry()
-	warm := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))), Cache: cache})
+	warm := runSweep(t, Options{Launch: metered(quickLaunch(), counters), Cache: cache})
 	if got := counters.Counter("campaign.launches").Value(); got != 0 {
 		t.Fatalf("stripped entries missed the cache: %d launches", got)
 	}
@@ -343,7 +343,7 @@ func TestStabilityBackfillIsVersioned(t *testing.T) {
 func TestChaosAdaptiveRecoversBitIdentical(t *testing.T) {
 	opts := func() Options {
 		return Options{
-			Launch: hooked(noisyLaunch(17), launcher.WithAdaptive(launcher.Plan{TargetRCIW: 1e-9})),
+			Launch: planned(noisyLaunch(17), launcher.Plan{TargetRCIW: 1e-9}),
 		}
 	}
 	clean := runSweep(t, opts())

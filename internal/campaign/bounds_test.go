@@ -9,7 +9,6 @@ import (
 
 	"microtools/internal/core"
 	"microtools/internal/isa"
-	"microtools/internal/launcher"
 	"microtools/internal/telemetry"
 )
 
@@ -38,7 +37,7 @@ func TestBoundsOracleAcrossSeedSpecs(t *testing.T) {
 				launch.MachineName = machineName
 				counters := telemetry.NewRegistry()
 				res, err := RunFile(context.Background(), path, core.GenerateOptions{},
-					Options{Launch: hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(counters))), Workers: 8, CheckBounds: true})
+					Options{Launch: metered(launch, counters), Workers: 8, CheckBounds: true})
 				if err != nil {
 					t.Fatalf("campaign: %v", err)
 				}
@@ -80,7 +79,7 @@ func TestBoundsOracleCatchesCorruptedTable(t *testing.T) {
 	launch.MachineName = "nehalem-dual"
 	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:      hooked(launch, launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch:      metered(launch, counters),
 		CheckBounds: true,
 		boundArch:   &corrupted,
 	})

@@ -235,8 +235,12 @@ func (c *Cache) Get(key string) (*launcher.Measurement, bool) {
 // should adopt the returned value: it is what every future Get for this
 // key yields, so cold and cache-warm campaign results stay bit-identical
 // by construction. A measurement that does not survive the encoding
-// (e.g. a NaN value) is reported as an error and simply not cached.
+// (e.g. a NaN value), or that holds no repetition (which OpenCache would
+// skip on reload), is reported as an error and simply not cached.
 func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement, error) {
+	if m.Summary.N == 0 {
+		return nil, fmt.Errorf("campaign: measurement not cacheable: no repetitions")
+	}
 	c.mu.Lock()
 	inj := c.faults
 	c.mu.Unlock()

@@ -191,3 +191,40 @@ func TestCacheEntriesWithoutRepetitionsAreSkipped(t *testing.T) {
 			res.Launches, res.CacheHits, len(zeroed), 4-len(zeroed))
 	}
 }
+
+// TestCachePutRejectsMeasurementWithoutRepetitions: OpenCache skips an
+// entry with no repetitions on reload, so Put refuses one up front instead
+// of serving it as a hit that would be gone after a restart. Nothing is
+// held and nothing is appended.
+func TestCachePutRejectsMeasurementWithoutRepetitions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "measurements.jsonl")
+	c, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Put("good", &launcher.Measurement{Kernel: "a", Value: 1, Summary: stats.Summary{N: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Put("empty", &launcher.Measurement{Kernel: "b", Value: 2})
+	if err == nil || out != nil {
+		t.Fatalf("Put of a measurement without repetitions = (%v, %v), want a not-cacheable error", out, err)
+	}
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d entries after the rejected Put, want 1", c.Len())
+	}
+	if _, ok := c.Get("empty"); ok {
+		t.Error("rejected measurement is a hit")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("rejected Put appended %q", after[len(before):])
+	}
+}

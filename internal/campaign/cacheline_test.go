@@ -216,15 +216,19 @@ func TestCacheLineSpecCorpus(t *testing.T) {
 	if err != nil || len(specs) == 0 {
 		t.Fatalf("no specs: %v", err)
 	}
+	counted := quickLaunch()
+	counted.CollectCounters = true
+	energy := quickLaunch()
+	energy.ReportEnergy = true
 	adaptive := quickLaunch()
 	adaptive.OuterReps = 4
 	configs := []struct {
 		name   string
 		launch launcher.Options
 	}{
-		{"counters", hooked(quickLaunch(), launcher.WithCounters())},
-		{"adaptive", hooked(adaptive, launcher.WithAdaptive(launcher.Plan{MinReps: 2, MaxReps: 4, TargetRCIW: 0.05}))},
-		{"energy", hooked(quickLaunch(), launcher.WithEnergy())},
+		{"counters", counted},
+		{"adaptive", planned(adaptive, launcher.Plan{MinReps: 2, MaxReps: 4, TargetRCIW: 0.05})},
+		{"energy", energy},
 	}
 	for _, spec := range specs {
 		progs, err := core.GenerateFile(context.Background(), spec, core.GenerateOptions{})
@@ -251,7 +255,9 @@ func TestCacheLineSpecCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPrograms(context.Background(), progs, Options{Launch: hooked(adaptive, launcher.WithCounters(), launcher.WithEnergy())})
+	all := adaptive
+	all.CollectCounters, all.ReportEnergy = true, true
+	res, err := RunPrograms(context.Background(), progs, Options{Launch: all})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"microtools/internal/codegen"
 	"microtools/internal/core"
+	"microtools/internal/faults"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
@@ -56,12 +57,22 @@ func quickLaunch() launcher.Options {
 	return opts
 }
 
-// hooked returns l with the launcher setters applied; the tests arm a
-// campaign's plan, tracer, metrics and injector on its launch options.
-func hooked(l launcher.Options, set ...launcher.Option) launcher.Options {
-	for _, s := range set {
-		s(&l)
-	}
+// metered returns l recording into a fresh instrument set over reg; the
+// tests arm a campaign's metrics, injector and plan on its launch options.
+func metered(l launcher.Options, reg *telemetry.Registry) launcher.Options {
+	l.Metrics = telemetry.NewMetrics(reg)
+	return l
+}
+
+// faulted returns l with the fault plan in armed.
+func faulted(l launcher.Options, in *faults.Injector) launcher.Options {
+	l.Faults = in
+	return l
+}
+
+// planned returns l with a copy of the adaptive plan p armed.
+func planned(l launcher.Options, p launcher.Plan) launcher.Options {
+	l.Adaptive = &p
 	return l
 }
 
@@ -174,7 +185,7 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldCounters := telemetry.NewRegistry()
-	coldRes := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(coldCounters))), Cache: cold})
+	coldRes := runSweep(t, Options{Launch: metered(quickLaunch(), coldCounters), Cache: cold})
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +206,7 @@ func TestWarmCachePerformsZeroLaunches(t *testing.T) {
 		t.Fatalf("reloaded cache has %d entries, want 4", warm.Len())
 	}
 	warmCounters := telemetry.NewRegistry()
-	warmRes := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(warmCounters))), Cache: warm})
+	warmRes := runSweep(t, Options{Launch: metered(quickLaunch(), warmCounters), Cache: warm})
 	if got := warmCounters.Counter("campaign.launches").Value(); got != 0 {
 		t.Errorf("warm run performed %d launches, want 0", got)
 	}
@@ -276,7 +287,7 @@ func TestCorruptedCacheDegradesToMiss(t *testing.T) {
 		t.Fatalf("corrupted cache kept %d entries, want fewer than 4", warm.Len())
 	}
 	counters := telemetry.NewRegistry()
-	res := runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))), Cache: warm})
+	res := runSweep(t, Options{Launch: metered(quickLaunch(), counters), Cache: warm})
 	if res.Failures != 0 || len(res.Results) != 4 {
 		t.Fatalf("campaign over corrupted cache: %d results, %d failures", len(res.Results), res.Failures)
 	}
@@ -545,7 +556,8 @@ func TestRunFileAndEmptySpec(t *testing.T) {
 func TestTracerRecordsCampaignSpans(t *testing.T) {
 	tr := obs.New()
 	cache := NewMemoryCache()
-	launch := hooked(quickLaunch(), launcher.WithTracer(tr))
+	launch := quickLaunch()
+	launch.Tracer = tr
 	runSweep(t, Options{Launch: launch, Cache: cache})
 	runSweep(t, Options{Launch: launch, Cache: cache})
 	names := map[string]int{}

@@ -40,7 +40,7 @@ func TestChaosTransientFaultsRecoverBitIdentical(t *testing.T) {
 	counters := telemetry.NewRegistry()
 	injector.SetCounter(counters.Counter("faults.injected"))
 	chaotic := runSweep(t, Options{
-		Launch: hooked(quickLaunch(), launcher.WithFaults(injector), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch: metered(faulted(quickLaunch(), injector), counters),
 		Retry:  chaosBudget(burst),
 	})
 
@@ -76,7 +76,7 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (*Result, []faults.Site) {
 		injector := faults.New(99).SetRate("*", 0.5).SetBurst(1)
 		res := runSweep(t, Options{
-			Launch:  hooked(quickLaunch(), launcher.WithFaults(injector)),
+			Launch:  faulted(quickLaunch(), injector),
 			Workers: workers,
 			Retry:   chaosBudget(1),
 		})
@@ -105,7 +105,7 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 
 	// A different seed must not replay the same schedule.
 	other := faults.New(100).SetRate("*", 0.5).SetBurst(1)
-	runSweep(t, Options{Launch: hooked(quickLaunch(), launcher.WithFaults(other)), Retry: chaosBudget(1)})
+	runSweep(t, Options{Launch: faulted(quickLaunch(), other), Retry: chaosBudget(1)})
 	otherSites := other.Injected()
 	same := len(otherSites) == len(serialSites)
 	if same {
@@ -124,7 +124,7 @@ func TestChaosSameSeedSameScheduleAcrossWorkerCounts(t *testing.T) {
 func TestChaosPermanentFaultsAreNotRetried(t *testing.T) {
 	injector := faults.New(3).SetRate(faults.PointCampaignLaunch, 1).SetClass(faults.ClassPermanent)
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch: hooked(quickLaunch(), launcher.WithFaults(injector)),
+		Launch: faulted(quickLaunch(), injector),
 		Retry:  RetryPolicy{MaxAttempts: 10, Seed: 1},
 	})
 	if err == nil {
@@ -156,7 +156,7 @@ func TestChaosQuarantineWithdrawsRepeatOffenders(t *testing.T) {
 	injector := faults.New(5).SetRate(faults.PointCampaignLaunch, 1).SetBurst(100)
 	counters := telemetry.NewRegistry()
 	res, err := Run(context.Background(), strings.NewReader(sweepSpec), core.GenerateOptions{}, Options{
-		Launch:     hooked(quickLaunch(), launcher.WithFaults(injector), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch:     metered(faulted(quickLaunch(), injector), counters),
 		Retry:      RetryPolicy{MaxAttempts: 50, Seed: 1},
 		Quarantine: 3,
 	})
@@ -219,7 +219,7 @@ func TestChaosCacheFaultsDegradeNeverCorrupt(t *testing.T) {
 	cache := NewMemoryCache()
 	cache.SetFaults(injector)
 	res := runSweep(t, Options{
-		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(counters))),
+		Launch: metered(quickLaunch(), counters),
 		Cache:  cache,
 	})
 	if res.Failures != 0 {
@@ -253,7 +253,7 @@ func TestLaunchFaultsLeaveTheCacheUnarmed(t *testing.T) {
 	cache := NewMemoryCache()
 	injector := faults.New(13).SetRate("*", 0.5).SetBurst(1)
 	cold := runSweep(t, Options{
-		Launch: hooked(quickLaunch(), launcher.WithFaults(injector)),
+		Launch: faulted(quickLaunch(), injector),
 		Cache:  cache,
 		Retry:  chaosBudget(1),
 	})

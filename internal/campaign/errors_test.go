@@ -143,7 +143,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &recorder{}
-			res, err := tc.run(t, NewOptions(WithLaunch(quickLaunch()), WithObservers(rec)))
+			res, err := tc.run(t, Options{Launch: quickLaunch(), Observers: []Observer{rec}})
 			if res == nil {
 				t.Fatal("Result is nil: both entry points must return a usable Result")
 			}
@@ -156,34 +156,25 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestNewOptionsSetters proves the functional constructor reaches every
-// public field and that nil setters are tolerated.
+// TestNewOptionsSetters proves the benchmark harness's constructor
+// reaches every field its setters name and that nil setters are
+// tolerated.
 func TestNewOptionsSetters(t *testing.T) {
 	cache := NewMemoryCache()
-	observer := UpdateFunc(func(telemetry.CampaignUpdate) {})
 	metrics := telemetry.NewMetrics(telemetry.NewRegistry())
 	opts := NewOptions(
 		nil,
 		WithLaunch(quickLaunch()),
 		WithWorkers(3),
-		WithFailFast(true),
 		WithCache(cache),
-		WithObservers(observer),
-		WithObservers(observer),
 		WithMetrics(metrics),
-		WithVariantDeadline(42),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 5}),
-		WithQuarantine(2),
 		WithCheckBounds(true),
 	)
-	if opts.Workers != 3 || !opts.FailFast || opts.Cache != cache {
-		t.Errorf("execution setters not applied: %+v", opts)
+	if opts.Workers != 3 || opts.Cache != cache || !opts.CheckBounds {
+		t.Errorf("campaign setters not applied: %+v", opts)
 	}
-	if len(opts.Observers) != 2 || opts.Launch.Metrics != metrics {
-		t.Errorf("telemetry setters not applied: %+v", opts)
-	}
-	if opts.VariantDeadline != 42 || opts.Retry.MaxAttempts != 5 || opts.Quarantine != 2 || !opts.CheckBounds {
-		t.Errorf("resilience setters not applied: %+v", opts)
+	if opts.Launch.Metrics != metrics {
+		t.Errorf("metrics setter not applied: %+v", opts)
 	}
 	if opts.Launch.MachineName != quickLaunch().MachineName {
 		t.Errorf("launch setter not applied: %+v", opts.Launch)

@@ -8,7 +8,6 @@ import (
 
 	"microtools/internal/codegen"
 	"microtools/internal/core"
-	"microtools/internal/launcher"
 	"microtools/internal/stats"
 	"microtools/internal/telemetry"
 )
@@ -23,7 +22,7 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 
 	coldRec := &recorder{}
 	cold := runSweep(t, Options{
-		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(reg))), Workers: 4, Cache: cache,
+		Launch: metered(quickLaunch(), reg), Workers: 4, Cache: cache,
 		Observers: []Observer{tr.Begin("cold"), coldRec},
 	})
 	coldRec.check(t, cold, nil)
@@ -51,7 +50,7 @@ func TestTelemetryAgreesWithResult(t *testing.T) {
 	// Warm re-run on the same registry: hits add up, launches don't.
 	warmRec := &recorder{}
 	warm := runSweep(t, Options{
-		Launch: hooked(quickLaunch(), launcher.WithMetrics(telemetry.NewMetrics(reg))), Workers: 4, Cache: cache,
+		Launch: metered(quickLaunch(), reg), Workers: 4, Cache: cache,
 		Observers: []Observer{tr.Begin("warm"), warmRec},
 	})
 	warmRec.check(t, warm, nil)

@@ -197,28 +197,26 @@ func (c *Campaign) OpenCache() (*campaign.Cache, error) {
 	return campaign.OpenCache(c.CachePath)
 }
 
-// Options assembles a campaign.Options from the parsed flags through the
-// functional constructor. launch is the measurement configuration, hooks
-// included; the -adaptive plan, when set, is armed on it. extra setters
-// (cache, observers) are applied after the flag-derived ones, so callers
-// can override anything.
-func (c *Campaign) Options(launch launcher.Options, extra ...campaign.Option) campaign.Options {
+// Options assembles a campaign.Options from the parsed flags. launch is
+// the measurement configuration, hooks included; the -adaptive plan, when
+// set, is armed on it. The cache and observers are left to the caller,
+// which sets them on the returned value.
+func (c *Campaign) Options(launch launcher.Options) campaign.Options {
 	if p := c.AdaptivePlan(); p != nil {
 		launch.Adaptive = p
 	}
-	setters := []campaign.Option{
-		campaign.WithLaunch(launch),
-		campaign.WithWorkers(c.Workers),
-		campaign.WithFailFast(c.FailFast),
-		campaign.WithVariantDeadline(c.Deadline),
-		campaign.WithQuarantine(c.Quarantine),
-		campaign.WithRetryPolicy(campaign.RetryPolicy{
+	return campaign.Options{
+		Launch:          launch,
+		Workers:         c.Workers,
+		FailFast:        c.FailFast,
+		VariantDeadline: c.Deadline,
+		Quarantine:      c.Quarantine,
+		Retry: campaign.RetryPolicy{
 			MaxAttempts: c.Retries + 1,
 			Backoff:     c.Backoff,
 			Seed:        c.RetrySeed,
-		}),
+		},
 	}
-	return campaign.NewOptions(append(setters, extra...)...)
 }
 
 // Progress returns a campaign observer that logs one line per update on

@@ -62,15 +62,15 @@ func TestProgressFollowsCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := campaign.RunPrograms(ctx, progs, campaign.NewOptions(
-		campaign.WithLaunch(launcher.NewOptions(
-			launcher.WithMachine("nehalem-dual/8"),
-			launcher.WithArrayBytes(2048),
-			launcher.WithReps(2, 1),
-		)),
-		campaign.WithWorkers(2),
-		campaign.WithObservers(Progress(&buf, "microtools")),
-	))
+	launch := launcher.DefaultOptions()
+	launch.MachineName = "nehalem-dual/8"
+	launch.ArrayBytes = 2048
+	launch.OuterReps, launch.InnerReps = 2, 1
+	res, err := campaign.RunPrograms(ctx, progs, campaign.Options{
+		Launch:    launch,
+		Workers:   2,
+		Observers: []campaign.Observer{Progress(&buf, "microtools")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

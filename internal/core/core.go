@@ -20,7 +20,6 @@ import (
 	"microtools/internal/codegen"
 	"microtools/internal/dataflow"
 	"microtools/internal/isa"
-	"microtools/internal/launcher"
 	"microtools/internal/machine"
 	"microtools/internal/obs"
 	"microtools/internal/passes"
@@ -268,14 +267,6 @@ func LoadKernelFile(path, functionName string) (*isa.Program, error) {
 	}
 	return LoadKernel(string(data), functionName)
 }
-
-// Launch measures a kernel program with MicroLauncher.
-func Launch(ctx context.Context, prog *isa.Program, opts launcher.Options) (*launcher.Measurement, error) {
-	return launcher.Launch(ctx, prog, opts)
-}
-
-// GeneratedProgram aliases the generator output type for CLI consumers.
-type GeneratedProgram = codegen.Program
 
 // looksLikeC detects MicroCreator's C output format.
 func looksLikeC(src string) bool {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"microtools/internal/asm"
+	"microtools/internal/codegen"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
@@ -35,7 +36,7 @@ func TestScreenTopKMatchesGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &cells); err != nil {
 		t.Fatal(err)
 	}
-	families := map[string][]GeneratedProgram{}
+	families := map[string][]codegen.Program{}
 	for _, c := range cells {
 		progs, ok := families[c.Spec]
 		if !ok {
@@ -81,13 +82,13 @@ func TestScreenTopKKeepsContenders(t *testing.T) {
 	opts.ArrayBytes = size
 	opts.InnerReps = 1
 	opts.OuterReps = 2
-	perElement := func(p *GeneratedProgram) float64 {
+	perElement := func(p *codegen.Program) float64 {
 		t.Helper()
 		kernel, err := p.Lowered()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Launch(context.Background(), kernel, opts)
+		m, err := launcher.Launch(context.Background(), kernel, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +154,8 @@ func TestScreenTopKUnboundableRanksLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := GeneratedProgram{Name: "empty", Parsed: &isa.Program{Name: "empty"}}
-	all := append([]GeneratedProgram{empty}, progs...)
+	empty := codegen.Program{Name: "empty", Parsed: &isa.Program{Name: "empty"}}
+	all := append([]codegen.Program{empty}, progs...)
 	kept, err := ScreenTopK(context.Background(), all, "nehalem-dual/8", 2<<10, 4, len(progs))
 	if err != nil {
 		t.Fatal(err)

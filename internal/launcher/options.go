@@ -12,6 +12,9 @@
 //
 // Multi-core execution (§4.6, §5.2.1) forks the same kernel onto several
 // pinned cores; alignment studies (§5.2.2) sweep per-array offsets.
+//
+// Options is one plain value: start from DefaultOptions and assign the
+// fields a launch changes.
 package launcher
 
 import (
@@ -280,22 +283,15 @@ func DefaultOptions() Options {
 	}
 }
 
-// Option is a functional setter for Options, applied by NewOptions. The
-// setters below are grouped exactly like the Options struct sections, so a
-// call site reads in the same order as the documentation.
+// Option is a functional setter for Options, applied by NewOptions. It
+// and the three setters below survive only for the benchmark harness
+// (perfbench/workloads.go), whose files change only with the benchmark;
+// every other caller builds Options as a value: DefaultOptions, then
+// field assignment.
 type Option func(*Options)
 
-// NewOptions builds an Options value by applying functional setters on top
-// of DefaultOptions. It is the recommended constructor: call sites name
-// only what they change and inherit the paper-faithful defaults for the
-// rest. The struct remains exported — flag-driven tools and tests that
-// fill every field may keep using it directly.
-//
-//	opts := launcher.NewOptions(
-//	    launcher.WithMachine("nehalem-dual"),
-//	    launcher.WithReps(8, 4),
-//	    launcher.WithTracer(tr),
-//	)
+// NewOptions applies setters on top of DefaultOptions, skipping nil ones.
+// Kept only for the benchmark harness.
 func NewOptions(setters ...Option) Options {
 	o := DefaultOptions()
 	for _, set := range setters {
@@ -306,148 +302,20 @@ func NewOptions(setters ...Option) Options {
 	return o
 }
 
-// --- input selection -------------------------------------------------------
-
-// WithFunction selects the kernel function by name when the input holds
-// several.
-func WithFunction(name string) Option { return func(o *Options) { o.FunctionName = name } }
-
-// WithMode selects sequential, fork or OpenMP execution.
-func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
-
-// --- machine / environment ---------------------------------------------------
-
-// WithMachine picks the simulated platform by name (e.g. "nehalem-dual",
-// optionally scaled: "nehalem-dual/8").
+// WithMachine sets MachineName. Kept only for the benchmark harness.
 func WithMachine(name string) Option { return func(o *Options) { o.MachineName = name } }
 
-// WithCoreFrequency overrides the DVFS point in GHz (0 = nominal).
-func WithCoreFrequency(ghz float64) Option { return func(o *Options) { o.CoreFrequencyGHz = ghz } }
-
-// WithPinCore pins a sequential run to the given core.
-func WithPinCore(core int) Option { return func(o *Options) { o.PinCore = core } }
-
-// WithCores sets the core count for Fork/OpenMP modes.
-func WithCores(n int) Option { return func(o *Options) { o.Cores = n } }
-
-// WithSpreadSockets toggles round-robin placement across sockets.
-func WithSpreadSockets(spread bool) Option { return func(o *Options) { o.SpreadSockets = spread } }
-
-// WithInterruptNoise re-enables the environmental noise the launcher
-// normally suppresses (§4.7), seeding its generator — the configuration
-// that demonstrates why the launcher exists.
-func WithInterruptNoise(seed int64) Option {
-	return func(o *Options) {
-		o.DisableInterrupts = false
-		o.NoiseSeed = seed
-	}
-}
-
-// --- data arrays -------------------------------------------------------------
-
-// WithVectors fixes the number of allocated arrays (0 = derive from the
-// kernel).
-func WithVectors(n int) Option { return func(o *Options) { o.NBVectors = n } }
-
-// WithArrayBytes sets each array's size in bytes.
+// WithArrayBytes sets ArrayBytes. Kept only for the benchmark harness.
 func WithArrayBytes(n int64) Option { return func(o *Options) { o.ArrayBytes = n } }
 
-// WithAlignments sets each array's byte offset within the alignment
-// window.
-func WithAlignments(offsets ...int64) Option {
-	return func(o *Options) { o.Alignments = append([]int64(nil), offsets...) }
-}
-
-// WithAlignWindow sets the alignment modulus (a power of two).
-func WithAlignWindow(w int64) Option { return func(o *Options) { o.AlignWindow = w } }
-
-// --- measurement protocol ----------------------------------------------------
-
-// WithTrip fixes the element count passed as the kernel's first argument
-// (0 = derive from the array size).
-func WithTrip(elements int64) Option { return func(o *Options) { o.TripElements = elements } }
-
-// WithExactTrip passes the trip count to %rdi unmodified (count-up
-// kernels).
-func WithExactTrip() Option { return func(o *Options) { o.TripExact = true } }
-
-// WithElementBytes sets the logical element size.
-func WithElementBytes(n int64) Option { return func(o *Options) { o.ElementBytes = n } }
-
-// WithReps sets the repetition protocol: outer timed experiments and
-// kernel calls per experiment.
+// WithReps sets OuterReps and InnerReps. Kept only for the benchmark
+// harness.
 func WithReps(outer, inner int) Option {
 	return func(o *Options) {
 		o.OuterReps = outer
 		o.InnerReps = inner
 	}
 }
-
-// WithWarmup toggles the untimed cache-warming call (§4.5).
-func WithWarmup(on bool) Option { return func(o *Options) { o.Warmup = on } }
-
-// WithCalibration toggles empty-kernel overhead subtraction (§4.5).
-func WithCalibration(on bool) Option { return func(o *Options) { o.Calibrate = on } }
-
-// WithStatistic selects the reported summary statistic.
-func WithStatistic(s stats.Statistic) Option { return func(o *Options) { o.Statistic = s } }
-
-// WithMaxInstructions bounds each kernel call's dynamic instructions
-// (0 = unlimited).
-func WithMaxInstructions(n int64) Option { return func(o *Options) { o.MaxInstructions = n } }
-
-// WithOMPOverheadScale scales the OpenMP runtime model's fork/join costs.
-func WithOMPOverheadScale(s float64) Option { return func(o *Options) { o.OMPOverheadScale = s } }
-
-// WithOMPDynamic selects schedule(dynamic) with the given chunk size in
-// elements (0 = the runtime default).
-func WithOMPDynamic(chunkElements int64) Option {
-	return func(o *Options) {
-		o.OMPDynamic = true
-		o.OMPChunkElements = chunkElements
-	}
-}
-
-// WithAdaptive arms the adaptive repetition plan (see Plan). The plan is
-// copied, so the caller's value cannot alias the options.
-func WithAdaptive(p Plan) Option {
-	return func(o *Options) {
-		pp := p
-		o.Adaptive = &pp
-	}
-}
-
-// --- output ------------------------------------------------------------------
-
-// WithTimeUnit selects the reported unit.
-func WithTimeUnit(u TimeUnit) Option { return func(o *Options) { o.TimeUnit = u } }
-
-// WithEnergy attaches the §7 power-model estimate to the measurement.
-func WithEnergy() Option { return func(o *Options) { o.ReportEnergy = true } }
-
-// WithWholeCall reports whole-call time instead of dividing by the
-// kernel's iteration count.
-func WithWholeCall() Option { return func(o *Options) { o.PerIteration = false } }
-
-// WithVerbose streams protocol progress lines to w.
-func WithVerbose(w io.Writer) Option { return func(o *Options) { o.Verbose = w } }
-
-// --- observability -----------------------------------------------------------
-
-// WithTracer records hierarchical spans over the whole protocol.
-func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
-
-// WithCounters attaches a simulated-PMU snapshot to the measurement.
-func WithCounters() Option { return func(o *Options) { o.CollectCounters = true } }
-
-// WithMetrics arms live telemetry recording for the launch.
-func WithMetrics(m *telemetry.Metrics) Option { return func(o *Options) { o.Metrics = m } }
-
-// --- resilience --------------------------------------------------------------
-
-// WithFaults arms deterministic fault injection at the launch protocol's
-// boundaries.
-func WithFaults(in *faults.Injector) Option { return func(o *Options) { o.Faults = in } }
 
 // Validate normalizes and checks the options.
 func (o *Options) Validate() error {

@@ -3,8 +3,6 @@ package launcher
 import (
 	"reflect"
 	"testing"
-
-	"microtools/internal/stats"
 )
 
 func TestNewOptionsDefaults(t *testing.T) {
@@ -14,44 +12,18 @@ func TestNewOptionsDefaults(t *testing.T) {
 }
 
 func TestNewOptionsAppliesSetters(t *testing.T) {
-	tr := int64(1 << 10)
 	o := NewOptions(
 		WithMachine("nehalem-dual/8"),
-		WithMode(Fork),
-		WithCores(4),
-		WithArrayBytes(tr),
-		WithAlignments(0, 64),
+		WithArrayBytes(1<<10),
 		WithReps(8, 2),
-		WithStatistic(stats.StatMedian),
-		WithTimeUnit(UnitCoreCycles),
-		WithExactTrip(),
-		WithWarmup(false),
 		nil, // nil setters are skipped
 	)
-	if o.MachineName != "nehalem-dual/8" || o.Mode != Fork || o.Cores != 4 {
-		t.Errorf("machine/mode/cores not applied: %+v", o)
-	}
-	if o.ArrayBytes != tr || len(o.Alignments) != 2 || o.Alignments[1] != 64 {
-		t.Errorf("array options not applied: %+v", o)
-	}
-	if o.OuterReps != 8 || o.InnerReps != 2 || o.Statistic != stats.StatMedian {
-		t.Errorf("protocol options not applied: %+v", o)
-	}
-	if o.TimeUnit != UnitCoreCycles || !o.TripExact || o.Warmup {
-		t.Errorf("unit/trip/warmup options not applied: %+v", o)
+	if o.MachineName != "nehalem-dual/8" || o.ArrayBytes != 1<<10 || o.OuterReps != 8 || o.InnerReps != 2 {
+		t.Errorf("setters not applied: %+v", o)
 	}
 	// Untouched fields keep their defaults.
 	if !o.Calibrate || !o.DisableInterrupts || o.AlignWindow != 4096 {
 		t.Errorf("defaults lost: %+v", o)
-	}
-}
-
-func TestWithAlignmentsCopiesInput(t *testing.T) {
-	src := []int64{0, 128}
-	o := NewOptions(WithAlignments(src...))
-	src[1] = 999
-	if o.Alignments[1] != 128 {
-		t.Error("WithAlignments aliases the caller's slice")
 	}
 }
 

@@ -51,6 +51,7 @@ func TestCampaignOptionsMapsRequest(t *testing.T) {
 		{"backoff without retries", api.JobRequest{RetryBackoffMS: 7, Seed: 11}, func(o *campaign.Options) {}},
 		{"deadline", api.JobRequest{VariantDeadlineMS: 1500},
 			func(o *campaign.Options) { o.VariantDeadline = 1500 * time.Millisecond }},
+		{"negative deadline", api.JobRequest{VariantDeadlineMS: -5}, func(o *campaign.Options) {}},
 		{"adaptive", api.JobRequest{Adaptive: &api.AdaptivePlan{MinReps: 3, MaxReps: 9, TargetRCIW: 0.02, StableRuns: 2}},
 			func(o *campaign.Options) {
 				o.Launch.Adaptive = &launcher.Plan{MinReps: 3, MaxReps: 9, TargetRCIW: 0.02, StableRuns: 2}

@@ -444,29 +444,29 @@ func (d *Daemon) campaignOptions(j *job) campaign.Options {
 			StableRuns: req.Adaptive.StableRuns,
 		}
 	}
-	setters := []campaign.Option{
-		campaign.WithLaunch(launch),
-		campaign.WithWorkers(req.Workers),
-		campaign.WithFailFast(req.FailFast),
-		campaign.WithCache(d.opts.Cache),
-		campaign.WithQuarantine(req.Quarantine),
-		campaign.WithCheckBounds(req.CheckBounds),
-		campaign.WithObservers(d.tracker.Begin(status.Name), campaign.UpdateFunc(func(u telemetry.CampaignUpdate) {
+	opts := campaign.Options{
+		Launch:      launch,
+		Workers:     req.Workers,
+		FailFast:    req.FailFast,
+		Cache:       d.opts.Cache,
+		Quarantine:  req.Quarantine,
+		CheckBounds: req.CheckBounds,
+		Observers: []campaign.Observer{d.tracker.Begin(status.Name), campaign.UpdateFunc(func(u telemetry.CampaignUpdate) {
 			st := j.setStatus(func(s *api.JobStatus) { s.Progress = apiProgress(u) })
 			j.events.append(api.EventProgress, st)
-		})),
+		})},
 	}
 	if req.Retries > 0 {
-		setters = append(setters, campaign.WithRetryPolicy(campaign.RetryPolicy{
+		opts.Retry = campaign.RetryPolicy{
 			MaxAttempts: req.Retries + 1,
 			Backoff:     time.Duration(req.RetryBackoffMS) * time.Millisecond,
 			Seed:        req.Seed,
-		}))
+		}
 	}
 	if req.VariantDeadlineMS > 0 {
-		setters = append(setters, campaign.WithVariantDeadline(time.Duration(req.VariantDeadlineMS)*time.Millisecond))
+		opts.VariantDeadline = time.Duration(req.VariantDeadlineMS) * time.Millisecond
 	}
-	return campaign.NewOptions(setters...)
+	return opts
 }
 
 // apiProgress maps one engine update onto the wire shape.

@@ -149,7 +149,7 @@ func GenerateString(ctx context.Context, xml string, opts GenerateOptions) ([]Pr
 // Launch measures a kernel with MicroLauncher (§4). The context cancels
 // the measurement between repetitions.
 func Launch(ctx context.Context, prog *Kernel, opts LaunchOptions) (*Measurement, error) {
-	return core.Launch(ctx, prog, opts)
+	return launcher.Launch(ctx, prog, opts)
 }
 
 // RunCampaign streams generated variants straight into a cancellable,
