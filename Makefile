@@ -55,7 +55,8 @@ bench:
 
 # HOT_BENCHES are the simulator hot-path benchmarks that bench-smoke keeps
 # working (see README "Benchmark guards"): the core's simulation speed, the
-# pooled machine's warm-up-and-reset cost, one repetition, variant
+# pooled machine's warm-up-and-reset cost, one repetition, the multi-core
+# lock-step scheduler (fork, noisy and streamed runs), variant
 # materialization, generation of the 510-variant family, the full launcher
 # protocol with telemetry off and on (the
 # pair bounds instrumentation overhead), the campaign sweep serial, adaptive
@@ -63,7 +64,7 @@ bench:
 # the all-hits path), the static analysis, the static screen, the JSON
 # report encoding and the served result's wire decode + encode. Timing
 # evidence comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkRunLockstep|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -88,7 +89,10 @@ bench-smoke:
 # dataflow scan per variant, parsing every instruction's mnemonic or
 # formatting variant names; and the file-backed cold campaign's (510
 # launches and cache puts, bench_guard_cold_allocs.txt) a return to
-# encoding each cache line by reflection round trips.
+# encoding each cache line by reflection round trips; and the multi-core
+# scheduler's (BenchmarkRunLockstep fork4, noisy1 and stream4,
+# bench_guard_lockstep_*_allocs.txt: the returned results only, 1, 1 and
+# 5 objects) per-call scratch or a second scheduling loop.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	GO='$(GO)' sh scripts/bench_guard.sh

@@ -50,7 +50,11 @@ func (e *Error) Error() string { return "service: " + e.Code + ": " + e.Message 
 
 // JobRequest is the POST /v1/jobs submission body. Spec is the XML kernel
 // description verbatim; the remaining fields select generation and
-// campaign options. Zero values mean "server default".
+// campaign options. Zero values mean "server default". The numeric
+// fields (here and in AdaptivePlan) are never negative: a submission
+// with a negative one is rejected with CodeBadRequest, and the message
+// names the field by its JSON name (e.g. "negative retries: ...";
+// AdaptivePlan fields as "adaptive.min_reps").
 type JobRequest struct {
 	SchemaVersion string `json:"schema_version"`
 	// Tenant scopes admission control; empty means the default tenant.
@@ -89,7 +93,7 @@ type JobRequest struct {
 
 // AdaptivePlan selects adaptive repetition planning for a job. Zero
 // fields take server defaults (min 2 reps, max = the fixed outer budget,
-// target RCIW 0.05, stable run length 1).
+// target RCIW 0.05, stable run length 1); negative ones are rejected.
 type AdaptivePlan struct {
 	// MinReps is the repetition floor before the stop rule may fire
 	// (never below 2 — one repetition carries no stability signal).

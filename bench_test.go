@@ -699,6 +699,77 @@ func BenchmarkRunOne(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkRunLockstep measures the simulator's multi-core scheduler, the
+// path the fork and OpenMP studies take: fork4 is a quiet Run of one
+// kernel on four cores, noisy1 a single job with interrupts enabled (which
+// leaves RunOne's quiet fast path for the lock-step loop) and stream4 a
+// RunStream of four slots handed three follow-on jobs each. The machine,
+// decode cache and core pool are warmed first, so an op's allocations are
+// the scheduler's own (make bench-guard caps them).
+func BenchmarkRunLockstep(b *testing.B) {
+	desc, err := machine.ByName("nehalem-dual/8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := buildLoadKernel(b, 4)
+	jobs := make([]sim.Job, 4)
+	for i := range jobs {
+		var rf isa.RegFile
+		rf.Set(isa.RDI, 16*64-1)
+		rf.Set(isa.RSI, uint64(0x100000*(i+1)))
+		jobs[i] = sim.Job{Core: i, Prog: prog, Regs: rf}
+	}
+	const followOns = 3
+	handed := make([]int, len(jobs))
+	next := func(slot int, _ sim.JobResult) *sim.Job {
+		if handed[slot] == followOns {
+			return nil
+		}
+		handed[slot]++
+		return &jobs[slot]
+	}
+	for _, bc := range []struct {
+		name string
+		run  func(m *sim.Machine) (int, error)
+	}{
+		{"fork4", func(m *sim.Machine) (int, error) {
+			rs, err := m.Run(jobs)
+			return len(rs), err
+		}},
+		{"noisy1", func(m *sim.Machine) (int, error) {
+			rs, err := m.Run(jobs[:1])
+			return len(rs), err
+		}},
+		{"stream4", func(m *sim.Machine) (int, error) {
+			clear(handed)
+			rs, err := m.RunStream(jobs, next)
+			return len(rs), err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			mach, err := sim.New(desc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bc.name == "noisy1" {
+				if err := mach.SetNoise(sim.DefaultNoise(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := bc.run(mach); err != nil { // warm the decode cache and core pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.run(mach); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMachineReset measures the fixed cost a pooled machine pays
 // between launches: warm three 16 KiB arrays through core 0's caches, as the
 // launcher's warm-up does, then Reset the machine to its freshly built

@@ -34,9 +34,10 @@
 //	L009  deleted APIs stay deleted: the fan-outs and the second static
 //	      cost model the campaign engine and internal/dataflow replaced
 //	      (RunParallel, LaunchAll, LaunchAllProgress, LaunchErrors,
-//	      ScreenTopKStatic, the analytic package) and the launch/campaign
+//	      ScreenTopKStatic, the analytic package), the launch/campaign
 //	      option setters that option values replaced (WithFunction,
-//	      WithObservers, ...) may not reappear as declarations,
+//	      WithObservers, ...) and the simulator's uncalled clock and cache
+//	      helpers (TSCCycles, FlushAll, ...) may not reappear as declarations,
 //	      references, imports or lingering comment mentions —
 //	      docs and examples point at their replacements. Entries of the
 //	      qualified form microtools.<Name> cover the root facade's deleted
@@ -763,6 +764,9 @@ var deletedAPIs = []struct{ names, use string }{
 		"WithFailFast WithObservers WithVariantDeadline WithRetryPolicy WithQuarantine",
 		"the Options field"},
 	{"GeneratedProgram", "codegen.Program"},
+	{"TSCCycles TSCPerCoreCycle SecondsPerCoreCycle",
+		"launcher.Options.TimeUnit (the launcher converts each repetition at the active frequency)"},
+	{"FlushAll", "memsim.System.Reset"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},

@@ -65,6 +65,20 @@ type Result struct {
 	Truncated bool
 }
 
+// Add folds another invocation's counters into r: every count is summed
+// and Truncated is set when either side stopped at its budget. It is the
+// one aggregation of the pipeline counters, used for a parallel region's
+// team and for a launch's measured repetitions alike.
+func (r *Result) Add(o Result) {
+	r.Cycles += o.Cycles
+	r.Insts += o.Insts
+	r.Mix.Add(o.Mix)
+	r.Mispredicts += o.Mispredicts
+	r.FrontendStalls += o.FrontendStalls
+	r.IRQStalls += o.IRQStalls
+	r.Truncated = r.Truncated || o.Truncated
+}
+
 // Core is one simulated out-of-order core. It is resumable: Step advances
 // until a cycle limit so a multi-core machine can interleave cores in
 // bounded quanta.

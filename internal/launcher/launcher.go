@@ -417,10 +417,11 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	measStart := mach.Now()
 	samples := make([]float64, 0, maxReps)
 	var iterations uint64
-	var totalMix cpu.Mix
-	var totalInsts int64
 	var totalCycles float64
-	var pipe obs.Counters // pipeline-counter aggregate over measured jobs
+	// counted sums the pipeline counters of every measured job; the
+	// counter export, the truncation flag and the energy inputs all read
+	// this one total.
+	var counted cpu.Result
 
 	// One job batch and result scratch per launch, refilled every inner
 	// repetition: the measured loop itself allocates nothing per call.
@@ -484,15 +485,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 				var sum float64
 				for _, r := range rs {
 					sum += float64(r.Cycles)
-					totalMix.Add(r.Mix)
-					totalInsts += r.Insts
-					pipe.CoreCycles += r.Cycles
-					pipe.BranchMispredicts += r.Mispredicts
-					pipe.FrontendStallCycles += r.FrontendStalls
-					pipe.InterruptStallCycles += r.IRQStalls
-					if r.Truncated {
-						meas.Truncated = true
-					}
+					counted.Add(r.Result)
 					repIters = rs[0].EAX
 				}
 				total += sum / float64(len(rs))
@@ -541,15 +534,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 				}
 				total += float64(res.RegionCycles)
 				repIters += res.Iterations
-				totalMix.Add(res.Mix)
-				totalInsts += res.Insts
-				pipe.CoreCycles += res.Cycles
-				pipe.BranchMispredicts += res.Mispredicts
-				pipe.FrontendStallCycles += res.FrontendStalls
-				pipe.InterruptStallCycles += res.IRQStalls
-				if res.Truncated {
-					meas.Truncated = true
-				}
+				counted.Add(res.Result)
 			}
 			repIters /= uint64(opts.InnerReps)
 			perCallCycles = total/float64(opts.InnerReps) - overhead
@@ -604,6 +589,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	}
 
 	meas.Iterations = iterations
+	meas.Truncated = counted.Truncated
 	meas.Summary = stats.Summarize(samples)
 	meas.Stability = stats.StabilityOf(meas.Summary)
 	meas.Value = opts.Statistic.Of(meas.Summary)
@@ -617,11 +603,15 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	}
 	meas.MemStats = mach.Sys.Stats().Sub(memBefore)
 	if opts.CollectCounters {
-		c := pipe
-		c.Mem = meas.MemStats
-		c.RetiredInsts = totalInsts
-		c.Branches = totalMix.Branches
-		meas.Counters = &c
+		meas.Counters = &obs.Counters{
+			Mem:                  meas.MemStats,
+			RetiredInsts:         counted.Insts,
+			Branches:             counted.Mix.Branches,
+			BranchMispredicts:    counted.Mispredicts,
+			FrontendStallCycles:  counted.FrontendStalls,
+			InterruptStallCycles: counted.IRQStalls,
+			CoreCycles:           counted.Cycles,
+		}
 	}
 	if opts.PerIteration && !meas.Truncated && iterations > 0 {
 		if perIter := float64(trip) / float64(iterations); perIter > 0 {
@@ -631,7 +621,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	if opts.ReportEnergy {
 		model := power.DefaultServerModel(desc.CoreGHz)
 		seconds := totalCycles / (mach.CoreFrequency() * 1e9)
-		est, err := model.Estimate(totalMix, meas.MemStats, totalInsts, seconds, mach.CoreFrequency())
+		est, err := model.Estimate(counted.Mix, meas.MemStats, counted.Insts, seconds, mach.CoreFrequency())
 		if err != nil {
 			return nil, err
 		}

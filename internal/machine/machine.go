@@ -181,23 +181,6 @@ func (m *Machine) NewSystem() (*memsim.System, error) {
 	return memsim.NewSystem(m.Hierarchy, m.Cores)
 }
 
-// TSCPerCoreCycle converts core cycles to constant-rate TSC (reference)
-// cycles at the given core frequency.
-func (m *Machine) TSCPerCoreCycle(coreGHz float64) float64 {
-	if coreGHz <= 0 {
-		coreGHz = m.CoreGHz
-	}
-	return m.RefGHz / coreGHz
-}
-
-// SecondsPerCoreCycle converts core cycles to wall-clock seconds.
-func (m *Machine) SecondsPerCoreCycle(coreGHz float64) float64 {
-	if coreGHz <= 0 {
-		coreGHz = m.CoreGHz
-	}
-	return 1e-9 / coreGHz
-}
-
 var builders = map[string]func() *Machine{
 	"nehalem-dual": NehalemDualSocket,
 	"nehalem-quad": NehalemQuadSocket,

@@ -96,19 +96,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestClockConversions(t *testing.T) {
-	m := NehalemDualSocket()
-	if got := m.TSCPerCoreCycle(0); got != 1.0 {
-		t.Errorf("nominal TSC/core = %v", got)
-	}
-	if got := m.TSCPerCoreCycle(1.335); got != 2.0 {
-		t.Errorf("half-frequency TSC/core = %v", got)
-	}
-	if got := m.SecondsPerCoreCycle(2.0); got != 0.5e-9 {
-		t.Errorf("seconds/core cycle at 2GHz = %v", got)
-	}
-}
-
 // Property: for every valid power-of-two scale, the scaled hierarchy stays
 // valid and hierarchy ordering (L1 < L2 < L3) is preserved.
 func TestPropertyScaling(t *testing.T) {

@@ -586,16 +586,6 @@ func (s *System) FlushCore(core int) {
 	}
 }
 
-// FlushAll empties every cache in the system.
-func (s *System) FlushAll() {
-	for i := range s.cores {
-		s.FlushCore(i)
-	}
-	for i := range s.socks {
-		s.socks[i].l3.flush()
-	}
-}
-
 // DisturbCore models an interrupt on the core: a fraction of its private
 // cache lines are evicted (deterministically via rng).
 func (s *System) DisturbCore(core int, rng *rand.Rand, frac float64) {

@@ -36,31 +36,6 @@ type Counters struct {
 	CoreCycles int64 `json:"core_cycles"`
 }
 
-// Add accumulates another snapshot into c.
-func (c *Counters) Add(o Counters) {
-	c.Mem = c.Mem.Add(o.Mem)
-	c.RetiredInsts += o.RetiredInsts
-	c.Branches += o.Branches
-	c.BranchMispredicts += o.BranchMispredicts
-	c.FrontendStallCycles += o.FrontendStallCycles
-	c.InterruptStallCycles += o.InterruptStallCycles
-	c.CoreCycles += o.CoreCycles
-}
-
-// Sub returns the delta c − o (capture-around-the-measured-region
-// arithmetic).
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Mem:                  c.Mem.Sub(o.Mem),
-		RetiredInsts:         c.RetiredInsts - o.RetiredInsts,
-		Branches:             c.Branches - o.Branches,
-		BranchMispredicts:    c.BranchMispredicts - o.BranchMispredicts,
-		FrontendStallCycles:  c.FrontendStallCycles - o.FrontendStallCycles,
-		InterruptStallCycles: c.InterruptStallCycles - o.InterruptStallCycles,
-		CoreCycles:           c.CoreCycles - o.CoreCycles,
-	}
-}
-
 // ratio is the NaN-free division used by every derived metric: 0 when the
 // denominator is 0.
 func ratio(num, den float64) float64 {

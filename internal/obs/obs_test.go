@@ -236,7 +236,8 @@ func TestWriteFileFormat(t *testing.T) {
 	}
 }
 
-// TestCountersArithmetic: Add/Sub round-trip and the derived metrics.
+// TestCountersArithmetic: the derived metrics, and 0 (never NaN) on an
+// empty snapshot.
 func TestCountersArithmetic(t *testing.T) {
 	a := Counters{
 		Mem:                 memsim.Stats{Loads: 1000, L1Hits: 990, L1Misses: 10, L2Hits: 8, L2Misses: 2},
@@ -245,15 +246,6 @@ func TestCountersArithmetic(t *testing.T) {
 		BranchMispredicts:   5,
 		FrontendStallCycles: 40,
 		CoreCycles:          2000,
-	}
-	b := a
-	b.Add(a)
-	if b.RetiredInsts != 8000 || b.Mem.Loads != 2000 {
-		t.Fatalf("Add: %+v", b)
-	}
-	d := b.Sub(a)
-	if d != a {
-		t.Fatalf("Sub round-trip: %+v != %+v", d, a)
 	}
 	if got := a.CPI(); got != 0.5 {
 		t.Errorf("CPI = %f, want 0.5", got)

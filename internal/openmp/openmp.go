@@ -62,6 +62,12 @@ type MakeJob func(thread int, chunkStart, chunkLen int64) (sim.Job, error)
 
 // Result reports one parallel region execution.
 type Result struct {
+	// Result is the team's pipeline counters: every thread invocation
+	// folded in with cpu.Result.Add. Its Cycles is the summed per-thread
+	// busy time (the CPI denominator for simulated-PMU counter export;
+	// RegionCycles is wall time), and its Truncated reports any thread
+	// hitting its instruction budget.
+	cpu.Result
 	// RegionCycles is the wall time of the whole region (fork + slowest
 	// thread + join), in core cycles.
 	RegionCycles int64
@@ -70,33 +76,6 @@ type Result struct {
 	// Iterations is the summed loop-iteration count across threads (the
 	// team-wide %eax total under the §4.4 protocol).
 	Iterations uint64
-	// Insts and Mix aggregate the team's dynamic instructions.
-	Insts int64
-	Mix   cpu.Mix
-	// Cycles is the summed per-thread busy time (the CPI denominator for
-	// simulated-PMU counter export; RegionCycles is wall time).
-	Cycles int64
-	// Mispredicts, FrontendStalls and IRQStalls aggregate the team's
-	// pipeline counters (see cpu.Result).
-	Mispredicts    int64
-	FrontendStalls int64
-	IRQStalls      int64
-	// Truncated reports any thread hitting its instruction budget.
-	Truncated bool
-}
-
-// addResult folds one thread invocation's pipeline counters into the
-// region aggregate.
-func (r *Result) addResult(jr cpu.Result) {
-	r.Insts += jr.Insts
-	r.Mix.Add(jr.Mix)
-	r.Cycles += jr.Cycles
-	r.Mispredicts += jr.Mispredicts
-	r.FrontendStalls += jr.FrontendStalls
-	r.IRQStalls += jr.IRQStalls
-	if jr.Truncated {
-		r.Truncated = true
-	}
 }
 
 // ParallelFor executes one parallel-for region with the configured
@@ -150,7 +129,7 @@ func ParallelFor(m *sim.Machine, cfg Config, pins []int, trip int64, mk MakeJob)
 	for i, r := range rs {
 		res.ThreadCycles[i] = r.Cycles
 		res.Iterations += r.EAX
-		res.addResult(r.Result)
+		res.Add(r.Result)
 		if r.EndCycle > maxEnd {
 			maxEnd = r.EndCycle
 		}
@@ -234,7 +213,7 @@ func parallelForDynamic(m *sim.Machine, cfg Config, pins []int, trip int64, mk M
 	for _, r := range rs {
 		res.ThreadCycles[r.Slot] += r.Cycles
 		res.Iterations += r.EAX
-		res.addResult(r.Result)
+		res.Add(r.Result)
 		if r.EndCycle > last {
 			last = r.EndCycle
 		}

@@ -230,6 +230,10 @@ func (d *Daemon) Submit(req api.JobRequest) (api.JobStatus, *api.Error) {
 		return api.JobStatus{}, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeBadRequest,
 			Message: "empty spec: submit the XML kernel description in the spec field"}
 	}
+	if field := negativeField(req); field != "" {
+		return api.JobStatus{}, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeBadRequest,
+			Message: fmt.Sprintf("negative %s: counts, budgets and targets are >= 0 (0 selects the server default)", field)}
+	}
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -279,6 +283,44 @@ func (d *Daemon) Submit(req api.JobRequest) (api.JobStatus, *api.Error) {
 		d.storeErrors.Inc()
 	}
 	return status, nil
+}
+
+// negativeField names the first request number that is negative, or
+// returns "". Zero means "server default" for each of them; a negative
+// value has no meaning, and campaignOptions would otherwise ignore it or
+// hand it on to the engine.
+func negativeField(req api.JobRequest) string {
+	a := req.Adaptive
+	if a == nil {
+		a = &api.AdaptivePlan{}
+	}
+	switch {
+	case req.ArrayBytes < 0:
+		return "array_bytes"
+	case req.OuterReps < 0:
+		return "outer_reps"
+	case req.InnerReps < 0:
+		return "inner_reps"
+	case req.Workers < 0:
+		return "workers"
+	case req.Retries < 0:
+		return "retries"
+	case req.RetryBackoffMS < 0:
+		return "retry_backoff_ms"
+	case req.VariantDeadlineMS < 0:
+		return "variant_deadline_ms"
+	case req.Quarantine < 0:
+		return "quarantine"
+	case a.MinReps < 0:
+		return "adaptive.min_reps"
+	case a.MaxReps < 0:
+		return "adaptive.max_reps"
+	case a.TargetRCIW < 0:
+		return "adaptive.target_rciw"
+	case a.StableRuns < 0:
+		return "adaptive.stable_runs"
+	}
+	return ""
 }
 
 // Job returns a submitted job's current status.

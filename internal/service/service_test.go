@@ -294,6 +294,63 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNegativeRequestNumbersRejected: a negative count, budget or target
+// fails admission with a bad_request naming the field, and leaves no job,
+// no queue entry and no ledger record behind; zero still selects the
+// server default and is admitted.
+func TestNegativeRequestNumbersRejected(t *testing.T) {
+	storePath := filepath.Join(t.TempDir(), "jobs.jsonl")
+	d, client := startDaemon(t, Options{Cache: campaign.NewMemoryCache(), StorePath: storePath})
+	for _, tc := range []struct {
+		field string
+		set   func(*api.JobRequest)
+	}{
+		{"array_bytes", func(r *api.JobRequest) { r.ArrayBytes = -1 }},
+		{"outer_reps", func(r *api.JobRequest) { r.OuterReps = -1 }},
+		{"inner_reps", func(r *api.JobRequest) { r.InnerReps = -1 }},
+		{"workers", func(r *api.JobRequest) { r.Workers = -1 }},
+		{"retries", func(r *api.JobRequest) { r.Retries = -1 }},
+		{"retry_backoff_ms", func(r *api.JobRequest) { r.RetryBackoffMS = -1 }},
+		{"variant_deadline_ms", func(r *api.JobRequest) { r.VariantDeadlineMS = -5 }},
+		{"quarantine", func(r *api.JobRequest) { r.Quarantine = -1 }},
+		{"adaptive.min_reps", func(r *api.JobRequest) { r.Adaptive = &api.AdaptivePlan{MinReps: -1} }},
+		{"adaptive.max_reps", func(r *api.JobRequest) { r.Adaptive = &api.AdaptivePlan{MaxReps: -1} }},
+		{"adaptive.target_rciw", func(r *api.JobRequest) { r.Adaptive = &api.AdaptivePlan{TargetRCIW: -0.05} }},
+		{"adaptive.stable_runs", func(r *api.JobRequest) { r.Adaptive = &api.AdaptivePlan{StableRuns: -1} }},
+	} {
+		req := api.JobRequest{Tenant: "t", Spec: sweepSpec}
+		tc.set(&req)
+		_, aerr := d.Submit(req)
+		if aerr == nil || aerr.Code != api.CodeBadRequest {
+			t.Errorf("%s: %+v, want bad_request", tc.field, aerr)
+			continue
+		}
+		if !strings.Contains(aerr.Message, "negative "+tc.field+":") {
+			t.Errorf("%s: message %q does not name the field", tc.field, aerr.Message)
+		}
+	}
+	d.mu.Lock()
+	jobs, queued, tenants := len(d.jobs), len(d.queue), d.tenants["t"]
+	d.mu.Unlock()
+	if jobs != 0 || queued != 0 || tenants != 0 {
+		t.Errorf("rejected requests left %d jobs, %d queued, %d tenant slots", jobs, queued, tenants)
+	}
+	if data, err := os.ReadFile(storePath); err == nil && len(data) != 0 {
+		t.Errorf("rejected requests reached the ledger:\n%s", data)
+	}
+
+	// Zero is the server default, not a rejection.
+	status, aerr := d.Submit(api.JobRequest{Tenant: "t", Spec: sweepSpec, Adaptive: &api.AdaptivePlan{}})
+	if aerr != nil {
+		t.Fatalf("all-zero request rejected: %v", aerr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if final, err := client.Wait(ctx, status.ID); err != nil || final.State != api.StateDone {
+		t.Fatalf("all-zero request finished as %+v (%v), want done", final, err)
+	}
+}
+
 // TestDrainRejectsQueuedAndInterruptsRunning exercises the SIGTERM
 // protocol live: with one worker, a heavy running job is interrupted
 // (checkpointed, no terminal ledger record) and the queued job behind it

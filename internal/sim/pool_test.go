@@ -58,7 +58,7 @@ func TestSetNoiseValidation(t *testing.T) {
 		if err := m.SetNoise(cfg); err == nil {
 			t.Errorf("config %d (%+v) accepted", i, cfg)
 		}
-		if m.Noise() != good {
+		if m.noise != good {
 			t.Errorf("config %d: failed SetNoise clobbered the machine's noise state", i)
 		}
 	}
@@ -69,7 +69,7 @@ func TestSetNoiseValidation(t *testing.T) {
 	if err := m.SetNoise(NoiseConfig{}); err != nil {
 		t.Fatalf("disabling noise: %v", err)
 	}
-	if m.Noise().Enabled {
+	if m.noise.Enabled {
 		t.Error("noise still enabled after disable")
 	}
 }

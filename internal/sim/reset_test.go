@@ -15,7 +15,7 @@ import (
 func withoutRetained(m *Machine) Machine {
 	c := *m
 	c.pool, c.seen = nil, nil
-	c.runIRQ, c.runCores, c.runDone, c.runActive, c.runPins = nil, nil, nil, nil, nil
+	c.runIRQ, c.runCores, c.runActive = nil, nil, nil
 	return c
 }
 

@@ -102,9 +102,7 @@ type Machine struct {
 	// safe for concurrent use; its shared memory system never was).
 	runIRQ    []int64
 	runCores  []*cpu.Core
-	runDone   []bool
 	runActive []bool
-	runPins   []int
 }
 
 // New instantiates the machine at its nominal frequency with noise off.
@@ -156,9 +154,6 @@ func (m *Machine) SetNoise(cfg NoiseConfig) error {
 	m.noise = cfg
 	return nil
 }
-
-// Noise returns the current noise configuration.
-func (m *Machine) Noise() NoiseConfig { return m.noise }
 
 // SetFaults arms (or, with a nil injector, disarms) deterministic fault
 // injection at the machine's stepping boundary: every Run/RunStream batch
@@ -231,18 +226,6 @@ func (m *Machine) SetCoreFrequency(ghz float64) error {
 
 // CoreFrequency returns the active core frequency in GHz.
 func (m *Machine) CoreFrequency() float64 { return m.coreGHz }
-
-// TSCCycles converts core cycles to constant-rate TSC reference cycles at
-// the active frequency (rdtsc "is independent on the frequency", §5.1).
-func (m *Machine) TSCCycles(coreCycles int64) float64 {
-	return float64(coreCycles) * m.Desc.RefGHz / m.coreGHz
-}
-
-// Seconds converts core cycles to wall-clock seconds at the active
-// frequency.
-func (m *Machine) Seconds(coreCycles int64) float64 {
-	return float64(coreCycles) / (m.coreGHz * 1e9)
-}
 
 // Now returns the machine's monotonic clock in core cycles.
 func (m *Machine) Now() int64 { return m.now }
@@ -344,97 +327,12 @@ func (m *Machine) Run(jobs []Job) ([]JobResult, error) {
 		startCycle := m.now
 		defer func() { sp.Cycles(startCycle, m.now).End() }()
 	}
-	m.resetPins()
-	if cap(m.runCores) < len(jobs) {
-		m.runCores = make([]*cpu.Core, len(jobs))
-		m.runIRQ = make([]int64, len(jobs))
-		m.runDone = make([]bool, len(jobs))
-	}
-	cores := m.runCores[:len(jobs)]
-	nextIRQ := m.runIRQ[:len(jobs)]
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Core < 0 || j.Core >= m.Desc.Cores {
-			return nil, fmt.Errorf("sim: job %d pinned to core %d of %d", i, j.Core, m.Desc.Cores)
-		}
-		if !m.claimPin(j.Core) {
-			return nil, fmt.Errorf("sim: two jobs pinned to core %d", j.Core)
-		}
-		start := m.now + j.StartCycle
-		cores[i] = m.core(j.Core)
-		if err := cores[i].Reset(j.Prog, &j.Regs, start, j.MaxInsts); err != nil {
-			return nil, err
-		}
-		if m.noise.Enabled {
-			nextIRQ[i] = start + m.noise.IntervalCycles/2 +
-				m.rng.Int63n(m.noise.IntervalCycles)
-		}
-	}
-
 	results := make([]JobResult, len(jobs))
-	finished := m.runDone[:len(jobs)]
-	for i := range finished {
-		finished[i] = false
-	}
-	remaining := len(jobs)
-	limit := m.now + quantum
-	for remaining > 0 {
-		progressed := false
-		minFront := int64(math.MaxInt64)
-		for i, c := range cores {
-			if finished[i] {
-				continue
-			}
-			if m.noise.Enabled && c.Cycle() >= nextIRQ[i] {
-				c.Stall(m.noise.CostCycles)
-				m.Sys.DisturbCore(jobs[i].Core, m.rng, m.noise.CacheDisturbFraction)
-				nextIRQ[i] = c.Cycle() + m.noise.IntervalCycles/2 +
-					m.rng.Int63n(m.noise.IntervalCycles)
-			}
-			before := c.Cycle()
-			done, err := c.Step(limit)
-			if err != nil {
-				return nil, fmt.Errorf("sim: job %d: %w", i, err)
-			}
-			if done {
-				finished[i] = true
-				remaining--
-				results[i] = JobResult{
-					Result:   c.Result(),
-					EAX:      c.Reg(isa.RAX),
-					EndCycle: c.Cycle(),
-				}
-				m.mInsts += results[i].Insts
-				if c.Cycle() > m.now {
-					m.now = c.Cycle()
-				}
-				progressed = true
-				continue
-			}
-			if c.Cycle() != before {
-				progressed = true
-			}
-			if c.Cycle() < minFront {
-				minFront = c.Cycle()
-			}
-		}
-		if !progressed {
-			if minFront < limit || minFront == math.MaxInt64 {
-				// A core was allowed to run below the window limit and
-				// still neither advanced nor finished: stepping is stuck.
-				return nil, fmt.Errorf("sim: scheduler made no progress")
-			}
-			// Every unfinished core is waiting for the window to catch up
-			// (staggered starts): jump the limit instead of spinning one
-			// empty quantum at a time. Bit-identical to incremental growth
-			// — no core, noise or memory event can fire in the skipped
-			// windows.
-			limit = minFront
-		}
-		limit += quantum
-		if limit < 0 {
-			return nil, fmt.Errorf("sim: cycle counter overflow")
-		}
+	if err := m.lockstep(jobs, "job", func(slot int, r JobResult) *Job {
+		results[slot] = r
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -478,9 +376,6 @@ func (m *Machine) RunOne(job Job) (JobResult, error) {
 	return res, nil
 }
 
-// MaxInt64 re-exported for callers building open-ended Steps.
-const MaxInt64 = math.MaxInt64
-
 // StreamResult is one completed job of a job stream.
 type StreamResult struct {
 	Slot int
@@ -490,9 +385,11 @@ type StreamResult struct {
 // RunStream executes an open-ended stream of jobs: the initial jobs run
 // concurrently (one per slot, each pinned to its core), and whenever a slot
 // finishes, next(slot, result) may return a follow-on job for that slot
-// (started at the finishing core's cycle plus the job's StartCycle) or nil
-// to retire the slot. This is how work-queue runtimes (OpenMP
-// schedule(dynamic)) are simulated without serializing the queue.
+// (started on the slot's core at its finishing cycle plus the job's
+// StartCycle) or nil to retire the slot. Results come back in completion
+// order. This is how work-queue runtimes (OpenMP schedule(dynamic)) are
+// simulated without serializing the queue; Run is the same lock-step loop
+// with every slot retired after its first job.
 func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job) ([]StreamResult, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("sim: no initial jobs")
@@ -505,33 +402,47 @@ func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job
 		startCycle := m.now
 		defer func() { sp.Cycles(startCycle, m.now).End() }()
 	}
+	var results []StreamResult
+	if err := m.lockstep(initial, "slot", func(slot int, r JobResult) *Job {
+		results = append(results, StreamResult{Slot: slot, JobResult: r})
+		return next(slot, r)
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// lockstep is the multi-core scheduler behind Run and RunStream. It pins
+// jobs[i] to slot i's core (validating the pins, resetting the pooled
+// cores and drawing each slot's first interrupt) and steps every live
+// slot in quantum-cycle windows, so no core runs more than a quantum
+// ahead of another on the shared memory system. When slot i's job
+// finishes, done(i, result) returns the slot's follow-on job, which must
+// stay on the slot's core and starts at the finishing cycle plus its
+// StartCycle, or nil to retire the slot. noun ("job" or "slot") names a
+// slot in error texts.
+func (m *Machine) lockstep(jobs []Job, noun string, done func(slot int, r JobResult) *Job) error {
 	m.resetPins()
-	if cap(m.runCores) < len(initial) {
-		m.runCores = make([]*cpu.Core, len(initial))
-		m.runIRQ = make([]int64, len(initial))
-		m.runDone = make([]bool, len(initial))
+	if cap(m.runCores) < len(jobs) {
+		m.runCores = make([]*cpu.Core, len(jobs))
+		m.runIRQ = make([]int64, len(jobs))
+		m.runActive = make([]bool, len(jobs))
 	}
-	if cap(m.runActive) < len(initial) {
-		m.runActive = make([]bool, len(initial))
-		m.runPins = make([]int, len(initial))
-	}
-	cores := m.runCores[:len(initial)]
-	nextIRQ := m.runIRQ[:len(initial)]
-	active := m.runActive[:len(initial)]
-	pinned := m.runPins[:len(initial)]
-	for i := range initial {
-		j := initial[i]
+	cores := m.runCores[:len(jobs)]
+	nextIRQ := m.runIRQ[:len(jobs)]
+	active := m.runActive[:len(jobs)]
+	for i := range jobs {
+		j := &jobs[i]
 		if j.Core < 0 || j.Core >= m.Desc.Cores {
-			return nil, fmt.Errorf("sim: slot %d pinned to core %d of %d", i, j.Core, m.Desc.Cores)
+			return fmt.Errorf("sim: %s %d pinned to core %d of %d", noun, i, j.Core, m.Desc.Cores)
 		}
 		if !m.claimPin(j.Core) {
-			return nil, fmt.Errorf("sim: two slots pinned to core %d", j.Core)
+			return fmt.Errorf("sim: two %ss pinned to core %d", noun, j.Core)
 		}
-		pinned[i] = j.Core
 		start := m.now + j.StartCycle
 		cores[i] = m.core(j.Core)
 		if err := cores[i].Reset(j.Prog, &j.Regs, start, j.MaxInsts); err != nil {
-			return nil, err
+			return err
 		}
 		active[i] = true
 		if m.noise.Enabled {
@@ -539,8 +450,7 @@ func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job
 		}
 	}
 
-	var results []StreamResult
-	remaining := len(initial)
+	remaining := len(jobs)
 	limit := m.now + quantum
 	for remaining > 0 {
 		progressed := false
@@ -550,15 +460,15 @@ func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job
 			}
 			if m.noise.Enabled && c.Cycle() >= nextIRQ[i] {
 				c.Stall(m.noise.CostCycles)
-				m.Sys.DisturbCore(pinned[i], m.rng, m.noise.CacheDisturbFraction)
+				m.Sys.DisturbCore(jobs[i].Core, m.rng, m.noise.CacheDisturbFraction)
 				nextIRQ[i] = c.Cycle() + m.noise.IntervalCycles/2 + m.rng.Int63n(m.noise.IntervalCycles)
 			}
 			before := c.Cycle()
-			done, err := c.Step(limit)
+			finished, err := c.Step(limit)
 			if err != nil {
-				return nil, fmt.Errorf("sim: slot %d: %w", i, err)
+				return fmt.Errorf("sim: %s %d: %w", noun, i, err)
 			}
-			if !done {
+			if !finished {
 				if c.Cycle() != before {
 					progressed = true
 				}
@@ -567,32 +477,30 @@ func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job
 			progressed = true
 			res := JobResult{Result: c.Result(), EAX: c.Reg(isa.RAX), EndCycle: c.Cycle()}
 			m.mInsts += res.Insts
-			results = append(results, StreamResult{Slot: i, JobResult: res})
 			if res.EndCycle > m.now {
 				m.now = res.EndCycle
 			}
-			nj := next(i, res)
+			nj := done(i, res)
 			if nj == nil {
 				active[i] = false
 				remaining--
 				continue
 			}
-			if nj.Core != pinned[i] {
-				return nil, fmt.Errorf("sim: slot %d follow-on job moved core %d -> %d", i, pinned[i], nj.Core)
+			if nj.Core != jobs[i].Core {
+				return fmt.Errorf("sim: %s %d follow-on job moved core %d -> %d", noun, i, jobs[i].Core, nj.Core)
 			}
-			start := res.EndCycle + nj.StartCycle
-			if err := c.Reset(nj.Prog, &nj.Regs, start, nj.MaxInsts); err != nil {
-				return nil, err
+			if err := c.Reset(nj.Prog, &nj.Regs, res.EndCycle+nj.StartCycle, nj.MaxInsts); err != nil {
+				return err
 			}
 		}
 		if !progressed {
-			// Same guard as Run: distinguish "every live slot is waiting for
-			// the lock-step window to reach its frontier" (fast-forward the
-			// window — bit-identical, since no slot steps or stalls in the
-			// skipped quanta) from a genuinely stuck scheduler (error out
-			// instead of spinning forever). A follow-on job with a large
-			// StartCycle previously made this loop spin one empty quantum at
-			// a time until the window crawled up to the job's start.
+			// Either every live slot is waiting for the window to reach
+			// its frontier (staggered or far-future starts: jump the
+			// limit there instead of crawling one empty quantum at a
+			// time — bit-identical, since no slot steps, stalls or takes
+			// an interrupt in the skipped windows), or a slot allowed to
+			// run below the limit neither advanced nor finished and the
+			// scheduler is stuck.
 			minFront := int64(math.MaxInt64)
 			for i, c := range cores {
 				if active[i] && c.Cycle() < minFront {
@@ -600,14 +508,14 @@ func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job
 				}
 			}
 			if minFront < limit || minFront == math.MaxInt64 {
-				return nil, fmt.Errorf("sim: scheduler made no progress")
+				return fmt.Errorf("sim: scheduler made no progress")
 			}
 			limit = minFront
 		}
 		limit += quantum
 		if limit < 0 {
-			return nil, fmt.Errorf("sim: cycle counter overflow")
+			return fmt.Errorf("sim: cycle counter overflow")
 		}
 	}
-	return results, nil
+	return nil
 }

@@ -25,6 +25,9 @@ BenchmarkJobResultCodec       allocs/op  bench_guard_codec_allocs.txt
 BenchmarkGenerate510Variants  allocs/op  bench_guard_gen_allocs.txt
 BenchmarkGenerate510Variants  B/op       bench_guard_gen_bytes.txt
 BenchmarkCampaign/cold        allocs/op  bench_guard_cold_allocs.txt
+BenchmarkRunLockstep/fork4    allocs/op  bench_guard_lockstep_fork4_allocs.txt
+BenchmarkRunLockstep/noisy1   allocs/op  bench_guard_lockstep_noisy1_allocs.txt
+BenchmarkRunLockstep/stream4  allocs/op  bench_guard_lockstep_stream4_allocs.txt
 '
 
 failed=0
