@@ -55,16 +55,18 @@ bench:
 
 # HOT_BENCHES are the simulator hot-path benchmarks that bench-smoke keeps
 # working (see README "Benchmark guards"): the core's simulation speed, the
-# pooled machine's warm-up-and-reset cost, one repetition, the multi-core
+# pooled machine's warm-up-and-reset cost without and with the warm-up
+# memo (simulated and restored warm-ups), one repetition, the multi-core
 # lock-step scheduler (fork, noisy and streamed runs), variant
 # materialization, generation of the 510-variant family, the full launcher
-# protocol with telemetry off and on (the
-# pair bounds instrumentation overhead), the campaign sweep serial, adaptive
-# and across worker counts, the cold-vs-warm cache campaign (the warm half is
-# the all-hits path), the static analysis, the static screen, the JSON
-# report encoding and the served result's wire decode + encode. Timing
-# evidence comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkRunOne|BenchmarkRunLockstep|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
+# protocol with telemetry off and on (the pair bounds instrumentation
+# overhead), the campaign sweep serial, adaptive and across worker counts,
+# the cold-vs-warm cache campaign (the warm half is the all-hits path; the
+# quick half is perfbench's fig6-quick-cold campaign, for profiles of the
+# gated workload), the static analysis, the static screen, the JSON report
+# encoding and the served result's wire decode + encode. Timing evidence
+# comes from perfbench/, not from these.
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkMachineWarm|BenchmarkRunOne|BenchmarkRunLockstep|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -92,7 +94,9 @@ bench-smoke:
 # encoding each cache line by reflection round trips; and the multi-core
 # scheduler's (BenchmarkRunLockstep fork4, noisy1 and stream4,
 # bench_guard_lockstep_*_allocs.txt: the returned results only, 1, 1 and
-# 5 objects) per-call scratch or a second scheduling loop.
+# 5 objects) per-call scratch or a second scheduling loop; and the
+# memo-hit warm-up's (BenchmarkMachineWarm/hit,
+# bench_guard_warm_hit_allocs.txt: 0) a restore that allocates.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	GO='$(GO)' sh scripts/bench_guard.sh

@@ -7,10 +7,12 @@ package microtools
 // The Ablation* benchmarks quantify the design choices DESIGN.md calls out.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -793,6 +795,40 @@ func BenchmarkMachineReset(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineWarm measures a launch's warm-up of one 16 KiB array on
+// core 0 followed by the Reset that returns the pooled machine: "miss"
+// alternates two array bases, so every warm-up simulates its loads and
+// captures the result into the machine's memo; "hit" repeats one base, so
+// every warm-up restores the memo instead. BenchmarkMachineReset is the
+// same traffic with no memo at all.
+func BenchmarkMachineWarm(b *testing.B) {
+	desc, err := machine.ByName("nehalem-dual/8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pins := []int{0}
+	for _, tc := range []struct {
+		name  string
+		other uint64
+	}{{"miss", 0x10010000}, {"hit", 0x10000000}} {
+		b.Run(tc.name, func(b *testing.B) {
+			arrays := [2][][]uint64{{{0x10000000}}, {{tc.other}}}
+			mach, err := sim.New(desc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mach.Warm(pins, arrays[1], 16<<10)
+			mach.Reset()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mach.Warm(pins, arrays[i%2], 16<<10)
+				mach.Reset()
+			}
+		})
+	}
+}
+
 // BenchmarkLauncherProtocol measures one full launch protocol (warm-up,
 // calibration, outer×inner repetitions) of a small streaming kernel on a
 // reused machine. The trip count is deliberately tiny so per-repetition
@@ -1057,7 +1093,10 @@ func BenchmarkLauncherProtocolTelemetry(b *testing.B) {
 // launched and cached) against a cache-warm re-run of the identical
 // campaign (every variant served from the content-addressed store, zero
 // launches). The gap is the measurement cost the cache amortizes across
-// repeated or resumed sweeps.
+// repeated or resumed sweeps. "quick" is the cold campaign as perfbench's
+// fig6-quick-cold workload runs it: the shipped movaps spec at seed 1,
+// 16 KiB arrays, 2×1 repetitions, bound checks and 2 workers, so its
+// profiles show what that workload spends.
 func BenchmarkCampaign(b *testing.B) {
 	spec := fig6Spec()
 	gen := GenerateOptions{}
@@ -1081,6 +1120,32 @@ func BenchmarkCampaign(b *testing.B) {
 			}
 			if res.Launches != res.Emitted || res.CacheHits != 0 {
 				b.Fatalf("cold run: %d launches, %d hits over %d variants",
+					res.Launches, res.CacheHits, res.Emitted)
+			}
+			cache.Close()
+		}
+	})
+	b.Run("quick", func(b *testing.B) {
+		quickSpec, err := os.ReadFile("specs/loadstore_movaps.xml")
+		if err != nil {
+			b.Fatal(err)
+		}
+		quick := DefaultLaunchOptions()
+		quick.MachineName = "nehalem-dual/8"
+		quick.ArrayBytes = 16 << 10
+		quick.OuterReps, quick.InnerReps = 2, 1
+		for i := 0; i < b.N; i++ {
+			cache, err := OpenMeasurementCache(filepath.Join(b.TempDir(), "m.jsonl"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := RunCampaign(context.Background(), bytes.NewReader(quickSpec), GenerateOptions{Seed: 1},
+				CampaignOptions{Launch: quick, Cache: cache, Workers: 2, CheckBounds: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Launches != res.Emitted || res.CacheHits != 0 {
+				b.Fatalf("quick run: %d launches, %d hits over %d variants",
 					res.Launches, res.CacheHits, res.Emitted)
 			}
 			cache.Close()

@@ -766,7 +766,8 @@ var deletedAPIs = []struct{ names, use string }{
 	{"GeneratedProgram", "codegen.Program"},
 	{"TSCCycles TSCPerCoreCycle SecondsPerCoreCycle",
 		"launcher.Options.TimeUnit (the launcher converts each repetition at the active frequency)"},
-	{"FlushAll", "memsim.System.Reset"},
+	{"FlushAll FlushCore", "memsim.System.Reset"},
+	{"ResetStats", "memsim.Stats.Sub of two System.Stats snapshots"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},

@@ -19,6 +19,7 @@ import (
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
 	"microtools/internal/sim"
+	"microtools/internal/telemetry"
 	"microtools/internal/verify"
 )
 
@@ -136,8 +137,10 @@ func TestDifferentialPipelinePaths(t *testing.T) {
 // launch on a machine that already ran a different kernel at a different
 // frequency with noise and a fault plan armed, and was then Reset, must
 // encode byte-identically — MemStats and Counters included — to a launch
-// on a freshly built machine. launcher.Launch, which draws its machine
-// from the per-name pool, must agree with both.
+// on a freshly built machine. So must the same launch repeated on that
+// machine after another Reset, whose warm-up is restored from the
+// machine's memo. launcher.Launch, which draws its machine from the
+// per-name pool, must agree with them all.
 func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 	paths, err := filepath.Glob("specs/*.xml")
 	if err != nil {
@@ -236,6 +239,24 @@ func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 						}
 						if g, w := encode(got), encode(want); g != w {
 							t.Errorf("reused machine diverges from a fresh one:\nreused %s\nfresh  %s", g, w)
+						}
+
+						// The same launch again after a Reset restores its
+						// warm-up from the machine's memo instead of
+						// simulating it, and must not differ either.
+						reused.Reset()
+						configure(reused, opts)
+						restoredOpts := opts
+						restoredOpts.Metrics = telemetry.NewMetrics(telemetry.NewRegistry())
+						restored, err := launcher.LaunchOn(ctx, reused, kernel, restoredOpts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if hits := restoredOpts.Metrics.SimWarmHits.Value(); hits != 1 {
+							t.Errorf("repeated launch restored %d warm-ups from the memo, want 1", hits)
+						}
+						if g, w := encode(restored), encode(want); g != w {
+							t.Errorf("restored warm-up diverges from a fresh machine:\nrestored %s\nfresh    %s", g, w)
 						}
 
 						pooled, err := launcher.Launch(ctx, kernel, opts)

@@ -349,11 +349,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	if opts.Warmup {
 		wsp := root.Child("warmup")
 		wstart := mach.Now()
-		for i, core := range pins {
-			for _, b := range procArrays[i] {
-				mach.Touch(core, b, opts.ArrayBytes)
-			}
-		}
+		mach.Warm(pins, procArrays, opts.ArrayBytes)
 		wsp.Cycles(wstart, mach.Now()).End()
 		if opts.Verbose != nil {
 			logf("warmup done at machine cycle %d", mach.Now())

@@ -7,14 +7,17 @@ import (
 	"testing"
 
 	"microtools/internal/isa"
+	"microtools/internal/telemetry"
 )
 
 // TestLaunchPoolConcurrent hammers one machine name's pool from 8
 // goroutines, interleaving two kernels and two option sets (a quiet
 // sequential launch, and a noisy two-core fork at a non-nominal
-// frequency). Whichever pooled machine a launch draws, its measurement
-// must encode byte-identically to the serial one; run under -race it also
-// proves a machine is never shared between two launches.
+// frequency). Whichever pooled machine a launch draws, and whether its
+// warm-up is simulated or restored from the machine's memo (the test
+// checks both happen), its measurement must encode byte-identically to
+// the serial one; run under -race it also proves a machine is never
+// shared between two launches.
 func TestLaunchPoolConcurrent(t *testing.T) {
 	kernels := []*isa.Program{
 		parse(t, kernelSrc(4, "movaps", 16), "k4"),
@@ -48,6 +51,13 @@ func TestLaunchPoolConcurrent(t *testing.T) {
 		}
 	}
 
+	// Count the concurrent launches' warm-ups: a pooled machine whose
+	// last launch used the other option set simulates its warm-up, one
+	// that repeats its last option set restores it from its memo.
+	met := telemetry.NewMetrics(telemetry.NewRegistry())
+	for o := range optSets {
+		optSets[o].Metrics = met
+	}
 	const goroutines, rounds = 8, 6
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines*rounds)
@@ -55,8 +65,12 @@ func TestLaunchPoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Kernels alternate every round; each goroutine keeps an
+			// option set for three rounds while the other half of them
+			// use the other one, so pooled machines see both repeats
+			// and changes.
 			for r := 0; r < rounds; r++ {
-				k, o := (g+r)%2, (g/2+r)%2
+				k, o := (g+r)%2, (g+r/3)%2
 				enc, err := encode(k, o)
 				if err != nil {
 					errs <- err.Error()
@@ -73,5 +87,8 @@ func TestLaunchPoolConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if hits, misses := met.SimWarmHits.Value(), met.SimWarmMisses.Value(); hits == 0 || misses == 0 {
+		t.Errorf("pooled warm-ups: %d memo hits, %d misses; want both", hits, misses)
 	}
 }

@@ -166,15 +166,6 @@ func (c *cache) invalidate(line uint64) (present, wasDirty bool) {
 	return false, false
 }
 
-// flush invalidates everything (cold-cache noise, core migration).
-func (c *cache) flush() {
-	for i := range c.ways {
-		c.ways[i] = 0
-		c.dirty[i] = false
-		c.stamp[i] = 0
-	}
-}
-
 // reset returns the cache to its freshly built state: no valid lines and
 // the LRU clock at zero. Only the sets marked since the last reset can
 // differ from that state, so only they are cleared.

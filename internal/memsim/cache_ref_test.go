@@ -87,9 +87,6 @@ func TestCacheMatchesReference(t *testing.T) {
 				case k < 97:
 					got.invalidateFraction(gotNoise, 0.3)
 					ref.invalidateFraction(refNoise, 0.3)
-				case k < 98:
-					got.flush()
-					ref.flush()
 				default:
 					got.reset()
 					refReset(ref)
@@ -105,26 +102,19 @@ func TestCacheMatchesReference(t *testing.T) {
 
 // TestInflightHitsWaitForFill pins the in-flight checks on the hit paths: an
 // L1 hit on a line whose fill is still outstanding, and an L2 hit on a line
-// the streamer is still pulling in, both return the fill's ready cycle. A
-// FlushCore leaves the in-flight bounds stale (larger than anything still in
-// the rings), and the same accesses must still wait for their fills.
+// the streamer is still pulling in, both return the fill's ready cycle.
 func TestInflightHitsWaitForFill(t *testing.T) {
+	const at = 1000
 	t.Run("L1", func(t *testing.T) {
 		s := newTestSystem(t, 1)
-		check := func(issue int64) {
-			t.Helper()
-			fill := s.Load(0, 0x40000, 8, issue)
-			hits := s.Stats().L1Hits
-			if got := s.Load(0, 0x40008, 8, issue+1); got != fill {
-				t.Errorf("L1 hit at %d on an in-flight line ready at %d returned %d", issue+1, fill, got)
-			}
-			if s.Stats().L1Hits != hits+1 {
-				t.Fatal("second access did not hit L1")
-			}
+		fill := s.Load(0, 0x40000, 8, at)
+		hits := s.Stats().L1Hits
+		if got := s.Load(0, 0x40008, 8, at+1); got != fill {
+			t.Errorf("L1 hit at %d on an in-flight line ready at %d returned %d", at+1, fill, got)
 		}
-		check(1000)
-		s.FlushCore(0)
-		check(1)
+		if s.Stats().L1Hits != hits+1 {
+			t.Fatal("second access did not hit L1")
+		}
 	})
 	t.Run("L2", func(t *testing.T) {
 		cfg := testConfig()
@@ -133,34 +123,28 @@ func TestInflightHitsWaitForFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The second line continues the first, so the streamer pulls the
+		// next lines into L2; the demand access to one of them arrives
+		// before its fill completes.
 		const base = 0x40000
-		check := func(issue int64) {
-			t.Helper()
-			// The second line continues the first, so the streamer
-			// pulls the next lines into L2; the demand access to one of
-			// them arrives before its fill completes.
-			s.Load(0, base, 8, issue)
-			s.Load(0, base+64, 8, issue+1)
-			target := uint64(base + 4*64)
-			var pending int64
-			for _, f := range s.cores[0].l2fill {
-				if f.line == target {
-					pending = f.ready
-				}
-			}
-			if pending == 0 {
-				t.Fatal("streamer did not prefetch the target line")
-			}
-			l2Hits := s.Stats().L2Hits
-			if got := s.Load(0, target, 8, issue+2); got != pending {
-				t.Errorf("L2 hit at %d on a streamer fill ready at %d returned %d", issue+2, pending, got)
-			}
-			if s.Stats().L2Hits != l2Hits+1 {
-				t.Fatal("demand access did not hit L2")
+		s.Load(0, base, 8, at)
+		s.Load(0, base+64, 8, at+1)
+		target := uint64(base + 4*64)
+		var pending int64
+		for _, f := range s.cores[0].l2fill {
+			if f.line == target {
+				pending = f.ready
 			}
 		}
-		check(1000)
-		s.FlushCore(0)
-		check(1)
+		if pending == 0 {
+			t.Fatal("streamer did not prefetch the target line")
+		}
+		l2Hits := s.Stats().L2Hits
+		if got := s.Load(0, target, 8, at+2); got != pending {
+			t.Errorf("L2 hit at %d on a streamer fill ready at %d returned %d", at+2, pending, got)
+		}
+		if s.Stats().L2Hits != l2Hits+1 {
+			t.Fatal("demand access did not hit L2")
+		}
 	})
 }

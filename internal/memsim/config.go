@@ -202,8 +202,7 @@ func (s Stats) Add(o Stats) Stats {
 // Sub returns the field-wise delta s − o: the event counts accumulated
 // between two snapshots. Capturing Stats() before and after a measured
 // region and subtracting yields counters unpolluted by warm-up or
-// calibration traffic, without clobbering the system's cumulative totals
-// the way ResetStats does.
+// calibration traffic, and leaves the system's cumulative totals intact.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Loads:           s.Loads - o.Loads,

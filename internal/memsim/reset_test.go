@@ -152,3 +152,108 @@ func TestResetAfterRAMTraffic(t *testing.T) {
 		t.Fatal("reset system diverged from a fresh one under identical traffic")
 	}
 }
+
+// warmTraffic is a launch warm-up: one load per line over a 16 KiB array
+// on a core of each socket, at a non-default clock ratio.
+func warmTraffic(s *System) {
+	_ = s.SetCoreClockRatio(2.5)
+	cycle := int64(0)
+	for _, core := range []int{0, 2} {
+		base := uint64(0x100000 * (core + 1))
+		for off := uint64(0); off < 16<<10; off += 64 {
+			cycle = s.Load(core, base+off, 8, cycle)
+		}
+	}
+}
+
+// TestRestoreMatchesCaptured pins Capture/Restore structurally: a pristine
+// System at the captured clock ratio that restores a snapshot must
+// deep-equal the System it was captured from, field by field, and go on
+// identically under the same traffic. Restore refuses a System at another
+// clock ratio or one that has seen traffic, and leaves it untouched.
+func TestRestoreMatchesCaptured(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		traffic func(*System)
+	}{{"warm", warmTraffic}, {"mixed", mixedTraffic}, {"ram", ramTraffic}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := resetConfig()
+			s, err := NewSystem(cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, err := NewSystem(cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A target that served other traffic and was Reset is as
+			// good as a new one.
+			ramTraffic(target)
+			target.Reset()
+
+			tc.traffic(s)
+			var snap Snapshot
+			s.Capture(&snap)
+			ratio := s.Config().CoreClockRatio
+			if ratio != cfg.CoreClockRatio {
+				if target.Restore(&snap) {
+					t.Fatal("restored into a system at another clock ratio")
+				}
+				if err := target.SetCoreClockRatio(ratio); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !target.Pristine() {
+				t.Fatal("a reset system at another clock ratio is not pristine")
+			}
+			if !target.Restore(&snap) {
+				t.Fatal("Restore refused a pristine system at the captured clock ratio")
+			}
+			if !reflect.DeepEqual(target, s) {
+				t.Fatal("restored system differs from the captured one")
+			}
+			if target.Pristine() || target.Restore(&snap) {
+				t.Fatal("Restore accepted a system that has state")
+			}
+
+			mixedTraffic(s)
+			mixedTraffic(target)
+			if !reflect.DeepEqual(target, s) {
+				t.Fatal("restored system diverged from the captured one under identical traffic")
+			}
+		})
+	}
+	var zero Snapshot
+	s, err := NewSystem(resetConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Restore(&zero) {
+		t.Error("the zero Snapshot restored")
+	}
+}
+
+// TestCaptureRestoreAllocateNothing: recapturing the same traffic into a
+// snapshot reuses its buffers, and restoring into a reset system writes
+// into the system's own arrays.
+func TestCaptureRestoreAllocateNothing(t *testing.T) {
+	s, err := NewSystem(resetConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmTraffic(s)
+	var snap Snapshot
+	s.Capture(&snap)
+	if n := testing.AllocsPerRun(10, func() { s.Capture(&snap) }); n != 0 {
+		t.Errorf("Capture allocated %.0f objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		s.Reset()
+		_ = s.SetCoreClockRatio(2.5)
+		if !s.Restore(&snap) {
+			t.Fatal("Restore refused a reset system")
+		}
+	}); n != 0 {
+		t.Errorf("Reset and Restore allocated %.0f objects per call, want 0", n)
+	}
+}

@@ -215,10 +215,6 @@ func (s *System) Config() HierarchyConfig { return s.cfg }
 // Stats returns a snapshot of accumulated event counts.
 func (s *System) Stats() Stats { return s.stats }
 
-// ResetStats clears the counters (typically between warm-up and
-// measurement).
-func (s *System) ResetStats() { s.stats = Stats{} }
-
 // NumCores returns the number of cores the system was built for.
 func (s *System) NumCores() int { return s.nCores }
 
@@ -564,26 +560,6 @@ func (s *System) chargeChannel(sk *socketState, line uint64, at int64) {
 		sk.chanFree[ch] = at
 	}
 	sk.chanFree[ch] += s.lineMemSvc
-}
-
-// FlushCore empties a core's private caches (migration noise, or explicit
-// cold-cache runs). It leaves mshrMax and l2fillMax: they stay upper
-// bounds on the cleared rings.
-func (s *System) FlushCore(core int) {
-	s.cores[core].l1.flush()
-	s.cores[core].l2.flush()
-	for i := range s.cores[core].mshr {
-		s.cores[core].mshr[i] = inflight{}
-	}
-	for i := range s.cores[core].streams {
-		s.cores[core].streams[i] = stream{}
-	}
-	for i := range s.cores[core].l2fill {
-		s.cores[core].l2fill[i] = inflight{}
-	}
-	for i := range s.cores[core].pfInflight {
-		s.cores[core].pfInflight[i] = 0
-	}
 }
 
 // DisturbCore models an interrupt on the core: a fraction of its private

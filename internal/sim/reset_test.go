@@ -10,12 +10,13 @@ import (
 )
 
 // withoutRetained copies a machine minus the state Reset deliberately
-// keeps: the pooled cores (every job Resets its core) and the reusable
-// run scratch.
+// keeps: the pooled cores (every job Resets its core), the reusable run
+// scratch and the warm-up memo.
 func withoutRetained(m *Machine) Machine {
 	c := *m
 	c.pool, c.seen = nil, nil
 	c.runIRQ, c.runCores, c.runActive = nil, nil, nil
+	c.warm = warmMemo{}
 	return c
 }
 
@@ -32,7 +33,7 @@ func dirty(t *testing.T, m *Machine, met *telemetry.Metrics) {
 	}
 	m.SetMetrics(met)
 	m.SetTraceSpan(obs.New().Start("dirty"))
-	m.Touch(0, 0x100000, 4096)
+	m.Warm([]int{0}, [][]uint64{{0x100000}}, 4096)
 	if _, err := m.RunOne(job(t, 0, 4, 16*300, 0x100000)); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"microtools/internal/cpu"
 	"microtools/internal/faults"
@@ -85,9 +86,13 @@ type Machine struct {
 	instsRetired *telemetry.Counter
 	poolHits     *telemetry.Counter
 	poolMisses   *telemetry.Counter
+	warmHits     *telemetry.Counter
+	warmMisses   *telemetry.Counter
 	mInsts       int64
 	mPoolHits    int64
 	mPoolMisses  int64
+	mWarmHits    int64
+	mWarmMisses  int64
 
 	// pool holds one reusable cpu.Core per hardware core id, created
 	// lazily. Run/RunStream Reset pooled cores instead of allocating
@@ -103,6 +108,50 @@ type Machine struct {
 	runIRQ    []int64
 	runCores  []*cpu.Core
 	runActive []bool
+
+	// warm is Warm's memo. Reset keeps it: it describes what a warm-up
+	// leaves on a pristine machine, not the machine's current state.
+	warm warmMemo
+}
+
+// warmMemo is Warm's single entry: the pins, array bases and byte count
+// of the last warm-up that started on a pristine machine, the memory
+// system it left and the clock it ended at. The machine description is
+// fixed per Machine, and Restore checks the memory system's
+// configuration, clock ratio included, so together they are the whole
+// key.
+type warmMemo struct {
+	// key lists, per pin, the core, its array count and the array bases.
+	key   []uint64
+	bytes int64
+	now   int64
+	snap  memsim.Snapshot
+}
+
+// matches reports whether a warm-up of these arrays is the memoized one.
+func (w *warmMemo) matches(pins []int, arrays [][]uint64, bytes int64) bool {
+	if bytes != w.bytes {
+		return false
+	}
+	k := w.key
+	for i, core := range pins {
+		n := len(arrays[i])
+		if len(k) < 2+n || k[0] != uint64(core) || k[1] != uint64(n) || !slices.Equal(k[2:2+n], arrays[i]) {
+			return false
+		}
+		k = k[2+n:]
+	}
+	return len(k) == 0
+}
+
+// record makes these arrays the memo's key, reusing its buffer.
+func (w *warmMemo) record(pins []int, arrays [][]uint64, bytes int64) {
+	w.key = w.key[:0]
+	for i, core := range pins {
+		w.key = append(w.key, uint64(core), uint64(len(arrays[i])))
+		w.key = append(w.key, arrays[i]...)
+	}
+	w.bytes = bytes
 }
 
 // New instantiates the machine at its nominal frequency with noise off.
@@ -192,11 +241,14 @@ func (m *Machine) SetMetrics(met *telemetry.Metrics) {
 	m.flushMetrics()
 	if met == nil {
 		m.instsRetired, m.poolHits, m.poolMisses = nil, nil, nil
+		m.warmHits, m.warmMisses = nil, nil
 		return
 	}
 	m.instsRetired = met.SimInstsRetired
 	m.poolHits = met.SimPoolHits
 	m.poolMisses = met.SimPoolMisses
+	m.warmHits = met.SimWarmHits
+	m.warmMisses = met.SimWarmMisses
 }
 
 // flushMetrics pushes the local accumulators to the armed counters (a
@@ -205,7 +257,10 @@ func (m *Machine) flushMetrics() {
 	m.instsRetired.Add(m.mInsts)
 	m.poolHits.Add(m.mPoolHits)
 	m.poolMisses.Add(m.mPoolMisses)
+	m.warmHits.Add(m.mWarmHits)
+	m.warmMisses.Add(m.mWarmMisses)
 	m.mInsts, m.mPoolHits, m.mPoolMisses = 0, 0, 0
+	m.mWarmHits, m.mWarmMisses = 0, 0
 }
 
 // SetTraceSpan parents subsequent Run/RunStream spans under sp. The
@@ -231,9 +286,7 @@ func (m *Machine) CoreFrequency() float64 { return m.coreGHz }
 func (m *Machine) Now() int64 { return m.now }
 
 // Touch streams the byte range through a core's caches without pipeline
-// timing — MicroLauncher's warm-up step ("the instruction and data caches
-// are filled with the kernel's data by calling the benchmark function
-// once", §4.5).
+// timing, one load per line starting at the machine clock.
 func (m *Machine) Touch(core int, base uint64, size int64) {
 	line := m.Desc.Hierarchy.L1.LineSize
 	cycle := m.now
@@ -241,6 +294,36 @@ func (m *Machine) Touch(core int, base uint64, size int64) {
 		cycle = m.Sys.Load(core, base+uint64(off), 8, cycle)
 	}
 	m.now = cycle
+}
+
+// Warm is MicroLauncher's warm-up step ("the instruction and data caches
+// are filled with the kernel's data by calling the benchmark function
+// once", §4.5): it Touches bytes of every array arrays[i] on core pins[i],
+// in order. The state that leaves depends only on the machine, its clock
+// ratio, the pins, the bases and bytes — noise and faults act only inside
+// Run and RunStream — so a warm-up that starts on a pristine machine (the
+// clock at zero and the memory system as New or Reset left it) is
+// memoized: the next such warm-up of the same arrays restores the
+// memoized memory system and clock instead of simulating the loads.
+// Every other warm-up simulates them.
+func (m *Machine) Warm(pins []int, arrays [][]uint64, bytes int64) {
+	pristine := m.now == 0 && m.Sys.Pristine()
+	if pristine && m.warm.matches(pins, arrays, bytes) && m.Sys.Restore(&m.warm.snap) {
+		m.now = m.warm.now
+		m.mWarmHits++
+		return
+	}
+	m.mWarmMisses++
+	for i, core := range pins {
+		for _, base := range arrays[i] {
+			m.Touch(core, base, bytes)
+		}
+	}
+	if pristine {
+		m.warm.record(pins, arrays, bytes)
+		m.Sys.Capture(&m.warm.snap)
+		m.warm.now = m.now
+	}
 }
 
 // Job is one kernel invocation pinned to a core.

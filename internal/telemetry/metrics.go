@@ -13,6 +13,8 @@ const (
 	MetricSimInstsRetired  = "sim.insts.retired"
 	MetricSimPoolHits      = "sim.pool.hits"
 	MetricSimPoolMisses    = "sim.pool.misses"
+	MetricSimWarmHits      = "sim.warm.hits"
+	MetricSimWarmMisses    = "sim.warm.misses"
 )
 
 // Metrics bundles the pre-resolved instrument handles the measurement
@@ -53,6 +55,10 @@ type Metrics struct {
 	SimInstsRetired *Counter
 	SimPoolHits     *Counter
 	SimPoolMisses   *Counter
+	// SimWarmHits counts launch warm-ups restored from a machine's
+	// warm-up memo; SimWarmMisses counts those simulated load by load.
+	SimWarmHits   *Counter
+	SimWarmMisses *Counter
 }
 
 // NewMetrics resolves the standard instrument set against a registry.
@@ -70,5 +76,7 @@ func NewMetrics(r *Registry) *Metrics {
 		SimInstsRetired:  r.Counter(MetricSimInstsRetired),
 		SimPoolHits:      r.Counter(MetricSimPoolHits),
 		SimPoolMisses:    r.Counter(MetricSimPoolMisses),
+		SimWarmHits:      r.Counter(MetricSimWarmHits),
+		SimWarmMisses:    r.Counter(MetricSimWarmMisses),
 	}
 }

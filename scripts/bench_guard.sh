@@ -28,6 +28,7 @@ BenchmarkCampaign/cold        allocs/op  bench_guard_cold_allocs.txt
 BenchmarkRunLockstep/fork4    allocs/op  bench_guard_lockstep_fork4_allocs.txt
 BenchmarkRunLockstep/noisy1   allocs/op  bench_guard_lockstep_noisy1_allocs.txt
 BenchmarkRunLockstep/stream4  allocs/op  bench_guard_lockstep_stream4_allocs.txt
+BenchmarkMachineWarm/hit      allocs/op  bench_guard_warm_hit_allocs.txt
 '
 
 failed=0
