@@ -89,7 +89,10 @@ type launchFunc func(context.Context, *isa.Program, launcher.Options) (*launcher
 // Options configures a campaign run.
 type Options struct {
 	// Launch is the measurement configuration applied to every variant.
-	// Its hooks serve the campaign as well as each launch:
+	// Under RunPoints each point runs under its own options instead, but
+	// the hooks below stay campaign-wide: the engine copies them from
+	// Launch onto every point (see Point). They serve the campaign as well
+	// as each launch:
 	//
 	//   - Adaptive, when non-nil, arms μOpTime-style adaptive repetition
 	//     for every variant: the plan (resolved once against
@@ -307,8 +310,8 @@ func (r *Result) Err() error {
 // ErrNoVariants when the description emitted nothing; nil on full
 // success.
 func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Options) (*Result, error) {
-	return run(ctx, func(ctx context.Context, emit func(codegen.Program) error) error {
-		_, err := core.GenerateStream(ctx, xml, gen, emit)
+	return run(ctx, func(ctx context.Context, emit emitFunc) error {
+		_, err := core.GenerateStream(ctx, xml, gen, func(p codegen.Program) error { return emit(p, nil) })
 		return err
 	}, opts)
 }
@@ -320,9 +323,9 @@ func Run(ctx context.Context, xml io.Reader, gen core.GenerateOptions, opts Opti
 // and live tracking. The returned Result is always non-nil; the error is
 // as for Run, with ErrNoVariants for an empty list.
 func RunPrograms(ctx context.Context, progs []codegen.Program, opts Options) (*Result, error) {
-	return run(ctx, func(ctx context.Context, emit func(codegen.Program) error) error {
+	return run(ctx, func(ctx context.Context, emit emitFunc) error {
 		for i := range progs {
-			if err := emit(progs[i]); err != nil {
+			if err := emit(progs[i], nil); err != nil {
 				return err
 			}
 		}
@@ -330,11 +333,72 @@ func RunPrograms(ctx context.Context, progs []codegen.Program, opts Options) (*R
 	}, opts)
 }
 
-// run is the engine behind Run and RunPrograms. source hands every variant
-// to emit in generation order and returns the producer's error; emit
-// blocks while the launch queue is full and fails once the campaign is
-// canceled.
-func run(ctx context.Context, source func(ctx context.Context, emit func(codegen.Program) error) error, opts Options) (*Result, error) {
+// Point is one launch of a sweep: a program and the launch options it runs
+// under; the program's Name labels it in the results. The hooks stay
+// campaign-wide: the engine copies Tracer, Metrics, Faults and the resolved
+// Adaptive plan from Options.Launch onto every point's options, over
+// whatever the point set, so all points share one trace, one registry, one
+// fault plan, and one adaptive plan and top-up rule. A point's cache key is
+// Key(kernel, its Launch with those hooks).
+type Point struct {
+	Program codegen.Program
+	Launch  launcher.Options
+}
+
+// RunPoints is RunPrograms with launch options per program (see Point).
+// Index is the position in points.
+func RunPoints(ctx context.Context, points []Point, opts Options) (*Result, error) {
+	return run(ctx, func(ctx context.Context, emit emitFunc) error {
+		for i := range points {
+			if err := emit(points[i].Program, &points[i].Launch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, opts)
+}
+
+// emitFunc hands one variant to the engine with, for a point, its own
+// launch options (nil = Options.Launch).
+type emitFunc func(codegen.Program, *launcher.Options) error
+
+// setup is what the engine derives from one launch configuration.
+type setup struct {
+	launch    launcher.Options
+	desc      *machine.Machine // nil when the machine does not resolve: the launch reports it
+	boundArch *isa.Arch
+	keyer     *Keyer
+	keyerErr  error // would fail every Key call identically: counted per variant
+}
+
+// resolve derives the setup of one launch configuration.
+func (o *Options) resolve(launch launcher.Options) *setup {
+	s := &setup{launch: launch, boundArch: o.boundArch}
+	if desc, err := machine.ByName(launch.MachineName); err == nil {
+		s.desc = desc
+		if s.boundArch == nil { // tests substitute a corrupted table through the seam
+			s.boundArch = desc.Arch
+		}
+	}
+	if o.Cache != nil {
+		s.keyer, s.keyerErr = NewKeyer(launch)
+	}
+	return s
+}
+
+// key derives a variant's cache key from the setup's Keyer.
+func (s *setup) key(kernel *isa.Program) (string, error) {
+	if s.keyer == nil {
+		return "", s.keyerErr
+	}
+	return s.keyer.Key(kernel)
+}
+
+// run is the engine behind Run, RunPrograms and RunPoints. source hands
+// every variant to emit in generation order and returns the producer's
+// error; emit blocks while the launch queue is full and fails once the
+// campaign is canceled.
+func run(ctx context.Context, source func(ctx context.Context, emit emitFunc) error, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -374,8 +438,9 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 	defer cancel()
 
 	type job struct {
-		index int
-		prog  codegen.Program
+		index  int
+		prog   codegen.Program
+		launch *launcher.Options // a point's own options; nil = opts.Launch
 	}
 	jobs := make(chan job, 2*workers)
 
@@ -385,6 +450,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		index  int
 		name   string
 		kernel *isa.Program
+		setup  *setup
 		reps   int
 	}
 
@@ -406,8 +472,8 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		defer producerWG.Done()
 		defer close(jobs)
 		index := 0
-		err := source(cctx, func(p codegen.Program) error {
-			j := job{index: index, prog: p}
+		err := source(cctx, func(p codegen.Program, launch *launcher.Options) error {
+			j := job{index: index, prog: p, launch: launch}
 			index++
 			mu.Lock()
 			res.Emitted = index
@@ -452,31 +518,15 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		}
 	}
 
-	// Resolve the launch machine's decode signature once: pre-decoding each
-	// variant against it (below, in measure) warms the program's µop cache
-	// so every launch attempt — first try, cache-miss relaunch, or retry —
-	// shares one decode instead of redoing it per attempt. A resolution
-	// error is left for the launch itself to surface.
-	var decodeArch *isa.Arch
-	var launchDesc *machine.Machine
-	if desc, err := machine.ByName(opts.Launch.MachineName); err == nil {
-		decodeArch = desc.Arch
-		launchDesc = desc
-	}
-	// The static-bound arch defaults to the launch machine's; tests
-	// substitute a corrupted table through the seam.
-	boundArch := opts.boundArch
-	if boundArch == nil {
-		boundArch = decodeArch
-	}
-	// Derive the variant-independent cache-key parts once per campaign. A
-	// keyer error (unresolvable machine, unmarshalable options) would have
-	// failed every per-variant Key call identically, so it is carried into
-	// the loop and surfaces as a counted key error on each variant.
-	var keyer *Keyer
-	var keyerErr error
-	if opts.Cache != nil {
-		keyer, keyerErr = NewKeyer(opts.Launch)
+	// Resolve the launch configuration once per campaign, and once per
+	// point that carries its own options (with the hooks copied in).
+	base := opts.resolve(opts.Launch)
+	pointSetup := func(launch launcher.Options) *setup {
+		launch.Tracer = opts.Launch.Tracer
+		launch.Metrics = opts.Launch.Metrics
+		launch.Faults = opts.Launch.Faults
+		launch.Adaptive = plan
+		return opts.resolve(launch)
 	}
 
 	// attempt runs one launch try, consulting the worker-launch injection
@@ -535,35 +585,28 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 
 	// noteTopup remembers a successful adaptive variant whose achieved
 	// RCIW (including the +Inf "no confidence" sentinel) missed target.
-	noteTopup := func(index int, name string, kernel *isa.Program, m *launcher.Measurement) {
+	noteTopup := func(index int, name string, kernel *isa.Program, s *setup, m *launcher.Measurement) {
 		if plan == nil || m.Adaptive == nil || !(m.Adaptive.RCIW > plan.TargetRCIW) {
 			return
 		}
 		mu.Lock()
-		topups = append(topups, topupCand{index: index, name: name, kernel: kernel, reps: m.Adaptive.Reps})
+		topups = append(topups, topupCand{index: index, name: name, kernel: kernel, setup: s, reps: m.Adaptive.Reps})
 		mu.Unlock()
-	}
-
-	// mainKey derives main-pass cache keys from the campaign's Keyer.
-	mainKey := func(kernel *isa.Program) (string, error) {
-		if keyer == nil {
-			return "", keyerErr
-		}
-		return keyer.Key(kernel)
 	}
 
 	// measureOne is the per-variant lookup → launchWithRetries → put path
 	// shared by the main pass and the adaptive top-up pass: consult the
-	// cache under keyOf's key, otherwise launch under the variant deadline
-	// and store the canonical encoding. bound is the variant's static bound
-	// in the report unit, stamped on the measurement (on a hit, on the
-	// caller-owned copy Get returns, so entries that predate the field
-	// are backfilled without touching the cache). A cancellation error
-	// propagates for the caller to discard; any other error is final.
-	measureOne := func(sp obs.Span, name string, kernel *isa.Program, lopts launcher.Options, keyOf func(*isa.Program) (string, error), bound float64) (m *launcher.Measurement, hit bool, attempts int, isQuarantined bool, err error) {
+	// cache under the setup's key, otherwise launch under the setup's
+	// options and the variant deadline and store the canonical encoding.
+	// bound is the variant's static bound in the report unit, stamped on
+	// the measurement (on a hit, on the caller-owned copy Get returns, so
+	// entries that predate the field are backfilled without touching the
+	// cache). A cancellation error propagates for the caller to discard;
+	// any other error is final.
+	measureOne := func(sp obs.Span, name string, kernel *isa.Program, s *setup, bound float64) (m *launcher.Measurement, hit bool, attempts int, isQuarantined bool, err error) {
 		var key string
 		if opts.Cache != nil {
-			if k, kerr := keyOf(kernel); kerr == nil {
+			if k, kerr := s.key(kernel); kerr == nil {
 				key = k
 				if cm, ok := opts.Cache.Get(key); ok {
 					sp.Child("cache.hit").End()
@@ -589,11 +632,12 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			}
 		}
 
-		// Warm the kernel's µop decode cache before the first attempt.
+		// Warm the kernel's µop decode cache before the first attempt, so
+		// every attempt — first try, relaunch or retry — shares one decode.
 		// Best-effort: a decode error is not cached, so a broken kernel
 		// still fails inside the launch with its usual error path.
-		if decodeArch != nil {
-			_, _ = kernel.Decoded(decodeArch)
+		if s.desc != nil {
+			_, _ = kernel.Decoded(s.desc.Arch)
 		}
 
 		// The variant's deadline covers every attempt, retries and backoff
@@ -605,7 +649,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			vctx, vcancel = context.WithTimeout(cctx, opts.VariantDeadline)
 			defer vcancel()
 		}
-		m, attempts, isQuarantined, err = launchWithRetries(vctx, sp, name, kernel, lopts)
+		m, attempts, isQuarantined, err = launchWithRetries(vctx, sp, name, kernel, s.launch)
 		if err != nil {
 			return nil, false, attempts, isQuarantined, err
 		}
@@ -640,12 +684,16 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			record(VariantResult{Index: j.index, Name: j.prog.Name, Err: err})
 			return
 		}
+		s := base
+		if j.launch != nil {
+			s = pointSetup(*j.launch)
+		}
 		// The static bound is a pure function of the kernel and the
 		// machine, so it is computed for hits and misses alike (cache
 		// entries predating the field backfill identically).
-		coreBound := staticBoundCore(kernel, boundArch, opts.Launch)
-		unitBound := boundInUnit(coreBound, launchDesc, opts.Launch)
-		m, hit, attempts, isQuarantined, err := measureOne(sp, j.prog.Name, kernel, opts.Launch, mainKey, unitBound)
+		coreBound := staticBoundCore(kernel, s.boundArch, s.launch)
+		unitBound := boundInUnit(coreBound, s.desc, s.launch)
+		m, hit, attempts, isQuarantined, err := measureOne(sp, j.prog.Name, kernel, s, unitBound)
 		if err != nil {
 			// The campaign itself was canceled (user or fail-fast): the
 			// variant was not measured and records no fault of its own.
@@ -661,7 +709,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 		}
 		// Cache hits are not re-checked: they passed when first measured.
 		if opts.CheckBounds && !hit {
-			if v := checkBound(m, coreBound, launchDesc, opts.Launch); v != nil {
+			if v := checkBound(m, coreBound, s.desc, s.launch); v != nil {
 				cnt.boundViolations.Inc()
 				sp.Str("bound_violation", v.Error())
 				record(VariantResult{
@@ -676,7 +724,7 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			Measurement: m, CacheHit: hit, Attempts: attempts, Stability: stabilityFor(m, cnt.backfilled),
 			StaticBound: unitBound,
 		})
-		noteTopup(j.index, j.prog.Name, kernel, m)
+		noteTopup(j.index, j.prog.Name, kernel, s, m)
 	}
 
 	drain(cctx, workers, jobs, func(j job) {
@@ -730,10 +778,9 @@ func run(ctx context.Context, source func(ctx context.Context, emit func(codegen
 			tplan := *plan
 			tplan.MinReps = c.reps + 1
 			tplan.MaxReps = c.reps + extra
-			topts := opts.Launch
+			topts := c.setup.launch
 			topts.Adaptive = &tplan
-			topKey := func(kernel *isa.Program) (string, error) { return Key(kernel, topts) }
-			m, _, attempts, _, err := measureOne(sp, c.name, c.kernel, topts, topKey, bound)
+			m, _, attempts, _, err := measureOne(sp, c.name, c.kernel, opts.resolve(topts), bound)
 			if err != nil {
 				// The extra confidence is forfeited, not the variant: its
 				// main-pass measurement stands.

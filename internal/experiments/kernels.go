@@ -1,16 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"microtools/internal/asm"
 	"microtools/internal/codegen"
+	"microtools/internal/core"
 	"microtools/internal/ir"
 	"microtools/internal/isa"
-	"microtools/internal/passes"
 	"microtools/internal/verify"
-	"microtools/internal/xmlspec"
 )
 
 // parseVerified decodes a handwritten experiment kernel and fails fast on
@@ -25,12 +25,6 @@ func parseVerified(src, name string) (*isa.Program, error) {
 		return nil, fmt.Errorf("experiments: kernel %s failed verification: %w", name, ds.Err())
 	}
 	return p, nil
-}
-
-// decoded returns the launcher-ready form of a pipeline output program,
-// reusing the decode populated by the emit pass when present.
-func decoded(prog codegen.Program) (*isa.Program, error) {
-	return prog.Lowered()
 }
 
 // opWidth returns the data width of the studied SSE moves.
@@ -86,20 +80,16 @@ type variantSet struct {
 }
 
 // generateLoadStore runs the MicroCreator pipeline on the Fig. 6 template.
-func generateLoadStore(op string, maxUnroll int) (*variantSet, error) {
-	ks, err := xmlspec.ParseString(loadStoreXML(op, maxUnroll))
+func generateLoadStore(ctx context.Context, op string, maxUnroll int) (*variantSet, error) {
+	progs, err := core.GenerateString(ctx, loadStoreXML(op, maxUnroll), core.GenerateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ctx := &passes.Context{EmitAssembly: true}
-	if _, err := passes.NewManager().Run(ctx, ks); err != nil {
-		return nil, err
-	}
 	vs := &variantSet{op: op, programs: map[string]*isa.Program{}}
-	for _, prog := range ctx.Programs {
-		p, err := decoded(prog)
+	for _, prog := range progs {
+		p, err := prog.Lowered()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: re-parsing %s: %w", prog.Name, err)
+			return nil, fmt.Errorf("experiments: lowering %s: %w", prog.Name, err)
 		}
 		key := fmt.Sprintf("u%d_%s", prog.Kernel.Unroll, pattern(prog))
 		vs.programs[key] = p
