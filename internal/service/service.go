@@ -372,14 +372,13 @@ func (d *Daemon) worker() {
 		d.mu.Unlock()
 
 		d.runJob(j)
-
-		d.mu.Lock()
-		d.jobsRunning.Add(-1)
-		d.mu.Unlock()
 	}
 }
 
-// runJob executes one job's campaign and records its terminal state.
+// runJob executes one job's campaign and records its terminal state. It
+// settles the job gauges, counters and tenant slot before the terminal
+// state becomes visible (status, result, end event), so a client that saw
+// the job end never scrapes it as still running or finds its slot taken.
 func (d *Daemon) runJob(j *job) {
 	ctx, cancel := context.WithCancel(d.baseCtx)
 	defer cancel()
@@ -413,6 +412,7 @@ func (d *Daemon) runJob(j *job) {
 		// daemon over this store re-enqueues the job and the re-run is
 		// cache-warm. Tenant accounting is NOT released: the job is
 		// still this tenant's until a terminal state.
+		d.jobsRunning.Add(-1)
 		status = j.setStatus(func(s *api.JobStatus) { s.State = api.StateInterrupted })
 		j.events.append(api.EventEnd, status)
 		j.events.close()
@@ -422,6 +422,13 @@ func (d *Daemon) runJob(j *job) {
 	// The campaign's last observer update already left the settled totals
 	// in s.Progress.
 	result := buildResult(res, err)
+	d.jobsRunning.Add(-1)
+	if err != nil {
+		d.jobsFailed.Inc()
+	} else {
+		d.jobsCompleted.Inc()
+	}
+	d.release(status.Tenant)
 	status = j.setStatus(func(s *api.JobStatus) {
 		s.FinishedUnixMS = telemetry.Now().UnixMilli()
 		if err != nil {
@@ -436,12 +443,6 @@ func (d *Daemon) runJob(j *job) {
 	j.result = &result
 	j.mu.Unlock()
 
-	if err != nil {
-		d.jobsFailed.Inc()
-	} else {
-		d.jobsCompleted.Inc()
-	}
-	d.release(status.Tenant)
 	if serr := d.store.append(storeRecord{Kind: "end", Job: status, Result: &result}); serr != nil {
 		d.storeErrors.Inc()
 	}
