@@ -240,3 +240,41 @@ func TestL012OnlyInAPIPackages(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutFixtureTripsL013: the bad fixture's internal/sweep package
+// launches directly twice (a call and a stored reference); the same code
+// inside the campaign engine, the launcher or outside internal/ is clean.
+func TestFanOutFixtureTripsL013(t *testing.T) {
+	fixture := filepath.Join("testdata", "src", "bad", "internal", "sweep", "sweep.go")
+	ds := lintPath(t, fixture)
+	n := 0
+	for _, d := range ds {
+		if d.Rule != "L013" {
+			t.Errorf("unexpected rule in fan-out fixture: %v", d)
+			continue
+		}
+		n++
+	}
+	if n != 2 {
+		t.Errorf("L013 findings = %d, want 2: %v", n, ds)
+	}
+	src, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, rel := range []string{"internal/campaign", "internal/launcher", "cmd/tool", "."} {
+		path := filepath.Join(dir, rel, "sweep.go")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range lintPath(t, path) {
+			if d.Rule == "L013" {
+				t.Errorf("L013 fired in %s: %v", rel, d)
+			}
+		}
+	}
+}

@@ -61,6 +61,11 @@
 //	      carries an explicit json tag (the wire name must never depend on
 //	      Go identifier casing), and nothing under internal/ is imported —
 //	      the versioned contract must not leak internal types.
+//	L013  one fan-out engine: under internal/, only internal/campaign and
+//	      internal/launcher itself may reference launcher.Launch or
+//	      launcher.LaunchOn. Every other sweep of launches builds points
+//	      and runs them through campaign.Run, RunPrograms or RunPoints, so
+//	      a second worker pool cannot creep back beside the engine.
 //
 // A finding on a given line is suppressed by a comment on the same or the
 // preceding line:
@@ -206,6 +211,9 @@ type fileContext struct {
 	// api is true inside the versioned wire-contract packages (an api/
 	// path segment) where rule L012 applies.
 	api bool
+	// launches is true under internal/ outside the campaign engine and
+	// the launcher, where rule L013 forbids direct launches.
+	launches bool
 	// parents maps every node to its syntactic parent.
 	parents map[ast.Node]ast.Node
 	// suppressed maps line -> rule IDs disabled there ("" disables all).
@@ -232,7 +240,10 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 		hotpath: strings.Contains(slash, "internal/codegen/") ||
 			strings.Contains(slash, "internal/campaign/") ||
 			strings.Contains(slash, "internal/passes/"),
-		api:        strings.Contains("/"+slash+"/", "/api/"),
+		api: strings.Contains("/"+slash+"/", "/api/"),
+		launches: strings.Contains("/"+slash, "/internal/") &&
+			!strings.Contains("/"+slash, "/internal/campaign/") &&
+			!strings.Contains("/"+slash, "/internal/launcher/"),
 		parents:    buildParents(f),
 		suppressed: suppressions(fset, f),
 	}
@@ -247,6 +258,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 	checkPanics(ctx)
 	checkRetainedFormat(ctx)
 	checkWireContract(ctx)
+	checkFanOut(ctx)
 	var kept []Diagnostic
 	for _, d := range ctx.diags {
 		if !ctx.isSuppressed(d) {
@@ -1107,6 +1119,32 @@ func checkWireContract(c *fileContext) {
 						"exported wire field %s has no explicit json tag: the wire name must not track the Go identifier", name.Name)
 				}
 			}
+		}
+		return true
+	})
+}
+
+// checkFanOut implements L013: outside the campaign engine and the
+// launcher, internal packages reach the launcher through the engine
+// (campaign.Run, RunPrograms, RunPoints), never by launching directly. A
+// reference counts as well as a call: a stored launcher.Launch is a launch
+// path all the same.
+func checkFanOut(c *fileContext) {
+	if !c.launches {
+		return
+	}
+	ast.Inspect(c.file, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		id, ok := sel.X.(*ast.Ident)
+		if !ok || c.imports[id.Name] != "microtools/internal/launcher" {
+			return true
+		}
+		if name := sel.Sel.Name; name == "Launch" || name == "LaunchOn" {
+			c.report(sel.Pos(), "L013",
+				"launcher.%s outside the campaign engine: build campaign.Point values and run them through campaign.RunPoints", name)
 		}
 		return true
 	})
