@@ -3,14 +3,18 @@ package core_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"microtools/internal/campaign"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
+	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/telemetry"
+	"microtools/internal/verify"
 )
 
 // launchSpec is a two-variant movss family (unroll 1 and 2).
@@ -127,5 +131,56 @@ func TestLaunchAllCancellation(t *testing.T) {
 	got := len(res.Measurements())
 	if got < 2 || got >= len(many) {
 		t.Errorf("canceled campaign measured %d of %d variants, want a prompt partial stop", got, len(many))
+	}
+}
+
+// TestMultiLineDescriptionGenerates: a description spanning two lines
+// (one of them instruction-like, one holding "*/") generates under every
+// verify mode; each written .s and .c file loads back to exactly the
+// lowered program, and the loaded program measures.
+func TestMultiLineDescriptionGenerates(t *testing.T) {
+	spec := strings.Replace(launchSpec, `<kernel name="core_k">`,
+		"<kernel name=\"core_k\">\n  <description>two lines:\nout[i] = in[i] */ done</description>", 1)
+	for _, mode := range []verify.Mode{verify.ModeEnforce, verify.ModeCollect, verify.ModeOff} {
+		var ds verify.Diagnostics
+		progs, err := core.Generate(context.Background(), strings.NewReader(spec),
+			core.GenerateOptions{EmitC: true, Verify: mode, Diagnostics: &ds})
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		if len(progs) != 2 || ds.HasErrors() {
+			t.Fatalf("mode %v: %d programs, diagnostics %v", mode, len(progs), ds)
+		}
+		dir := t.TempDir()
+		paths, err := core.WritePrograms(progs, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) != 4 {
+			t.Fatalf("mode %v: wrote %v, want a .s and a .c per program", mode, paths)
+		}
+		for _, path := range paths {
+			name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+			var want *isa.Program
+			for i := range progs {
+				if progs[i].Name == name {
+					want = progs[i].Parsed
+				}
+			}
+			got, err := core.LoadKernelFile(path, "")
+			if err != nil {
+				t.Fatalf("mode %v: %s: %v", mode, path, err)
+			}
+			if want == nil || got.Name != want.Name || !reflect.DeepEqual(got.Labels, want.Labels) || got.Print() != want.Print() {
+				t.Fatalf("mode %v: %s loads to\n%s\nwant the lowered\n%v", mode, path, got.Print(), want)
+			}
+			if mode != verify.ModeEnforce || filepath.Ext(path) != ".s" {
+				continue
+			}
+			m, err := launcher.Launch(context.Background(), got, launchOptions())
+			if err != nil || m.Summary.N == 0 {
+				t.Fatalf("%s: launch: %v", path, err)
+			}
+		}
 	}
 }
