@@ -44,7 +44,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "per-pass progress on stderr")
 		verifyOnly = flag.Bool("verify", false, "run the static verifier over every variant and print the diagnostics instead of writing programs (exit 1 on errors)")
 		verifyJSON = flag.Bool("verify-json", false, "like -verify, but emit the diagnostics as JSON")
-		noVerify   = flag.Bool("no-verify", false, "disable the verify-variants pass (generation proceeds even on verifier errors)")
+		noVerify   = flag.Bool("no-verify", false, "disable the static verifier (generation proceeds even on verifier errors)")
 		suppress   = flag.String("suppress", "", "comma-separated verifier rule IDs to ignore (e.g. V004,V008)")
 		analyze    = flag.Bool("analyze", false, "run the static dataflow analysis over every variant and print the per-variant bounds instead of writing programs (exit 1 on dead writes or self-moves)")
 		analyzeOn  = flag.String("machine", "nehalem-dual", "machine model whose µop tables -analyze uses")

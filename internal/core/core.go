@@ -59,51 +59,43 @@ type GenerateOptions struct {
 	Diagnostics *verify.Diagnostics
 }
 
-// Generate runs MicroCreator over an XML kernel description. The context
-// cancels the pipeline between passes (and between variants inside the
-// emit pass); a canceled run returns ctx.Err().
+// Generate runs MicroCreator over an XML kernel description and returns
+// every program it emits: GenerateStream with a sink that collects them.
+// The context cancels the pipeline between passes (and between variants
+// inside the emit pass); a canceled run returns ctx.Err().
 func Generate(ctx context.Context, r io.Reader, opts GenerateOptions) ([]codegen.Program, error) {
-	pctx, err := generate(ctx, r, opts, nil)
-	if err != nil {
+	var progs []codegen.Program
+	if _, err := GenerateStream(ctx, r, opts, func(p codegen.Program) error {
+		progs = append(progs, p)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return pctx.Programs, nil
+	return progs, nil
 }
 
-// GenerateStream runs MicroCreator in streaming mode: each program is
-// handed to sink as soon as it is rendered (and verified, honouring
-// opts.Verify) instead of being materialized in a slice, so an N-variant
-// family never holds all rendered programs at once. It returns the number
-// of programs emitted. A sink error aborts the pipeline and is returned
-// verbatim.
+// GenerateStream is the MicroCreator driver: the emit pass lowers each
+// program, verifies it (honouring opts.Verify) and hands it to sink at
+// once, so an N-variant family is never held whole unless the sink keeps
+// it. It returns the number of programs emitted. A sink error aborts the
+// pipeline and is returned wrapped (errors.Is finds it).
 func GenerateStream(ctx context.Context, r io.Reader, opts GenerateOptions, sink func(codegen.Program) error) (int, error) {
-	n := 0
-	counted := func(p codegen.Program) error {
-		n++
-		return sink(p)
-	}
-	_, err := generate(ctx, r, opts, counted)
-	return n, err
-}
-
-// generate is the shared MicroCreator driver behind Generate and
-// GenerateStream; sink selects streaming mode.
-func generate(ctx context.Context, r io.Reader, opts GenerateOptions, sink func(codegen.Program) error) (*passes.Context, error) {
 	root := opts.Tracer.Start("generate")
 	defer root.End()
 	kernels, err := xmlspec.ParseTraced(r, root)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	m := passes.NewManager()
 	if err := plugin.Apply(m, opts.Plugins...); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if opts.Customize != nil {
 		if err := opts.Customize(m); err != nil {
-			return nil, fmt.Errorf("core: customize: %w", err)
+			return 0, fmt.Errorf("core: customize: %w", err)
 		}
 	}
+	n := 0
 	pctx := &passes.Context{
 		Ctx:            ctx,
 		Seed:           opts.Seed,
@@ -113,17 +105,20 @@ func generate(ctx context.Context, r io.Reader, opts GenerateOptions, sink func(
 		Trace:          root,
 		VerifyMode:     opts.Verify,
 		VerifySuppress: opts.VerifySuppress,
-		Sink:           sink,
+		Sink: func(p codegen.Program) error {
+			n++
+			return sink(p)
+		},
 	}
 	_, err = m.Run(pctx, kernels)
 	if opts.Diagnostics != nil {
 		*opts.Diagnostics = pctx.Diagnostics
 	}
 	if err != nil {
-		return nil, err
+		return n, err
 	}
-	root.Int("programs", int64(len(pctx.Programs)))
-	return pctx, nil
+	root.Int("programs", int64(n))
+	return n, nil
 }
 
 // Vet runs MicroCreator in collect-only verification mode: the full pipeline

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microtools/internal/asm"
+	"microtools/internal/codegen"
 	"microtools/internal/cpu"
 	"microtools/internal/isa"
 	"microtools/internal/passes"
@@ -139,7 +140,11 @@ func TestInnerSpecPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &passes.Context{EmitAssembly: true}
+	var progs []codegen.Program
+	ctx := &passes.Context{EmitAssembly: true, Sink: func(p codegen.Program) error {
+		progs = append(progs, p)
+		return nil
+	}}
 	out, err := passes.NewManager().Run(ctx, ks)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +154,7 @@ func TestInnerSpecPipeline(t *testing.T) {
 	}
 	// Execute the u=4 variant functionally: %eax must count 4 per loop
 	// iteration.
-	for _, prog := range ctx.Programs {
+	for _, prog := range progs {
 		if prog.Kernel.Unroll != 4 {
 			continue
 		}

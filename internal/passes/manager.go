@@ -39,23 +39,24 @@ type Context struct {
 	// Trace, when active, is the parent span the pipeline records its
 	// per-pass spans under. The zero Span is the no-op default.
 	Trace obs.Span
-	// Programs receives the emit pass output (materialized mode).
-	Programs []codegen.Program
-	// Sink, when non-nil, switches the emit pass to streaming mode: each
-	// program is verified inline (honouring VerifyMode) and handed to the
-	// sink as soon as it is rendered, and Programs stays empty, so an
-	// N-variant family never holds all rendered programs at once. A sink
-	// error aborts the pipeline.
+	// Sink receives each program the emit pass lowers and verifies
+	// (honouring VerifyMode), one at a time, so an N-variant family is
+	// never held whole unless the sink collects it. A sink error aborts
+	// the pipeline; a nil sink discards the programs.
 	Sink func(codegen.Program) error
 
-	// VerifyMode selects how the final verify-variants pass treats its
-	// findings: verify.ModeEnforce (the zero value) fails the pipeline on
-	// error-severity diagnostics, verify.ModeCollect records them in
-	// Diagnostics without failing, verify.ModeOff gates the pass off.
+	// VerifyMode selects how the verifier treats its findings:
+	// verify.ModeEnforce (the zero value) fails the pipeline on
+	// error-severity diagnostics (the emit pass on a program's, the
+	// verify-variants pass on the kernels' and the expansion's),
+	// verify.ModeCollect records them in Diagnostics without failing,
+	// verify.ModeOff turns verification off.
 	VerifyMode verify.Mode
 	// VerifySuppress lists rule IDs the verifier ignores (e.g. "V004").
 	VerifySuppress []string
-	// Diagnostics accumulates the verifier findings of the run.
+	// Diagnostics accumulates the verifier findings of the run: the emit
+	// pass appends each program's, and the verify-variants pass puts the
+	// kernel-level findings before them and the expansion findings after.
 	Diagnostics verify.Diagnostics
 
 	rng *rand.Rand
@@ -266,7 +267,7 @@ func checkPass(p *Pass) error {
 }
 
 // Run executes the pipeline over the initial kernel set and returns the
-// final variant set. Emitted programs accumulate in ctx.Programs.
+// final variant set. Emitted programs go to ctx.Sink.
 func (m *Manager) Run(ctx *Context, kernels []*ir.Kernel) ([]*ir.Kernel, error) {
 	if ctx == nil {
 		ctx = &Context{EmitAssembly: true}

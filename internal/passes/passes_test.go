@@ -54,30 +54,36 @@ const fig6XML = `
   <branch_information><label>.L6</label><test>jge</test></branch_information>
 </kernel>`
 
-func runPipeline(t *testing.T, xml string) (*Context, []*ir.Kernel) {
+// runPipeline runs the default pipeline over xml and returns the programs
+// its sink collected and the final variant set.
+func runPipeline(t *testing.T, xml string) ([]codegen.Program, []*ir.Kernel) {
 	t.Helper()
 	ks, err := xmlspec.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &Context{EmitAssembly: true}
+	var progs []codegen.Program
+	ctx := &Context{EmitAssembly: true, Sink: func(p codegen.Program) error {
+		progs = append(progs, p)
+		return nil
+	}}
 	out, err := NewManager().Run(ctx, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ctx, out
+	return progs, out
 }
 
 // TestFig6Produces510Variants checks the paper's headline generation count:
 // "MicroCreator generated 510 benchmark program variations" — unroll factors
 // 1..8 with a per-copy load/store swap: sum(2^u, u=1..8) = 510.
 func TestFig6Produces510Variants(t *testing.T) {
-	ctx, out := runPipeline(t, fig6XML)
+	progs, out := runPipeline(t, fig6XML)
 	if len(out) != 510 {
 		t.Fatalf("generated %d variants, want 510", len(out))
 	}
-	if len(ctx.Programs) != 510 {
-		t.Fatalf("emitted %d programs, want 510", len(ctx.Programs))
+	if len(progs) != 510 {
+		t.Fatalf("emitted %d programs, want 510", len(progs))
 	}
 	// Per-unroll counts must be 2^u.
 	perUnroll := map[int]int{}
@@ -116,9 +122,9 @@ func TestFig6Produces510Variants(t *testing.T) {
 // generated assembly against the paper's Figure 8: offsets 0/16/32, add $48
 // to the data pointer, sub $12 to the counter, jge loop.
 func TestFig8GoldenOutput(t *testing.T) {
-	ctx, _ := runPipeline(t, fig6XML)
+	progs, _ := runPipeline(t, fig6XML)
 	var asmText string
-	for _, p := range ctx.Programs {
+	for _, p := range progs {
 		if strings.Contains(p.Name, "u3_SLS") {
 			asmText = mustAsm(t, p)
 			break
@@ -158,8 +164,8 @@ func TestFig8GoldenOutput(t *testing.T) {
 // assembly front end and executes it functionally, checking the
 // MicroLauncher linking protocol: %eax returns the executed loop iterations.
 func TestGeneratedProgramsParseAndRun(t *testing.T) {
-	ctx, _ := runPipeline(t, fig6XML)
-	for _, prog := range ctx.Programs {
+	progs, _ := runPipeline(t, fig6XML)
+	for _, prog := range progs {
 		asmText := mustAsm(t, prog)
 		p, err := asm.ParseOne(asmText, prog.Name)
 		if err != nil {
@@ -202,8 +208,8 @@ func TestGeneratedProgramsParseAndRun(t *testing.T) {
 // registers within the rotation range ("Doing so reduces register
 // dependency", §3.1).
 func TestRegisterRotation(t *testing.T) {
-	ctx, _ := runPipeline(t, fig6XML)
-	for _, prog := range ctx.Programs {
+	progs, _ := runPipeline(t, fig6XML)
+	for _, prog := range progs {
 		if prog.Kernel.Unroll != 8 {
 			continue
 		}
@@ -234,12 +240,12 @@ const moveSemanticsXML = `
 // TestMoveSemanticsSelection checks §3.1's abstract moves: 16 bytes, both
 // precisions, both alignments = movaps, movups, movapd, movupd.
 func TestMoveSemanticsSelection(t *testing.T) {
-	ctx, out := runPipeline(t, moveSemanticsXML)
+	progs, out := runPipeline(t, moveSemanticsXML)
 	if len(out) != 4 {
 		t.Fatalf("got %d variants, want 4", len(out))
 	}
 	got := map[string]bool{}
-	for _, p := range ctx.Programs {
+	for _, p := range progs {
 		asmText := mustAsm(t, p)
 		for _, op := range []string{"movaps", "movups", "movapd", "movupd"} {
 			if strings.Contains(asmText, op+" ") {
@@ -355,13 +361,13 @@ func TestRandomSelectionDeterminism(t *testing.T) {
   <induction><register><name>r0</name></register><increment>-1</increment><last_induction/></induction>
   <branch_information><label>.L5</label><test>jge</test></branch_information>
 </kernel>`
-	ctx1, out1 := runPipeline(t, src)
-	ctx2, out2 := runPipeline(t, src)
+	progs1, out1 := runPipeline(t, src)
+	progs2, out2 := runPipeline(t, src)
 	if len(out1) == 0 || len(out1) != len(out2) {
 		t.Fatalf("variant counts differ: %d vs %d", len(out1), len(out2))
 	}
-	for i := range ctx1.Programs {
-		if mustAsm(t, ctx1.Programs[i]) != mustAsm(t, ctx2.Programs[i]) {
+	for i := range progs1 {
+		if mustAsm(t, progs1[i]) != mustAsm(t, progs2[i]) {
 			t.Errorf("random selection is not deterministic at program %d", i)
 		}
 	}
@@ -525,5 +531,39 @@ func TestVerifyCatchesAbstractInstruction(t *testing.T) {
 	}
 	if _, err := passVerify(&Context{}, []*ir.Kernel{k}); err == nil {
 		t.Error("verify must reject abstract instructions")
+	}
+}
+
+// TestInsertBranchPlainLabel: insert-branch turns any spec label into a
+// plain assembler symbol, keeps the conventional ones (".L0", ".L6")
+// unchanged, and a spec with an odd label generates programs whose text
+// parses back to the same label.
+func TestInsertBranchPlainLabel(t *testing.T) {
+	for in, want := range map[string]string{
+		"":          ".L0",
+		".":         ".L0",
+		".L0":       ".L0",
+		".L6":       ".L6",
+		"L6":        ".L6",
+		".L 0":      ".L_0",
+		"L#1,x:y":   ".L_1_x_y",
+		"é-loop(1)": ".__loop_1_",
+		"..a_b.9":   "..a_b.9",
+		"\tL\xff$%": "._L___",
+	} {
+		if got := plainLabel(in); got != want {
+			t.Errorf("plainLabel(%q) = %q, want %q", in, got, want)
+		}
+	}
+	progs, out := runPipeline(t, strings.Replace(fig6XML, "<label>.L6</label>", "<label>.L 6</label>", 1))
+	if len(out) != 510 {
+		t.Fatalf("odd label: %d variants, want 510", len(out))
+	}
+	parsed, err := asm.ParseOne(mustAsm(t, progs[0]), progs[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := parsed.Labels[".L_6"]; !ok || len(parsed.Labels) != 1 {
+		t.Errorf("labels %v, want only .L_6", parsed.Labels)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"microtools/internal/asm"
+	"microtools/internal/codegen"
 	"microtools/internal/cpu"
 	"microtools/internal/isa"
 	"microtools/internal/xmlspec"
@@ -103,20 +104,24 @@ func TestPropertyPipelineAlwaysExecutable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: spec invalid: %v\n%s", trial, err, spec)
 		}
-		ctx := &Context{EmitAssembly: true}
+		var progs []codegen.Program
+		ctx := &Context{EmitAssembly: true, Sink: func(p codegen.Program) error {
+			progs = append(progs, p)
+			return nil
+		}}
 		if _, err := NewManager().Run(ctx, ks); err != nil {
 			t.Fatalf("trial %d: pipeline failed: %v\n%s", trial, err, spec)
 		}
-		if len(ctx.Programs) == 0 {
+		if len(progs) == 0 {
 			t.Fatalf("trial %d: no programs", trial)
 		}
 		// Execute a sample of variants (all if few).
 		step := 1
-		if len(ctx.Programs) > 8 {
-			step = len(ctx.Programs) / 8
+		if len(progs) > 8 {
+			step = len(progs) / 8
 		}
-		for i := 0; i < len(ctx.Programs); i += step {
-			prog := ctx.Programs[i]
+		for i := 0; i < len(progs); i += step {
+			prog := progs[i]
 			asmText := mustAsm(t, prog)
 			p, err := asm.ParseOne(asmText, prog.Name)
 			if err != nil {

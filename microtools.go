@@ -120,7 +120,7 @@ const (
 	VerifyEnforce = verify.ModeEnforce
 	// VerifyCollect records diagnostics without failing generation.
 	VerifyCollect = verify.ModeCollect
-	// VerifyOff disables the verify-variants pass.
+	// VerifyOff disables the static verifier.
 	VerifyOff = verify.ModeOff
 )
 
