@@ -278,3 +278,42 @@ func TestFanOutFixtureTripsL013(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitPathFixtureTripsL014: the bad fixture's internal/passes package
+// renders and re-parses programs four ways (Program.Assembly,
+// verify.AsmProgram, asm.ParseOne and a stored asm.ParseString); the same
+// code outside internal/passes is clean.
+func TestEmitPathFixtureTripsL014(t *testing.T) {
+	fixture := filepath.Join("testdata", "src", "bad", "internal", "passes", "emit.go")
+	ds := lintPath(t, fixture)
+	n := 0
+	for _, d := range ds {
+		if d.Rule != "L014" {
+			t.Errorf("unexpected rule in emit-path fixture: %v", d)
+			continue
+		}
+		n++
+	}
+	if n != 4 {
+		t.Errorf("L014 findings = %d, want 4: %v", n, ds)
+	}
+	src, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, rel := range []string{"internal/core", "internal/verify", "cmd/tool", "."} {
+		path := filepath.Join(dir, rel, "emit.go")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range lintPath(t, path) {
+			if d.Rule == "L014" {
+				t.Errorf("L014 fired in %s: %v", rel, d)
+			}
+		}
+	}
+}

@@ -66,6 +66,12 @@
 //	      launcher.LaunchOn. Every other sweep of launches builds points
 //	      and runs them through campaign.Run, RunPrograms or RunPoints, so
 //	      a second worker pool cannot creep back beside the engine.
+//	L014  one emit path: non-test files in internal/passes may not reference
+//	      verify.Asm, verify.AsmProgram, any asm.Parse* function,
+//	      codegen.Assembly / AppendAssembly or a Program's Assembly method.
+//	      The emit pass lowers each kernel (codegen.Lower) and verifies the
+//	      decoded program; rendering text to parse it back is the
+//	      round-trip fallback the pipeline deleted.
 //
 // A finding on a given line is suppressed by a comment on the same or the
 // preceding line:
@@ -214,6 +220,9 @@ type fileContext struct {
 	// launches is true under internal/ outside the campaign engine and
 	// the launcher, where rule L013 forbids direct launches.
 	launches bool
+	// emit is true inside internal/passes, where rule L014 forbids the
+	// text round trip.
+	emit bool
 	// parents maps every node to its syntactic parent.
 	parents map[ast.Node]ast.Node
 	// suppressed maps line -> rule IDs disabled there ("" disables all).
@@ -244,6 +253,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 		launches: strings.Contains("/"+slash, "/internal/") &&
 			!strings.Contains("/"+slash, "/internal/campaign/") &&
 			!strings.Contains("/"+slash, "/internal/launcher/"),
+		emit:       strings.Contains("/"+slash, "/internal/passes/"),
 		parents:    buildParents(f),
 		suppressed: suppressions(fset, f),
 	}
@@ -259,6 +269,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 	checkRetainedFormat(ctx)
 	checkWireContract(ctx)
 	checkFanOut(ctx)
+	checkEmitPath(ctx)
 	var kept []Diagnostic
 	for _, d := range ctx.diags {
 		if !ctx.isSuppressed(d) {
@@ -1145,6 +1156,47 @@ func checkFanOut(c *fileContext) {
 		if name := sel.Sel.Name; name == "Launch" || name == "LaunchOn" {
 			c.report(sel.Pos(), "L013",
 				"launcher.%s outside the campaign engine: build campaign.Point values and run them through campaign.RunPoints", name)
+		}
+		return true
+	})
+}
+
+// roundTrip lists, per import path, the functions L014 keeps out of
+// internal/passes; a name ending in '*' matches its prefix.
+var roundTrip = map[string][]string{
+	"microtools/internal/verify":  {"Asm", "AsmProgram"},
+	"microtools/internal/asm":     {"Parse*"},
+	"microtools/internal/codegen": {"Assembly", "AppendAssembly"},
+}
+
+// checkEmitPath implements L014: inside internal/passes, no reference to a
+// roundTrip function and no Assembly method call or value (the only
+// Assembly method is codegen.Program's), so the emit pass cannot render a
+// program's text to parse or verify it again.
+func checkEmitPath(c *fileContext) {
+	if !c.emit {
+		return
+	}
+	ast.Inspect(c.file, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		name := sel.Sel.Name
+		if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil {
+			if path, ok := c.imports[id.Name]; ok {
+				for _, banned := range roundTrip[path] {
+					if prefix, wild := strings.CutSuffix(banned, "*"); name == banned || wild && strings.HasPrefix(name, prefix) {
+						c.report(sel.Pos(), "L014",
+							"%s.%s in the pass pipeline: lower the kernel (codegen.Lower) and verify the decoded program (verify.Program)", id.Name, name)
+					}
+				}
+				return true
+			}
+		}
+		if name == "Assembly" {
+			c.report(sel.Pos(), "L014",
+				"Program.Assembly in the pass pipeline: lower the kernel (codegen.Lower) and verify the decoded program (verify.Program)")
 		}
 		return true
 	})
