@@ -602,6 +602,27 @@ func runSubmit(ctx context.Context, args []string) {
 	}
 }
 
+// studyOnlyFlags are the flags that configure only a -study campaign: the
+// paper's experiments fix their own machines, sizes and launch protocol,
+// and run without a cache, retries, adaptive planning, counters or spans.
+var studyOnlyFlags = []string{
+	"cache", "fail-fast",
+	"retries", "retry-backoff", "retry-seed", "deadline", "quarantine",
+	"adaptive", "adaptive-rciw", "adaptive-min", "adaptive-max", "adaptive-stable",
+	"counters", "trace", "report", "machine", "size", "screen",
+}
+
+// checkExperimentFlags rejects, naming it, the first study-only flag among
+// the flags set on the command line of an -experiment or -all run.
+func checkExperimentFlags(set map[string]bool) error {
+	for _, name := range studyOnlyFlags {
+		if set[name] {
+			return fmt.Errorf("-%s applies only to -study, not to -experiment or -all", name)
+		}
+	}
+	return nil
+}
+
 func main() {
 	// Ctrl-C / SIGTERM cancels the running campaign or experiment; a study
 	// returns its partial results (and its cache keeps what was measured).
@@ -655,6 +676,15 @@ func main() {
 	trace.Register(flag.CommandLine, "the -study campaign (generation + every launch)")
 	tele.Register(flag.CommandLine, "the run")
 	flag.Parse()
+	if *study == "" && (*expID != "" || *all) {
+		// A study-only flag on an experiment run is an error, not a no-op.
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := checkExperimentFlags(set); err != nil {
+			fmt.Fprintf(os.Stderr, "microtools: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "microtools: %v\n", err)
@@ -678,7 +708,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Quick: *quick}
+	cfg := experiments.Config{Quick: *quick, Workers: camp.Workers}
 	if *vFlag {
 		cfg.Verbose = os.Stderr
 	}
