@@ -64,9 +64,10 @@ bench:
 # the cold-vs-warm cache campaign (the warm half is the all-hits path; the
 # quick half is perfbench's fig6-quick-cold campaign, for profiles of the
 # gated workload), the static analysis, the static screen, the JSON report
-# encoding and the served result's wire decode + encode. Timing evidence
+# encoding, the served result's wire decode + encode and the live heap a
+# daemon keeps per finished job. Timing evidence
 # comes from perfbench/, not from these.
-HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkMachineWarm|BenchmarkRunOne|BenchmarkRunLockstep|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec)$$
+HOT_BENCHES = ^(BenchmarkSimulatorThroughput|BenchmarkMachineReset|BenchmarkMachineWarm|BenchmarkRunOne|BenchmarkRunLockstep|BenchmarkVariantMaterialize|BenchmarkGenerate510Variants|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaign|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic|BenchmarkWriteReport|BenchmarkJobResultCodec|BenchmarkServiceRetention)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
@@ -96,7 +97,11 @@ bench-smoke:
 # bench_guard_lockstep_*_allocs.txt: the returned results only, 1, 1 and
 # 5 objects) per-call scratch or a second scheduling loop; and the
 # memo-hit warm-up's (BenchmarkMachineWarm/hit,
-# bench_guard_warm_hit_allocs.txt: 0) a restore that allocates.
+# bench_guard_warm_hit_allocs.txt: 0) a restore that allocates; and the
+# daemon's retained heap per finished job (BenchmarkServiceRetention
+# retained-B/job, bench_guard_retained_bytes.txt: ~136.5 KB measured,
+# ~242.5 KB with one full JobStatus copy per event) a return to
+# per-event status copies.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	GO='$(GO)' sh scripts/bench_guard.sh

@@ -9,11 +9,13 @@ package microtools
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -981,6 +983,67 @@ func BenchmarkJobResultCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServiceRetention reports the live heap a memory-only daemon
+// keeps per finished job (retained-B/job, measured after runtime.GC): the
+// job's event history, result and status. The daemon runs the 510-variant
+// family once cold, then warm until the telemetry tracker's window of
+// finished campaigns is full, and the figure covers the next 20 warm jobs.
+// make bench-guard caps it (bench_guard_retained_bytes.txt), so a return
+// to a full JobStatus copy per event fails CI.
+func BenchmarkServiceRetention(b *testing.B) {
+	launch := DefaultLaunchOptions()
+	launch.MachineName = "nehalem-dual/8"
+	launch.ArrayBytes = 1 << 12
+	launch.InnerReps = 1
+	launch.OuterReps = 2
+	launch.MaxInstructions = 2_000
+	const warmup, measured = 17, 20
+	for i := 0; i < b.N; i++ {
+		cache, err := OpenMeasurementCache(filepath.Join(b.TempDir(), "m.jsonl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := service.New(context.Background(), service.Options{MaxConcurrentJobs: 1, Cache: cache, Launch: launch})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := api.JobRequest{Spec: fig6Spec(), Workers: 1}
+		run := func(n int) {
+			for j := 0; j < n; j++ {
+				status, aerr := d.Submit(req)
+				if aerr != nil {
+					b.Fatal(aerr)
+				}
+				for status.State == api.StateQueued || status.State == api.StateRunning {
+					time.Sleep(time.Millisecond)
+					status, _ = d.Job(status.ID)
+				}
+				if status.State != api.StateDone {
+					b.Fatalf("job %s ended %s", status.ID, status.State)
+				}
+			}
+		}
+		run(1 + warmup)
+		heap0 := liveHeap()
+		run(measured)
+		heap1 := liveHeap()
+		b.ReportMetric(math.Round(float64(heap1-heap0)/measured), "retained-B/job")
+		if err := errors.Join(d.Close(), cache.Close()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// liveHeap collects garbage twice (the second pass frees what the first
+// moved to sync.Pool victim caches) and returns the bytes still reachable.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // BenchmarkCampaignSweepAdaptive is BenchmarkCampaignSweep with a real

@@ -263,21 +263,24 @@ func LoadKernelFile(path, functionName string) (*isa.Program, error) {
 	return LoadKernel(string(data), functionName)
 }
 
-// looksLikeC detects MicroCreator's C output format.
+// looksLikeC detects MicroCreator's C output format: its header comment,
+// or an __asm__ block outside comments. An assembly file whose
+// description comment mentions __asm__( stays assembly.
 func looksLikeC(src string) bool {
-	return strings.Contains(src, "__asm__(") ||
-		strings.Contains(src, "/* Generated by MicroCreator")
+	return strings.HasPrefix(strings.TrimSpace(src), "/* Generated by MicroCreator") || indexCode(src, "__asm__(") >= 0
 }
 
 // extractInlineAsm pulls the assembly text out of the __asm__("..."); block
-// of a MicroCreator-generated C translation unit.
+// of a C translation unit: the first __asm__( outside comments and
+// literals, up to the first ); outside its string literals. A kernel
+// description rendered into a comment above the block may mention either.
 func extractInlineAsm(src string) (string, error) {
-	i := strings.Index(src, "__asm__(")
+	i := indexCode(src, "__asm__(")
 	if i < 0 {
 		return "", fmt.Errorf("core: C input without an __asm__ block")
 	}
 	rest := src[i:]
-	end := strings.Index(rest, ");")
+	end := indexCode(rest, ");")
 	if end < 0 {
 		return "", fmt.Errorf("core: unterminated __asm__ block")
 	}
@@ -316,6 +319,58 @@ func extractInlineAsm(src string) (string, error) {
 		return "", fmt.Errorf("core: empty __asm__ block")
 	}
 	return b.String(), nil
+}
+
+// indexCode is strings.Index over the code of src: it skips /* */ and //
+// comments, string and character literals, and lines that start with '#'
+// (assembler comments, C preprocessor lines), and returns -1 when sub
+// occurs only inside them (or src ends inside one).
+func indexCode(src, sub string) int {
+	lineStart := true
+	for i := 0; i < len(src); {
+		rest := src[i:]
+		skip, from := "", 1
+		switch {
+		case strings.HasPrefix(rest, sub):
+			return i
+		case strings.HasPrefix(rest, "/*"):
+			skip, from = "*/", 2
+		case strings.HasPrefix(rest, "//") || lineStart && rest[0] == '#':
+			skip = "\n"
+		case rest[0] == '"' || rest[0] == '\'':
+			j := 1
+			for j < len(rest) && rest[j] != rest[0] {
+				if rest[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			if j >= len(rest) {
+				return -1
+			}
+			i += j + 1
+			lineStart = false
+			continue
+		}
+		if skip != "" {
+			n := strings.Index(rest[from:], skip)
+			if n < 0 {
+				return -1
+			}
+			i += from + n + len(skip)
+			lineStart = skip == "\n"
+			continue
+		}
+		switch rest[0] {
+		case '\n':
+			lineStart = true
+		case ' ', '\t', '\r':
+		default:
+			lineStart = false
+		}
+		i++
+	}
+	return -1
 }
 
 // residencyLevel classifies a per-array footprint against a machine's

@@ -165,6 +165,29 @@ func TestLoadKernelFromCSource(t *testing.T) {
 	}
 }
 
+// TestIndexCode: the __asm__ block is found past comments, literals and
+// '#' lines that mention it.
+func TestIndexCode(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want int
+	}{
+		{`__asm__("x");`, 0},
+		{`/* __asm__( */ __asm__(`, 15},
+		{"// __asm__(\n__asm__(", 12},
+		{`"__asm__(" '"' __asm__(`, 15},
+		{"# __asm__(\n  # __asm__(\n", -1},
+		{"x # __asm__(", 4},
+		{`/*/ __asm__( */`, -1},
+		{`/* __asm__(`, -1},
+		{`"\" __asm__(`, -1},
+	} {
+		if got := indexCode(tc.src, "__asm__("); got != tc.want {
+			t.Errorf("indexCode(%q) = %d, want %d", tc.src, got, tc.want)
+		}
+	}
+}
+
 func TestExtractInlineAsmErrors(t *testing.T) {
 	if _, err := LoadKernel("/* Generated by MicroCreator */ int f(void);", ""); err == nil {
 		t.Error("C without __asm__ accepted")

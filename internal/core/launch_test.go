@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -131,6 +132,66 @@ func TestLaunchAllCancellation(t *testing.T) {
 	got := len(res.Measurements())
 	if got < 2 || got >= len(many) {
 		t.Errorf("canceled campaign measured %d of %d variants, want a prompt partial stop", got, len(many))
+	}
+}
+
+// TestCDescriptionMentioningAsmLoads: the .c file of a stencil3 variant
+// whose description mentions an __asm__ block, a line comment and a
+// closing ");" loads to exactly the lowered program (the description sits
+// in a comment above the real block), and measures as its .s file does.
+func TestCDescriptionMentioningAsmLoads(t *testing.T) {
+	spec, err := os.ReadFile(filepath.Join("..", "..", "specs", "stencil3.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const old = "<description>1-D 3-point stencil: out[i] = in[i-1]+in[i]+in[i+1]</description>"
+	desc := `<description>calls __asm__("nop"); // then "__asm__(" and ");" again</description>`
+	if !strings.Contains(string(spec), old) {
+		t.Fatal("stencil3.xml lost the description this test replaces")
+	}
+	progs, err := core.Generate(context.Background(), strings.NewReader(strings.Replace(string(spec), old, desc, 1)),
+		core.GenerateOptions{EmitC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := core.WritePrograms(progs, dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(progs) == 0 {
+		t.Fatal("no variants")
+	}
+	for _, p := range progs {
+		base := filepath.Join(dir, p.Name)
+		cSrc, err := os.ReadFile(base + ".c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, block := strings.Index(string(cSrc), "__asm__("), strings.Index(string(cSrc), "__asm__(\n"); first >= block {
+			t.Fatalf("%s.c does not mention __asm__( above its block:\n%s", p.Name, cSrc)
+		}
+		fromC, err := core.LoadKernelFile(base+".c", "")
+		if err != nil {
+			t.Fatalf("%s.c: %v", p.Name, err)
+		}
+		if fromC.Name != p.Parsed.Name || !reflect.DeepEqual(fromC.Labels, p.Parsed.Labels) || fromC.Print() != p.Parsed.Print() {
+			t.Fatalf("%s.c loads to\n%s\nwant the lowered\n%s", p.Name, fromC.Print(), p.Parsed.Print())
+		}
+		fromS, err := core.LoadKernelFile(base+".s", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := launcher.Launch(context.Background(), fromC, launchOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := launcher.Launch(context.Background(), fromS, launchOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mc, ms) {
+			t.Fatalf("%s: the .c measures %+v, the .s %+v", p.Name, mc, ms)
+		}
 	}
 }
 

@@ -957,6 +957,12 @@ func passEmit(ctx *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		}
 		sp := ctx.PassSpan().Child("codegen").Str("kernel", k.Name)
 		parsed, err := codegen.Lower(k)
+		if err != nil && verifying {
+			// Lower refuses forms the kernel-level rules name (a mem→GPR
+			// mov, a branch inside the body): record the kernel's findings
+			// so a collecting run reports the operand form beside the error.
+			ctx.Diagnostics = append(ctx.Diagnostics, verify.Kernel(k, opt)...)
+		}
 		if err == nil {
 			sp.Int("insts", int64(len(parsed.Insts)))
 			if verifying {

@@ -74,7 +74,10 @@ func irOperandClass(o ir.Operand) (byte, bool) {
 	return 0, false
 }
 
-// checkKernelForms is rule V001 at the IR level.
+// checkKernelForms is rule V001 at the IR level. It names every form the
+// program-level check (isa.Program.Validate) refuses once the kernel is
+// lowered: a memory→GPR mov is outside mov's forms, and a branch inside
+// the body has no label operand to take.
 func checkKernelForms(k *ir.Kernel, ops []isa.Op, add addFunc) {
 	var sig [4]byte
 	for i := range k.Body {
@@ -84,6 +87,11 @@ func checkKernelForms(k *ir.Kernel, ops []isa.Op, add addFunc) {
 			// The pipeline's own post-pass check rejects unknown opcodes
 			// with a hard error; report and move on for direct callers.
 			add(RuleOperandForm, SeverityError, i, "unknown opcode %q", in.Op)
+			continue
+		}
+		if op.IsBranch() {
+			add(RuleOperandForm, SeverityError, i,
+				"%s inside the kernel body; the loop branch comes from branch_information", op)
 			continue
 		}
 		n := 0

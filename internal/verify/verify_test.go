@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"microtools/internal/codegen"
 	"microtools/internal/core"
 	"microtools/internal/ir"
 	"microtools/internal/isa"
@@ -96,6 +97,75 @@ func TestIllegalOperandForm(t *testing.T) {
 	ds := verify.Kernel(k, verify.Options{})
 	if len(ds) != 1 || ds[0].Rule != verify.RuleOperandForm || ds[0].Severity != verify.SeverityError {
 		t.Fatalf("want one %s error, got %v", verify.RuleOperandForm, ds)
+	}
+}
+
+// TestKernelFormsNameWhatLoweringRefuses: every body form codegen.Lower
+// (through isa.Program.Validate) refuses is a kernel-level V001 error at
+// its instruction, and the forms it accepts are not; vet reports that
+// V001 beside the pipeline error.
+func TestKernelFormsNameWhatLoweringRefuses(t *testing.T) {
+	mem := ir.Operand{Kind: ir.MemOperand, Reg: &ir.Register{Logical: "r1", Phys: isa.RSI}}
+	gpr := ir.Operand{Kind: ir.RegOperand, Reg: &ir.Register{Phys: isa.RDX}}
+	imm := ir.Operand{Kind: ir.ImmOperand, Imm: 1}
+	for _, tc := range []struct {
+		op       string
+		operands []ir.Operand
+		want     string // "" = legal
+	}{
+		{"mov", []ir.Operand{mem, gpr}, "mov does not accept operand form (mem,gpr)"},
+		{"jmp", []ir.Operand{gpr}, "jmp inside the kernel body"},
+		{"jge", []ir.Operand{imm}, "jge inside the kernel body"},
+		{"jne", []ir.Operand{mem}, "jne inside the kernel body"},
+		{"mov", []ir.Operand{gpr, mem}, ""},
+		{"mov", []ir.Operand{imm, gpr}, ""},
+		{"add", []ir.Operand{imm, gpr}, ""},
+	} {
+		k := lowered()
+		k.Body = append(k.Body, ir.Instruction{Op: tc.op, Operands: tc.operands})
+		var forms verify.Diagnostics
+		for _, d := range verify.Kernel(k, verify.Options{}) {
+			if d.Rule == verify.RuleOperandForm {
+				forms = append(forms, d)
+			}
+		}
+		_, lowerErr := codegen.Lower(k)
+		if tc.want == "" {
+			if len(forms) != 0 || lowerErr != nil {
+				t.Errorf("%s %v: V001 %v, Lower error %v; want neither", tc.op, tc.operands, forms, lowerErr)
+			}
+			continue
+		}
+		if lowerErr == nil {
+			t.Errorf("%s %v: Lower accepted it; the table no longer mirrors lowering", tc.op, tc.operands)
+		}
+		if len(forms) != 1 || forms[0].Severity != verify.SeverityError || forms[0].Instr != 1 ||
+			!strings.Contains(forms[0].Message, tc.want) {
+			t.Errorf("%s %v: V001 %v, want one error at 1 saying %q", tc.op, tc.operands, forms, tc.want)
+		}
+	}
+
+	spec := `<kernel name="gpr">
+  <instruction>
+    <operation>mov</operation>
+    <memory><register><name>r1</name></register><offset>0</offset></memory>
+    <register><phyName>%rdx</phyName></register>
+  </instruction>
+  <unrolling><min>1</min><max>2</max></unrolling>
+  <induction><register><name>r1</name></register><increment>8</increment><offset>8</offset></induction>
+  <induction>
+    <register><name>r0</name></register><increment>-1</increment>
+    <linked><register><name>r1</name></register></linked><last_induction/>
+  </induction>
+  <branch_information><label>.L0</label><test>jge</test></branch_information>
+</kernel>`
+	ds, _, err := core.Vet(context.Background(), strings.NewReader(spec), core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rules(ds); !reflect.DeepEqual(got, []string{verify.RuleOperandForm, verify.RuleParse}) ||
+		!strings.Contains(ds[0].Message, "(mem,gpr)") {
+		t.Fatalf("vet of a mem→GPR mov: %v, want the V001 naming (mem,gpr) and the V000", ds)
 	}
 }
 

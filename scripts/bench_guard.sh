@@ -1,8 +1,9 @@
 #!/bin/sh
 # bench_guard.sh — allocation ceilings on the hot-path benchmarks.
 #
-# Each row of the table below names a benchmark, a -benchmem metric of
-# its result line and the file holding that metric's committed ceiling.
+# Each row of the table below names a benchmark, a metric of its result
+# line (a -benchmem one or an integer the benchmark reports itself) and
+# the file holding that metric's committed ceiling.
 # Every benchmark runs once (-benchtime=1x), so wall-clock noise cannot
 # trip the guard, and at GOMAXPROCS 2 (-cpu 2): the pooled machines are
 # rebuilt after a GC once per P that lost its pooled copy, so the sweep's
@@ -29,6 +30,7 @@ BenchmarkRunLockstep/fork4    allocs/op  bench_guard_lockstep_fork4_allocs.txt
 BenchmarkRunLockstep/noisy1   allocs/op  bench_guard_lockstep_noisy1_allocs.txt
 BenchmarkRunLockstep/stream4  allocs/op  bench_guard_lockstep_stream4_allocs.txt
 BenchmarkMachineWarm/hit      allocs/op  bench_guard_warm_hit_allocs.txt
+BenchmarkServiceRetention     retained-B/job  bench_guard_retained_bytes.txt
 '
 
 failed=0
