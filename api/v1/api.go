@@ -186,11 +186,7 @@ const (
 
 // VariantEvent is one frame of the GET /v1/jobs/{id}/events SSE stream.
 // Seq starts at 1 and increases strictly; a client reconnecting with
-// Last-Event-ID (or ?after=) resumes from the first unseen frame. A
-// finished job the server no longer holds in memory (a server with a job
-// ledger keeps its newest finished jobs only) streams its terminal "end"
-// frame alone, under its original seq; after a server restart, every
-// finished job streams that frame as seq 1.
+// Last-Event-ID (or ?after=) resumes from the first unseen frame.
 type VariantEvent struct {
 	SchemaVersion string `json:"schema_version"`
 	// JobID names the job the event belongs to.

@@ -31,7 +31,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		cachePath  = flag.String("cache", "", "measurement cache file shared by all jobs (JSONL; empty = in-memory for this process)")
-		storePath  = flag.String("store", "", "job ledger file for restart resume (JSONL; empty = no persistence, every finished job stays in memory); with a ledger only the newest 16 finished jobs stay in memory, an older job's result is read back from it and its event stream is its terminal frame")
+		storePath  = flag.String("store", "", "job ledger file for restart resume (JSONL; empty = no persistence)")
 		maxJobs    = flag.Int("max-jobs", 2, "concurrent campaign jobs server-wide")
 		tenantJobs = flag.Int("max-tenant-jobs", 4, "queued+running jobs allowed per tenant (429 beyond)")
 		machine    = flag.String("machine", "", "default machine model for requests that name none")

@@ -17,9 +17,8 @@ const MaxLine = 16 << 20
 
 // Reader reads the lines of one file.
 type Reader struct {
-	r         *bufio.Reader
-	buf       []byte
-	off, next int64 // offsets of the line last returned and of the next one
+	r   *bufio.Reader
+	buf []byte
 }
 
 // NewReader reads lines from r through a 64 KiB buffer.
@@ -33,11 +32,9 @@ func NewReader(r io.Reader) *Reader {
 // is exhausted (line then holds a final unterminated line, if any).
 func (r *Reader) Next() (line []byte, tooLong bool, err error) {
 	buf := r.buf[:0]
-	r.off = r.next
 	for {
 		var frag []byte
 		frag, err = r.r.ReadSlice('\n')
-		r.next += int64(len(frag))
 		if err == nil {
 			frag = frag[:len(frag)-1]
 		}
@@ -53,10 +50,6 @@ func (r *Reader) Next() (line []byte, tooLong bool, err error) {
 		}
 	}
 }
-
-// Offset returns where the line Next last returned starts, counted in
-// bytes from the start of the input.
-func (r *Reader) Offset() int64 { return r.off }
 
 // TerminateTornTail appends a newline when f is non-empty and does not
 // already end in one, so the next record appended to f starts on a line of

@@ -87,13 +87,6 @@ func (l *eventLog) append(kind eventKind, status api.JobStatus) {
 	l.wake()
 }
 
-// seq returns the seq of the last event appended (0 before the first).
-func (l *eventLog) seq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int64(len(l.frames))
-}
-
 // wake closes the channel a waiting reader holds, if any.
 func (l *eventLog) wake() {
 	if l.notify != nil {

@@ -103,9 +103,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, aerr := d.Result(r.PathValue("id"))
-	if aerr != nil {
-		writeError(w, aerr)
+	id := r.PathValue("id")
+	res, ok := d.Result(id)
+	if !ok {
+		writeError(w, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeNotFound,
+			Message: "unknown job " + id})
 		return
 	}
 	doc, err := res.MarshalJSON()
@@ -115,11 +117,12 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's event log as SSE. The client resumes
 // after a reconnect via the standard Last-Event-ID header (or an ?after=
 // query parameter for curl-level debugging); ids restart from the exact
-// next frame and keep strictly increasing. An evicted job's stream is its
-// terminal frame under its original seq.
+// next frame and keep strictly increasing.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, t, ok := d.lookup(id)
+	d.mu.Lock()
+	j, ok := d.jobs[id]
+	d.mu.Unlock()
 	if !ok {
 		writeError(w, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeNotFound,
 			Message: "unknown job " + id})
@@ -141,12 +144,8 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	next := t.after
-	if j != nil {
-		next = j.events.after
-	}
 	for {
-		batch, wait, done := next(after)
+		batch, wait, done := j.events.after(after)
 		for _, ev := range batch {
 			data, err := ev.MarshalJSON()
 			if err != nil || telemetry.WriteSSE(w, ev.Type, ev.Seq, data) != nil {

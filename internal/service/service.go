@@ -56,13 +56,6 @@ type Options struct {
 	EnablePprof bool
 }
 
-// residentFinished is how many finished jobs a ledgered daemon keeps in
-// memory with their result and event history, the same count the
-// telemetry tracker keeps for /debug/campaigns. An older finished job is a
-// tombstone whose result is read back from its ledger line. A memory-only
-// daemon has no ledger to read back from and keeps every finished job.
-const residentFinished = 16
-
 // job is one submission's full server-side state.
 type job struct {
 	req    api.JobRequest
@@ -89,24 +82,6 @@ func (j *job) snapshot() api.JobStatus {
 	return j.status
 }
 
-// tombstone is what a ledgered daemon keeps of a finished job beyond the
-// resident window: its final status, the seq of its terminal event, and
-// where its ledger "end" record lies.
-type tombstone struct {
-	status  api.JobStatus
-	lastSeq int64
-	end     span
-}
-
-// after is the tombstone's event stream: the terminal frame alone, under
-// its original seq.
-func (t tombstone) after(after int64) ([]api.VariantEvent, <-chan struct{}, bool) {
-	if after < 0 || after >= t.lastSeq {
-		return nil, closedWait, true
-	}
-	return []api.VariantEvent{event(t.lastSeq, kindEnd, t.status)}, closedWait, true
-}
-
 // Daemon is the measurement service: admission control, the job queue and
 // worker pool, the shared cache, the ledger, and the HTTP surface.
 type Daemon struct {
@@ -127,16 +102,10 @@ type Daemon struct {
 	jobsQueued    *telemetry.Gauge
 	storeErrors   *telemetry.Counter
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []*job
-	// jobs holds every job in memory: queued, running, and finished ones
-	// still resident. tombs holds the finished jobs evicted from a
-	// ledgered daemon's window, and resident that window's tombstones to
-	// be, oldest first.
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*job
 	jobs     map[string]*job
-	tombs    map[string]tombstone
-	resident []tombstone
 	tenants  map[string]int
 	nextID   int64
 	draining bool
@@ -153,10 +122,10 @@ type Daemon struct {
 }
 
 // New builds the daemon, replays the job ledger (finished jobs become
-// queryable again as tombstones, unfinished ones re-enqueue and re-run
-// cache-warm), and starts the worker pool. ctx bounds the daemon's
-// lifetime: cancellation aborts running campaigns without the drain
-// protocol's bookkeeping — prefer Drain for orderly shutdown.
+// queryable again, unfinished ones re-enqueue and re-run cache-warm), and
+// starts the worker pool. ctx bounds the daemon's lifetime: cancellation
+// aborts running campaigns without the drain protocol's bookkeeping —
+// prefer Drain for orderly shutdown.
 func New(ctx context.Context, opts Options) (*Daemon, error) {
 	if opts.MaxConcurrentJobs <= 0 {
 		opts.MaxConcurrentJobs = 2
@@ -182,7 +151,6 @@ func New(ctx context.Context, opts Options) (*Daemon, error) {
 		metrics: telemetry.NewMetrics(reg),
 		baseCtx: ctx,
 		jobs:    map[string]*job{},
-		tombs:   map[string]tombstone{},
 		tenants: map[string]int{},
 
 		jobsTotal:     reg.Counter("service.jobs.total"),
@@ -200,10 +168,13 @@ func New(ctx context.Context, opts Options) (*Daemon, error) {
 		return nil, err
 	}
 	d.storeErrors.Add(int64(corrupt))
-	for _, end := range finished {
-		// The stream of a replayed job is its terminal frame, as seq 1.
-		d.tombs[end.job.ID] = tombstone{status: end.job, lastSeq: 1, end: end.at}
-		d.noteID(end.job.ID)
+	for _, rec := range finished {
+		j := &job{req: requestOf(rec), status: rec.Job, result: rec.Result, events: &eventLog{}}
+		// The stream of a finished job replays its terminal frame only.
+		j.events.append(kindEnd, rec.Job)
+		j.events.close()
+		d.jobs[rec.Job.ID] = j
+		d.noteID(rec.Job.ID)
 	}
 	d.store, err = openStore(opts.StorePath)
 	if err != nil {
@@ -305,7 +276,7 @@ func (d *Daemon) Submit(req api.JobRequest) (api.JobStatus, *api.Error) {
 	// 1 and its end record could precede its submit record, which a
 	// restart would read as a job still to run.
 	j.events.append(kindQueued, status)
-	_, serr := d.store.append(storeRecord{Kind: "submit", Job: status, Request: &req})
+	serr := d.store.append(storeRecord{Kind: "submit", Job: status, Request: &req})
 	d.cond.Signal()
 	d.mu.Unlock()
 
@@ -354,70 +325,34 @@ func negativeField(req api.JobRequest) string {
 	return ""
 }
 
-// lookup returns the job in memory under id, or else its tombstone.
-func (d *Daemon) lookup(id string) (*job, tombstone, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if j, ok := d.jobs[id]; ok {
-		return j, tombstone{}, true
-	}
-	t, ok := d.tombs[id]
-	return nil, t, ok
-}
-
 // Job returns a submitted job's current status.
 func (d *Daemon) Job(id string) (api.JobStatus, bool) {
-	j, t, ok := d.lookup(id)
-	switch {
-	case !ok:
+	d.mu.Lock()
+	j, ok := d.jobs[id]
+	d.mu.Unlock()
+	if !ok {
 		return api.JobStatus{}, false
-	case j == nil:
-		return t.status, true
 	}
 	return j.snapshot(), true
 }
 
 // Result returns the job's result document: status always, serving stats
-// and campaign payload once finished. The error is not_found for an
-// unknown job, and internal when a tombstone's ledger line cannot be read
-// back (counted in service.store.errors).
-func (d *Daemon) Result(id string) (api.JobResult, *api.Error) {
-	j, t, ok := d.lookup(id)
+// and campaign payload once finished.
+func (d *Daemon) Result(id string) (api.JobResult, bool) {
+	d.mu.Lock()
+	j, ok := d.jobs[id]
+	d.mu.Unlock()
 	if !ok {
-		return api.JobResult{}, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeNotFound,
-			Message: "unknown job " + id}
-	}
-	if j == nil {
-		return d.tombstoneResult(t)
+		return api.JobResult{}, false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.result != nil {
 		res := *j.result
 		res.Job = j.status
-		return res, nil
+		return res, true
 	}
-	return api.JobResult{SchemaVersion: api.SchemaVersion, Job: j.status}, nil
-}
-
-// tombstoneResult reads an evicted job's result back from its ledger line:
-// the document the job served while it was resident.
-func (d *Daemon) tombstoneResult(t tombstone) (api.JobResult, *api.Error) {
-	rec, err := d.store.read(t.end)
-	if err == nil && (rec.Kind != "end" || rec.Job.ID != t.status.ID) {
-		err = fmt.Errorf("service: job store line at %d is not the end of %s", t.end.off, t.status.ID)
-	}
-	if err != nil {
-		d.storeErrors.Inc()
-		return api.JobResult{}, &api.Error{SchemaVersion: api.SchemaVersion, Code: api.CodeInternal,
-			Message: err.Error()}
-	}
-	if rec.Result == nil {
-		return api.JobResult{SchemaVersion: api.SchemaVersion, Job: t.status}, nil
-	}
-	res := *rec.Result
-	res.Job = t.status
-	return res, nil
+	return api.JobResult{SchemaVersion: api.SchemaVersion, Job: j.status}, true
 }
 
 // worker is one slot of the campaign pool.
@@ -510,34 +445,11 @@ func (d *Daemon) runJob(j *job) {
 	j.result = &result
 	j.mu.Unlock()
 
-	end, serr := d.store.append(storeRecord{Kind: "end", Job: status, Result: &result})
-	if serr != nil {
+	if serr := d.store.append(storeRecord{Kind: "end", Job: status, Result: &result}); serr != nil {
 		d.storeErrors.Inc()
 	}
-	d.retire(j, status, end, serr)
 	j.events.append(kindEnd, status)
 	j.events.close()
-}
-
-// retire enters a job whose terminal state is ledgered into the resident
-// window, and turns the oldest resident job beyond residentFinished into
-// its tombstone. It runs before the job's end event is appended, so the
-// window is settled when a client sees the end; that event takes the seq
-// after the log's last. A job without a ledger line (a memory-only daemon,
-// a failed append) stays resident: nothing could serve it back.
-func (d *Daemon) retire(j *job, status api.JobStatus, end span, err error) {
-	if d.store == nil || err != nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resident = append(d.resident, tombstone{status: status, lastSeq: j.events.seq() + 1, end: end})
-	if len(d.resident) > residentFinished {
-		t := d.resident[0]
-		d.resident = d.resident[1:]
-		delete(d.jobs, t.status.ID)
-		d.tombs[t.status.ID] = t
-	}
 }
 
 // release returns one tenant admission slot.
@@ -721,11 +633,9 @@ func (d *Daemon) Drain(ctx context.Context) error {
 		})
 		d.jobsRejected.Inc()
 		d.release(status.Tenant)
-		end, err := d.store.append(storeRecord{Kind: "end", Job: status})
-		if err != nil {
+		if err := d.store.append(storeRecord{Kind: "end", Job: status}); err != nil {
 			d.storeErrors.Inc()
 		}
-		d.retire(j, status, end, err)
 		j.events.append(kindEnd, status)
 		j.events.close()
 	}

@@ -669,3 +669,42 @@ func TestAdaptiveJobSurfacesConfidence(t *testing.T) {
 		t.Error("fixed-budget variant carries an adaptive stop reason")
 	}
 }
+
+// TestSubmitRecordsPrecedeTheRun: a job's queued event and submit record
+// land before any worker can run it, so a job that finishes at once still
+// streams queued first and its end record follows its submit record (a
+// ledger read the other way round re-runs a finished job on restart).
+func TestSubmitRecordsPrecedeTheRun(t *testing.T) {
+	storePath := filepath.Join(t.TempDir(), "jobs.jsonl")
+	d, _ := startDaemon(t, Options{StorePath: storePath, MaxConcurrentJobs: 4, MaxJobsPerTenant: 1000})
+	d.runFn = func(context.Context, *job) (*campaign.Result, error) { return &campaign.Result{}, nil }
+	const jobs = 200
+	for i := 0; i < jobs; i++ {
+		if _, aerr := d.Submit(api.JobRequest{Tenant: "t", Spec: sweepSpec}); aerr != nil {
+			t.Fatal(aerr)
+		}
+	}
+	for i := 1; i <= jobs; i++ {
+		id := fmt.Sprintf("j-%d", i)
+		for {
+			if st, _ := d.Job(id); st.State == api.StateDone {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		d.mu.Lock()
+		j := d.jobs[id]
+		d.mu.Unlock()
+		if first, _, _ := j.events.after(0); len(first) == 0 || first[0].Type != api.EventQueued {
+			t.Fatalf("%s: stream opens with %+v, want the queued event", id, first[:min(len(first), 1)])
+		}
+	}
+	_ = d.Close()
+	_, pending, _, err := replayStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("%d finished jobs replay as pending, first %s: an end record precedes its submit", len(pending), pending[0].Job.ID)
+	}
+}

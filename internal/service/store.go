@@ -31,12 +31,9 @@ type storeRecord struct {
 type store struct {
 	mu   sync.Mutex
 	f    *os.File
+	enc  *json.Encoder
 	path string
 }
-
-// span locates one ledger record: the offset its line starts at and the
-// line's length without its newline.
-type span struct{ off, n int64 }
 
 // openStore opens (creating if needed) the JSONL ledger at path for
 // appending. A last line torn by a killed daemon is terminated first, so
@@ -54,48 +51,21 @@ func openStore(path string) (*store, error) {
 		f.Close()
 		return nil, fmt.Errorf("service: open job store: %w", err)
 	}
-	return &store{f: f, path: path}, nil
+	return &store{f: f, enc: json.NewEncoder(f), path: path}, nil
 }
 
-// append writes one record and returns where its line landed. Errors are
-// returned for the caller to count; the daemon serves on regardless (the
-// store is a ledger, not a gate). The line is the one json.Encoder writes.
-func (s *store) append(rec storeRecord) (span, error) {
+// append writes one record. Errors are returned for the caller to count;
+// the daemon serves on regardless (the store is a ledger, not a gate).
+func (s *store) append(rec storeRecord) error {
 	if s == nil {
-		return span{}, nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return span{}, fmt.Errorf("service: append job store: %w", err)
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return span{}, fmt.Errorf("service: append job store: %w", err)
+	if err := s.enc.Encode(rec); err != nil {
+		return fmt.Errorf("service: append job store: %w", err)
 	}
-	// An append-mode write leaves the file offset at the end of its data.
-	end, err := s.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return span{}, fmt.Errorf("service: append job store: %w", err)
-	}
-	n := int64(len(line))
-	return span{off: end - n - 1, n: n}, nil
-}
-
-// read decodes the record whose line lies at at.
-func (s *store) read(at span) (storeRecord, error) {
-	buf := make([]byte, at.n)
-	s.mu.Lock()
-	_, err := s.f.ReadAt(buf, at.off)
-	s.mu.Unlock()
-	var rec storeRecord
-	if err == nil {
-		err = json.Unmarshal(buf, &rec)
-	}
-	if err != nil {
-		return storeRecord{}, fmt.Errorf("service: read job store at %d: %w", at.off, err)
-	}
-	return rec, nil
+	return nil
 }
 
 // close releases the ledger file.
@@ -108,21 +78,13 @@ func (s *store) close() error {
 	return s.f.Close()
 }
 
-// ledgerEnd is a terminal ledger record as replay finds it: the job's
-// final status and where its line lies (its result stays on disk).
-type ledgerEnd struct {
-	job api.JobStatus
-	at  span
-}
-
 // replayStore reads the ledger at path and reconstructs the job table:
 // finished is every job with a terminal record, pending is every accepted
 // job without one (in submission order, ready to re-enqueue). Corrupt
 // lines, and lines over jsonl.MaxLine, are skipped and counted, never
 // fatal — the ledger degrades to partial knowledge exactly like a corrupt
-// cache line degrades to a miss. Results are not decoded: a finished job
-// is served from its recorded line.
-func replayStore(path string) (finished []ledgerEnd, pending []storeRecord, corrupt int, err error) {
+// cache line degrades to a miss.
+func replayStore(path string) (finished []storeRecord, pending []storeRecord, corrupt int, err error) {
 	if path == "" {
 		return nil, nil, 0, nil
 	}
@@ -148,12 +110,7 @@ func replayStore(path string) (finished []ledgerEnd, pending []storeRecord, corr
 		if tooLong {
 			corrupt++
 		} else if len(line) > 0 {
-			// storeRecord without its result.
-			var rec struct {
-				Kind    string          `json:"kind"`
-				Job     api.JobStatus   `json:"job"`
-				Request *api.JobRequest `json:"request,omitempty"`
-			}
+			var rec storeRecord
 			switch {
 			case json.Unmarshal(line, &rec) != nil || rec.Job.ID == "":
 				corrupt++
@@ -161,10 +118,10 @@ func replayStore(path string) (finished []ledgerEnd, pending []storeRecord, corr
 				if _, dup := submits[rec.Job.ID]; !dup {
 					order = append(order, rec.Job.ID)
 				}
-				submits[rec.Job.ID] = storeRecord{Kind: rec.Kind, Job: rec.Job, Request: rec.Request}
+				submits[rec.Job.ID] = rec
 			case rec.Kind == "end":
 				delete(submits, rec.Job.ID)
-				finished = append(finished, ledgerEnd{job: rec.Job, at: span{off: lines.Offset(), n: int64(len(line))}})
+				finished = append(finished, rec)
 			default:
 				corrupt++
 			}
