@@ -34,17 +34,6 @@ type frame struct {
 	progress api.Progress
 }
 
-// event is the wire form of the event of seq.
-func event(seq int64, kind eventKind, status api.JobStatus) api.VariantEvent {
-	return api.VariantEvent{
-		SchemaVersion: api.SchemaVersion,
-		JobID:         status.ID,
-		Seq:           seq,
-		Type:          kindNames[kind],
-		Status:        status,
-	}
-}
-
 // closedWait is the wake-up channel handed out once a log is terminal.
 var closedWait = func() chan struct{} {
 	c := make(chan struct{})
@@ -125,7 +114,13 @@ func (l *eventLog) after(after int64) ([]api.VariantEvent, <-chan struct{}, bool
 			f := &l.frames[i]
 			status := l.statuses[f.status]
 			status.Progress = f.progress
-			out = append(out, event(i+1, f.kind, status))
+			out = append(out, api.VariantEvent{
+				SchemaVersion: api.SchemaVersion,
+				JobID:         status.ID,
+				Seq:           i + 1,
+				Type:          kindNames[f.kind],
+				Status:        status,
+			})
 		}
 	}
 	if l.done {
