@@ -157,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireJSON -fuzztime=10s ./api/v1
 	$(GO) test -run='^$$' -fuzz=FuzzCacheLine -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzEmit -fuzztime=10s ./internal/passes
+	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=10s ./internal/jsonl
 
 # analyze-smoke runs the static dataflow analysis over every variant of every
 # shipped spec on both machine models; `microtools analyze` exits non-zero on

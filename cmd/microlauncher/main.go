@@ -298,19 +298,23 @@ func main() {
 	if err := launcher.WriteReport(os.Stdout, reportFormat, ms); err != nil {
 		fail(err)
 	}
-	m := ms[len(ms)-1]
 	if *memStats {
 		for _, m := range ms {
 			fmt.Fprintf(os.Stderr, "mem %s: %+v\n", m.Kernel, m.MemStats)
 		}
 	}
-	if counters.Enabled && reportFormat == launcher.ReportCSV && m.Counters != nil {
-		c := m.Counters
-		fmt.Fprintf(os.Stderr, "counters: insts=%d cycles=%d cpi=%.3f branches=%d mispredicts=%d (rate %.4f) frontend-stalls=%d irq-stalls=%d\n",
-			c.RetiredInsts, c.CoreCycles, c.CPI(), c.Branches, c.BranchMispredicts, c.MispredictRate(),
-			c.FrontendStallCycles, c.InterruptStallCycles)
-		fmt.Fprintf(os.Stderr, "counters: l1-hit-rate=%.4f l1-mpki=%.2f l2-mpki=%.2f l3-mpki=%.2f mem-bytes=%d\n",
-			c.L1HitRate(), c.L1MPKI(), c.L2MPKI(), c.L3MPKI(), c.Mem.BytesFromMemory)
+	if counters.Enabled && reportFormat == launcher.ReportCSV {
+		for _, m := range ms {
+			c := m.Counters
+			if c == nil {
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "counters %s: insts=%d cycles=%d cpi=%.3f branches=%d mispredicts=%d (rate %.4f) frontend-stalls=%d irq-stalls=%d\n",
+				m.Kernel, c.RetiredInsts, c.CoreCycles, c.CPI(), c.Branches, c.BranchMispredicts, c.MispredictRate(),
+				c.FrontendStallCycles, c.InterruptStallCycles)
+			fmt.Fprintf(os.Stderr, "counters %s: l1-hit-rate=%.4f l1-mpki=%.2f l2-mpki=%.2f l3-mpki=%.2f mem-bytes=%d\n",
+				m.Kernel, c.L1HitRate(), c.L1MPKI(), c.L2MPKI(), c.L3MPKI(), c.Mem.BytesFromMemory)
+		}
 	}
 	spans, err := trace.Flush()
 	if err != nil {

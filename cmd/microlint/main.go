@@ -791,6 +791,8 @@ var deletedAPIs = []struct{ names, use string }{
 		"launcher.Options.TimeUnit (the launcher converts each repetition at the active frequency)"},
 	{"FlushAll FlushCore", "memsim.System.Reset"},
 	{"ResetStats", "memsim.Stats.Sub of two System.Stats snapshots"},
+	{"TerminateTornTail", "jsonl.Open (it terminates a torn last line)"},
+	{"openStore replayStore", "openLedger (one jsonl.File opens and replays the job ledger)"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
 	{"microtools.LoadKernel microtools.LoadKernelFile", "Program.Lowered on a generated variant"},

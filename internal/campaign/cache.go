@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"microtools/internal/faults"
@@ -140,7 +138,7 @@ type cacheEntry struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*launcher.Measurement
-	file    *os.File // nil for a memory-only cache
+	file    *jsonl.File // nil for a memory-only cache
 	// faults, when non-nil, injects deterministic failures at the store's
 	// I/O boundaries (see SetFaults).
 	faults *faults.Injector
@@ -165,44 +163,27 @@ func NewMemoryCache() *Cache {
 }
 
 // OpenCache opens (creating if needed) a JSONL-backed cache at path and
-// loads every well-formed entry. Malformed or overlong lines are tolerated
-// and skipped. The file is opened for appending, so every Put lands at the
-// current end of file; a last line torn by a killed process (no trailing
-// newline) is terminated first, so the next entry starts on a line of its
-// own instead of being glued onto the torn one.
+// loads every well-formed entry; malformed or overlong lines are skipped.
+// The file's rules (appending, the torn last line, a read error failing
+// the open) are jsonl.Open's.
 func OpenCache(path string) (*Cache, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	c := NewMemoryCache()
+	f, err := jsonl.Open(path, func(line []byte, tooLong bool) {
+		var e cacheEntry
+		if !tooLong && json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Measurement) > 0 {
+			// null and {} decode without error into a zero value; an
+			// entry without a single repetition is never a launcher
+			// result, so it degrades to a miss like any corrupt line.
+			var m launcher.Measurement
+			if json.Unmarshal(e.Measurement, &m) == nil && m.Summary.N > 0 {
+				c.entries[e.Key] = &m
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{entries: map[string]*launcher.Measurement{}, file: f}
-	lines := jsonl.NewReader(f)
-	for {
-		line, tooLong, err := lines.Next()
-		if err != nil && err != io.EOF {
-			f.Close()
-			return nil, err
-		}
-		if !tooLong && len(line) > 0 {
-			var e cacheEntry
-			if json.Unmarshal(line, &e) == nil && e.Key != "" && len(e.Measurement) > 0 {
-				// null and {} decode without error into a zero value; an
-				// entry without a single repetition is never a launcher
-				// result, so it degrades to a miss like any corrupt line.
-				var m launcher.Measurement
-				if json.Unmarshal(e.Measurement, &m) == nil && m.Summary.N > 0 {
-					c.entries[e.Key] = &m
-				}
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-	}
-	if err := jsonl.TerminateTornTail(f); err != nil {
-		f.Close()
-		return nil, err
-	}
+	c.file = f
 	return c, nil
 }
 
@@ -261,10 +242,8 @@ func (c *Cache) Put(key string, m *launcher.Measurement) (*launcher.Measurement,
 		// The entry is live in memory; only the checkpoint write "failed".
 		return out, fmt.Errorf("campaign: cache append: %w", err)
 	}
-	if c.file != nil {
-		if _, err := c.file.Write(line); err != nil {
-			return out, fmt.Errorf("campaign: cache append: %w", err)
-		}
+	if err := c.file.Append(line); err != nil {
+		return out, fmt.Errorf("campaign: cache append: %w", err)
 	}
 	return out, nil
 }
@@ -301,9 +280,6 @@ func entry(b []byte, key string, m *launcher.Measurement) (line []byte, held, ou
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.file == nil {
-		return nil
-	}
 	err := c.file.Close()
 	c.file = nil
 	return err

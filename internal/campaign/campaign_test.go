@@ -439,6 +439,51 @@ func TestRunProgramsIsolatesBrokenProgram(t *testing.T) {
 	}
 }
 
+// lineWriter records each Write under a lock, as a shared stderr would
+// take them.
+type lineWriter struct {
+	mu     sync.Mutex
+	writes []string
+}
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// TestVerboseLinesNameTheirKernel: two kernels launched concurrently into
+// one Verbose writer write every protocol line whole, in one write, and
+// led by the name of the kernel it belongs to.
+func TestVerboseLinesNameTheirKernel(t *testing.T) {
+	progs, err := core.GenerateString(context.Background(), sweepSpec, core.GenerateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = progs[:2]
+	var w lineWriter
+	launch := quickLaunch()
+	launch.Verbose = &w
+	if _, err := RunPrograms(context.Background(), progs, Options{Launch: launch, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]int{}
+	for _, line := range w.writes {
+		name, msg, ok := strings.Cut(line, ": ")
+		if !ok || strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("write %q is not one whole line led by a kernel name", line)
+		}
+		if !strings.HasPrefix(msg, "warmup done") && !strings.HasPrefix(msg, "calibrated overhead") && !strings.HasPrefix(msg, "rep ") {
+			t.Fatalf("line %q is not a protocol line", line)
+		}
+		lines[name]++
+	}
+	if len(lines) != 2 || lines[progs[0].Name] == 0 || lines[progs[0].Name] != lines[progs[1].Name] {
+		t.Fatalf("lines per kernel %v, want the same count for %s and %s", lines, progs[0].Name, progs[1].Name)
+	}
+}
+
 func TestFailFastStopsEarly(t *testing.T) {
 	bang := errors.New("injected launch fault")
 	for _, src := range sources {

@@ -232,9 +232,11 @@ func Launch(ctx context.Context, prog *isa.Program, opts Options) (*Measurement,
 func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Options) (*Measurement, error) {
 	desc := mach.Desc
 	// Callers check opts.Verbose before logging, so a quiet launch never
-	// boxes the arguments.
+	// boxes the arguments. Each line names its kernel and is one write, so
+	// the lines of concurrent launches sharing a writer stay apart.
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(opts.Verbose, format+"\n", args...)
+		line := fmt.Appendf(append([]byte(prog.Name), ": "...), format, args...)
+		opts.Verbose.Write(append(line, '\n'))
 	}
 
 	root := opts.Tracer.Start("launch").

@@ -21,14 +21,14 @@ const ledgerWriterEnv = "MICROTOOLS_TEST_LEDGER_WRITER"
 // appends 64 KiB submit records j-1, j-2, ... until killed (or until
 // 512 records, then it waits to be killed).
 func appendLedgerForever(path string) {
-	s, err := openStore(path)
+	f, _, err := openLedger(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(3)
 	}
 	spec := strings.Repeat("<!-- pad -->", 64<<10/12)
 	for i := 1; i <= 512; i++ {
-		if err := s.append(ledgerSubmit(i, spec)); err != nil {
+		if err := appendRecord(f, ledgerSubmit(i, spec)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(4)
 		}
@@ -101,32 +101,30 @@ func TestLedgerKilledMidWrite(t *testing.T) {
 			t.Fatalf("complete line %d does not load (%v): %.80s", i+1, err, line)
 		}
 	}
-	_, pending, corrupt, err := replayStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pending, corrupt := replayLedger(t, path)
 	if len(pending)+corrupt != len(complete)+min(len(tail), 1) || len(pending) < len(complete) {
 		t.Fatalf("replay: %d pending, %d corrupt; want the %d complete lines and the tail", len(pending), corrupt, len(complete))
 	}
 
-	s, err := openStore(path)
+	f, _, err := openLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
+	defer f.Close()
 	status := api.JobStatus{SchemaVersion: api.SchemaVersion, ID: "j-1", Tenant: "t", State: api.StateDone}
 	result := api.JobResult{SchemaVersion: api.SchemaVersion, Job: status,
 		Serving:  &api.ServingStats{CacheHits: 1, CacheHitRatio: 1},
 		Campaign: &api.CampaignResult{Emitted: 1, Variants: []api.VariantResult{{Name: "k_u1", Value: 2.5, Unit: "cycles"}}}}
-	if err := s.append(storeRecord{Kind: "end", Job: status, Result: &result}); err != nil {
+	if err := appendRecord(f, storeRecord{Kind: "end", Job: status, Result: &result}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// openStore terminated a torn tail, so the record starts right after
-	// the last complete line (and the tail, if any, ends a line of its own).
+	// Opening the ledger terminated a torn tail, so the record starts right
+	// after the last complete line (and the tail, if any, ends a line of
+	// its own).
 	at := len(data)
 	if len(tail) > 0 {
 		at++
@@ -139,10 +137,7 @@ func TestLedgerKilledMidWrite(t *testing.T) {
 		t.Fatalf("record after the kill does not load (%v): %.80s", err, after[at:])
 	}
 
-	finished, _, _, err := replayStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	finished, _, _ := replayLedger(t, path)
 	if len(finished) != 1 || finished[0].Result == nil {
 		t.Fatalf("replay finds %d end records, want the one appended after the kill", len(finished))
 	}

@@ -23,6 +23,7 @@ import (
 	api "microtools/api/v1"
 	"microtools/internal/campaign"
 	"microtools/internal/core"
+	"microtools/internal/jsonl"
 	"microtools/internal/launcher"
 	"microtools/internal/telemetry"
 )
@@ -45,13 +46,10 @@ type Options struct {
 	StorePath string
 	// Launch is the base measurement configuration; per-request fields
 	// (machine, array size, repetitions, adaptive plan) override it, and
-	// every job records into the daemon's instruments (Registry) in place
-	// of Launch.Metrics. The zero value means launcher.DefaultOptions().
+	// every job records into the daemon's own instruments (the registry
+	// behind its /metrics) in place of Launch.Metrics. The zero value
+	// means launcher.DefaultOptions().
 	Launch launcher.Options
-	// Registry, Tracker back the mounted telemetry endpoints and the
-	// service metrics (nil creates private ones).
-	Registry *telemetry.Registry
-	Tracker  *telemetry.Tracker
 	// EnablePprof mounts net/http/pprof on the daemon mux.
 	EnablePprof bool
 }
@@ -89,7 +87,7 @@ type Daemon struct {
 	reg     *telemetry.Registry
 	tracker *telemetry.Tracker
 	metrics *telemetry.Metrics
-	store   *store
+	ledger  *jsonl.File
 	baseCtx context.Context
 
 	// Service instruments (exposed at /metrics as
@@ -136,18 +134,11 @@ func New(ctx context.Context, opts Options) (*Daemon, error) {
 	if opts.Launch.MachineName == "" {
 		opts.Launch = launcher.DefaultOptions()
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	tracker := opts.Tracker
-	if tracker == nil {
-		tracker = telemetry.NewTracker()
-	}
+	reg := telemetry.NewRegistry()
 	d := &Daemon{
 		opts:    opts,
 		reg:     reg,
-		tracker: tracker,
+		tracker: telemetry.NewTracker(),
 		metrics: telemetry.NewMetrics(reg),
 		baseCtx: ctx,
 		jobs:    map[string]*job{},
@@ -163,12 +154,13 @@ func New(ctx context.Context, opts Options) (*Daemon, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 
-	finished, pending, corrupt, err := replayStore(opts.StorePath)
+	ledger, replayed, err := openLedger(opts.StorePath)
 	if err != nil {
 		return nil, err
 	}
-	d.storeErrors.Add(int64(corrupt))
-	for _, rec := range finished {
+	d.ledger = ledger
+	d.storeErrors.Add(int64(replayed.corrupt))
+	for _, rec := range replayed.finished {
 		j := &job{req: requestOf(rec), status: rec.Job, result: rec.Result, events: &eventLog{}}
 		// The stream of a finished job replays its terminal frame only.
 		j.events.append(kindEnd, rec.Job)
@@ -176,11 +168,7 @@ func New(ctx context.Context, opts Options) (*Daemon, error) {
 		d.jobs[rec.Job.ID] = j
 		d.noteID(rec.Job.ID)
 	}
-	d.store, err = openStore(opts.StorePath)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range pending {
+	for _, rec := range replayed.pending {
 		j := &job{req: requestOf(rec), status: rec.Job, events: &eventLog{}}
 		j.status.State = api.StateQueued
 		j.status.Progress = api.Progress{}
@@ -276,7 +264,7 @@ func (d *Daemon) Submit(req api.JobRequest) (api.JobStatus, *api.Error) {
 	// 1 and its end record could precede its submit record, which a
 	// restart would read as a job still to run.
 	j.events.append(kindQueued, status)
-	serr := d.store.append(storeRecord{Kind: "submit", Job: status, Request: &req})
+	serr := appendRecord(d.ledger, storeRecord{Kind: "submit", Job: status, Request: &req})
 	d.cond.Signal()
 	d.mu.Unlock()
 
@@ -445,7 +433,7 @@ func (d *Daemon) runJob(j *job) {
 	j.result = &result
 	j.mu.Unlock()
 
-	if serr := d.store.append(storeRecord{Kind: "end", Job: status, Result: &result}); serr != nil {
+	if serr := appendRecord(d.ledger, storeRecord{Kind: "end", Job: status, Result: &result}); serr != nil {
 		d.storeErrors.Inc()
 	}
 	j.events.append(kindEnd, status)
@@ -633,7 +621,7 @@ func (d *Daemon) Drain(ctx context.Context) error {
 		})
 		d.jobsRejected.Inc()
 		d.release(status.Tenant)
-		if err := d.store.append(storeRecord{Kind: "end", Job: status}); err != nil {
+		if err := appendRecord(d.ledger, storeRecord{Kind: "end", Job: status}); err != nil {
 			d.storeErrors.Inc()
 		}
 		j.events.append(kindEnd, status)
@@ -668,5 +656,5 @@ func (d *Daemon) Close() error {
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.wg.Wait()
-	return d.store.close()
+	return d.ledger.Close()
 }

@@ -436,6 +436,19 @@ func TestDrainRejectsQueuedAndInterruptsRunning(t *testing.T) {
 	}
 }
 
+// replayLedger opens the ledger at path, replays it and closes it again.
+func replayLedger(t *testing.T, path string) (finished, pending []storeRecord, corrupt int) {
+	t.Helper()
+	f, r, err := openLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return r.finished, r.pending, r.corrupt
+}
+
 // TestStoreCorruptLineDegradesToMiss pins the ledger's durability
 // contract: a corrupt line is skipped, the records around it survive.
 func TestStoreCorruptLineDegradesToMiss(t *testing.T) {
@@ -451,10 +464,7 @@ func TestStoreCorruptLineDegradesToMiss(t *testing.T) {
 	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	finished, pending, corrupt, err := replayStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	finished, pending, corrupt := replayLedger(t, path)
 	if corrupt != 2 {
 		t.Errorf("corrupt=%d, want 2", corrupt)
 	}
@@ -524,10 +534,7 @@ func TestStoreOverlongLineIsSkipped(t *testing.T) {
 	if err := os.WriteFile(path, blob.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	finished, pending, corrupt, err := replayStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	finished, pending, corrupt := replayLedger(t, path)
 	if corrupt != 1 || len(finished) != 0 || len(pending) != 2 || pending[0].Job.ID != "j-1" || pending[1].Job.ID != "j-2" {
 		t.Errorf("replay corrupt=%d finished=%v pending=%v, want 1 corrupt line and j-1, j-2 pending", corrupt, finished, pending)
 	}
@@ -700,10 +707,7 @@ func TestSubmitRecordsPrecedeTheRun(t *testing.T) {
 		}
 	}
 	_ = d.Close()
-	_, pending, _, err := replayStore(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pending, _ := replayLedger(t, storePath)
 	if len(pending) != 0 {
 		t.Fatalf("%d finished jobs replay as pending, first %s: an end record precedes its submit", len(pending), pending[0].Job.ID)
 	}

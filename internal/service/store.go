@@ -3,9 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 
 	api "microtools/api/v1"
 	"microtools/internal/jsonl"
@@ -23,117 +20,71 @@ type storeRecord struct {
 	Result  *api.JobResult  `json:"result,omitempty"`
 }
 
-// store persists the job ledger as append-only JSONL, mirroring the
-// measurement cache's durability contract: every accepted record is one
-// fsync-free line, a torn or corrupt line degrades to a miss (the records
-// around it survive, and the next append starts a line of its own), and
-// two processes never share a store.
-type store struct {
-	mu   sync.Mutex
-	f    *os.File
-	enc  *json.Encoder
-	path string
+// replay is the job table a ledger's records rebuild: finished is every
+// job with a terminal record, pending every accepted job without one (in
+// submission order, ready to re-enqueue), and corrupt counts the lines
+// skipped.
+type replay struct {
+	finished, pending []storeRecord
+	corrupt           int
 }
 
-// openStore opens (creating if needed) the JSONL ledger at path for
-// appending. A last line torn by a killed daemon is terminated first, so
-// the next record lands on a line of its own. A nil store (path "") is
-// valid and drops every append — memory-only serving.
-func openStore(path string) (*store, error) {
+// openLedger opens (creating if needed) the append-only JSONL job ledger
+// at path and replays it. It mirrors the measurement cache's durability
+// contract, whose file rules both share through jsonl.Open: a corrupt
+// line, or one over jsonl.MaxLine, is skipped and counted, never fatal —
+// the ledger degrades to partial knowledge exactly like a corrupt cache
+// line degrades to a miss — while a read error fails the open. Two
+// processes never share a ledger. Path "" keeps none: the nil file drops
+// every append (memory-only serving).
+func openLedger(path string) (*jsonl.File, replay, error) {
+	var r replay
 	if path == "" {
-		return nil, nil
+		return nil, r, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: open job store: %w", err)
-	}
-	if err := jsonl.TerminateTornTail(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("service: open job store: %w", err)
-	}
-	return &store{f: f, enc: json.NewEncoder(f), path: path}, nil
-}
-
-// append writes one record. Errors are returned for the caller to count;
-// the daemon serves on regardless (the store is a ledger, not a gate).
-func (s *store) append(rec storeRecord) error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.enc.Encode(rec); err != nil {
-		return fmt.Errorf("service: append job store: %w", err)
-	}
-	return nil
-}
-
-// close releases the ledger file.
-func (s *store) close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
-}
-
-// replayStore reads the ledger at path and reconstructs the job table:
-// finished is every job with a terminal record, pending is every accepted
-// job without one (in submission order, ready to re-enqueue). Corrupt
-// lines, and lines over jsonl.MaxLine, are skipped and counted, never
-// fatal — the ledger degrades to partial knowledge exactly like a corrupt
-// cache line degrades to a miss.
-func replayStore(path string) (finished []storeRecord, pending []storeRecord, corrupt int, err error) {
-	if path == "" {
-		return nil, nil, 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, 0, nil
-		}
-		return nil, nil, 0, fmt.Errorf("service: replay job store: %w", err)
-	}
-	defer f.Close()
-
 	submits := map[string]storeRecord{}
 	var order []string
-	lines := jsonl.NewReader(f)
-	for {
-		line, tooLong, err := lines.Next()
-		if err != nil && err != io.EOF {
-			// A failed read loses the records after it, nothing more.
-			corrupt++
-			break
-		}
-		if tooLong {
-			corrupt++
-		} else if len(line) > 0 {
-			var rec storeRecord
-			switch {
-			case json.Unmarshal(line, &rec) != nil || rec.Job.ID == "":
-				corrupt++
-			case rec.Kind == "submit":
-				if _, dup := submits[rec.Job.ID]; !dup {
-					order = append(order, rec.Job.ID)
-				}
-				submits[rec.Job.ID] = rec
-			case rec.Kind == "end":
-				delete(submits, rec.Job.ID)
-				finished = append(finished, rec)
-			default:
-				corrupt++
+	f, err := jsonl.Open(path, func(line []byte, tooLong bool) {
+		var rec storeRecord
+		switch {
+		case tooLong || json.Unmarshal(line, &rec) != nil || rec.Job.ID == "":
+			r.corrupt++
+		case rec.Kind == "submit":
+			if _, dup := submits[rec.Job.ID]; !dup {
+				order = append(order, rec.Job.ID)
 			}
+			submits[rec.Job.ID] = rec
+		case rec.Kind == "end":
+			delete(submits, rec.Job.ID)
+			r.finished = append(r.finished, rec)
+		default:
+			r.corrupt++
 		}
-		if err == io.EOF {
-			break
-		}
+	})
+	if err != nil {
+		return nil, replay{}, fmt.Errorf("service: open job store: %w", err)
 	}
 	for _, id := range order {
 		if rec, ok := submits[id]; ok {
-			pending = append(pending, rec)
+			r.pending = append(r.pending, rec)
 		}
 	}
-	return finished, pending, corrupt, nil
+	return f, r, nil
+}
+
+// appendRecord writes one record to the ledger f as one line (a nil f
+// keeps no ledger). Errors are returned for the caller to count; the
+// daemon serves on regardless (the ledger is a record, not a gate).
+func appendRecord(f *jsonl.File, rec storeRecord) error {
+	if f == nil {
+		return nil
+	}
+	line, err := json.Marshal(rec)
+	if err == nil {
+		err = f.Append(append(line, '\n'))
+	}
+	if err != nil {
+		return fmt.Errorf("service: append job store: %w", err)
+	}
+	return nil
 }

@@ -16,39 +16,32 @@ const retainFinished = 16
 type CampaignUpdate struct {
 	// Done counts finished variants (measured, cache-hit or failed); it
 	// never decreases along one campaign's stream.
-	Done int
+	Done int `json:"done"`
 	// Emitted counts variants the generator has produced so far; it is
 	// the final total once Generating is false.
-	Emitted int
+	Emitted int `json:"emitted"`
 	// Generating reports whether the generator is still emitting.
-	Generating bool
+	Generating bool `json:"generating"`
 	// CacheHits and Failed break down the finished variants.
-	CacheHits int
-	Failed    int
+	CacheHits int `json:"cache_hits"`
+	Failed    int `json:"failed"`
 	// Launches, Retries, Quarantined and KeyErrors are the engine's
-	// launch and resilience accounting so far.
-	Launches    int
-	Retries     int
-	Quarantined int
-	KeyErrors   int
+	// launch and resilience accounting so far. KeyErrors counts variants
+	// measured without a derivable cache key (they bypass the cache; a
+	// warm re-run repeats their launches).
+	Launches    int `json:"launches"`
+	Retries     int `json:"retries"`
+	Quarantined int `json:"quarantined"`
+	KeyErrors   int `json:"key_errors"`
 }
 
 // CampaignSnapshot is the JSON face of one tracked campaign, served by
-// /debug/campaigns and embedded in /events payloads.
+// /debug/campaigns and embedded in /events payloads: its latest update
+// plus what the tracker derives from it.
 type CampaignSnapshot struct {
-	ID          int64  `json:"id"`
-	Name        string `json:"name"`
-	Done        int    `json:"done"`
-	Emitted     int    `json:"emitted"`
-	Generating  bool   `json:"generating"`
-	CacheHits   int    `json:"cache_hits"`
-	Failed      int    `json:"failed"`
-	Launches    int    `json:"launches"`
-	Retries     int    `json:"retries"`
-	Quarantined int    `json:"quarantined"`
-	// KeyErrors counts variants measured without a derivable cache key
-	// (they bypass the cache; a warm re-run repeats their launches).
-	KeyErrors int `json:"key_errors"`
+	ID   int64  `json:"id"`
+	Name string `json:"name"`
+	CampaignUpdate
 	// CacheHitRatio is CacheHits/Done (0 before the first completion).
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	// ElapsedSeconds is wall time since Begin; ETASeconds extrapolates
@@ -160,19 +153,11 @@ func (c *Campaign) End(err error) {
 // the tracker lock.
 func (c *Campaign) snapshotLocked(now time.Time) CampaignSnapshot {
 	s := CampaignSnapshot{
-		ID:          c.id,
-		Name:        c.name,
-		Done:        c.upd.Done,
-		Emitted:     c.upd.Emitted,
-		Generating:  c.upd.Generating,
-		CacheHits:   c.upd.CacheHits,
-		Failed:      c.upd.Failed,
-		Launches:    c.upd.Launches,
-		Retries:     c.upd.Retries,
-		Quarantined: c.upd.Quarantined,
-		KeyErrors:   c.upd.KeyErrors,
-		Finished:    c.finished,
-		Err:         c.errMsg,
+		ID:             c.id,
+		Name:           c.name,
+		CampaignUpdate: c.upd,
+		Finished:       c.finished,
+		Err:            c.errMsg,
 	}
 	s.ElapsedSeconds = now.Sub(c.started).Seconds()
 	if s.Done > 0 {

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestNilTracker(t *testing.T) {
@@ -122,5 +124,32 @@ func TestTrackerRetainsBoundedFinished(t *testing.T) {
 	// The oldest were pruned: retained ids start after the overflow.
 	if snaps[0].ID != 6 {
 		t.Errorf("oldest retained id = %d, want 6", snaps[0].ID)
+	}
+}
+
+// TestCampaignSnapshotJSON pins the /debug/campaigns document of one
+// campaign, live and finished, byte for byte.
+func TestCampaignSnapshotJSON(t *testing.T) {
+	tr := NewTracker()
+	c := tr.Begin("fig6")
+	c.Update(CampaignUpdate{Done: 4, Emitted: 10, Generating: true, CacheHits: 1, Failed: 2,
+		Launches: 3, Retries: 5, Quarantined: 6, KeyErrors: 7})
+	snap := func() string {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		b, err := json.Marshal(c.snapshotLocked(c.started.Add(2 * time.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, want := range []string{
+		`{"id":1,"name":"fig6","done":4,"emitted":10,"generating":true,"cache_hits":1,"failed":2,"launches":3,"retries":5,"quarantined":6,"key_errors":7,"cache_hit_ratio":0.25,"elapsed_seconds":2,"eta_seconds":3,"finished":false}`,
+		`{"id":1,"name":"fig6","done":4,"emitted":10,"generating":true,"cache_hits":1,"failed":2,"launches":3,"retries":5,"quarantined":6,"key_errors":7,"cache_hit_ratio":0.25,"elapsed_seconds":2,"eta_seconds":0,"finished":true,"error":"boom"}`,
+	} {
+		if got := snap(); got != want {
+			t.Errorf("snapshot\n%s\nwant\n%s", got, want)
+		}
+		c.End(errors.New("boom"))
 	}
 }
