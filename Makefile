@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test vet lint fmt-check race bench bench-smoke bench-guard examples-smoke fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke perfbench-check
+.PHONY: ab ci build test vet lint fmt-check race bench bench-smoke bench-guard examples-smoke fuzz-smoke telemetry-smoke analyze-smoke serve-smoke adaptive-smoke chaos-smoke perfbench-check
 
 # ci is the repository's verify command (see ROADMAP.md): formatting, vet,
 # the project-invariant linter, build, the full test suite under the race
@@ -105,6 +105,14 @@ bench-smoke:
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	GO='$(GO)' sh scripts/bench_guard.sh
+
+# ab runs the perfbench speed-claim protocol: PAIRS (default 10)
+# alternating runs of the working tree and of PARENT on WORKLOAD, then one
+# verdict per end-to-end metric (scripts/ab.sh). SECONDS and SEED are
+# optional.
+#   make ab PARENT=HEAD WORKLOAD=fig6-quick-cold PAIRS=5 SECONDS=20
+ab:
+	sh scripts/ab.sh '$(PARENT)' '$(WORKLOAD)' '$(PAIRS)' '$(SECONDS)' '$(SEED)'
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

@@ -22,7 +22,7 @@ import (
 	"microtools/internal/cliutil"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
-	"microtools/internal/dataflow"
+	"microtools/internal/isa"
 	"microtools/internal/machine"
 	"microtools/internal/passes"
 	"microtools/internal/plugin"
@@ -60,11 +60,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if addr, err := tele.Start(); err != nil {
+	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
 		os.Exit(1)
-	} else if addr != "" {
-		fmt.Fprintf(os.Stderr, "microcreator: telemetry: http://%s/\n", addr)
+	}
+	if err := tele.Start("microcreator"); err != nil {
+		fail(err)
 	}
 	defer tele.Close()
 
@@ -115,15 +116,13 @@ func main() {
 			ds, progs, err = core.VetFile(ctx, *input, opts)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if !*verifyJSON {
 			fmt.Printf("%d variants, %s\n", len(progs), ds.Summary())
 		}
 		if err := cliutil.WriteDiagnostics(os.Stdout, ds, *verifyJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if code := cliutil.DiagnosticsExitCode(ds); code != 0 {
 			os.Exit(code)
@@ -140,33 +139,22 @@ func main() {
 		progs, err = core.GenerateFile(ctx, *input, opts)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if *analyze {
 		mach, err := machine.ByName(*analyzeOn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
-		defects := 0
+		kernels := make([]*isa.Program, len(progs))
 		for i := range progs {
-			kernel, err := progs[i].Lowered()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "microcreator: %s: %v\n", progs[i].Name, err)
-				os.Exit(1)
+			if kernels[i], err = progs[i].Lowered(); err != nil {
+				fail(fmt.Errorf("%s: %w", progs[i].Name, err))
 			}
-			rep, err := dataflow.Analyze(kernel, mach.Arch)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "microcreator: %s: %v\n", progs[i].Name, err)
-				os.Exit(1)
-			}
-			if len(progs) == 1 {
-				rep.WriteTable(os.Stdout)
-			} else {
-				fmt.Println(rep.Line())
-			}
-			defects += len(rep.Findings()) + len(rep.SelfMoves)
+		}
+		defects, err := cliutil.WriteDataflow(os.Stdout, kernels, mach.Arch, false)
+		if err != nil {
+			fail(err)
 		}
 		if defects > 0 {
 			fmt.Fprintf(os.Stderr, "microcreator: analyze: %d defect finding(s) across %d variant(s)\n", defects, len(progs))
@@ -176,12 +164,10 @@ func main() {
 	}
 	paths, err := core.WritePrograms(progs, *output)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if spans, err := trace.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "microcreator: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	} else if spans > 0 {
 		fmt.Printf("trace: %s (%d spans)\n", trace.Path, spans)
 	}

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -26,7 +27,6 @@ import (
 	"microtools/internal/cliutil"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
-	"microtools/internal/dataflow"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
@@ -35,48 +35,51 @@ import (
 )
 
 func main() {
-	var (
-		// Input selection.
-		kernelPath = flag.String("kernel", "", "kernel assembly file (required; - for stdin)")
-		function   = flag.String("function", "", "kernel function name when the input holds several (§4.1); -function all measures every function")
-		noVerify   = flag.Bool("no-verify", false, "skip the pre-launch static verification of the kernel (internal/verify)")
-		analyze    = flag.Bool("analyze", false, "print the static dataflow report (bounds, dependences) for the kernel on -machine instead of launching (exit 1 on dead writes or self-moves)")
-		suppress   = flag.String("suppress", "", "comma-separated verifier rule IDs to ignore (e.g. V004)")
-		// Machine / environment.
-		machineName = flag.String("machine", "nehalem-dual", "simulated machine, optionally scaled: "+strings.Join(machine.Names(), "|")+"[ /factor]")
-		freq        = flag.Float64("frequency", 0, "core frequency in GHz (0 = nominal; Fig. 13 sweeps)")
-		pin         = flag.Int("pin", 0, "core to pin a sequential run to")
-		cores       = flag.Int("cores", 1, "core count for fork/openmp modes")
-		mode        = flag.String("mode", "sequential", "execution mode: sequential|fork|openmp")
-		spread      = flag.Bool("spread-sockets", true, "round-robin fork processes across sockets")
-		noIRQ       = flag.Bool("disable-interrupts", true, "suppress environmental noise during runs (§4.7)")
-		noiseSeed   = flag.Int64("noise-seed", 0, "seed for the noise generator when interrupts are enabled")
-		// Data arrays.
-		nbVectors  = flag.Int("nbvectors", 0, "number of data arrays (0 = derive from the kernel)")
-		arrayBytes = flag.Int64("size", 1<<16, "bytes per data array")
-		alignments = flag.String("alignments", "", "comma-separated per-array byte offsets within the alignment window")
-		alignWin   = flag.Int64("align-window", 4096, "alignment window (power of two)")
-		// Measurement protocol.
-		trip      = flag.Int64("trip", 0, "trip count element argument (0 = size/element-bytes)")
-		tripExact = flag.Bool("trip-exact", false, "pass the trip count unmodified (count-up kernels)")
-		elemBytes = flag.Int64("element-bytes", 4, "logical element size")
-		innerReps = flag.Int("inner-reps", 4, "kernel calls per timed experiment (§4.5 inner loop)")
-		outerReps = flag.Int("outer-reps", 4, "repeated experiments (§4.5 outer loop)")
-		warmup    = flag.Bool("warmup", true, "heat the caches before measuring (§4.5)")
-		calibrate = flag.Bool("calibrate", true, "subtract the empty-kernel call overhead (§4.5)")
-		statName  = flag.String("statistic", "min", "reported statistic: min|median|mean|max")
-		maxInsts  = flag.Int64("max-instructions", 0, "dynamic instruction budget per call (0 = unlimited)")
-		ompScale  = flag.Float64("omp-overhead-scale", 1, "scale for the OpenMP region overhead model")
-		ompSched  = flag.String("omp-schedule", "static", "OpenMP schedule: static|dynamic")
-		ompChunk  = flag.Int64("omp-chunk", 1024, "chunk elements for schedule(dynamic)")
-		energy    = flag.Bool("energy", false, "attach the power-model estimate (energy_j/avg_watts CSV columns)")
-		// Output.
-		unitName = flag.String("unit", "tsc", "time unit: tsc|cycles|seconds")
-		perIter  = flag.Bool("per-iteration", true, "divide by the kernel's %eax iteration count (§4.4)")
-		verbose  = flag.Bool("v", false, "protocol progress on stderr")
-		memStats = flag.Bool("mem-stats", false, "print memory-system counters on stderr")
-		dump     = flag.Bool("dump-kernel", false, "print the decoded kernel (AT&T) on stderr before running")
+	// Flags whose default is a launcher default bind straight to opts, so
+	// DefaultOptions is the one place those defaults live.
+	opts := launcher.DefaultOptions()
+	// Input selection.
+	kernelPath := flag.String("kernel", "", "kernel assembly file (required; - for stdin)")
+	flag.StringVar(&opts.FunctionName, "function", opts.FunctionName, "kernel function name when the input holds several (§4.1); -function all measures every function")
+	noVerify := flag.Bool("no-verify", false, "skip the pre-launch static verification of the kernel (internal/verify)")
+	analyze := flag.Bool("analyze", false, "print the static dataflow report (bounds, dependences) for the kernel on -machine instead of launching (exit 1 on dead writes or self-moves)")
+	suppress := flag.String("suppress", "", "comma-separated verifier rule IDs to ignore (e.g. V004)")
+	// Machine / environment.
+	flag.StringVar(&opts.MachineName, "machine", opts.MachineName, "simulated machine, optionally scaled: "+strings.Join(machine.Names(), "|")+"[ /factor]")
+	flag.Float64Var(&opts.CoreFrequencyGHz, "frequency", opts.CoreFrequencyGHz, "core frequency in GHz (0 = nominal; Fig. 13 sweeps)")
+	flag.IntVar(&opts.PinCore, "pin", opts.PinCore, "core to pin a sequential run to")
+	flag.IntVar(&opts.Cores, "cores", opts.Cores, "core count for fork/openmp modes")
+	mode := flag.String("mode", "sequential", "execution mode: sequential|fork|openmp")
+	flag.BoolVar(&opts.SpreadSockets, "spread-sockets", opts.SpreadSockets, "round-robin fork processes across sockets")
+	noIRQ := flag.Bool("disable-interrupts", true, "suppress environmental noise during runs (§4.7)")
+	noiseSeed := flag.Int64("noise-seed", 0, "seed for the noise generator when interrupts are enabled")
+	// Data arrays.
+	flag.IntVar(&opts.NBVectors, "nbvectors", opts.NBVectors, "number of data arrays (0 = derive from the kernel)")
+	flag.Int64Var(&opts.ArrayBytes, "size", opts.ArrayBytes, "bytes per data array")
+	alignments := flag.String("alignments", "", "comma-separated per-array byte offsets within the alignment window")
+	flag.Int64Var(&opts.AlignWindow, "align-window", opts.AlignWindow, "alignment window (power of two)")
+	// Measurement protocol.
+	flag.Int64Var(&opts.TripElements, "trip", opts.TripElements, "trip count element argument (0 = size/element-bytes)")
+	flag.BoolVar(&opts.TripExact, "trip-exact", opts.TripExact, "pass the trip count unmodified (count-up kernels)")
+	flag.Int64Var(&opts.ElementBytes, "element-bytes", opts.ElementBytes, "logical element size")
+	flag.IntVar(&opts.InnerReps, "inner-reps", opts.InnerReps, "kernel calls per timed experiment (§4.5 inner loop)")
+	flag.IntVar(&opts.OuterReps, "outer-reps", opts.OuterReps, "repeated experiments (§4.5 outer loop)")
+	flag.BoolVar(&opts.Warmup, "warmup", opts.Warmup, "heat the caches before measuring (§4.5)")
+	flag.BoolVar(&opts.Calibrate, "calibrate", opts.Calibrate, "subtract the empty-kernel call overhead (§4.5)")
+	statName := flag.String("statistic", "min", "reported statistic: min|median|mean|max")
+	flag.Int64Var(&opts.MaxInstructions, "max-instructions", opts.MaxInstructions, "dynamic instruction budget per call (0 = unlimited)")
+	ompScale := flag.Float64("omp-overhead-scale", 1, "scale for the OpenMP region overhead model")
+	ompSched := flag.String("omp-schedule", "static", "OpenMP schedule: static|dynamic")
+	ompChunk := flag.Int64("omp-chunk", 1024, "chunk elements for schedule(dynamic)")
+	flag.BoolVar(&opts.ReportEnergy, "energy", opts.ReportEnergy, "attach the power-model estimate (energy_j/avg_watts CSV columns)")
+	// Output.
+	unitName := flag.String("unit", "tsc", "time unit: tsc|cycles|seconds")
+	flag.BoolVar(&opts.PerIteration, "per-iteration", opts.PerIteration, "divide by the kernel's %eax iteration count (§4.4)")
+	verbose := flag.Bool("v", false, "protocol progress on stderr")
+	memStats := flag.Bool("mem-stats", false, "print memory-system counters on stderr")
+	dump := flag.Bool("dump-kernel", false, "print the decoded kernel (AT&T) on stderr before running")
 
+	var (
 		report   cliutil.Report
 		counters cliutil.Counters
 		camp     cliutil.Campaign
@@ -99,10 +102,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "microlauncher: %v\n", err)
 		os.Exit(1)
 	}
-	if addr, err := tele.Start(); err != nil {
+	if err := tele.Start("microlauncher"); err != nil {
 		fail(err)
-	} else if addr != "" {
-		fmt.Fprintf(os.Stderr, "microlauncher: telemetry: http://%s/\n", addr)
 	}
 	defer tele.Close()
 	if *kernelPath == "" {
@@ -113,31 +114,22 @@ func main() {
 	var src []byte
 	var err error
 	if *kernelPath == "-" {
-		buf := make([]byte, 0, 64<<10)
-		tmp := make([]byte, 32<<10)
-		for {
-			n, rerr := os.Stdin.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if rerr != nil {
-				break
-			}
-		}
-		src = buf
+		src, err = io.ReadAll(os.Stdin)
 	} else {
 		src, err = os.ReadFile(*kernelPath)
-		if err != nil {
-			fail(err)
-		}
+	}
+	if err != nil {
+		fail(err)
 	}
 	var kernels []*isa.Program
-	if *function == "all" {
+	if opts.FunctionName == "all" {
 		all, err := core.LoadKernels(string(src))
 		if err != nil {
 			fail(err)
 		}
 		kernels = all
 	} else {
-		prog, err := core.LoadKernel(string(src), *function)
+		prog, err := core.LoadKernel(string(src), opts.FunctionName)
 		if err != nil {
 			fail(err)
 		}
@@ -162,24 +154,13 @@ func main() {
 	}
 
 	if *analyze {
-		mach, err := machine.ByName(*machineName)
+		mach, err := machine.ByName(opts.MachineName)
 		if err != nil {
 			fail(err)
 		}
-		defects := 0
-		for _, prog := range kernels {
-			rep, err := dataflow.Analyze(prog, mach.Arch)
-			if err != nil {
-				fail(fmt.Errorf("analyze %s: %w", prog.Name, err))
-			}
-			defects += len(rep.Findings()) + len(rep.SelfMoves)
-			if len(kernels) == 1 {
-				if err := rep.WriteTable(os.Stdout); err != nil {
-					fail(err)
-				}
-			} else {
-				fmt.Println(rep.Line())
-			}
+		defects, err := cliutil.WriteDataflow(os.Stdout, kernels, mach.Arch, false)
+		if err != nil {
+			fail(err)
 		}
 		if defects > 0 {
 			fmt.Fprintf(os.Stderr, "microlauncher: analyze: %d defect finding(s) across %d kernel(s)\n", defects, len(kernels))
@@ -188,65 +169,39 @@ func main() {
 		return
 	}
 
-	execMode, err := launcher.ParseMode(*mode)
-	if err != nil {
+	if opts.Mode, err = launcher.ParseMode(*mode); err != nil {
 		fail(err)
 	}
-	statistic, err := stats.ParseStatistic(*statName)
-	if err != nil {
+	if opts.Statistic, err = stats.ParseStatistic(*statName); err != nil {
 		fail(err)
 	}
-	timeUnit, err := launcher.ParseTimeUnit(*unitName)
-	if err != nil {
+	if opts.TimeUnit, err = launcher.ParseTimeUnit(*unitName); err != nil {
 		fail(err)
 	}
-	var aligns []int64
 	if *alignments != "" {
 		for _, a := range strings.Split(*alignments, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
 			if err != nil {
 				fail(fmt.Errorf("bad alignment %q: %w", a, err))
 			}
-			aligns = append(aligns, v)
+			opts.Alignments = append(opts.Alignments, v)
 		}
 	}
 	reportFormat, err := report.Format()
 	if err != nil {
 		fail(err)
 	}
-	if !*noIRQ && *noiseSeed == 0 {
-		// Pick and announce the effective seed so a noisy run can be
-		// reproduced exactly with -noise-seed.
-		*noiseSeed = time.Now().UnixNano()
-		fmt.Fprintf(os.Stderr, "microlauncher: interrupts enabled without -noise-seed; using seed %d (pass -noise-seed %d to reproduce)\n",
-			*noiseSeed, *noiseSeed)
-	}
-
-	opts := launcher.DefaultOptions()
-	opts.FunctionName = *function
-	opts.Mode = execMode
-	opts.MachineName = *machineName
-	opts.CoreFrequencyGHz = *freq
-	opts.PinCore = *pin
-	opts.Cores = *cores
-	opts.SpreadSockets = *spread
 	if !*noIRQ {
+		if *noiseSeed == 0 {
+			// Pick and announce the effective seed so a noisy run can be
+			// reproduced exactly with -noise-seed.
+			*noiseSeed = time.Now().UnixNano()
+			fmt.Fprintf(os.Stderr, "microlauncher: interrupts enabled without -noise-seed; using seed %d (pass -noise-seed %d to reproduce)\n",
+				*noiseSeed, *noiseSeed)
+		}
 		opts.DisableInterrupts = false
 		opts.NoiseSeed = *noiseSeed
 	}
-	opts.NBVectors = *nbVectors
-	opts.ArrayBytes = *arrayBytes
-	opts.Alignments = aligns
-	opts.AlignWindow = *alignWin
-	opts.TripElements = *trip
-	opts.TripExact = *tripExact
-	opts.ElementBytes = *elemBytes
-	opts.OuterReps = *outerReps
-	opts.InnerReps = *innerReps
-	opts.Warmup = *warmup
-	opts.Calibrate = *calibrate
-	opts.Statistic = statistic
-	opts.MaxInstructions = *maxInsts
 	opts.OMPOverheadScale = *ompScale
 	switch *ompSched {
 	case "static":
@@ -256,9 +211,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown -omp-schedule %q (want static|dynamic)", *ompSched))
 	}
-	opts.TimeUnit = timeUnit
-	opts.ReportEnergy = *energy
-	opts.PerIteration = *perIter
 	if *verbose {
 		opts.Verbose = os.Stderr
 	}

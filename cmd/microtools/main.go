@@ -68,7 +68,6 @@ import (
 	"microtools/internal/campaign"
 	"microtools/internal/cliutil"
 	"microtools/internal/core"
-	"microtools/internal/dataflow"
 	"microtools/internal/experiments"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
@@ -165,10 +164,8 @@ func runAnalyze(ctx context.Context, args []string) {
 	if *vFlag {
 		gen.Verbose = os.Stderr
 	}
-	var reports []*dataflow.Report
-	defects := 0
+	var kernels []*isa.Program
 	for _, path := range fs.Args() {
-		var kernels []*isa.Program
 		if strings.HasSuffix(path, ".xml") {
 			progs, err := core.GenerateFile(ctx, path, gen)
 			if err != nil {
@@ -188,32 +185,13 @@ func runAnalyze(ctx context.Context, args []string) {
 			}
 			kernels = append(kernels, k)
 		}
-		for _, k := range kernels {
-			rep, err := dataflow.Analyze(k, mach.Arch)
-			if err != nil {
-				fail(fmt.Errorf("%s: %s: %w", path, k.Name, err))
-			}
-			reports = append(reports, rep)
-			defects += len(rep.Findings()) + len(rep.SelfMoves)
-		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			fail(err)
-		}
-	} else if len(reports) == 1 {
-		if err := reports[0].WriteTable(os.Stdout); err != nil {
-			fail(err)
-		}
-	} else {
-		for _, rep := range reports {
-			fmt.Println(rep.Line())
-		}
+	defects, err := cliutil.WriteDataflow(os.Stdout, kernels, mach.Arch, *jsonOut)
+	if err != nil {
+		fail(err)
 	}
 	if defects > 0 {
-		fmt.Fprintf(os.Stderr, "microtools: analyze: %d defect finding(s) across %d kernel(s)\n", defects, len(reports))
+		fmt.Fprintf(os.Stderr, "microtools: analyze: %d defect finding(s) across %d kernel(s)\n", defects, len(kernels))
 		os.Exit(1)
 	}
 }
@@ -264,10 +242,8 @@ func runChaos(ctx context.Context, args []string) {
 		fmt.Fprintf(os.Stderr, "microtools: chaos: %v\n", err)
 		os.Exit(1)
 	}
-	if addr, err := tele.Start(); err != nil {
+	if err := tele.Start("microtools: chaos"); err != nil {
 		fail(err)
-	} else if addr != "" {
-		fmt.Fprintf(os.Stderr, "microtools: chaos: telemetry: http://%s/\n", addr)
 	}
 	defer tele.Close()
 	spec := fs.Arg(0)
@@ -590,16 +566,25 @@ func runSubmit(ctx context.Context, args []string) {
 	ranking := analysis.RankPerElement(ms)
 	fmt.Print(ranking.Report())
 	if *csvOut != "" {
-		out, err := os.Create(*csvOut)
-		if err != nil {
-			fail(err)
-		}
-		defer out.Close()
-		if err := launcher.WriteReport(out, reportFormat, ms); err != nil {
+		if err := writeFile(*csvOut, func(w io.Writer) error { return launcher.WriteReport(w, reportFormat, ms) }); err != nil {
 			fail(err)
 		}
 		fmt.Printf("%s: %s\n", reportFormat, *csvOut)
 	}
+}
+
+// writeFile creates path, fills it with write and closes it, returning the
+// first error: a report file whose close fails is not reported as written.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // studyOnlyFlags are the flags that configure only a -study campaign: the
@@ -691,10 +676,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if addr, err := tele.Start(); err != nil {
+	if err := tele.Start("microtools"); err != nil {
 		fail(err)
-	} else if addr != "" {
-		fmt.Fprintf(os.Stderr, "microtools: telemetry: http://%s/\n", addr)
 	}
 	defer tele.Close()
 
@@ -726,12 +709,7 @@ func main() {
 			fmt.Print(analysis.StudyReport(tab))
 		}
 		if csvPath != "" {
-			f, err := os.Create(csvPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := tab.WriteCSV(f); err != nil {
+			if err := writeFile(csvPath, tab.WriteCSV); err != nil {
 				return err
 			}
 			fmt.Printf("   csv: %s\n", csvPath)
@@ -811,12 +789,7 @@ func main() {
 		ranking := analysis.RankPerElement(ms)
 		fmt.Print(ranking.Report())
 		if *csvOut != "" {
-			out, err := os.Create(*csvOut)
-			if err != nil {
-				fail(err)
-			}
-			defer out.Close()
-			if err := launcher.WriteReport(out, reportFormat, ms); err != nil {
+			if err := writeFile(*csvOut, func(w io.Writer) error { return launcher.WriteReport(w, reportFormat, ms) }); err != nil {
 				fail(err)
 			}
 			fmt.Printf("%s: %s\n", reportFormat, *csvOut)

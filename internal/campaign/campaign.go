@@ -670,8 +670,11 @@ func run(ctx context.Context, source func(ctx context.Context, emit emitFunc) er
 	}
 
 	measure := func(j job) {
-		vt := variantHist.Start()
-		defer vt.Stop()
+		if variantHist != nil {
+			var tick telemetry.Tick
+			tick.Reset()
+			defer tick.Lap(variantHist)
+		}
 		sp := root.Child("variant").Str("kernel", j.prog.Name).Int("index", int64(j.index))
 		defer sp.End()
 		cnt.variants.Inc()

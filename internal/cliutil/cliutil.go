@@ -1,7 +1,9 @@
 // Package cliutil factors the flag plumbing the microtools commands
 // share: span-trace output (-trace), simulated-PMU counter collection
 // (-counters), report encoding (-report) and the campaign knobs
-// (-workers, -cache, -fail-fast, plus the resilience budget flags).
+// (-workers, -cache, -fail-fast, plus the resilience budget flags), and
+// the reports several commands print (verifier findings, the static
+// dataflow report, the telemetry banner).
 //
 // Each helper is a tiny struct: Register installs its flags on a FlagSet
 // (the global flag.CommandLine or a subcommand's own set), and the
@@ -303,12 +305,13 @@ func (t *Telemetry) Tracker() *telemetry.Tracker {
 	return t.tracker
 }
 
-// Start brings the HTTP server up on -telemetry-addr and returns the
-// bound address (useful with :0). When telemetry is off it returns ""
-// and does nothing.
-func (t *Telemetry) Start() (string, error) {
+// Start brings the HTTP server up on -telemetry-addr and announces the
+// bound address (useful with :0) on stderr as "<prefix>: telemetry:
+// http://<addr>/", the one banner every command prints. When telemetry is
+// off it does nothing.
+func (t *Telemetry) Start(prefix string) error {
 	if !t.Enabled() {
-		return "", nil
+		return nil
 	}
 	t.ensure()
 	t.server = telemetry.NewServer(telemetry.ServerOptions{
@@ -319,9 +322,10 @@ func (t *Telemetry) Start() (string, error) {
 	addr, err := t.server.Start(t.Addr)
 	if err != nil {
 		t.server = nil
-		return "", err
+		return err
 	}
-	return addr, nil
+	fmt.Fprintf(os.Stderr, "%s: telemetry: http://%s/\n", prefix, addr)
+	return nil
 }
 
 // Close stops the server (no-op when never started).

@@ -1,8 +1,12 @@
 package cliutil
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 
+	"microtools/internal/dataflow"
+	"microtools/internal/isa"
 	"microtools/internal/verify"
 )
 
@@ -27,4 +31,39 @@ func DiagnosticsExitCode(ds verify.Diagnostics) int {
 		return 1
 	}
 	return 0
+}
+
+// WriteDataflow is the one renderer behind every command that prints the
+// static dataflow report (`microtools analyze`, microcreator -analyze,
+// microlauncher -analyze). It analyzes every kernel on arch first, so a
+// kernel that fails to analyze writes nothing, then writes an indented
+// JSON array of the reports when jsonOut is set, the full table for a
+// single kernel, or one summary line per kernel. It returns the defect
+// count the commands exit 1 on: dead register writes outside a memory
+// access (V009) plus register self-moves (V010).
+func WriteDataflow(w io.Writer, kernels []*isa.Program, arch *isa.Arch, jsonOut bool) (int, error) {
+	var reports []*dataflow.Report
+	defects := 0
+	for _, k := range kernels {
+		rep, err := dataflow.Analyze(k, arch)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", k.Name, err)
+		}
+		reports = append(reports, rep)
+		defects += len(rep.Findings()) + len(rep.SelfMoves)
+	}
+	switch {
+	case jsonOut:
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return defects, enc.Encode(reports)
+	case len(reports) == 1:
+		return defects, reports[0].WriteTable(w)
+	}
+	for _, rep := range reports {
+		if _, err := fmt.Fprintln(w, rep.Line()); err != nil {
+			return defects, err
+		}
+	}
+	return defects, nil
 }

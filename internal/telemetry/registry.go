@@ -147,41 +147,12 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Timer is an in-flight wall-clock sample headed for a histogram. The
-// zero Timer (from a nil histogram) is inert, so callers can always write
-//
-//	t := hist.Start()
-//	defer t.Stop()
-//
-// without a nil check. Timer is a value type: starting and stopping one
-// allocates nothing.
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
 // Now is the sanctioned wall-clock read for packages outside the
 // telemetry/obs boundary (repo rule L001 confines time.Now to those two
 // packages). Long-running components that need real timestamps — the
 // service daemon stamping job submission and completion times — route
 // their clock reads through here so the boundary stays auditable.
 func Now() time.Time { return time.Now() }
-
-// Start begins timing an operation against the histogram.
-func (h *Histogram) Start() Timer {
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{h: h, start: time.Now()}
-}
-
-// Stop observes the elapsed wall time in seconds.
-func (t Timer) Stop() {
-	if t.h == nil {
-		return
-	}
-	t.h.Observe(time.Since(t.start).Seconds())
-}
 
 // Tick chains wall-clock laps into histograms: every Lap costs a single
 // clock read and observes the time since the previous Lap (or Reset).

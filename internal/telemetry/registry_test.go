@@ -118,20 +118,6 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("op", nil)
-	tm := h.Start()
-	tm.Stop()
-	if got := h.Count(); got != 1 {
-		t.Errorf("count after Start/Stop = %d, want 1", got)
-	}
-	// A timer from a nil histogram is inert.
-	var nh *Histogram
-	nt := nh.Start()
-	nt.Stop()
-}
-
 func TestTickChainsLaps(t *testing.T) {
 	r := NewRegistry()
 	a := r.Histogram("a", nil)
