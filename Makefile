@@ -89,8 +89,11 @@ bench-smoke:
 # 510-variant generation's (bench_guard_gen_allocs.txt, and the B/op
 # ceiling in bench_guard_gen_bytes.txt, stable to ~100 B unlike the
 # sweep's bytes, which swing by a rebuilt pooled machine) a second
-# dataflow scan per variant, parsing every instruction's mnemonic or
-# formatting variant names; and the file-backed cold campaign's (510
+# dataflow scan per variant, parsing every instruction's mnemonic,
+# formatting variant names, or a return of a per-variant copy the
+# lower-once cut removed (the decode's offsets table and µop slice
+# headers, the label map, a clone's tag map, the body copy of
+# insert-inductions; ~20 objects per variant are left); and the file-backed cold campaign's (510
 # launches and cache puts, bench_guard_cold_allocs.txt) a return to
 # encoding each cache line by reflection round trips; and the multi-core
 # scheduler's (BenchmarkRunLockstep fork4, noisy1 and stream4,

@@ -164,27 +164,9 @@ func runAnalyze(ctx context.Context, args []string) {
 	if *vFlag {
 		gen.Verbose = os.Stderr
 	}
-	var kernels []*isa.Program
-	for _, path := range fs.Args() {
-		if strings.HasSuffix(path, ".xml") {
-			progs, err := core.GenerateFile(ctx, path, gen)
-			if err != nil {
-				fail(err)
-			}
-			for i := range progs {
-				k, err := progs[i].Lowered()
-				if err != nil {
-					fail(fmt.Errorf("%s: %s: %w", path, progs[i].Name, err))
-				}
-				kernels = append(kernels, k)
-			}
-		} else {
-			k, err := core.LoadKernelFile(path, "")
-			if err != nil {
-				fail(err)
-			}
-			kernels = append(kernels, k)
-		}
+	kernels, err := analyzeKernels(ctx, fs.Args(), gen)
+	if err != nil {
+		fail(err)
 	}
 	defects, err := cliutil.WriteDataflow(os.Stdout, kernels, mach.Arch, *jsonOut)
 	if err != nil {
@@ -194,6 +176,39 @@ func runAnalyze(ctx context.Context, args []string) {
 		fmt.Fprintf(os.Stderr, "microtools: analyze: %d defect finding(s) across %d kernel(s)\n", defects, len(kernels))
 		os.Exit(1)
 	}
+}
+
+// analyzeKernels loads what analyze reads from each path: every variant of
+// a spec (.xml), and every function of an assembly or C file in file
+// order, as microlauncher -function all -analyze reads it.
+func analyzeKernels(ctx context.Context, paths []string, gen core.GenerateOptions) ([]*isa.Program, error) {
+	var kernels []*isa.Program
+	for _, path := range paths {
+		if strings.HasSuffix(path, ".xml") {
+			progs, err := core.GenerateFile(ctx, path, gen)
+			if err != nil {
+				return nil, err
+			}
+			for i := range progs {
+				k, err := progs[i].Lowered()
+				if err != nil {
+					return nil, fmt.Errorf("%s: %s: %w", path, progs[i].Name, err)
+				}
+				kernels = append(kernels, k)
+			}
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		ks, err := core.LoadKernels(string(data))
+		if err != nil {
+			return nil, err
+		}
+		kernels = append(kernels, ks...)
+	}
+	return kernels, nil
 }
 
 // runChaos implements the chaos subcommand: run one spec's campaign twice —

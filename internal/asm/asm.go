@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -55,7 +56,7 @@ func parse(r io.Reader, defaultName string, hint int) ([]*isa.Program, error) {
 	var cur *isa.Program
 	prog := func() *isa.Program {
 		if cur == nil {
-			cur = &isa.Program{Name: defaultName, Labels: make(map[string]int, 2)}
+			cur = &isa.Program{Name: defaultName}
 			if hint > 0 {
 				cur.Insts = make([]isa.Inst, 0, hint)
 				hint = 0 // the hint covers the whole source; first program only
@@ -64,6 +65,9 @@ func parse(r io.Reader, defaultName string, hint int) ([]*isa.Program, error) {
 		return cur
 	}
 	var globals map[string]bool
+	// names holds the label text of every branch operand; the operand
+	// indexes it until bindLabels points it at its program's label.
+	var names []string
 	lineNo := 0
 
 	flush := func() {
@@ -92,10 +96,10 @@ func parse(r io.Reader, defaultName string, hint int) ([]*isa.Program, error) {
 				prog().Name = label
 			} else {
 				p := prog()
-				if _, dup := p.Labels[label]; dup {
+				if _, dup := p.LabelIndex(label); dup {
 					return nil, &ParseError{lineNo, line, fmt.Errorf("duplicate label %q", label)}
 				}
-				p.Labels[label] = len(p.Insts)
+				p.Labels = append(p.Labels, isa.Label{Name: label, Index: len(p.Insts)})
 			}
 		case strings.HasPrefix(line, "."):
 			// Directive. Track .globl names so we can split functions;
@@ -111,7 +115,7 @@ func parse(r io.Reader, defaultName string, hint int) ([]*isa.Program, error) {
 				globals[fields[1]] = true
 			}
 		default:
-			inst, err := parseInst(line)
+			inst, err := parseInst(line, &names)
 			if err != nil {
 				return nil, &ParseError{lineNo, line, err}
 			}
@@ -127,6 +131,9 @@ func parse(r io.Reader, defaultName string, hint int) ([]*isa.Program, error) {
 		return nil, fmt.Errorf("asm: no instructions found")
 	}
 	for _, p := range progs {
+		if err := bindLabels(p, names); err != nil {
+			return nil, err
+		}
 		if err := p.Resolve(); err != nil {
 			return nil, err
 		}
@@ -160,7 +167,30 @@ func ParseOne(src, defaultName string) (*isa.Program, error) {
 	return progs[0], nil
 }
 
-func parseInst(line string) (isa.Inst, error) {
+// bindLabels points the label operand of each of p's branches, which
+// indexes names, at the program label it names. It walks the branches in
+// order and stops at the first one Resolve refuses, so the first faulty
+// branch is the one reported.
+func bindLabels(p *isa.Program, names []string) error {
+	for i := range p.Insts {
+		in := &p.Insts[i]
+		if !in.Op.IsBranch() {
+			continue
+		}
+		if in.NOps != 1 || in.A.Kind != isa.LabelOperand {
+			return nil
+		}
+		name := names[in.A.Label]
+		j := slices.IndexFunc(p.Labels, func(l isa.Label) bool { return l.Name == name })
+		if j < 0 {
+			return fmt.Errorf("isa: %s at %d: undefined label %q", in.Op, i, name)
+		}
+		in.A.Label = int32(j)
+	}
+	return nil
+}
+
+func parseInst(line string, names *[]string) (isa.Inst, error) {
 	var inst isa.Inst
 	mnemonic := line
 	rest := ""
@@ -183,7 +213,7 @@ func parseInst(line string) (isa.Inst, error) {
 		return inst, err
 	}
 	for i := 0; i < n; i++ {
-		o, err := parseOperand(operands[i], op)
+		o, err := parseOperand(operands[i], op, names)
 		if err != nil {
 			return inst, err
 		}
@@ -247,7 +277,7 @@ func splitOperands(s string) ([3]string, int, error) {
 	return out, n, nil
 }
 
-func parseOperand(text string, op isa.Op) (isa.Operand, error) {
+func parseOperand(text string, op isa.Op, names *[]string) (isa.Operand, error) {
 	switch {
 	case strings.HasPrefix(text, "$"):
 		v, err := parseInt(text[1:])
@@ -269,7 +299,8 @@ func parseOperand(text string, op isa.Op) (isa.Operand, error) {
 		return isa.NewMem(m), nil
 	default:
 		if op.IsBranch() {
-			return isa.NewLabel(text), nil
+			*names = append(*names, text)
+			return isa.NewLabel(len(*names) - 1), nil
 		}
 		// A bare integer (rare, e.g. "16(%rsi)" handled above); treat a
 		// bare symbol on a non-branch as an error.

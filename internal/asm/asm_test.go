@@ -37,8 +37,8 @@ func TestParseFig8(t *testing.T) {
 	if len(p.Insts) != 7 {
 		t.Fatalf("got %d instructions, want 7", len(p.Insts))
 	}
-	if p.Labels[".L6"] != 0 {
-		t.Errorf(".L6 = %d, want 0", p.Labels[".L6"])
+	if i, ok := p.LabelIndex(".L6"); !ok || i != 0 {
+		t.Errorf(".L6 = %d, %v; want 0, true", i, ok)
 	}
 	st := p.StaticStats()
 	if st.Loads != 1 || st.Stores != 2 || st.Branches != 1 {

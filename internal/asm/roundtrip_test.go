@@ -12,7 +12,7 @@ import (
 // arithmetic over memory and registers, integer updates, and a trailing
 // loop branch.
 func randomProgram(rng *rand.Rand) *isa.Program {
-	p := &isa.Program{Name: "rt", Labels: map[string]int{".Lrt": 0}}
+	p := &isa.Program{Name: "rt", Labels: []isa.Label{{Name: ".Lrt", Index: 0}}}
 	bases := []isa.Reg{isa.RSI, isa.RDX, isa.RCX}
 	n := 1 + rng.Intn(10)
 	for i := 0; i < n; i++ {
@@ -46,7 +46,7 @@ func randomProgram(rng *rand.Rand) *isa.Program {
 	}
 	p.Insts = append(p.Insts,
 		isa.Inst{Op: isa.SUB, A: isa.NewImm(1), B: isa.NewReg(isa.RDI), NOps: 2},
-		isa.Inst{Op: isa.JGE, A: isa.NewLabel(".Lrt"), NOps: 1},
+		isa.Inst{Op: isa.JGE, A: isa.NewLabel(0), NOps: 1},
 		isa.Inst{Op: isa.RET},
 	)
 	if err := p.Resolve(); err != nil {

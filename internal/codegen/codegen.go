@@ -265,9 +265,8 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 		return nil, fmt.Errorf("codegen: kernel %q: label %q would not survive the assembly round trip", name, name)
 	}
 	p := &isa.Program{
-		Name:   name,
-		Insts:  make([]isa.Inst, 0, len(k.ZeroAtEntry)+len(k.Body)+2),
-		Labels: make(map[string]int, 2),
+		Name:  name,
+		Insts: make([]isa.Inst, 0, len(k.ZeroAtEntry)+len(k.Body)+2),
 	}
 	for _, r := range k.ZeroAtEntry {
 		reg, err := r.Resolved()
@@ -275,10 +274,11 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 			return nil, fmt.Errorf("codegen: prologue: %w", err)
 		}
 		p.Insts = append(p.Insts, isa.Inst{
-			Op: isa.XOR, A: isa.NewReg(reg), B: isa.NewReg(reg), NOps: 2,
+			Op: isa.XOR, A: isa.NewReg(reg), B: isa.NewReg(reg), NOps: 2, Target: -1,
 		})
 	}
-	p.Labels[k.Branch.Label] = len(p.Insts)
+	top := len(p.Insts)
+	p.Labels = []isa.Label{{Name: k.Branch.Label, Index: top}}
 	for i := range k.Body {
 		inst, err := lowerInstruction(&k.Body[i])
 		if err != nil {
@@ -290,11 +290,15 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codegen: branch: %w", err)
 	}
-	p.Insts = append(p.Insts, isa.Inst{Op: testOp, A: isa.NewLabel(k.Branch.Label), NOps: 1})
-	p.Insts = append(p.Insts, isa.Inst{Op: isa.RET})
-	if err := p.Resolve(); err != nil {
-		return nil, err
+	// The loop branch names the one label, so Lower resolves it here, as
+	// Program.Resolve would.
+	target := -1
+	if testOp.IsBranch() {
+		target = top
 	}
+	p.Insts = append(p.Insts,
+		isa.Inst{Op: testOp, A: isa.NewLabel(0), NOps: 1, Target: target},
+		isa.Inst{Op: isa.RET, Target: -1})
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -304,7 +308,7 @@ func Lower(k *ir.Kernel) (*isa.Program, error) {
 // lowerInstruction lowers one IR instruction to its decoded form, mapping
 // operands exactly as the asm parser maps their renderings.
 func lowerInstruction(in *ir.Instruction) (isa.Inst, error) {
-	var inst isa.Inst
+	inst := isa.Inst{Target: -1}
 	if in.Op == "" {
 		return inst, fmt.Errorf("codegen: abstract instruction (%s) reached code generation", in)
 	}

@@ -189,7 +189,9 @@ func (c *Core) Reset(prog *isa.Program, regs *isa.RegFile, startCycle int64, max
 		c.predCtr = make([]uint8, len(prog.Insts))
 	}
 	c.predCtr = c.predCtr[:len(prog.Insts)]
-	copy(c.predCtr, dp.PredInit)
+	for i := range c.predCtr {
+		c.predCtr[i] = dp.Info[i].PredInit
+	}
 	c.slotsSinceTaken = 0
 	c.maxCompletion = startCycle
 	c.dynInsts = 0
@@ -368,7 +370,7 @@ func (c *Core) srcReady(info *isa.InstInfo) int64 {
 // precomputed from the decode cache; this loop only does per-dynamic work.
 func (c *Core) stepInst() error {
 	inst := &c.prog.Insts[c.pc]
-	uops := c.decoded.Uops[c.pc]
+	uops := c.decoded.Uops(c.pc)
 	info := &c.decoded.Info[c.pc]
 
 	var addr uint64

@@ -365,7 +365,7 @@ func TestStallInjectsCycles(t *testing.T) {
 
 // TestResetRequiresValidProgram: a program with unresolved branches fails.
 func TestResetRequiresValidProgram(t *testing.T) {
-	p := &isa.Program{Name: "bad", Insts: []isa.Inst{{Op: isa.NOP}}, Labels: map[string]int{}}
+	p := &isa.Program{Name: "bad", Insts: []isa.Inst{{Op: isa.NOP}}}
 	core := NewCore(0, arch(), fixedMem{})
 	var rf isa.RegFile
 	if err := core.Reset(p, &rf, 0, 0); err == nil {
@@ -539,7 +539,7 @@ func TestResetReuseMatchesFreshCore(t *testing.T) {
 func TestResetSurfacesDecodeErrors(t *testing.T) {
 	c := NewCore(0, isa.Nehalem(), fixedMem{lat: 4})
 	var rf isa.RegFile
-	bad := &isa.Program{Name: "empty", Labels: map[string]int{}}
+	bad := &isa.Program{Name: "empty"}
 	if err := c.Reset(bad, &rf, 0, 0); err == nil {
 		t.Error("Reset accepted an invalid program")
 	}

@@ -61,7 +61,7 @@ func computeBounds(p *isa.Program, dp *isa.DecodedProgram, arch *isa.Arch) Bound
 	a := newAnalysis(p, dp, arch)
 	b := Bounds{LoopStart: a.start, LoopEnd: a.end}
 	for i := a.start; i <= a.end; i++ {
-		for _, u := range dp.Uops[i] {
+		for _, u := range dp.Uops(i) {
 			b.Uops++
 			if !u.Fused {
 				b.UnfusedUops++
@@ -190,7 +190,7 @@ func (a *analysis) throughputBound() float64 {
 	masks := maskBuf[:0]
 	counts := countBuf[:0]
 	for i := a.start; i <= a.end; i++ {
-		for _, u := range a.dp.Uops[i] {
+		for _, u := range a.dp.Uops(i) {
 			found := false
 			for mi, m := range masks {
 				if m == u.Ports {

@@ -144,6 +144,8 @@ type Report struct {
 	// SelfMoves lists register-to-register moves whose source and
 	// destination coincide.
 	SelfMoves []int `json:"self_moves,omitempty"`
+	// selfMoveInsts renders each SelfMoves instruction for WriteTable.
+	selfMoveInsts []string
 	// PortPressure lists the port classes, most pressured first.
 	PortPressure []PortClass `json:"port_pressure,omitempty"`
 	// Edges is the loop-body dependence DAG.
@@ -185,6 +187,9 @@ func Analyze(p *isa.Program, arch *isa.Arch) (*Report, error) {
 		LoopEnd:   a.end,
 	}
 	rep.DeadWrites, rep.SelfMoves = a.liveness(false)
+	for _, i := range rep.SelfMoves {
+		rep.selfMoveInsts = append(rep.selfMoveInsts, p.Insts[i].String())
+	}
 	a.dependences(rep)
 	a.latency(rep)
 	a.pressure(rep)
@@ -302,7 +307,7 @@ func scan(p *isa.Program, dp *isa.DecodedProgram) *scanned {
 // which keeps the static bound a lower bound without modelling caches).
 func (a *analysis) defLat(i int) float64 {
 	lat := 0
-	for _, u := range a.dp.Uops[i] {
+	for _, u := range a.dp.Uops(i) {
 		if u.Role == isa.RoleCompute && u.Lat > lat {
 			lat = u.Lat
 		}
@@ -416,7 +421,7 @@ func (a *analysis) dependences(rep *Report) {
 			lastDef[r] = i
 			lastReads[r] = lastReads[r][:0]
 		})
-		for _, u := range a.dp.Uops[i] {
+		for _, u := range a.dp.Uops(i) {
 			rep.Uops++
 			if !u.Fused {
 				rep.UnfusedUops++
@@ -669,7 +674,7 @@ func (a *analysis) pressure(rep *Report) {
 	var masks []isa.PortMask
 	var counts []int
 	for i := a.start; i <= a.end; i++ {
-		for _, u := range a.dp.Uops[i] {
+		for _, u := range a.dp.Uops(i) {
 			found := false
 			for mi, m := range masks {
 				if m == u.Ports {

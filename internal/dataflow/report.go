@@ -98,7 +98,11 @@ func (r *Report) WriteTable(w io.Writer) error {
 		if i == 0 {
 			key = "self moves"
 		}
-		row(key, "#%-3d", m)
+		inst := "" // a report not built by Analyze has no instruction text
+		if i < len(r.selfMoveInsts) {
+			inst = r.selfMoveInsts[i]
+		}
+		row(key, "#%-3d %s", m, inst)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

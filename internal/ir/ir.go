@@ -326,16 +326,22 @@ type Kernel struct {
 	CodeAlign int
 
 	// Tags records the variant decisions (unroll factor, swap pattern,
-	// chosen instruction, stride...) for naming and CSV reporting.
+	// chosen instruction, stride...) for naming and CSV reporting. A clone
+	// shares its source's map, so write it only through Tag, which never
+	// changes a map in place.
 	Tags map[string]string
 }
 
-// Tag records a variant decision and returns the kernel for chaining.
+// Tag records a variant decision and returns the kernel for chaining. It
+// gives the kernel a new map holding the old tags plus this one, so the
+// kernels that share the old map keep their tags.
 func (k *Kernel) Tag(key, value string) *Kernel {
-	if k.Tags == nil {
-		k.Tags = map[string]string{}
+	tags := make(map[string]string, len(k.Tags)+1)
+	for tk, tv := range k.Tags {
+		tags[tk] = tv
 	}
-	k.Tags[key] = value
+	tags[key] = value
+	k.Tags = tags
 	return k
 }
 
@@ -437,7 +443,11 @@ func cloneOf(seen []regCopy, r *Register) *Register {
 // copy: operands and inductions that shared a *Register still share the
 // corresponding clone. The clones of the distinct registers share one
 // allocation, and so do the operands of every instruction (each carved
-// with its own capacity, so appending to one never reaches the next).
+// with its own capacity, so appending to one never reaches the next). The
+// body has room for one more instruction per induction, so the
+// insert-inductions pass appends its updates without copying it. The clone
+// shares what no pass changes in place: the tag map (see Tag) and each
+// instruction's move semantics.
 func (k *Kernel) Clone() *Kernel {
 	var buf [16]regCopy
 	seen := buf[:0]
@@ -472,15 +482,12 @@ func (k *Kernel) Clone() *Kernel {
 		MaxVariants: k.MaxVariants,
 		Branch:      k.Branch,
 		CodeAlign:   k.CodeAlign,
+		Tags:        k.Tags,
 	}
-	nk.Body = make([]Instruction, len(k.Body))
+	nk.Body = make([]Instruction, len(k.Body), len(k.Body)+len(k.Inductions))
 	ops := make([]Operand, nOps)
 	for i, in := range k.Body {
 		ni := in
-		if in.Move != nil {
-			mv := *in.Move
-			ni.Move = &mv
-		}
 		n := len(in.Operands)
 		ni.Operands, ops = ops[:n:n], ops[n:]
 		for j, o := range in.Operands {
@@ -502,12 +509,6 @@ func (k *Kernel) Clone() *Kernel {
 	nk.ZeroAtEntry = make([]*Register, len(k.ZeroAtEntry))
 	for i, r := range k.ZeroAtEntry {
 		nk.ZeroAtEntry[i] = cloneOf(seen, r)
-	}
-	if k.Tags != nil {
-		nk.Tags = make(map[string]string, len(k.Tags))
-		for key, v := range k.Tags {
-			nk.Tags[key] = v
-		}
 	}
 	return nk
 }

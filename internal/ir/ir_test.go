@@ -139,6 +139,40 @@ func TestTagsAndTagString(t *testing.T) {
 	}
 }
 
+// TestCloneSharesTagsUntilTagged: a clone shares its source's tag map,
+// and a Tag on either side gives that side its own map, so neither sees
+// the other's decision.
+func TestCloneSharesTagsUntilTagged(t *testing.T) {
+	k := validKernel().Tag("u", "2")
+	c := k.Clone()
+	c.Tag("s", "1")
+	k.Tag("u", "3")
+	if got := k.TagString(); got != "u=3" {
+		t.Errorf("source tags %q, want u=3", got)
+	}
+	if got := c.TagString(); got != "s=1,u=2" {
+		t.Errorf("clone tags %q, want s=1,u=2", got)
+	}
+}
+
+// TestCloneLeavesRoomForInductions: a clone's body has room for one update
+// per induction, and appending into it never reaches the source's body.
+func TestCloneLeavesRoomForInductions(t *testing.T) {
+	k := validKernel()
+	c := k.Clone()
+	if cap(c.Body) < len(c.Body)+len(c.Inductions) {
+		t.Fatalf("clone body cap %d, want at least %d", cap(c.Body), len(c.Body)+len(c.Inductions))
+	}
+	body := c.Body
+	c.Body = append(c.Body, Instruction{Op: "add"})
+	if &c.Body[0] != &body[0] {
+		t.Error("appending one update copied the clone's body")
+	}
+	if len(k.Body) != 1 || k.Body[0].Op != "movss" {
+		t.Errorf("source body changed: %v", k.Body)
+	}
+}
+
 func TestRegistersEnumerationOrder(t *testing.T) {
 	k := validKernel()
 	regs := k.Registers()

@@ -12,26 +12,31 @@ import (
 // instead of re-validating and re-decoding the program, which makes repeat
 // launches of the same kernel allocation-free.
 //
+// Its tables take two allocations: Info, and one flat µop array that each
+// instruction's InstInfo spans (UopOff, NUops) and Uops slices.
+//
 // Instances are shared across cores and goroutines: every field must be
 // treated as read-only.
 type DecodedProgram struct {
 	// Prog is the program this decode was produced from.
 	Prog *Program
-	// Uops holds each instruction's µop decomposition, indexed like
-	// Prog.Insts. The inner slices alias one shared backing array.
-	Uops [][]Uop
-	// Info holds each instruction's static scheduling facts, indexed like
-	// Prog.Insts.
+	// Info holds each instruction's static scheduling facts, its µop span
+	// and its initial branch prediction, indexed like Prog.Insts.
 	Info []InstInfo
-	// PredInit is the initial 2-bit branch predictor counter per static
-	// instruction (backward branches start predicted-taken, forward
-	// branches predicted-not-taken); cores copy it into their private
-	// predictor state on Reset.
-	PredInit []uint8
+	// uops is every instruction's µop decomposition, in program order.
+	uops []Uop
 
 	// derived memoizes analysis results computed from this decode (see
 	// Derived); like the decode cache it is first-wins.
 	derived memo[uint64, any]
+}
+
+// Uops returns instruction i's µop decomposition. The slice aliases the
+// decode's flat array and must not be modified.
+func (d *DecodedProgram) Uops(i int) []Uop {
+	info := &d.Info[i]
+	end := info.UopOff + uint32(info.NUops)
+	return d.uops[info.UopOff:end:end]
 }
 
 // memoCap bounds both memos: a program's decodes and a decode's derived
@@ -50,11 +55,14 @@ type memoList[K comparable, V any] struct {
 }
 
 // memo is a small copy-on-write map, read lock-free on the hot path, with
-// writers serialized by mu; each write publishes one new list. The zero
-// value is ready to use.
+// writers serialized by mu; each write publishes one new list. The first
+// list is the memo's own first field, written once before it is published,
+// so a memo that only ever holds one entry (nearly every program and
+// decode) allocates nothing. The zero value is ready to use.
 type memo[K comparable, V any] struct {
-	mu   sync.Mutex
-	list atomic.Pointer[memoList[K, V]]
+	mu    sync.Mutex
+	list  atomic.Pointer[memoList[K, V]]
+	first memoList[K, V]
 }
 
 func (m *memo[K, V]) get(k K) (v V, ok bool) {
@@ -74,8 +82,9 @@ func (m *memo[K, V]) get(k K) (v V, ok bool) {
 func (m *memo[K, V]) put(k K, v V) V {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := new(memoList[K, V])
+	next := &m.first
 	if old := m.list.Load(); old != nil {
+		next = new(memoList[K, V])
 		for i := 0; i < old.n; i++ {
 			if old.keys[i] == k {
 				return old.vals[i]
@@ -138,11 +147,23 @@ type InstInfo struct {
 	// SrcRegs[:NSrc] are the non-address register sources (including a
 	// read-modify destination, excluding a pure move's destination).
 	SrcRegs [3]Reg
-	NSrc    int
+	// NUops is how many µops the instruction decodes to (see
+	// DecodedProgram.Uops).
+	NUops uint8
+	// PredInit is the initial 2-bit branch predictor counter (backward
+	// branches start predicted-taken, every other instruction
+	// predicted-not-taken); cores copy it into their private predictor
+	// state on Reset.
+	PredInit uint8
+	NSrc     int
 	// DstReg is the register destination, or NoReg.
 	DstReg Reg
 	// StoreDataReg is the register whose value a store writes, or NoReg.
 	StoreDataReg Reg
+	// UopOff is where the instruction's µops start in the decode's flat
+	// µop array. NUops, PredInit and UopOff fill alignment padding, so
+	// InstInfo is 64 bytes.
+	UopOff uint32
 	// MemWidth is the access width in bytes; valid only when HasMem.
 	MemWidth int
 	HasMem   bool
@@ -232,48 +253,46 @@ func (a *Arch) decodeKey() decodeKey {
 	}
 }
 
-// Decoded returns the program's µop decode for arch, validating and decoding
-// it exactly once per decode signature and caching the result on the
-// program. It is safe for concurrent use. The program must not be mutated
-// after its first Decoded call; MicroCreator and the asm parser finalize
-// programs (Resolve) before they reach the simulator, and Clone returns a
-// program with an empty cache.
+// Decoded returns the program's µop decode for arch, decoding it exactly
+// once per decode signature and caching the result on the program. A
+// program is validated first unless Validate already passed on it (Lower
+// and the asm parser validate every program they build). It is safe for
+// concurrent use. The program must not be mutated after it is validated or
+// decoded; MicroCreator and the asm parser finalize programs (Resolve)
+// before they reach the simulator, and Clone returns a program with an
+// empty cache.
 func (p *Program) Decoded(a *Arch) (*DecodedProgram, error) {
 	k := a.decodeKey()
 	if dp, ok := p.dcache.get(k); ok {
 		return dp, nil
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	// Decode into one flat backing array, then carve per-instruction
-	// views: a program decodes to ~1-2 µops per instruction, so this is
-	// two allocations instead of one per instruction.
-	flat := make([]Uop, 0, 2*len(p.Insts))
-	offs := make([]int, len(p.Insts)+1)
-	for i := range p.Insts {
-		var err error
-		flat, err = a.Decode(&p.Insts[i], flat)
-		if err != nil {
-			return nil, fmt.Errorf("isa: decode %s at %d: %w", p.Insts[i].Op, i, err)
+	if !p.valid.Load() {
+		if err := p.Validate(); err != nil {
+			return nil, err
 		}
-		offs[i+1] = len(flat)
 	}
+	// One pass fills both tables: Decode appends at most two µops per
+	// instruction (see its shapes), so the flat array never regrows.
 	dp := &DecodedProgram{
-		Prog:     p,
-		Uops:     make([][]Uop, len(p.Insts)),
-		Info:     make([]InstInfo, len(p.Insts)),
-		PredInit: make([]uint8, len(p.Insts)),
+		Prog: p,
+		Info: make([]InstInfo, len(p.Insts)),
+		uops: make([]Uop, 0, 2*len(p.Insts)),
 	}
 	for i := range p.Insts {
-		dp.Uops[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
 		in := &p.Insts[i]
-		dp.Info[i] = infoOf(in)
+		off := len(dp.uops)
+		var err error
+		dp.uops, err = a.Decode(in, dp.uops)
+		if err != nil {
+			return nil, fmt.Errorf("isa: decode %s at %d: %w", in.Op, i, err)
+		}
+		info := &dp.Info[i]
+		*info = infoOf(in)
+		info.UopOff, info.NUops = uint32(off), uint8(len(dp.uops)-off)
 		// Static prediction: backward taken (loops), forward not-taken.
-		if in.Op.IsBranch() && in.Target >= 0 && in.Target <= i {
-			dp.PredInit[i] = 2
-		} else {
-			dp.PredInit[i] = 1
+		info.PredInit = 1
+		if info.Branch && in.Target >= 0 && in.Target <= i {
+			info.PredInit = 2
 		}
 	}
 	return p.dcache.put(k, dp), nil

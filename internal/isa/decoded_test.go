@@ -42,17 +42,16 @@ func TestDecodedMatchesDirectDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dp.Uops) != len(p.Insts) || len(dp.PredInit) != len(p.Insts) {
-			t.Fatalf("%s: decoded lengths %d/%d, want %d", arch.Name,
-				len(dp.Uops), len(dp.PredInit), len(p.Insts))
+		if len(dp.Info) != len(p.Insts) {
+			t.Fatalf("%s: decoded length %d, want %d", arch.Name, len(dp.Info), len(p.Insts))
 		}
 		for i := range p.Insts {
 			want, err := arch.Decode(&p.Insts[i], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(dp.Uops[i], want) {
-				t.Errorf("%s: inst %d uops = %+v, want %+v", arch.Name, i, dp.Uops[i], want)
+			if !reflect.DeepEqual(dp.Uops(i), want) {
+				t.Errorf("%s: inst %d uops = %+v, want %+v", arch.Name, i, dp.Uops(i), want)
 			}
 		}
 		// Static prediction: the loop's backward jge starts taken, and no
@@ -63,8 +62,8 @@ func TestDecodedMatchesDirectDecode(t *testing.T) {
 			if in.Op.IsBranch() && in.Target <= i {
 				want = 2
 			}
-			if dp.PredInit[i] != want {
-				t.Errorf("%s: PredInit[%d] = %d, want %d", arch.Name, i, dp.PredInit[i], want)
+			if dp.Info[i].PredInit != want {
+				t.Errorf("%s: Info[%d].PredInit = %d, want %d", arch.Name, i, dp.Info[i].PredInit, want)
 			}
 		}
 	}
@@ -117,13 +116,13 @@ func TestDecodedCacheEvictsOldestSignature(t *testing.T) {
 	if again == first {
 		t.Error("evicted signature still served the old instance")
 	}
-	if len(again.Uops) != len(first.Uops) {
+	if !reflect.DeepEqual(again.Info, first.Info) {
 		t.Error("re-decode after eviction disagrees with the original")
 	}
 }
 
 func TestDecodedErrorsNotCached(t *testing.T) {
-	p := &Program{Name: "empty", Labels: map[string]int{}}
+	p := &Program{Name: "empty"}
 	if _, err := p.Decoded(Nehalem()); err == nil {
 		t.Fatal("decoding an invalid program must fail")
 	}
@@ -151,5 +150,42 @@ func TestCloneStartsWithEmptyDecodeCache(t *testing.T) {
 	}
 	if d2.Prog != q {
 		t.Error("clone's decode points at the wrong program")
+	}
+}
+
+// TestTablesHoldNoPointers: an instruction and its decoded facts hold no
+// pointer, so the garbage collector never scans a program's Insts or a
+// decode's Info, and they stay at their current sizes (the µop span and the
+// initial prediction fill InstInfo's padding).
+func TestTablesHoldNoPointers(t *testing.T) {
+	var hasPointer func(reflect.Type) bool
+	hasPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointer(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float64:
+			return false
+		}
+		return true
+	}
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{{Inst{}, 144}, {InstInfo{}, 64}, {Uop{}, 24}} {
+		typ := reflect.TypeOf(c.v)
+		if hasPointer(typ) {
+			t.Errorf("%s holds a pointer", typ)
+		}
+		if typ.Size() != c.size {
+			t.Errorf("%s is %d bytes, want %d", typ, typ.Size(), c.size)
+		}
 	}
 }

@@ -169,10 +169,10 @@ func buildLoop(t *testing.T) *Program {
 			{Op: MOVAPS, A: NewReg(XMM2), B: NewMem(MemRef{Base: RSI, Index: NoReg, Disp: 32}), NOps: 2},
 			{Op: ADD, A: NewImm(48), B: NewReg(RSI), NOps: 2},
 			{Op: SUB, A: NewImm(12), B: NewReg(RDI), NOps: 2},
-			{Op: JGE, A: NewLabel(".L6"), NOps: 1},
+			{Op: JGE, A: NewLabel(0), NOps: 1},
 			{Op: RET},
 		},
-		Labels: map[string]int{".L6": 0},
+		Labels: []Label{{Name: ".L6", Index: 0}},
 	}
 	if err := p.Resolve(); err != nil {
 		t.Fatalf("Resolve: %v", err)
@@ -198,7 +198,7 @@ func TestProgramLoadStoreClassification(t *testing.T) {
 }
 
 func TestProgramResolveErrors(t *testing.T) {
-	p := &Program{Name: "bad", Insts: []Inst{{Op: JGE, A: NewLabel(".nope"), NOps: 1}}, Labels: map[string]int{}}
+	p := &Program{Name: "bad", Insts: []Inst{{Op: JGE, A: NewLabel(0), NOps: 1}}}
 	if err := p.Resolve(); err == nil {
 		t.Error("Resolve with undefined label must fail")
 	}
@@ -211,7 +211,6 @@ func TestProgramValidateRejectsGPRLoad(t *testing.T) {
 			{Op: MOV, A: NewMem(MemRef{Base: RSI, Index: NoReg}), B: NewReg(RAX), NOps: 2},
 			{Op: RET},
 		},
-		Labels: map[string]int{},
 	}
 	if err := p.Resolve(); err != nil {
 		t.Fatal(err)
@@ -265,10 +264,10 @@ func TestExecMatmulInner(t *testing.T) {
 			{Op: CMP, A: NewReg(RAX), B: NewReg(RDI), NOps: 2},
 			{Op: ADDSD, A: NewReg(XMM0), B: NewReg(XMM1), NOps: 2},
 			{Op: MOVSD, A: NewReg(XMM1), B: NewMem(MemRef{Base: R10, Index: R9, Scale: 1}), NOps: 2},
-			{Op: JG, A: NewLabel(".L3"), NOps: 1},
+			{Op: JG, A: NewLabel(0), NOps: 1},
 			{Op: RET},
 		},
-		Labels: map[string]int{".L3": 0},
+		Labels: []Label{{Name: ".L3", Index: 0}},
 	}
 	if err := p.Resolve(); err != nil {
 		t.Fatal(err)

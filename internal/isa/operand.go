@@ -53,13 +53,17 @@ func (m MemRef) String() string {
 	return b.String()
 }
 
-// Operand is a tagged union of the operand forms in the subset.
+// Operand is a tagged union of the operand forms in the subset. It holds no
+// pointer, so an instruction array is never scanned by the garbage
+// collector.
 type Operand struct {
-	Kind  OperandKind
-	Reg   Reg
+	Kind OperandKind
+	Reg  Reg
+	// Label is a LabelOperand's index into its program's Labels: the label
+	// the branch names. The instruction it resolves to is Inst.Target.
+	Label int32
 	Imm   int64
 	Mem   MemRef
-	Label string
 }
 
 // NewReg returns a register operand.
@@ -71,8 +75,9 @@ func NewImm(v int64) Operand { return Operand{Kind: ImmOperand, Imm: v} }
 // NewMem returns a memory operand.
 func NewMem(m MemRef) Operand { return Operand{Kind: MemOperand, Mem: m} }
 
-// NewLabel returns a label operand (branch target).
-func NewLabel(l string) Operand { return Operand{Kind: LabelOperand, Label: l} }
+// NewLabel returns a label operand naming the program's Labels[i] (a branch
+// target).
+func NewLabel(i int) Operand { return Operand{Kind: LabelOperand, Label: int32(i)} }
 
 // IsMem reports whether the operand is a memory reference.
 func (o Operand) IsMem() bool { return o.Kind == MemOperand }
@@ -91,7 +96,7 @@ func (o Operand) String() string {
 	case MemOperand:
 		return o.Mem.String()
 	case LabelOperand:
-		return o.Label
+		return fmt.Sprintf("label(%d)", o.Label)
 	}
 	return fmt.Sprintf("operand(%d)", int(o.Kind))
 }

@@ -23,21 +23,17 @@ func (p *Program) AppendPrint(dst []byte) []byte {
 	// sorted name order for determinism, indices outside [0, len(Insts)]
 	// are dropped. The fixed-size backing array covers generated kernels
 	// (one loop label) without allocating.
-	type labelAt struct {
-		idx  int
-		name string
-	}
-	var stack [4]labelAt
+	var stack [4]Label
 	labels := stack[:0]
-	for name, idx := range p.Labels {
-		if idx < 0 || idx > len(p.Insts) {
+	for _, l := range p.Labels {
+		if l.Index < 0 || l.Index > len(p.Insts) {
 			continue
 		}
-		labels = append(labels, labelAt{idx, name})
+		labels = append(labels, l)
 	}
 	for i := 1; i < len(labels); i++ {
-		for j := i; j > 0 && (labels[j].idx < labels[j-1].idx ||
-			(labels[j].idx == labels[j-1].idx && labels[j].name < labels[j-1].name)); j-- {
+		for j := i; j > 0 && (labels[j].Index < labels[j-1].Index ||
+			(labels[j].Index == labels[j-1].Index && labels[j].Name < labels[j-1].Name)); j-- {
 			labels[j], labels[j-1] = labels[j-1], labels[j]
 		}
 	}
@@ -48,20 +44,31 @@ func (p *Program) AppendPrint(dst []byte) []byte {
 	dst = append(dst, ":\n"...)
 	li := 0
 	for i := range p.Insts {
-		for li < len(labels) && labels[li].idx == i {
-			dst = append(dst, labels[li].name...)
+		for li < len(labels) && labels[li].Index == i {
+			dst = append(dst, labels[li].Name...)
 			dst = append(dst, ":\n"...)
 			li++
 		}
 		dst = append(dst, "    "...)
-		dst = p.Insts[i].appendString(dst)
+		dst = p.appendInst(dst, &p.Insts[i])
 		dst = append(dst, '\n')
 	}
 	for ; li < len(labels); li++ {
-		dst = append(dst, labels[li].name...)
+		dst = append(dst, labels[li].Name...)
 		dst = append(dst, ":\n"...)
 	}
 	return dst
+}
+
+// appendInst renders one of the program's instructions, spelling a label
+// operand with the name of the program label it indexes.
+func (p *Program) appendInst(dst []byte, in *Inst) []byte {
+	if in.NOps == 1 && in.A.Kind == LabelOperand && in.A.Label >= 0 && int(in.A.Label) < len(p.Labels) {
+		dst = append(dst, in.Op.String()...)
+		dst = append(dst, ' ')
+		return append(dst, p.Labels[in.A.Label].Name...)
+	}
+	return in.appendString(dst)
 }
 
 // appendString is Inst.String in append form; the two must render
@@ -92,7 +99,7 @@ func (o Operand) appendString(dst []byte) []byte {
 	case MemOperand:
 		return o.Mem.appendString(dst)
 	case LabelOperand:
-		return append(dst, o.Label...)
+		return fmt.Appendf(dst, "label(%d)", o.Label)
 	}
 	return fmt.Appendf(dst, "operand(%d)", int(o.Kind))
 }

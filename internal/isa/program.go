@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Inst is one decoded instruction. Operands are stored in AT&T order
@@ -78,31 +79,54 @@ func (in *Inst) String() string {
 	return in.Op.String() + " " + strings.Join(ops, ", ")
 }
 
+// Label is one named position in a program: Index is the instruction the
+// label precedes (len(Insts) for a label after the last instruction).
+type Label struct {
+	Name  string
+	Index int
+}
+
 // Program is a decoded kernel: a named entry point plus a linear instruction
 // stream with resolved branch targets. This is what MicroLauncher executes
 // ("At execution time, the launcher compiles the kernel code ... loaded at
 // run-time", §4.1 — here, compiled into this form by internal/asm).
 type Program struct {
-	Name   string
-	Insts  []Inst
-	Labels map[string]int
+	Name  string
+	Insts []Inst
+	// Labels lists the program's labels in definition order; a branch's
+	// label operand indexes it.
+	Labels []Label
 
+	// valid records a successful Validate, so Decoded validates a program
+	// that Lower or the asm parser already checked only once.
+	valid atomic.Bool
 	// dcache memoizes the per-microarchitecture µop decode (see Decoded).
 	// Lazily filled, safe for concurrent use; Clone starts empty.
 	dcache memo[decodeKey, *DecodedProgram]
 }
 
+// LabelIndex returns the instruction index the label name precedes.
+func (p *Program) LabelIndex(name string) (int, bool) {
+	for _, l := range p.Labels {
+		if l.Name == name {
+			return l.Index, true
+		}
+	}
+	return 0, false
+}
+
 // Clone returns a deep copy of the program.
 func (p *Program) Clone() *Program {
-	q := &Program{Name: p.Name, Insts: append([]Inst(nil), p.Insts...), Labels: map[string]int{}}
-	for k, v := range p.Labels {
-		q.Labels[k] = v
+	return &Program{
+		Name:   p.Name,
+		Insts:  append([]Inst(nil), p.Insts...),
+		Labels: append([]Label(nil), p.Labels...),
 	}
-	return q
 }
 
 // Resolve fills in branch Target indices from label operands. It returns an
-// error for a branch to an unknown label.
+// error for a branch without a single label operand, or one whose operand
+// names no label of the program.
 func (p *Program) Resolve() error {
 	for i := range p.Insts {
 		in := &p.Insts[i]
@@ -113,11 +137,10 @@ func (p *Program) Resolve() error {
 		if in.NOps != 1 || in.A.Kind != LabelOperand {
 			return fmt.Errorf("isa: %s at %d: branch needs a single label operand", in.Op, i)
 		}
-		t, ok := p.Labels[in.A.Label]
-		if !ok {
-			return fmt.Errorf("isa: %s at %d: undefined label %q", in.Op, i, in.A.Label)
+		if in.A.Label < 0 || int(in.A.Label) >= len(p.Labels) {
+			return fmt.Errorf("isa: %s at %d: undefined label #%d", in.Op, i, in.A.Label)
 		}
-		in.Target = t
+		in.Target = p.Labels[in.A.Label].Index
 	}
 	return nil
 }
@@ -126,7 +149,8 @@ func (p *Program) Resolve() error {
 // resolved branches, a RET-terminated stream, supported operand shapes, and
 // no functional loads into general-purpose registers (the timing model
 // tracks integer state in registers only; MicroCreator never emits such
-// loads and the paper's kernels keep loop state in registers).
+// loads and the paper's kernels keep loop state in registers). A program that
+// passes is marked valid, and Decoded does not check it again.
 func (p *Program) Validate() error {
 	if len(p.Insts) == 0 {
 		return fmt.Errorf("isa: program %q is empty", p.Name)
@@ -163,6 +187,7 @@ func (p *Program) Validate() error {
 	if !sawRet {
 		return fmt.Errorf("isa: program %q has no ret", p.Name)
 	}
+	p.valid.Store(true)
 	return nil
 }
 

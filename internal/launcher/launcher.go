@@ -128,7 +128,6 @@ var calibrationProgram = sync.OnceValue(func() *isa.Program {
 			{Op: isa.XOR, A: isa.NewReg(isa.RAX), B: isa.NewReg(isa.RAX), NOps: 2},
 			{Op: isa.RET},
 		},
-		Labels: map[string]int{},
 	})
 })
 

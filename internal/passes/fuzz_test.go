@@ -83,7 +83,8 @@ func emitWork(src string) int64 {
 // FuzzEmit is the one oracle for both generation entry points. Whenever
 // the pipeline accepts a spec, every program's decoded form is exactly
 // what the asm parser makes of its rendered text (name, labels, canonical
-// print). The materialized (Generate) and streamed (GenerateStream) runs
+// print), and what the reference lowering and decode make of its kernel
+// (checkLowerAgainstReference). The materialized (Generate) and streamed (GenerateStream) runs
 // return the same programs, the same diagnostics in the same order and the
 // same error text.
 func FuzzEmit(f *testing.F) {
@@ -153,6 +154,7 @@ func FuzzEmit(f *testing.F) {
 			if b.Name != s.Name || b.Parsed.Print() != s.Parsed.Print() {
 				t.Fatalf("program %d: batch %s and stream %s differ", i, b.Name, s.Name)
 			}
+			checkLowerAgainstReference(t, b)
 			text, err := b.Assembly()
 			if err != nil {
 				t.Fatalf("%s: render: %v", b.Name, err)

@@ -3,6 +3,7 @@ package passes
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,13 +105,10 @@ func fanOut(children func(*ir.Kernel) ([]*ir.Kernel, error)) RunFunc {
 
 // cloneInstr deep-copies an instruction for duplication within the same
 // kernel: rotating registers get fresh objects (each copy rotates
-// independently); allocated/logical registers stay shared.
+// independently); allocated/logical registers and the move semantics,
+// which no pass changes in place, stay shared.
 func cloneInstr(in ir.Instruction) ir.Instruction {
 	ni := in
-	if in.Move != nil {
-		mv := *in.Move
-		ni.Move = &mv
-	}
 	ni.Operands = make([]ir.Operand, len(in.Operands))
 	for i, o := range in.Operands {
 		no := o
@@ -402,7 +400,8 @@ func passUnroll(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		for u := k.UnrollRange.Min; u <= k.UnrollRange.Max; u++ {
 			v := k.Clone()
 			v.Unroll = u
-			body := make([]ir.Instruction, 0, len(v.Body)*u)
+			// Room for the induction updates, as Clone leaves.
+			body := make([]ir.Instruction, 0, len(v.Body)*u+len(v.Inductions))
 			for c := 0; c < u; c++ {
 				for i := range v.Body {
 					ni := cloneInstr(v.Body[i])
@@ -593,7 +592,9 @@ func passLinkInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 // passInsertInductions materializes the induction updates. The
 // last_induction is emitted last — immediately before the branch — because
 // the conditional jump tests the flags its update sets; any other induction
-// update (e.g. Fig. 9's iteration counter) would clobber them.
+// update (e.g. Fig. 9's iteration counter) would clobber them. The updates
+// are appended into the room unroll and Clone leave after the body: each
+// kernel owns its body, so the append reaches no other kernel.
 func passInsertInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	for _, k := range ks {
 		var orderBuf [8]*ir.Induction
@@ -614,8 +615,7 @@ func passInsertInductions(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 		if len(order) == 0 {
 			continue
 		}
-		body := make([]ir.Instruction, len(k.Body), len(k.Body)+len(order))
-		copy(body, k.Body)
+		body := slices.Grow(k.Body, len(order))
 		operands := make([]ir.Operand, 2*len(order))
 		for j, ind := range order {
 			op, imm := isa.ADD, ind.Increment

@@ -176,8 +176,7 @@ func TestGeneratedProgramsParseAndRun(t *testing.T) {
 		var rf isa.RegFile
 		rf.Set(isa.RDI, n)
 		rf.Set(isa.RSI, 0x100000)
-		pc := p.Labels[prog.Name] // entry at function start = 0
-		pc = 0
+		pc := 0 // entry at function start
 		steps := 0
 		for pc >= 0 {
 			inst := &p.Insts[pc]
@@ -563,7 +562,7 @@ func TestInsertBranchPlainLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := parsed.Labels[".L_6"]; !ok || len(parsed.Labels) != 1 {
+	if _, ok := parsed.LabelIndex(".L_6"); !ok || len(parsed.Labels) != 1 {
 		t.Errorf("labels %v, want only .L_6", parsed.Labels)
 	}
 }

@@ -7,7 +7,7 @@
 # Every benchmark runs once (-benchtime=1x), so wall-clock noise cannot
 # trip the guard, and at GOMAXPROCS 2 (-cpu 2): the pooled machines are
 # rebuilt after a GC once per P that lost its pooled copy, so the sweep's
-# allocs/op grow with the P count (~21.2k–21.6k at 2, up to ~23.1k at
+# allocs/op grow with the P count (~16.7k–17.3k at 2, up to ~18.3k at
 # 16) and a pinned count keeps the ceilings valid on any host. The script
 # fails when a metric cannot be parsed or exceeds its ceiling, after
 # checking every row. Run from the repository root (make bench-guard).
