@@ -169,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheLine -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzEmit -fuzztime=10s ./internal/passes
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=10s ./internal/jsonl
+	$(GO) test -run='^$$' -fuzz=FuzzSystemMatchesReference -fuzztime=10s ./internal/memsim
 
 # analyze-smoke runs the static dataflow analysis over every variant of every
 # shipped spec on both machine models; `microtools analyze` exits non-zero on

@@ -362,28 +362,68 @@ func BenchmarkAblationRegisterRotation(b *testing.B) {
 	b.ReportMetric(fixed/rotated, "speedup-x")
 }
 
-// BenchmarkSimulatorThroughput measures the event-driven core's simulation
-// speed in dynamic instructions per second — the practical budget every
-// experiment sweep spends from.
+// BenchmarkSimulatorThroughput measures the simulator's speed in dynamic
+// instructions per second — the practical budget every experiment sweep
+// spends from. fixed times the event-driven core alone, on a
+// fixed-latency memory. memsim times one fig6 load/store variant
+// (loadstore_u3_SLS over a 16 KiB array, the fig6-quick-cold setting)
+// through sim.Machine.RunOne on nehalem-dual/8, so the memory hierarchy's
+// cost per access is in the figure.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	prog := buildLoadKernel(b, 8)
-	arch := isa.Nehalem()
-	var insts int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("fixed", func(b *testing.B) {
+		prog := buildLoadKernel(b, 8)
+		arch := isa.Nehalem()
+		var insts int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var rf isa.RegFile
+			rf.Set(isa.RDI, 32*5000-1)
+			rf.Set(isa.RSI, 0x100000)
+			core := cpu.NewCore(0, arch, fixedLatencyMem{lat: 4})
+			if err := core.Reset(prog, &rf, 0, 0); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.Step(math.MaxInt64); err != nil {
+				b.Fatal(err)
+			}
+			insts += core.Result().Insts
+		}
+		b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+	})
+	b.Run("memsim", func(b *testing.B) {
+		progs, err := GenerateString(context.Background(), fig6Spec(), GenerateOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := slices.IndexFunc(progs, func(p Program) bool { return p.Name == "loadstore_u3_SLS" })
+		if k < 0 {
+			b.Fatal("fig6 spec generated no loadstore_u3_SLS")
+		}
+		desc, err := machine.ByName("nehalem-dual/8")
+		if err != nil {
+			b.Fatal(err)
+		}
+		mach, err := sim.New(desc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const base, size = 0x10000000, 16 << 10
+		mach.Warm([]int{0}, [][]uint64{{base}}, size)
 		var rf isa.RegFile
-		rf.Set(isa.RDI, 32*5000-1)
-		rf.Set(isa.RSI, 0x100000)
-		core := cpu.NewCore(0, arch, fixedLatencyMem{lat: 4})
-		if err := core.Reset(prog, &rf, 0, 0); err != nil {
-			b.Fatal(err)
+		rf.Set(isa.RDI, size/4-1)
+		rf.Set(isa.RSI, base)
+		job := sim.Job{Core: 0, Prog: progs[k].Parsed, Regs: rf}
+		var insts int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := mach.RunOne(job)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += r.Insts
 		}
-		if _, err := core.Step(math.MaxInt64); err != nil {
-			b.Fatal(err)
-		}
-		insts += core.Result().Insts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+		b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+	})
 }
 
 // BenchmarkGenerate510Variants measures MicroCreator's generation speed on

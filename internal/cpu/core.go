@@ -302,27 +302,39 @@ func wrapInc(i, n int) int {
 // behaviour an age-ordered hardware scheduler converges to.
 var portPreference = [...]isa.Port{isa.P5, isa.P0, isa.P1, isa.P2, isa.P3, isa.P4}
 
+// portLists[m] holds mask m's ports in portPreference order (bits above
+// NumPorts ignored), built once so a multi-port pick walks only its own
+// ports.
+var portLists = func() (lists [1 << isa.NumPorts][]isa.Port) {
+	for m := range lists {
+		for _, p := range portPreference {
+			if isa.PortMask(m).Has(p) {
+				lists[m] = append(lists[m], p)
+			}
+		}
+	}
+	return lists
+}()
+
 // pickPort chooses the earliest-free allowed port (preference order breaks
 // ties), reserving it from start. A single-port mask (loads, store address
-// and data, branches) has one candidate and skips the preference loop.
+// and data, branches) has one candidate and skips the port list.
 func (c *Core) pickPort(mask isa.PortMask, earliest int64) (int64, error) {
-	best := isa.Port(255)
+	var best isa.Port
 	var bestFree int64
 	if p := bits.TrailingZeros16(uint16(mask)); mask&(mask-1) == 0 && p < int(isa.NumPorts) {
 		best = isa.Port(p)
 		bestFree = c.portFree[p]
 	} else {
-		for _, p := range portPreference {
-			if !mask.Has(p) {
-				continue
-			}
-			if best == 255 || c.portFree[p] < bestFree {
-				best = p
-				bestFree = c.portFree[p]
-			}
-		}
-		if best == 255 {
+		ports := portLists[mask&(1<<isa.NumPorts-1)]
+		if len(ports) == 0 {
 			return 0, fmt.Errorf("cpu: µop with empty port mask")
+		}
+		best, bestFree = ports[0], c.portFree[ports[0]]
+		for _, p := range ports[1:] {
+			if c.portFree[p] < bestFree {
+				best, bestFree = p, c.portFree[p]
+			}
 		}
 	}
 	start := earliest
@@ -370,8 +382,8 @@ func (c *Core) srcReady(info *isa.InstInfo) int64 {
 // precomputed from the decode cache; this loop only does per-dynamic work.
 func (c *Core) stepInst() error {
 	inst := &c.prog.Insts[c.pc]
-	uops := c.decoded.Uops(c.pc)
 	info := &c.decoded.Info[c.pc]
+	uops := c.decoded.UopsOf(info)
 
 	var addr uint64
 	var width int

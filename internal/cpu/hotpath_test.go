@@ -3,14 +3,16 @@ package cpu
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"microtools/internal/asm"
 	"microtools/internal/isa"
 )
 
-// refPickPort is the preference-order loop pickPort runs for every mask,
-// kept here as the reference for its single-port fast path.
+// refPickPort is the preference-order loop pickPort ran for every mask,
+// kept here as the reference for its single-port fast path and its
+// per-mask port lists.
 func refPickPort(portFree *[isa.NumPorts]int64, mask isa.PortMask, earliest int64) (int64, bool) {
 	best := isa.Port(255)
 	var bestFree int64
@@ -34,9 +36,11 @@ func refPickPort(portFree *[isa.NumPorts]int64, mask isa.PortMask, earliest int6
 	return start, true
 }
 
-// TestPickPortMatchesPreferenceOrder checks every port mask against the
-// preference loop, over port states with ties, distinct values and ports
-// busy past the earliest cycle: same start, same error, same port state.
+// TestPickPortMatchesPreferenceOrder checks every port mask, alone and
+// with bits above the ports set, against the preference loop, over port
+// states with ties, distinct values and ports busy past the earliest
+// cycle: same start, same error, same port state. It also holds every
+// mask's port list to the preference order filtered by the mask.
 func TestPickPortMatchesPreferenceOrder(t *testing.T) {
 	states := [][isa.NumPorts]int64{
 		{},
@@ -54,7 +58,22 @@ func TestPickPortMatchesPreferenceOrder(t *testing.T) {
 		}
 		states = append(states, s)
 	}
-	for mask := isa.PortMask(0); mask < 1<<isa.NumPorts; mask++ {
+	for m := isa.PortMask(0); m < 1<<isa.NumPorts; m++ {
+		var want []isa.Port
+		for _, p := range portPreference {
+			if m.Has(p) {
+				want = append(want, p)
+			}
+		}
+		if !slices.Equal(portLists[m], want) {
+			t.Fatalf("mask %06b: port list %v, want %v", m, portLists[m], want)
+		}
+	}
+	var masks []isa.PortMask
+	for m := isa.PortMask(0); m < 1<<isa.NumPorts; m++ {
+		masks = append(masks, m, m|1<<isa.NumPorts, m|1<<15)
+	}
+	for _, mask := range masks {
 		for _, st := range states {
 			for _, earliest := range []int64{0, 2, 10} {
 				c := &Core{portFree: st}

@@ -12,8 +12,9 @@ import (
 // instead of re-validating and re-decoding the program, which makes repeat
 // launches of the same kernel allocation-free.
 //
-// Its tables take two allocations: Info, and one flat µop array that each
-// instruction's InstInfo spans (UopOff, NUops) and Uops slices.
+// Its tables take two allocations: Info, and one flat µop array, exactly
+// as long as the µops need, that each instruction's InstInfo spans
+// (UopOff, NUops) and Uops slices.
 //
 // Instances are shared across cores and goroutines: every field must be
 // treated as read-only.
@@ -33,8 +34,11 @@ type DecodedProgram struct {
 
 // Uops returns instruction i's µop decomposition. The slice aliases the
 // decode's flat array and must not be modified.
-func (d *DecodedProgram) Uops(i int) []Uop {
-	info := &d.Info[i]
+func (d *DecodedProgram) Uops(i int) []Uop { return d.UopsOf(&d.Info[i]) }
+
+// UopsOf is Uops for a caller that already holds the instruction's
+// InstInfo (an element of d.Info).
+func (d *DecodedProgram) UopsOf(info *InstInfo) []Uop {
 	end := info.UopOff + uint32(info.NUops)
 	return d.uops[info.UopOff:end:end]
 }
@@ -271,12 +275,16 @@ func (p *Program) Decoded(a *Arch) (*DecodedProgram, error) {
 			return nil, err
 		}
 	}
-	// One pass fills both tables: Decode appends at most two µops per
-	// instruction (see its shapes), so the flat array never regrows.
+	// One pass fills both tables. The flat array is sized by Decode's own
+	// µop count rule, so it is exactly full and never regrows.
+	n := 0
+	for i := range p.Insts {
+		n += uopCount(&p.Insts[i])
+	}
 	dp := &DecodedProgram{
 		Prog: p,
 		Info: make([]InstInfo, len(p.Insts)),
-		uops: make([]Uop, 0, 2*len(p.Insts)),
+		uops: make([]Uop, 0, n),
 	}
 	for i := range p.Insts {
 		in := &p.Insts[i]

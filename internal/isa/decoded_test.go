@@ -189,3 +189,47 @@ func TestTablesHoldNoPointers(t *testing.T) {
 		}
 	}
 }
+
+// TestUopCountMatchesDecode holds the µop count rule Decoded sizes its
+// flat array by to Decode itself: every opcode in every operand form
+// (none, register, immediate, label, load, store, register to register)
+// decodes to uopCount µops on both microarchitectures, or fails to decode.
+func TestUopCountMatchesDecode(t *testing.T) {
+	mem := NewMem(MemRef{Base: RSI, Index: NoReg})
+	forms := [][]Operand{
+		{},
+		{NewReg(RAX)},
+		{NewImm(1)},
+		{NewLabel(0)},
+		{mem, NewReg(XMM0)},
+		{NewReg(XMM0), mem},
+		{NewReg(XMM0), NewReg(XMM1)},
+		{NewImm(1), NewReg(RAX)},
+	}
+	decoded := 0
+	for _, arch := range []*Arch{Nehalem(), SandyBridge()} {
+		for op := Op(0); op < numOps; op++ {
+			for _, ops := range forms {
+				in := Inst{Op: op, NOps: len(ops)}
+				if len(ops) > 0 {
+					in.A = ops[0]
+				}
+				if len(ops) > 1 {
+					in.B = ops[1]
+				}
+				uops, err := arch.Decode(&in, nil)
+				if err != nil {
+					continue
+				}
+				decoded++
+				if len(uops) != uopCount(&in) {
+					t.Errorf("%s: %s with %d operands decodes to %d µops, uopCount says %d",
+						arch.Name, op, len(ops), len(uops), uopCount(&in))
+				}
+			}
+		}
+	}
+	if decoded == 0 {
+		t.Fatal("no instruction decoded")
+	}
+}

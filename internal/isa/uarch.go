@@ -184,8 +184,20 @@ func (a *Arch) computeUop(op Op) (PortMask, int, error) {
 	return 0, 0, fmt.Errorf("isa: no compute µop spec for %s on %s", op, a.Name)
 }
 
-// Decode appends the µop decomposition of inst to buf and returns it.
-// Shapes:
+// uopCount is how many µops Decode appends for inst, whatever the arch:
+// two for a store and for a load that computes, one otherwise.
+func uopCount(inst *Inst) int {
+	if inst.Op.IsBranch() {
+		return 1
+	}
+	if _, isStore, hasMem := inst.MemOperand(); hasMem && (isStore || !inst.Op.IsMove()) {
+		return 2
+	}
+	return 1
+}
+
+// Decode appends the µop decomposition of inst to buf and returns it; it
+// appends uopCount(inst) µops. Shapes:
 //   - load (mem source):   load µop (+ micro-fused compute µop for
 //     arithmetic; pure moves are a single load µop)
 //   - store (mem dest):    store-address µop + store-data µop

@@ -19,11 +19,15 @@ type cache struct {
 	stamp []int64
 	dirty []bool
 	tick  int64
+	// hint[set] is the way of the set's last hit or fill (truncated to
+	// a byte, so it stays below the associativity): lookup tries it
+	// before scanning the set. It is only a hint, checked against ways.
+	hint []uint8
 
 	// marked[set] records that the set has held a line since the last
 	// reset; touched lists the marked sets in marking order. Only a marked
-	// set can hold a non-zero ways, stamp or dirty slot, so reset clears
-	// just those and costs in proportion to what the launch filled.
+	// set can hold a non-zero ways, stamp, dirty or hint slot, so reset
+	// clears just those and costs in proportion to what the launch filled.
 	marked  []bool
 	touched []int64
 }
@@ -39,6 +43,7 @@ func newCache(cfg CacheConfig) *cache {
 		ways:     make([]uint64, sets*int64(cfg.Assoc)),
 		stamp:    make([]int64, sets*int64(cfg.Assoc)),
 		dirty:    make([]bool, sets*int64(cfg.Assoc)),
+		hint:     make([]uint8, sets),
 		marked:   make([]bool, sets),
 		touched:  []int64{},
 	}
@@ -62,11 +67,17 @@ func (c *cache) setOf(line uint64) int64 {
 }
 
 // lookup probes for the line; on hit it refreshes LRU state (and optionally
-// marks the line dirty) and returns true.
+// marks the line dirty) and returns true. A non-zero line sits in at most
+// one way of its set, so when the hinted way holds it, it is the way the
+// scan would find; line 0 matches every invalid way and always scans.
 func (c *cache) lookup(line uint64, markDirty bool) bool {
 	set := c.setOf(line)
 	assoc := int64(c.cfg.Assoc)
 	base := set * assoc
+	if w := base + int64(c.hint[set]); line != 0 && c.ways[w] == line {
+		c.touch(w, markDirty)
+		return true
+	}
 	for w, l := range c.ways[base : base+assoc] {
 		if l == line {
 			if line == 0 {
@@ -74,15 +85,22 @@ func (c *cache) lookup(line uint64, markDirty bool) bool {
 				// touch a set no insert marked.
 				c.mark(set)
 			}
-			c.tick++
-			c.stamp[base+int64(w)] = c.tick
-			if markDirty {
-				c.dirty[base+int64(w)] = true
-			}
+			c.hint[set] = uint8(w)
+			c.touch(base+int64(w), markDirty)
 			return true
 		}
 	}
 	return false
+}
+
+// touch refreshes the LRU stamp of a hit slot and optionally marks it
+// dirty.
+func (c *cache) touch(slot int64, markDirty bool) {
+	c.tick++
+	c.stamp[slot] = c.tick
+	if markDirty {
+		c.dirty[slot] = true
+	}
 }
 
 // mark records that set may hold state reset must clear.
@@ -120,11 +138,8 @@ func (c *cache) insert(line uint64, dirty bool) (victim uint64, victimDirty bool
 	free, lru := -1, 0
 	for w, l := range ways {
 		if l == line {
-			c.tick++
-			stamp[w] = c.tick
-			if dirty {
-				c.dirty[base+int64(w)] = true
-			}
+			c.hint[set] = uint8(w)
+			c.touch(base+int64(w), dirty)
 			return 0, false
 		}
 		if l == 0 {
@@ -136,11 +151,13 @@ func (c *cache) insert(line uint64, dirty bool) (victim uint64, victimDirty bool
 		}
 	}
 	if free >= 0 {
+		c.hint[set] = uint8(free)
 		c.fill(base+int64(free), line, dirty)
 		return 0, false
 	}
 	slot := base + int64(lru)
 	victim, victimDirty = c.ways[slot], c.dirty[slot]
+	c.hint[set] = uint8(lru)
 	c.fill(slot, line, dirty)
 	return victim, victimDirty
 }
@@ -166,9 +183,9 @@ func (c *cache) invalidate(line uint64) (present, wasDirty bool) {
 	return false, false
 }
 
-// reset returns the cache to its freshly built state: no valid lines and
-// the LRU clock at zero. Only the sets marked since the last reset can
-// differ from that state, so only they are cleared.
+// reset returns the cache to its freshly built state: no valid lines, no
+// hints and the LRU clock at zero. Only the sets marked since the last
+// reset can differ from that state, so only they are cleared.
 func (c *cache) reset() {
 	assoc := int64(c.cfg.Assoc)
 	for _, set := range c.touched {
@@ -176,6 +193,7 @@ func (c *cache) reset() {
 		clear(c.ways[base : base+assoc])
 		clear(c.stamp[base : base+assoc])
 		clear(c.dirty[base : base+assoc])
+		c.hint[set] = 0
 		c.marked[set] = false
 	}
 	c.touched = c.touched[:0]

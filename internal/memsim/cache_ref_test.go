@@ -48,7 +48,7 @@ func refReset(c *cache) {
 }
 
 // TestCacheMatchesReference drives the cache and a reference copy (three-pass
-// insert, whole-array reset) with seeded random traffic mixing every cache
+// insert, whole-array reset, whole-set lookup) with seeded random traffic mixing every cache
 // operation, and requires identical results and identical ways, stamp and
 // dirty arrays after each one. Both a power-of-two and a modulo-indexed set
 // count are covered, and the line universe includes line 0, which matches an
@@ -75,7 +75,7 @@ func TestCacheMatchesReference(t *testing.T) {
 						t.Fatalf("op %d: insert(%#x) = (%#x, %v), reference (%#x, %v)", op, line, gv, gd, rv, rd)
 					}
 				case k < 85:
-					if g, r := got.lookup(line, dirty), ref.lookup(line, dirty); g != r {
+					if g, r := got.lookup(line, dirty), refLookup(ref, line, dirty); g != r {
 						t.Fatalf("op %d: lookup(%#x) = %v, reference %v", op, line, g, r)
 					}
 				case k < 95:

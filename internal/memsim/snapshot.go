@@ -17,13 +17,15 @@ type Snapshot struct {
 	socks []sockSnap
 }
 
-// cacheSnap holds one cache's LRU clock, touched list and the slots of
-// the touched sets that differ from a reset cache's zeros. A warm-up
+// cacheSnap holds one cache's LRU clock, touched list, the touched sets'
+// lookup hints and the slots of those sets that differ from a reset
+// cache's zeros. A warm-up
 // leaves most ways of a large cache's touched sets empty, so the snapshot
 // stays far smaller than the sets it restores.
 type cacheSnap struct {
 	tick    int64
 	touched []int64
+	hints   []uint8 // hints[i] is set touched[i]'s
 	slots   []slotSnap
 }
 
@@ -140,6 +142,10 @@ func (cs *coreSnap) restore(c *coreState) {
 func (cs *cacheSnap) capture(c *cache) {
 	cs.tick = c.tick
 	cs.touched = append(cs.touched[:0], c.touched...)
+	cs.hints = cs.hints[:0]
+	for _, set := range c.touched {
+		cs.hints = append(cs.hints, c.hint[set])
+	}
 	// Count first, so the buffer is sized once to fit.
 	n := 0
 	c.eachSlot(func(int64, uint64, int64, bool) { n++ })
@@ -164,14 +170,15 @@ func (c *cache) eachSlot(f func(i int64, line uint64, stamp int64, dirty bool)) 
 	}
 }
 
-// restore writes the captured slots into a reset cache and marks the
-// captured sets in the captured order.
+// restore writes the captured slots and hints into a reset cache and marks
+// the captured sets in the captured order.
 func (cs *cacheSnap) restore(c *cache) {
 	for _, sl := range cs.slots {
 		c.ways[sl.i], c.stamp[sl.i], c.dirty[sl.i] = sl.line, sl.stamp, sl.dirty
 	}
-	for _, set := range cs.touched {
+	for i, set := range cs.touched {
 		c.marked[set] = true
+		c.hint[set] = cs.hints[i]
 	}
 	c.touched = append(c.touched[:0], cs.touched...)
 	c.tick = cs.tick

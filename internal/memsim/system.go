@@ -18,7 +18,32 @@ type storeRec struct {
 	cycle int64
 }
 
+// empty reports whether the record still holds its zero value (no store
+// since Reset has filled it).
+func (r *storeRec) empty() bool { return r.cycle == 0 && r.addr == 0 }
+
 const storeWindowSize = 16
+
+// aliasBucketBytes is the width of a page-offset bucket, and aliasBuckets
+// how many of them a 4 KiB page offset falls in.
+const (
+	aliasBucketBytes = 64
+	aliasBuckets     = 4096 / aliasBucketBytes
+)
+
+// aliasBucket is the page-offset bucket of addr. A load within
+// aliasBucketBytes above a store's page offset lies in the store's bucket
+// or the next one.
+func aliasBucket(addr uint64) uint64 { return addr & 4095 / aliasBucketBytes }
+
+// recentSize is how many of a core's newest MSHR allocations it indexes.
+const recentSize = 4
+
+// recentAlloc records one MSHR allocation: the line and the slot it took.
+type recentAlloc struct {
+	line uint64
+	slot int
+}
 
 // coreState is the per-core private memory machinery.
 type coreState struct {
@@ -29,6 +54,11 @@ type coreState struct {
 	// mshrMax bounds every ready cycle in mshr from above (the largest
 	// written since Reset), so a hit issued at or after it skips the scan.
 	mshrMax int64
+	// recent is a ring of the newest MSHR allocations, the newest just
+	// before recentI. An L1 hit reads its line's newest entry from it
+	// instead of scanning mshr (see inflightReady).
+	recent  [recentSize]recentAlloc
+	recentI int
 
 	// bankFree[b] is the next core cycle L1 bank b is free.
 	bankFree []int64
@@ -38,6 +68,10 @@ type coreState struct {
 
 	stores [storeWindowSize]storeRec
 	storeI int
+	// storeBuckets[b] counts the non-empty records of stores whose page
+	// offset lies in bucket b, so a load skips the alias scan when no
+	// record can match.
+	storeBuckets [aliasBuckets]uint8
 
 	// streams is the prefetch trainer: an 8-entry table of ascending
 	// stream trackers (real Nehalem-class prefetchers follow many
@@ -236,8 +270,14 @@ func (s *System) Store(core int, addr uint64, size int, issue int64) int64 {
 	c := &s.cores[core]
 	done := s.access(core, addr, size, true, issue)
 	rec := &c.stores[c.storeI]
+	if !rec.empty() {
+		c.storeBuckets[aliasBucket(rec.addr)]--
+	}
 	rec.addr = addr
 	rec.cycle = issue
+	if !rec.empty() {
+		c.storeBuckets[aliasBucket(addr)]++
+	}
 	c.storeI = (c.storeI + 1) % storeWindowSize
 	return done
 }
@@ -263,34 +303,13 @@ func (s *System) access(core int, addr uint64, size int, isWrite bool, issue int
 	// recent store's page offset looks like a dependence to the
 	// disambiguation hardware (it compares only the low address bits) and
 	// pays a reissue penalty — the classic "(dst-src) mod 4096 < 64"
-	// hazard between streams.
+	// hazard between streams. With lines no longer than a bucket only a
+	// store in this load's bucket or the one below can match, so the scan
+	// runs only when one of them holds a record.
 	if !isWrite && s.cfg.AliasPenalty > 0 {
-		ls, window := uint64(s.cfg.L1.LineSize), s.cfg.AliasWindow
-		for i := range c.stores {
-			st := &c.stores[i]
-			// A match must pass every test, so their order only sets
-			// the cost: the page-offset test rejects most records.
-			if (addr-st.addr)&4095 >= ls {
-				continue
-			}
-			if st.cycle == 0 && st.addr == 0 {
-				continue
-			}
-			if issue-st.cycle > window {
-				continue
-			}
-			if c.l1.lineOf(st.addr) != line {
-				s.stats.AliasStalls++
-				// The replay re-runs the load through the pipeline: it
-				// both delays this load and serializes against other
-				// replays, consuming issue bandwidth.
-				if issue < c.replayFree {
-					issue = c.replayFree
-				}
-				issue += int64(s.cfg.AliasPenalty)
-				c.replayFree = issue
-				break
-			}
+		b := aliasBucket(addr)
+		if s.cfg.L1.LineSize > aliasBucketBytes || c.storeBuckets[b]|c.storeBuckets[(b-1)%aliasBuckets] != 0 {
+			issue = s.aliasReplay(c, addr, line, issue)
 		}
 	}
 
@@ -310,6 +329,40 @@ func (s *System) access(core int, addr uint64, size int, isWrite bool, issue int
 	return ready
 }
 
+// aliasReplay scans the store window for a record whose page offset lies
+// within a line below addr's and returns the load's issue cycle after any
+// 4K-alias replay.
+func (s *System) aliasReplay(c *coreState, addr, line uint64, issue int64) int64 {
+	ls, window := uint64(s.cfg.L1.LineSize), s.cfg.AliasWindow
+	for i := range c.stores {
+		st := &c.stores[i]
+		// A match must pass every test, so their order only sets the
+		// cost: the page-offset test rejects most records.
+		if (addr-st.addr)&4095 >= ls {
+			continue
+		}
+		if st.empty() {
+			continue
+		}
+		if issue-st.cycle > window {
+			continue
+		}
+		if c.l1.lineOf(st.addr) != line {
+			s.stats.AliasStalls++
+			// The replay re-runs the load through the pipeline: it
+			// both delays this load and serializes against other
+			// replays, consuming issue bandwidth.
+			if issue < c.replayFree {
+				issue = c.replayFree
+			}
+			issue += int64(s.cfg.AliasPenalty)
+			c.replayFree = issue
+			break
+		}
+	}
+	return issue
+}
+
 // accessLine resolves a single-line access against the hierarchy.
 func (s *System) accessLine(core int, line uint64, isWrite bool, issue int64) int64 {
 	c := &s.cores[core]
@@ -321,11 +374,7 @@ func (s *System) accessLine(core int, line uint64, isWrite bool, issue int64) in
 		// initiation): serve no earlier than the fill completes. No fill
 		// completes after mshrMax.
 		if c.mshrMax > ready {
-			for i := range c.mshr {
-				if c.mshr[i].line == line && c.mshr[i].ready > ready {
-					ready = c.mshr[i].ready
-				}
-			}
+			ready = c.inflightReady(line, ready)
 		}
 		return ready
 	}
@@ -357,12 +406,43 @@ allocated:
 
 	fill := s.fetchFromL2(core, line, issue)
 	c.mshr[slot] = inflight{line: line, ready: fill}
+	c.recent[c.recentI] = recentAlloc{line: line, slot: slot}
+	c.recentI = (c.recentI + 1) % recentSize
 	if fill > c.mshrMax {
 		c.mshrMax = fill
 	}
 	s.insertL1(core, line, isWrite)
 
 	return fill
+}
+
+// inflightReady returns ready raised to the latest fill of line among the
+// MSHRs. An entry for a line is allocated only when every live entry for
+// it is ready by the miss's issue cycle (otherwise the miss merges), and
+// its fill comes after that cycle, so the line's newest entry has its
+// latest fill. When the recent ring names that entry and its slot still
+// holds the line, it alone is read; otherwise (line 0, which matches
+// every empty slot; a line older than the ring; a slot a later
+// allocation took) all MSHRs are scanned.
+func (c *coreState) inflightReady(line uint64, ready int64) int64 {
+	if line != 0 {
+		for k := 1; k <= recentSize; k++ {
+			r := &c.recent[(c.recentI-k+recentSize)%recentSize]
+			if r.line != line {
+				continue
+			}
+			if m := &c.mshr[r.slot]; m.line == line {
+				return max(ready, m.ready)
+			}
+			break
+		}
+	}
+	for i := range c.mshr {
+		if c.mshr[i].line == line && c.mshr[i].ready > ready {
+			ready = c.mshr[i].ready
+		}
+	}
+	return ready
 }
 
 // prefetchDistance is how many lines ahead of the demand stream the
