@@ -76,35 +76,30 @@ bench-smoke:
 
 # bench-guard runs each guarded benchmark once at GOMAXPROCS 2 and fails if
 # an allocs/op or B/op figure exceeds its committed ceiling
-# (scripts/bench_guard.sh holds the table of benchmark, metric and ceiling
-# file). Wall-clock noise cannot trip it. The campaign sweep's ceilings (bench_guard_allocs.txt,
-# bench_guard_bytes.txt) catch allocation regressions in the variant
+# (scripts/bench_guard.sh holds the table: one row of benchmark, metric and
+# ceiling each). Wall-clock noise cannot trip it. The campaign sweep's
+# allocs/op and B/op ceilings catch allocation regressions in the variant
 # pipeline or a return to building a fresh simulated machine per launch;
-# the all-hits warm campaign's (bench_guard_warm_allocs.txt) a return to
-# decoding every cache hit from JSON; the 510-variant JSON report's
-# (bench_guard_report_allocs.txt; the appending encoder makes one
+# the all-hits warm campaign's a return to decoding every cache hit from
+# JSON; the 510-variant JSON report's (the appending encoder makes one
 # allocation, encoding/json reflection ~12k) and the served result's wire
-# decode + encode (bench_guard_codec_allocs.txt; one string per variant
-# name, encoding/json reflection ~4.6k) a return to reflection; the
-# 510-variant generation's (bench_guard_gen_allocs.txt, and the B/op
-# ceiling in bench_guard_gen_bytes.txt, stable to ~100 B unlike the
-# sweep's bytes, which swing by a rebuilt pooled machine) a second
-# dataflow scan per variant, parsing every instruction's mnemonic,
-# formatting variant names, or a return of a per-variant copy the
-# lower-once cut removed (the decode's offsets table and µop slice
-# headers, the label map, a clone's tag map, the body copy of
-# insert-inductions; ~20 objects per variant are left); and the file-backed cold campaign's (510
-# launches and cache puts, bench_guard_cold_allocs.txt) a return to
+# decode + encode (one string per variant name, encoding/json reflection
+# ~4.6k) a return to reflection; the 510-variant generation's (allocs/op,
+# and B/op, stable to ~100 B unlike the sweep's bytes, which swing by a
+# rebuilt pooled machine) a second dataflow scan per variant, parsing
+# every instruction's mnemonic, formatting variant names, or a return of a
+# per-variant copy the lower-once cut removed (the decode's offsets table
+# and µop slice headers, the label map, a clone's tag map, the body copy
+# of insert-inductions; ~20 objects per variant are left); and the
+# file-backed cold campaign's (510 launches and cache puts) a return to
 # encoding each cache line by reflection round trips; and the multi-core
-# scheduler's (BenchmarkRunLockstep fork4, noisy1 and stream4,
-# bench_guard_lockstep_*_allocs.txt: the returned results only, 1, 1 and
-# 5 objects) per-call scratch or a second scheduling loop; and the
-# memo-hit warm-up's (BenchmarkMachineWarm/hit,
-# bench_guard_warm_hit_allocs.txt: 0) a restore that allocates; and the
-# daemon's retained heap per finished job (BenchmarkServiceRetention
-# retained-B/job, bench_guard_retained_bytes.txt: ~136.5 KB measured,
-# ~242.5 KB with one full JobStatus copy per event) a return to
-# per-event status copies.
+# scheduler's (BenchmarkRunLockstep fork4, noisy1 and stream4: the
+# returned results only, 1, 1 and 5 objects) per-call scratch or a second
+# scheduling loop; and the memo-hit warm-up's (BenchmarkMachineWarm/hit: 0)
+# a restore that allocates; and the daemon's retained heap per finished
+# job (BenchmarkServiceRetention retained-B/job: ~136.5 KB measured,
+# ~242.5 KB with one full JobStatus copy per event) a return to per-event
+# status copies.
 # Raise a ceiling only with a justification in the same commit.
 bench-guard:
 	GO='$(GO)' sh scripts/bench_guard.sh

@@ -952,7 +952,8 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // BenchmarkWriteReport encodes the JSON report of the 510-variant family,
 // measured once outside the timer with the static bound checked: the
 // reporting layer that ends every study and every served job. make
-// bench-guard holds its allocs/op under bench_guard_report_allocs.txt.
+// bench-guard holds its allocs/op under its row's ceiling in
+// scripts/bench_guard.sh.
 func BenchmarkWriteReport(b *testing.B) {
 	launch := DefaultLaunchOptions()
 	launch.MachineName = "nehalem-dual/8"
@@ -982,7 +983,7 @@ func BenchmarkWriteReport(b *testing.B) {
 // the 510-variant family as microserved serves it (a real job through an
 // in-process daemon, run once outside the timer): the wire codec every
 // served job pays on both ends. make bench-guard holds its allocs/op under
-// bench_guard_codec_allocs.txt.
+// its row's ceiling in scripts/bench_guard.sh.
 func BenchmarkJobResultCodec(b *testing.B) {
 	launch := DefaultLaunchOptions()
 	launch.MachineName = "nehalem-dual/8"
@@ -1030,8 +1031,8 @@ func BenchmarkJobResultCodec(b *testing.B) {
 // job's event history, result and status. The daemon runs the 510-variant
 // family once cold, then warm until the telemetry tracker's window of
 // finished campaigns is full, and the figure covers the next 20 warm jobs.
-// make bench-guard caps it (bench_guard_retained_bytes.txt), so a return
-// to a full JobStatus copy per event fails CI.
+// make bench-guard caps it (its row in scripts/bench_guard.sh), so a
+// return to a full JobStatus copy per event fails CI.
 func BenchmarkServiceRetention(b *testing.B) {
 	launch := DefaultLaunchOptions()
 	launch.MachineName = "nehalem-dual/8"

@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -314,6 +315,54 @@ func TestEmitPathFixtureTripsL014(t *testing.T) {
 			if d.Rule == "L014" {
 				t.Errorf("L014 fired in %s: %v", rel, d)
 			}
+		}
+	}
+}
+
+// TestSimulatorFixtureTripsL015: the bad fixture's internal/sim package
+// imports the tracing, fault-injection and telemetry packages (three
+// findings); the same file in every other simulated-machine package trips
+// the rule as well, and in the launcher or outside internal/ it is clean.
+func TestSimulatorFixtureTripsL015(t *testing.T) {
+	fixture := filepath.Join("testdata", "src", "bad", "internal", "sim", "hooks.go")
+	ds := lintPath(t, fixture)
+	n := 0
+	for _, d := range ds {
+		if d.Rule != "L015" {
+			t.Errorf("unexpected rule in simulator fixture: %v", d)
+			continue
+		}
+		n++
+	}
+	if n != 3 {
+		t.Errorf("L015 findings = %d, want 3: %v", n, ds)
+	}
+	src, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, rel := range []string{"internal/isa", "internal/cpu", "internal/memsim", "internal/sim", "internal/openmp",
+		"internal/machine", "internal/launcher", "internal/simulator", "cmd/tool", "."} {
+		path := filepath.Join(dir, rel, "hooks.go")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, d := range lintPath(t, path) {
+			if d.Rule == "L015" {
+				n++
+			}
+		}
+		want := 3
+		if !slices.Contains(simulatorPkgs, filepath.Base(rel)) {
+			want = 0
+		}
+		if n != want {
+			t.Errorf("%s: %d L015 findings, want %d", rel, n, want)
 		}
 	}
 }

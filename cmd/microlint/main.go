@@ -72,6 +72,11 @@
 //	      The emit pass lowers each kernel (codegen.Lower) and verifies the
 //	      decoded program; rendering text to parse it back is the
 //	      round-trip fallback the pipeline deleted.
+//	L015  the simulator holds no launch hooks: non-test files in
+//	      internal/isa, cpu, memsim, sim, openmp and machine import none of
+//	      internal/obs, internal/faults or internal/telemetry. The launcher
+//	      arms tracing, fault injection and the sim.* counters around its
+//	      simulator calls; the machine only counts (sim.Machine.Counts).
 //
 // A finding on a given line is suppressed by a comment on the same or the
 // preceding line:
@@ -98,6 +103,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,6 +229,9 @@ type fileContext struct {
 	// emit is true inside internal/passes, where rule L014 forbids the
 	// text round trip.
 	emit bool
+	// simulator is true inside the simulated-machine packages, where
+	// rule L015 forbids the launch-hook imports.
+	simulator bool
 	// parents maps every node to its syntactic parent.
 	parents map[ast.Node]ast.Node
 	// suppressed maps line -> rule IDs disabled there ("" disables all).
@@ -254,6 +263,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 			!strings.Contains("/"+slash, "/internal/campaign/") &&
 			!strings.Contains("/"+slash, "/internal/launcher/"),
 		emit:       strings.Contains("/"+slash, "/internal/passes/"),
+		simulator:  slices.ContainsFunc(simulatorPkgs, func(p string) bool { return strings.Contains("/"+slash, "/internal/"+p+"/") }),
 		parents:    buildParents(f),
 		suppressed: suppressions(fset, f),
 	}
@@ -270,6 +280,7 @@ func lintFile(fset *token.FileSet, path string) ([]Diagnostic, error) {
 	checkWireContract(ctx)
 	checkFanOut(ctx)
 	checkEmitPath(ctx)
+	checkSimulatorHooks(ctx)
 	var kept []Diagnostic
 	for _, d := range ctx.diags {
 		if !ctx.isSuppressed(d) {
@@ -792,6 +803,8 @@ var deletedAPIs = []struct{ names, use string }{
 	{"FlushAll FlushCore", "memsim.System.Reset"},
 	{"ResetStats", "memsim.Stats.Sub of two System.Stats snapshots"},
 	{"TerminateTornTail", "jsonl.Open (it terminates a torn last line)"},
+	{"SetMetrics SetTraceSpan",
+		"the launcher, which traces each simulator call and adds sim.Machine.Counts deltas to launcher.Options.Metrics"},
 	{"openStore replayStore", "openLedger (one jsonl.File opens and replays the job ledger)"},
 	{"microtools.Run", "microtools.RunCampaign"},
 	{"microtools.GenerateFile", "microtools.Generate over the opened file"},
@@ -1202,4 +1215,27 @@ func checkEmitPath(c *fileContext) {
 		}
 		return true
 	})
+}
+
+// simulatorPkgs are the simulated-machine packages under internal/ that
+// L015 keeps free of launch hooks, and hookImports the packages it bans
+// there.
+var (
+	simulatorPkgs = []string{"isa", "cpu", "memsim", "sim", "openmp", "machine"}
+	hookImports   = []string{"microtools/internal/obs", "microtools/internal/faults", "microtools/internal/telemetry"}
+)
+
+// checkSimulatorHooks implements L015: a simulated-machine package imports
+// no tracing, fault-injection or telemetry package, so no launch hook can
+// be armed inside the machine again.
+func checkSimulatorHooks(c *fileContext) {
+	if !c.simulator {
+		return
+	}
+	for _, imp := range c.file.Imports {
+		if path := strings.Trim(imp.Path.Value, `"`); slices.Contains(hookImports, path) {
+			c.report(imp.Pos(), "L015",
+				"%s imported by the simulator: the launcher arms tracing, fault injection and the sim.* counters around its simulator calls", path)
+		}
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"microtools/internal/campaign"
 	"microtools/internal/codegen"
 	"microtools/internal/core"
-	"microtools/internal/faults"
 	"microtools/internal/isa"
 	"microtools/internal/launcher"
 	"microtools/internal/machine"
@@ -215,8 +214,7 @@ func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 						}
 
 						// Dirty the reused machine: another kernel, another
-						// frequency, noise on, then a fault plan that would
-						// fail every later step if Reset left it armed.
+						// frequency, noise on.
 						other := kernels[(ki+1)%len(kernels)]
 						if err := reused.SetCoreFrequency(desc.CoreGHz * 0.75); err != nil {
 							t.Fatal(err)
@@ -230,7 +228,6 @@ func TestDifferentialFreshVsReusedMachine(t *testing.T) {
 						if _, err := launcher.LaunchOn(ctx, reused, other, dirty); err != nil {
 							t.Fatal(err)
 						}
-						reused.SetFaults(faults.New(1).SetRate(faults.PointSimStep, 1), "stale")
 						reused.Reset()
 						configure(reused, opts)
 						got, err := launcher.LaunchOn(ctx, reused, kernel, opts)

@@ -422,9 +422,10 @@ func AppendCSource(dst []byte, k *ir.Kernel) ([]byte, error) {
 // consumes: the allocated registers among ArgRegs[1:] (the trip count takes
 // ArgRegs[0]).
 func countArrayPointers(k *ir.Kernel) int {
-	used := map[isa.Reg]bool{}
-	for _, r := range k.Registers() {
-		if !r.IsRotating() && r.Phys != isa.NoReg {
+	var used [isa.NumRegs]bool
+	var regsBuf [16]*ir.Register
+	for _, r := range k.AppendRegisters(regsBuf[:0]) {
+		if !r.IsRotating() && r.Phys < isa.NumRegs {
 			used[r.Phys] = true
 		}
 	}

@@ -62,8 +62,9 @@ const (
 	// PointLauncherRep fires at every outer-repetition boundary of the
 	// launch protocol (key: kernel name + "/rep" + index).
 	PointLauncherRep = "launcher.rep"
-	// PointSimStep fires as the simulator starts stepping a job batch
-	// (key: the launch's fault key + the program name).
+	// PointSimStep fires as the launcher hands the simulator a job batch:
+	// the calibration run, and each inner repetition's run or OpenMP
+	// region (key: the kernel name + "/" + the batch's program name).
 	PointSimStep = "sim.step"
 )
 

@@ -12,6 +12,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"microtools/internal/isa"
@@ -367,24 +368,19 @@ func (k *Kernel) TagString() string {
 	return strings.Join(parts, ",")
 }
 
-// Registers returns every distinct *Register referenced by the kernel, in
-// first-use order (operands first, then inductions).
-func (k *Kernel) Registers() []*Register {
-	// Linear dedup: kernels reference a handful of distinct register
-	// objects, so scanning the result beats a map — this runs per variant
-	// in codegen and verification. An 8× unrolled kernel with a rotating
-	// pool references a dozen, so the list starts with room for 16.
-	out := make([]*Register, 0, 16)
+// AppendRegisters appends every distinct *Register the kernel references
+// to dst, in first-use order (operands first, then inductions, then the
+// zero-at-entry list), and returns the extended slice. Kernels reference a
+// handful of distinct register objects — a dozen for an 8× unrolled kernel
+// with a rotating pool — so a linear scan deduplicates them and callers
+// pass a 16-slot stack buffer: this runs per variant in register
+// allocation, codegen and verification.
+func (k *Kernel) AppendRegisters(dst []*Register) []*Register {
+	n := len(dst)
 	add := func(r *Register) {
-		if r == nil {
-			return
+		if r != nil && !slices.Contains(dst[n:], r) {
+			dst = append(dst, r)
 		}
-		for _, s := range out {
-			if s == r {
-				return
-			}
-		}
-		out = append(out, r)
 	}
 	for i := range k.Body {
 		for j := range k.Body[i].Operands {
@@ -398,7 +394,7 @@ func (k *Kernel) Registers() []*Register {
 	for _, r := range k.ZeroAtEntry {
 		add(r)
 	}
-	return out
+	return dst
 }
 
 // InductionFor returns the induction controlling reg, or nil.

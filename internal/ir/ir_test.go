@@ -175,7 +175,7 @@ func TestCloneLeavesRoomForInductions(t *testing.T) {
 
 func TestRegistersEnumerationOrder(t *testing.T) {
 	k := validKernel()
-	regs := k.Registers()
+	regs := k.AppendRegisters(nil)
 	// r1 (mem base), xmm pool, r0.
 	if len(regs) != 3 {
 		t.Fatalf("registers = %d", len(regs))

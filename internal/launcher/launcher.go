@@ -161,15 +161,6 @@ func pinOrder(m *machine.Machine, n int, spread bool) ([]int, error) {
 	return out, nil
 }
 
-// ctxErr reports ctx's cancellation state; a nil ctx never cancels (the
-// non-cancellable legacy path — library callers should thread a real one).
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // machines pools simulated machines per machine name (string →
 // *sync.Pool of *sim.Machine). Building a machine allocates every cache
 // tag, LRU and dirty array — by far the largest per-launch cost — so
@@ -243,25 +234,43 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		Str("mode", opts.Mode.String()).
 		Str("machine", opts.MachineName)
 	defer root.End()
-	defer mach.SetTraceSpan(obs.Span{})
 	// Live telemetry: resolve the histogram handles once (nil handles
-	// no-op) and arm the machine's simulator counters for the duration of
-	// this launch — disarming flushes its locally accumulated counts.
-	// Durations are timed by chaining laps (one clock read per
-	// observation, not two): the end of one timed section is the start of
-	// the next, which keeps enabled telemetry inside its <2% overhead
-	// budget on the protocol-dominated launch path.
+	// no-op) and, when the launch ends, add what the machine counted
+	// during it to the sim.* counters. Durations are timed by chaining
+	// laps (one clock read per observation, not two): the end of one
+	// timed section is the start of the next, which keeps enabled
+	// telemetry inside its <2% overhead budget on the protocol-dominated
+	// launch path.
 	var repHist, calHist *telemetry.Histogram
 	var tick telemetry.Tick
 	if opts.Metrics != nil {
 		repHist = opts.Metrics.RepSeconds
 		calHist = opts.Metrics.CalibrateSeconds
-		mach.SetMetrics(opts.Metrics)
-		defer mach.SetMetrics(nil)
+		defer addSimCounts(opts.Metrics, mach, mach.Counts())
 	}
-	if opts.Faults != nil {
-		mach.SetFaults(opts.Faults, prog.Name)
-		defer mach.SetFaults(nil, "")
+	// step runs one batch of jobs (run reports how many it started) at
+	// the simulator's stepping boundary: the fault plan is consulted at
+	// faults.PointSimStep for the site "<kernel>/<program>", then the
+	// batch is traced as a span named name under parent, sized by key
+	// and bounded in machine cycles. A faulted batch records no span.
+	step := func(parent obs.Span, p *isa.Program, name, key string, run func() (int, error)) error {
+		if opts.Faults != nil {
+			site := p.Name
+			if prog.Name != "" {
+				site = prog.Name + "/" + p.Name
+			}
+			if err := opts.Faults.Check(faults.PointSimStep, site); err != nil {
+				return fmt.Errorf("sim: stepping %s: %w", p.Name, err)
+			}
+		}
+		sp := parent.Child(name)
+		start := mach.Now()
+		n, err := run()
+		if n > 0 {
+			sp.Int(key, int64(n))
+		}
+		sp.Cycles(start, mach.Now()).End()
+		return err
 	}
 
 	nArrays := opts.NBVectors
@@ -365,11 +374,12 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		}
 		csp := root.Child("calibrate")
 		cstart := mach.Now()
-		mach.SetTraceSpan(csp)
 		cal := calibrationProgram()
-		var rf isa.RegFile
-		res, err := mach.RunOne(sim.Job{Core: pins[0], Prog: cal, Regs: rf})
-		if err != nil {
+		var res sim.JobResult
+		if err := step(csp, cal, "sim.run", "jobs", func() (n int, err error) {
+			res, err = mach.RunOne(sim.Job{Core: pins[0], Prog: cal})
+			return 1, err
+		}); err != nil {
 			return nil, err
 		}
 		overhead = float64(res.Cycles)
@@ -430,7 +440,7 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 	}
 	stopReason := ""
 	for rep := 0; rep < maxReps; rep++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			msp.Str("error", err.Error()).End()
 			return nil, err
 		}
@@ -443,14 +453,13 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		}
 		rsp := msp.Child("rep").Int("rep", int64(rep))
 		repStart := mach.Now()
-		mach.SetTraceSpan(rsp)
 		var perCallCycles float64
 		var repIters uint64
 		switch opts.Mode {
 		case Sequential, Fork:
 			var total float64
 			for inner := 0; inner < opts.InnerReps; inner++ {
-				if err := ctxErr(ctx); err != nil {
+				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 				for i, core := range pins {
@@ -462,20 +471,19 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 					}
 				}
 				var rs []sim.JobResult
-				if len(pins) == 1 {
-					// Single-core repetitions ride the machine's
-					// allocation-free RunOne fast path.
-					r, err := mach.RunOne(jobs[0])
-					if err != nil {
-						return nil, err
+				if err := step(rsp, prog, "sim.run", "jobs", func() (n int, err error) {
+					if len(pins) == 1 {
+						// Single-core repetitions ride the machine's
+						// allocation-free RunOne fast path.
+						var r sim.JobResult
+						r, err = mach.RunOne(jobs[0])
+						rs = append(resScratch[:0], r)
+					} else {
+						rs, err = mach.Run(jobs)
 					}
-					rs = append(resScratch[:0], r)
-				} else {
-					var err error
-					rs, err = mach.Run(jobs)
-					if err != nil {
-						return nil, err
-					}
+					return len(jobs), err
+				}); err != nil {
+					return nil, err
 				}
 				// Average across processes (Fig. 14 reports average
 				// cycles per iteration across the forked cores).
@@ -503,9 +511,13 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 					cfg.ChunkElements = opts.OMPChunkElements
 				}
 			}
+			name, key := "sim.run", "jobs"
+			if !cfg.StaticChunking {
+				name, key = "sim.runstream", "slots"
+			}
 			var total float64
 			for inner := 0; inner < opts.InnerReps; inner++ {
-				if err := ctxErr(ctx); err != nil {
+				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 				sub := cfg
@@ -516,17 +528,23 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 					sub.ForkCycles = 0
 					sub.WakeupPerThread = 0
 				}
-				res, err := openmp.ParallelFor(mach, sub, pins, trip,
-					func(thread int, chunkStart, chunkLen int64) (sim.Job, error) {
-						shift := uint64(chunkStart * opts.ElementBytes)
-						return sim.Job{
-							Core:     pins[thread],
-							Prog:     prog,
-							Regs:     regsFor(procArrays[thread], chunkLen, shift),
-							MaxInsts: opts.MaxInstructions,
-						}, nil
-					})
-				if err != nil {
+				var res *openmp.Result
+				if err := step(rsp, prog, name, key, func() (n int, err error) {
+					res, err = openmp.ParallelFor(mach, sub, pins, trip,
+						func(thread int, chunkStart, chunkLen int64) (sim.Job, error) {
+							shift := uint64(chunkStart * opts.ElementBytes)
+							return sim.Job{
+								Core:     pins[thread],
+								Prog:     prog,
+								Regs:     regsFor(procArrays[thread], chunkLen, shift),
+								MaxInsts: opts.MaxInstructions,
+							}, nil
+						})
+					if err != nil {
+						return 0, err
+					}
+					return len(res.ThreadCycles), nil
+				}); err != nil {
 					return nil, err
 				}
 				total += float64(res.RegionCycles)
@@ -569,7 +587,6 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 			}
 		}
 	}
-	mach.SetTraceSpan(obs.Span{})
 	if adaptive != nil {
 		if stopReason == "" {
 			stopReason = StopBudget
@@ -625,6 +642,17 @@ func launchOn(ctx context.Context, mach *sim.Machine, prog *isa.Program, opts Op
 		meas.Energy = &est
 	}
 	return meas, nil
+}
+
+// addSimCounts adds to met's sim.* counters what mach counted since
+// before.
+func addSimCounts(met *telemetry.Metrics, mach *sim.Machine, before sim.Counts) {
+	now := mach.Counts()
+	met.SimInstsRetired.Add(now.InstsRetired - before.InstsRetired)
+	met.SimPoolHits.Add(now.PoolHits - before.PoolHits)
+	met.SimPoolMisses.Add(now.PoolMisses - before.PoolMisses)
+	met.SimWarmHits.Add(now.WarmHits - before.WarmHits)
+	met.SimWarmMisses.Add(now.WarmMisses - before.WarmMisses)
 }
 
 // LaunchOn runs the protocol on a caller-provided machine (for sweeps that

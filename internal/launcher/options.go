@@ -194,8 +194,8 @@ type Options struct {
 	CollectCounters bool
 	// Metrics, when non-nil, records live telemetry for the launch: the
 	// per-repetition latency and calibration-time histograms, plus the
-	// simulator's instructions-retired and core-pool counters for the
-	// machine's duration. A campaign records into the same set: the
+	// sim.* counters, to which the launcher adds what the machine counted
+	// during the launch (sim.Machine.Counts) when it ends. A campaign records into the same set: the
 	// per-variant duration histogram, the queue-depth gauge and the
 	// engine's named counters in Metrics.Registry (campaign.variants,
 	// campaign.launches, campaign.cache.hits, campaign.cache.misses,
@@ -212,7 +212,8 @@ type Options struct {
 
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// launch protocol's boundaries (faults.PointLauncherRep at every outer
-	// repetition, faults.PointSimStep under the simulator). Nil is the
+	// repetition, faults.PointSimStep before each batch the launcher
+	// hands the simulator). Nil is the
 	// fault-free default. A campaign also checks it at its worker-launch
 	// point (faults.PointCampaignLaunch); the measurement cache's I/O
 	// points are armed on the cache (campaign.Cache.SetFaults). Excluded

@@ -71,7 +71,9 @@ type Result struct {
 	// RegionCycles is the wall time of the whole region (fork + slowest
 	// thread + join), in core cycles.
 	RegionCycles int64
-	// ThreadCycles are the per-thread busy times.
+	// ThreadCycles are the busy times of the threads the region started,
+	// in thread order: its length is the team's size, smaller than
+	// Config.Threads when the trip leaves threads without work.
 	ThreadCycles []int64
 	// Iterations is the summed loop-iteration count across threads (the
 	// team-wide %eax total under the §4.4 protocol).
@@ -152,7 +154,6 @@ func parallelForDynamic(m *sim.Machine, cfg Config, pins []int, trip int64, mk M
 		chunkSize = 1024
 	}
 	dispatch := cfg.DispatchCycles
-	res := &Result{ThreadCycles: make([]int64, cfg.Threads)}
 
 	nextStart := int64(0)
 	grab := func() (start, n int64, ok bool) {
@@ -170,7 +171,6 @@ func parallelForDynamic(m *sim.Machine, cfg Config, pins []int, trip int64, mk M
 
 	entry := m.Now()
 	initial := make([]sim.Job, 0, cfg.Threads)
-	slots := 0
 	for t := 0; t < cfg.Threads; t++ {
 		start, n, ok := grab()
 		if !ok {
@@ -183,11 +183,11 @@ func parallelForDynamic(m *sim.Machine, cfg Config, pins []int, trip int64, mk M
 		job.Core = pins[t]
 		job.StartCycle = cfg.ForkCycles + int64(t)*cfg.WakeupPerThread + dispatch
 		initial = append(initial, job)
-		slots++
 	}
-	if slots == 0 {
+	if len(initial) == 0 {
 		return nil, fmt.Errorf("openmp: empty team")
 	}
+	res := &Result{ThreadCycles: make([]int64, len(initial))}
 	var nextErr error
 	rs, err := m.RunStream(initial, func(slot int, r sim.JobResult) *sim.Job {
 		start, n, ok := grab()

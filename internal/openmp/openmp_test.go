@@ -136,18 +136,28 @@ func TestErrorCases(t *testing.T) {
 }
 
 func TestTripSmallerThanTeam(t *testing.T) {
-	m := testMachine(t)
 	prog := loadKernel(t)
-	// Two iterations on a four-thread team: two threads idle.
-	res, err := ParallelFor(m, DefaultConfig(4), []int{0, 1, 2, 3}, 2, mkJob(t, m, prog, 0x100000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 2 {
-		t.Errorf("iterations = %d, want 2", res.Iterations)
-	}
-	if len(res.ThreadCycles) != 2 {
-		t.Errorf("active threads = %d, want 2", len(res.ThreadCycles))
+	// Two iterations on a four-thread team: two threads idle under the
+	// static schedule; under the dynamic one the whole trip is one chunk,
+	// which leaves three idle.
+	for _, static := range []bool{true, false} {
+		m := testMachine(t)
+		cfg := DefaultConfig(4)
+		cfg.StaticChunking = static
+		res, err := ParallelFor(m, cfg, []int{0, 1, 2, 3}, 2, mkJob(t, m, prog, 0x100000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 2 {
+			t.Errorf("static=%v: iterations = %d, want 2", static, res.Iterations)
+		}
+		want := 2
+		if !static {
+			want = 1
+		}
+		if len(res.ThreadCycles) != want {
+			t.Errorf("static=%v: active threads = %d, want %d", static, len(res.ThreadCycles), want)
+		}
 	}
 }
 

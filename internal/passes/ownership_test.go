@@ -159,7 +159,7 @@ func TestGeneratedKernelsOwnTheirState(t *testing.T) {
 		instrs := map[*ir.Instruction]string{}
 		operands := map[*ir.Operand]string{}
 		for _, k := range out {
-			for _, r := range k.Registers() {
+			for _, r := range k.AppendRegisters(nil) {
 				if other, ok := regs[r]; ok {
 					t.Fatalf("%s: %s and %s share register %s", path, other, k.Name, r)
 				}

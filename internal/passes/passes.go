@@ -465,7 +465,8 @@ func passAllocateRegisters(_ *Context, ks []*ir.Kernel) ([]*ir.Kernel, error) {
 	for _, k := range ks {
 		// The register objects stay the same while this pass assigns
 		// them, so one list serves both walks.
-		regs := k.Registers()
+		var regsBuf [16]*ir.Register
+		regs := k.AppendRegisters(regsBuf[:0])
 		var used [isa.NumRegs]bool
 		for _, r := range regs {
 			if !r.IsRotating() && r.Phys < isa.NumRegs {

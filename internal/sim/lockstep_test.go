@@ -10,16 +10,15 @@ import (
 	"time"
 
 	"microtools/internal/cpu"
-	"microtools/internal/faults"
 	"microtools/internal/isa"
 	"microtools/internal/machine"
-	"microtools/internal/obs"
 )
 
 // The two functions below are reference oracles for the shared lock-step
 // scheduler: the separate Run and RunStream loops the simulator had before
 // both became lockstep, kept verbatim apart from the per-call scratch and
-// the trace span (which carries no simulated state).
+// the launch hooks (trace span, fault plan), which carry no simulated
+// state and have since moved to the launcher.
 
 // referenceRun is the earlier Run: one lock-step loop over a fixed batch.
 func referenceRun(m *Machine, jobs []Job) ([]JobResult, error) {
@@ -32,9 +31,6 @@ func referenceRun(m *Machine, jobs []Job) ([]JobResult, error) {
 			return nil, err
 		}
 		return []JobResult{r}, nil
-	}
-	if err := m.checkFault(jobs[0].Prog); err != nil {
-		return nil, err
 	}
 	m.resetPins()
 	cores := make([]*cpu.Core, len(jobs))
@@ -88,7 +84,7 @@ func referenceRun(m *Machine, jobs []Job) ([]JobResult, error) {
 					EAX:      c.Reg(isa.RAX),
 					EndCycle: c.Cycle(),
 				}
-				m.mInsts += results[i].Insts
+				m.counts.InstsRetired += results[i].Insts
 				if c.Cycle() > m.now {
 					m.now = c.Cycle()
 				}
@@ -121,9 +117,6 @@ func referenceRun(m *Machine, jobs []Job) ([]JobResult, error) {
 func referenceRunStream(m *Machine, initial []Job, next func(slot int, r JobResult) *Job) ([]StreamResult, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("sim: no initial jobs")
-	}
-	if err := m.checkFault(initial[0].Prog); err != nil {
-		return nil, err
 	}
 	m.resetPins()
 	cores := make([]*cpu.Core, len(initial))
@@ -177,7 +170,7 @@ func referenceRunStream(m *Machine, initial []Job, next func(slot int, r JobResu
 			}
 			progressed = true
 			res := JobResult{Result: c.Result(), EAX: c.Reg(isa.RAX), EndCycle: c.Cycle()}
-			m.mInsts += res.Insts
+			m.counts.InstsRetired += res.Insts
 			results = append(results, StreamResult{Slot: i, JobResult: res})
 			if res.EndCycle > m.now {
 				m.now = res.EndCycle
@@ -325,7 +318,7 @@ type schedOutcome struct {
 }
 
 func observe(m *Machine, run []JobResult, stream []StreamResult, err error) schedOutcome {
-	o := schedOutcome{Run: run, Stream: stream, Now: m.Now(), Insts: m.mInsts}
+	o := schedOutcome{Run: run, Stream: stream, Now: m.Now(), Insts: m.Counts().InstsRetired}
 	if err != nil {
 		o.Err = err.Error()
 	}
@@ -426,49 +419,5 @@ func TestLockstepMatchesReferenceLoops(t *testing.T) {
 		if !seen[s] {
 			t.Errorf("no scenario reached %q: the differential test does not cover it", s)
 		}
-	}
-}
-
-// TestEntryPointSpansAndFaults: around the shared loop each entry point
-// keeps its own span (sim.run sized in jobs, sim.runstream in slots), and
-// a call the fault plan fails returns before recording any span.
-func TestEntryPointSpansAndFaults(t *testing.T) {
-	m := testMachine(t, "nehalem-dual/8")
-	prog := parseKernel(t, 2, "k")
-	jobs := []Job{
-		jobFor(prog, 0, 16*50, 0x100000),
-		jobFor(prog, 1, 16*50, 0x200000),
-		jobFor(prog, 2, 16*50, 0x300000),
-	}
-	retire := func(int, JobResult) *Job { return nil }
-	tr := obs.New()
-	m.SetTraceSpan(tr.Start("root"))
-	if _, err := m.Run(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunStream(jobs[:2], retire); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []struct {
-		name, key string
-		n         int64
-	}{{"sim.run", "jobs", 3}, {"sim.runstream", "slots", 2}} {
-		recs := tr.FindAll(want.name)
-		if len(recs) != 1 || len(recs[0].Attrs) != 1 || !recs[0].HasCycles ||
-			recs[0].Attrs[0].Key != want.key || recs[0].Attrs[0].Value.Int != want.n {
-			t.Errorf("%s spans = %+v, want one with %s=%d and cycle bounds", want.name, recs, want.key, want.n)
-		}
-	}
-
-	m.SetFaults(faults.New(1).SetRate(faults.PointSimStep, 1).SetClass(faults.ClassPermanent), "f")
-	spans := len(tr.Records())
-	if _, err := m.Run(jobs); err == nil || !strings.Contains(err.Error(), "sim: stepping k:") {
-		t.Errorf("faulted Run: err %v, want the stepping fault", err)
-	}
-	if _, err := m.RunStream(jobs, retire); err == nil || !strings.Contains(err.Error(), "sim: stepping k:") {
-		t.Errorf("faulted RunStream: err %v, want the stepping fault", err)
-	}
-	if got := len(tr.Records()); got != spans {
-		t.Errorf("faulted calls recorded %d spans", got-spans)
 	}
 }

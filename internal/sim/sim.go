@@ -13,12 +13,9 @@ import (
 	"slices"
 
 	"microtools/internal/cpu"
-	"microtools/internal/faults"
 	"microtools/internal/isa"
 	"microtools/internal/machine"
 	"microtools/internal/memsim"
-	"microtools/internal/obs"
-	"microtools/internal/telemetry"
 )
 
 // quantum is the lock-step window in core cycles. Cores never run further
@@ -62,37 +59,14 @@ type Machine struct {
 	noise   NoiseConfig
 	rng     *rand.Rand
 
-	// span is the tracing parent for Run/RunStream spans. The zero Span
-	// is the no-op default: untraced machines pay a nil check per Run
-	// call and nothing else.
-	span obs.Span
-
-	// injector, when non-nil, consults the deterministic fault plan at the
-	// faults.PointSimStep boundary before each Run/RunStream batch;
-	// faultKey scopes the injection sites to the owning launch.
-	injector *faults.Injector
-	faultKey string
-
 	// now is the machine's monotonic core-cycle clock. Warm-up traffic and
 	// successive runs all advance it, so shared memory-system timestamps
 	// (MSHRs, channel queues) never sit in a job's future.
 	now int64
 
-	// Live-telemetry handles (SetMetrics) and their local accumulators.
-	// The accumulators are plain fields — a Machine is single-goroutine —
-	// bumped on the hot paths and flushed to the shared atomic counters
-	// by SetMetrics, so the RunOne fast path pays an integer add, not an
-	// atomic RMW, per event (and still allocates nothing).
-	instsRetired *telemetry.Counter
-	poolHits     *telemetry.Counter
-	poolMisses   *telemetry.Counter
-	warmHits     *telemetry.Counter
-	warmMisses   *telemetry.Counter
-	mInsts       int64
-	mPoolHits    int64
-	mPoolMisses  int64
-	mWarmHits    int64
-	mWarmMisses  int64
+	// counts are plain fields bumped on the hot paths: a Machine is
+	// single-goroutine, so an event costs an integer add.
+	counts Counts
 
 	// pool holds one reusable cpu.Core per hardware core id, created
 	// lazily. Run/RunStream Reset pooled cores instead of allocating
@@ -154,6 +128,21 @@ func (w *warmMemo) record(pins []int, arrays [][]uint64, bytes int64) {
 	w.bytes = bytes
 }
 
+// Counts are a machine's cumulative event counts since New or Reset.
+type Counts struct {
+	// InstsRetired sums the instructions of every finished job.
+	InstsRetired int64
+	// PoolHits counts jobs that reset a pooled core; PoolMisses those
+	// that had to build one.
+	PoolHits, PoolMisses int64
+	// WarmHits counts warm-ups restored from the memo; WarmMisses those
+	// simulated load by load.
+	WarmHits, WarmMisses int64
+}
+
+// Counts returns the machine's event counts.
+func (m *Machine) Counts() Counts { return m.counts }
+
 // New instantiates the machine at its nominal frequency with noise off.
 func New(desc *machine.Machine) (*Machine, error) {
 	sys, err := desc.NewSystem()
@@ -164,18 +153,15 @@ func New(desc *machine.Machine) (*Machine, error) {
 }
 
 // Reset returns the machine to the state New built: a reset memory
-// system, the clock at zero, the nominal frequency, noise off, and no
-// trace span, fault plan or telemetry armed (disarming flushes pending
-// counts to the previous owner). The pooled cores and run scratch are
-// kept — every job Resets its core anyway — so reuse allocates nothing.
+// system, the clock at zero, the nominal frequency, noise off and zero
+// counts. The pooled cores and run scratch are kept — every job Resets
+// its core anyway — so reuse allocates nothing.
 func (m *Machine) Reset() {
 	m.Sys.Reset()
 	m.now = 0
 	m.coreGHz = m.Desc.CoreGHz
 	m.noise, m.rng = NoiseConfig{}, nil
-	m.span = obs.Span{}
-	m.SetFaults(nil, "")
-	m.SetMetrics(nil)
+	m.counts = Counts{}
 	m.resetPins()
 }
 
@@ -203,71 +189,6 @@ func (m *Machine) SetNoise(cfg NoiseConfig) error {
 	m.noise = cfg
 	return nil
 }
-
-// SetFaults arms (or, with a nil injector, disarms) deterministic fault
-// injection at the machine's stepping boundary: every Run/RunStream batch
-// consults the plan at faults.PointSimStep with key "<key>/<program>", so
-// a faulted calibration run is a distinct site from a faulted kernel run.
-// The launcher threads its Options.Faults through here for the duration
-// of one launch.
-func (m *Machine) SetFaults(in *faults.Injector, key string) {
-	m.injector = in
-	m.faultKey = key
-}
-
-// checkFault consults the stepping-boundary fault plan for a job batch.
-func (m *Machine) checkFault(prog *isa.Program) error {
-	if m.injector == nil {
-		return nil
-	}
-	key := prog.Name
-	if m.faultKey != "" {
-		key = m.faultKey + "/" + prog.Name
-	}
-	if err := m.injector.Check(faults.PointSimStep, key); err != nil {
-		return fmt.Errorf("sim: stepping %s: %w", prog.Name, err)
-	}
-	return nil
-}
-
-// SetMetrics arms (or, with nil, disarms) live telemetry: instructions
-// retired and core-pool hit/miss counts accumulate locally and are
-// pushed to met's counters on the next SetMetrics call — the launcher
-// arms a machine for the duration of one launch and disarms it (which
-// flushes) when the launch ends. Accumulated counts from a period with
-// no handles armed are discarded rather than attributed to a later
-// owner.
-func (m *Machine) SetMetrics(met *telemetry.Metrics) {
-	m.flushMetrics()
-	if met == nil {
-		m.instsRetired, m.poolHits, m.poolMisses = nil, nil, nil
-		m.warmHits, m.warmMisses = nil, nil
-		return
-	}
-	m.instsRetired = met.SimInstsRetired
-	m.poolHits = met.SimPoolHits
-	m.poolMisses = met.SimPoolMisses
-	m.warmHits = met.SimWarmHits
-	m.warmMisses = met.SimWarmMisses
-}
-
-// flushMetrics pushes the local accumulators to the armed counters (a
-// nil handle drops its count) and zeroes them.
-func (m *Machine) flushMetrics() {
-	m.instsRetired.Add(m.mInsts)
-	m.poolHits.Add(m.mPoolHits)
-	m.poolMisses.Add(m.mPoolMisses)
-	m.warmHits.Add(m.mWarmHits)
-	m.warmMisses.Add(m.mWarmMisses)
-	m.mInsts, m.mPoolHits, m.mPoolMisses = 0, 0, 0
-	m.mWarmHits, m.mWarmMisses = 0, 0
-}
-
-// SetTraceSpan parents subsequent Run/RunStream spans under sp. The
-// launcher repoints this at each protocol phase (warm-up, calibration,
-// each measurement repetition) so simulator spans nest correctly; pass
-// the zero Span to stop tracing.
-func (m *Machine) SetTraceSpan(sp obs.Span) { m.span = sp }
 
 // SetCoreFrequency moves every core to the given DVFS point. The uncore
 // (L3, memory) stays at its own frequency — the split behind Fig. 13.
@@ -300,8 +221,8 @@ func (m *Machine) Touch(core int, base uint64, size int64) {
 // are filled with the kernel's data by calling the benchmark function
 // once", §4.5): it Touches bytes of every array arrays[i] on core pins[i],
 // in order. The state that leaves depends only on the machine, its clock
-// ratio, the pins, the bases and bytes — noise and faults act only inside
-// Run and RunStream — so a warm-up that starts on a pristine machine (the
+// ratio, the pins, the bases and bytes — noise acts only inside Run and
+// RunStream — so a warm-up that starts on a pristine machine (the
 // clock at zero and the memory system as New or Reset left it) is
 // memoized: the next such warm-up of the same arrays restores the
 // memoized memory system and clock instead of simulating the loads.
@@ -310,10 +231,10 @@ func (m *Machine) Warm(pins []int, arrays [][]uint64, bytes int64) {
 	pristine := m.now == 0 && m.Sys.Pristine()
 	if pristine && m.warm.matches(pins, arrays, bytes) && m.Sys.Restore(&m.warm.snap) {
 		m.now = m.warm.now
-		m.mWarmHits++
+		m.counts.WarmHits++
 		return
 	}
-	m.mWarmMisses++
+	m.counts.WarmMisses++
 	for i, core := range pins {
 		for _, base := range arrays[i] {
 			m.Touch(core, base, bytes)
@@ -362,9 +283,9 @@ func (m *Machine) core(id int) *cpu.Core {
 	if c == nil {
 		c = cpu.NewCore(id, m.Desc.Arch, m.Sys)
 		m.pool[id] = c
-		m.mPoolMisses++
+		m.counts.PoolMisses++
 	} else {
-		m.mPoolHits++
+		m.counts.PoolHits++
 	}
 	return c
 }
@@ -402,14 +323,6 @@ func (m *Machine) Run(jobs []Job) ([]JobResult, error) {
 		}
 		return []JobResult{r}, nil
 	}
-	if err := m.checkFault(jobs[0].Prog); err != nil {
-		return nil, err
-	}
-	if m.span.Active() {
-		sp := m.span.Child("sim.run").Int("jobs", int64(len(jobs)))
-		startCycle := m.now
-		defer func() { sp.Cycles(startCycle, m.now).End() }()
-	}
 	results := make([]JobResult, len(jobs))
 	if err := m.lockstep(jobs, "job", func(slot int, r JobResult) *Job {
 		results[slot] = r
@@ -433,14 +346,6 @@ func (m *Machine) RunOne(job Job) (JobResult, error) {
 		}
 		return res[0], nil
 	}
-	if err := m.checkFault(job.Prog); err != nil {
-		return JobResult{}, err
-	}
-	if m.span.Active() {
-		sp := m.span.Child("sim.run").Int("jobs", 1)
-		startCycle := m.now
-		defer func() { sp.Cycles(startCycle, m.now).End() }()
-	}
 	if job.Core < 0 || job.Core >= m.Desc.Cores {
 		return JobResult{}, fmt.Errorf("sim: job 0 pinned to core %d of %d", job.Core, m.Desc.Cores)
 	}
@@ -452,7 +357,7 @@ func (m *Machine) RunOne(job Job) (JobResult, error) {
 		return JobResult{}, fmt.Errorf("sim: job 0: %w", err)
 	}
 	res := JobResult{Result: c.Result(), EAX: c.Reg(isa.RAX), EndCycle: c.Cycle()}
-	m.mInsts += res.Insts
+	m.counts.InstsRetired += res.Insts
 	if res.EndCycle > m.now {
 		m.now = res.EndCycle
 	}
@@ -476,14 +381,6 @@ type StreamResult struct {
 func (m *Machine) RunStream(initial []Job, next func(slot int, r JobResult) *Job) ([]StreamResult, error) {
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("sim: no initial jobs")
-	}
-	if err := m.checkFault(initial[0].Prog); err != nil {
-		return nil, err
-	}
-	if m.span.Active() {
-		sp := m.span.Child("sim.runstream").Int("slots", int64(len(initial)))
-		startCycle := m.now
-		defer func() { sp.Cycles(startCycle, m.now).End() }()
 	}
 	var results []StreamResult
 	if err := m.lockstep(initial, "slot", func(slot int, r JobResult) *Job {
@@ -559,7 +456,7 @@ func (m *Machine) lockstep(jobs []Job, noun string, done func(slot int, r JobRes
 			}
 			progressed = true
 			res := JobResult{Result: c.Result(), EAX: c.Reg(isa.RAX), EndCycle: c.Cycle()}
-			m.mInsts += res.Insts
+			m.counts.InstsRetired += res.Insts
 			if res.EndCycle > m.now {
 				m.now = res.EndCycle
 			}

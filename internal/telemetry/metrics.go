@@ -20,8 +20,9 @@ const (
 // Metrics bundles the pre-resolved instrument handles the measurement
 // stack records into: the campaign worker pool (per-variant duration,
 // queue depth), the launcher protocol (per-repetition latency,
-// calibration time) and the simulator (instructions retired, core-pool
-// hit rate). Resolving the handles once up front keeps the hot paths
+// calibration time) and the simulated machine (instructions retired,
+// core-pool and warm-up memo hit rates; the machine only counts, and the
+// launcher adds each launch's counts here when the launch ends). Resolving the handles once up front keeps the hot paths
 // free of registry lookups.
 //
 // A nil *Metrics disables instrumentation; holders must nil-check the
@@ -48,7 +49,7 @@ type Metrics struct {
 	CalibrateSeconds *Histogram
 
 	// SimInstsRetired counts simulated instructions retired across all
-	// runs; SimPoolHits/SimPoolMisses track the machine's core-pool
+	// launches; SimPoolHits/SimPoolMisses track the machine's core-pool
 	// reuse (a miss allocates a fresh cpu.Core, a hit resets a pooled
 	// one — the RunOne fast-path economics). Launch reuses pooled
 	// machines, so hits accumulate across launches too.

@@ -23,7 +23,8 @@ func Kernel(k *ir.Kernel, opt Options) Diagnostics {
 	// Shared across rules: building the register list walks the body, and
 	// opcode resolution is per instruction — doing either once per rule
 	// shows up when verifying thousand-variant families.
-	regs := k.Registers()
+	var regsBuf [16]*ir.Register
+	regs := k.AppendRegisters(regsBuf[:0])
 	var opsBuf [32]isa.Op
 	ops := parseOps(k, opsBuf[:0])
 	checkKernelForms(k, ops, add)

@@ -257,7 +257,7 @@ func TestKernelRegistersEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := k.Registers()
+	regs := k.AppendRegisters(nil)
 	// r1, the rotating %xmm class, r0, %eax.
 	if len(regs) != 4 {
 		t.Fatalf("registers = %d (%v), want 4", len(regs), regs)

@@ -3,7 +3,7 @@
 #
 # Each row of the table below names a benchmark, a metric of its result
 # line (a -benchmem one or an integer the benchmark reports itself) and
-# the file holding that metric's committed ceiling.
+# that metric's committed ceiling.
 # Every benchmark runs once (-benchtime=1x), so wall-clock noise cannot
 # trip the guard, and at GOMAXPROCS 2 (-cpu 2): the pooled machines are
 # rebuilt after a GC once per P that lost its pooled copy, so the sweep's
@@ -16,21 +16,21 @@ set -eu
 
 GO="${GO:-go}"
 
-# benchmark                   metric     ceiling file
+# benchmark                   metric          ceiling
 rows='
-BenchmarkCampaignSweep        allocs/op  bench_guard_allocs.txt
-BenchmarkCampaignSweep        B/op       bench_guard_bytes.txt
-BenchmarkCampaign/warm        allocs/op  bench_guard_warm_allocs.txt
-BenchmarkWriteReport          allocs/op  bench_guard_report_allocs.txt
-BenchmarkJobResultCodec       allocs/op  bench_guard_codec_allocs.txt
-BenchmarkGenerate510Variants  allocs/op  bench_guard_gen_allocs.txt
-BenchmarkGenerate510Variants  B/op       bench_guard_gen_bytes.txt
-BenchmarkCampaign/cold        allocs/op  bench_guard_cold_allocs.txt
-BenchmarkRunLockstep/fork4    allocs/op  bench_guard_lockstep_fork4_allocs.txt
-BenchmarkRunLockstep/noisy1   allocs/op  bench_guard_lockstep_noisy1_allocs.txt
-BenchmarkRunLockstep/stream4  allocs/op  bench_guard_lockstep_stream4_allocs.txt
-BenchmarkMachineWarm/hit      allocs/op  bench_guard_warm_hit_allocs.txt
-BenchmarkServiceRetention     retained-B/job  bench_guard_retained_bytes.txt
+BenchmarkCampaignSweep        allocs/op       17780
+BenchmarkCampaignSweep        B/op            25000000
+BenchmarkCampaign/warm        allocs/op       13275
+BenchmarkWriteReport          allocs/op       4
+BenchmarkJobResultCodec       allocs/op       538
+BenchmarkGenerate510Variants  allocs/op       9516
+BenchmarkGenerate510Variants  B/op            3960152
+BenchmarkCampaign/cold        allocs/op       24400
+BenchmarkRunLockstep/fork4    allocs/op       1
+BenchmarkRunLockstep/noisy1   allocs/op       1
+BenchmarkRunLockstep/stream4  allocs/op       5
+BenchmarkMachineWarm/hit      allocs/op       0
+BenchmarkServiceRetention     retained-B/job  150223
 '
 
 failed=0
@@ -43,9 +43,8 @@ for bench in $(printf '%s\n' "$rows" | awk 'NF && !seen[$1]++ { print $1 }'); do
 	# truncates a log file that stderr is redirected to.
 	out="$("$GO" test -run='^$' -bench "$pattern" -benchtime=1x -cpu 2 -benchmem . 2>&1)" || failed=1
 	printf '%s\n' "$out" >&2
-	while read -r name metric file; do
+	while read -r name metric limit; do
 		[ "$name" = "$bench" ] || continue
-		limit="$(cat "$file")"
 		# The result line's name carries the -2 GOMAXPROCS suffix.
 		value="$(printf '%s\n' "$out" | awk -v b="$bench" -v m="$metric" '
 			{ name = $1; sub(/-[0-9]+$/, "", name) }
